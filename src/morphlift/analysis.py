@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .calculus import (
-    PolyMatrix,
     antiholomorphic_jacobian,
     hessian,
     jacobian,
@@ -140,37 +139,35 @@ def hessian_conditions(phi: RealPolyMap) -> CheckReport:
     notes = (f"input map is {'HWC' if hwc_status else 'NOT HWC'} "
              "(the lift equivalence is stated under the HWC hypothesis)",)
     hessians = [hessian(c) for c in phi.components]
-    squares = [h @ h for h in hessians]
+    rows = [[list(row) for row in h.entries] for h in hessians]
+    cols = [[list(col) for col in zip(*h.entries)] for h in hessians]
+    negated_rows = [[-p for p in row] for row in rows[0]]
+    cells = [(i, j) for i in range(phi.domain_dim) for j in range(phi.domain_dim)]
     n = phi.codomain_dim
+    # Each matrix identity is decided entry by entry in row-major order, and
+    # the first nonzero entry is the certificate: (H_a^2 - H_1^2)[i, j] and
+    # (H_a H_b + H_b H_a)[i, j] are each one dot product of stacked vectors.
     for alpha in range(1, n):
-        difference = squares[alpha] - squares[0]
-        witness = _first_nonzero(difference)
-        if witness is not None:
-            i, j = witness
-            return CheckReport(
-                "hessian_conditions", False, notes=notes,
-                violation=Violation("hessian-square", 1, alpha + 1,
-                                    difference[i, j], entry=(i + 1, j + 1)))
-    for alpha in range(n):
-        for beta in range(alpha + 1, n):
-            anticommutator = (hessians[alpha] @ hessians[beta]
-                              + hessians[beta] @ hessians[alpha])
-            witness = _first_nonzero(anticommutator)
-            if witness is not None:
-                i, j = witness
+        for i, j in cells:
+            residual = poly_dot(rows[alpha][i] + negated_rows[i],
+                                cols[alpha][j] + cols[0][j])
+            if not residual.is_zero:
                 return CheckReport(
                     "hessian_conditions", False, notes=notes,
-                    violation=Violation("hessian-anticommute", alpha + 1, beta + 1,
-                                        anticommutator[i, j], entry=(i + 1, j + 1)))
+                    violation=Violation("hessian-square", 1, alpha + 1,
+                                        residual, entry=(i + 1, j + 1)))
+    for alpha in range(n):
+        for beta in range(alpha + 1, n):
+            for i, j in cells:
+                residual = poly_dot(rows[alpha][i] + rows[beta][i],
+                                    cols[beta][j] + cols[alpha][j])
+                if not residual.is_zero:
+                    return CheckReport(
+                        "hessian_conditions", False, notes=notes,
+                        violation=Violation("hessian-anticommute", alpha + 1,
+                                            beta + 1, residual,
+                                            entry=(i + 1, j + 1)))
     return CheckReport("hessian_conditions", True, notes=notes)
-
-
-def _first_nonzero(matrix: PolyMatrix):
-    for i in range(matrix.rows):
-        for j in range(matrix.cols):
-            if not matrix[i, j].is_zero:
-                return (i, j)
-    return None
 
 
 def is_orthogonal_multiplication(phi: RealPolyMap, first_block: int,

@@ -4,6 +4,21 @@ A polynomial is a mapping from exponent tuples to nonzero coefficients:
 
     x1^2*x2 + 3  ->  {(2, 1): 1, (0, 0): 3}     (num_vars=2)
 
+That dict, :attr:`MultiPoly.terms`, is the whole public representation.
+
+Products run on packed keys instead (Monagan & Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  An
+exponent tuple becomes one ``int`` whose little-endian fields of ``width``
+bytes hold the exponents, so multiplying two monomials is one integer
+addition.  The width is chosen per product from the operands' largest
+exponents, so no field can carry into the next: one byte while the sums stay
+below 256, then 2, 4 or 8 bytes, then as many bytes as the largest sum needs.
+A polynomial packs its terms on first use and caches them for the width last
+used, and a product keeps its result's packed terms, so a chain of products
+packs each operand once.  A product with a single-term factor shifts the
+other factor's exponent tuples instead and packs nothing.  Nothing outside
+the kernel sees packed keys.
+
 Complex polynomial rings carry formal conjugate variables: a ring with
 ``num_complex = k`` has ``num_vars = 2k`` where variable ``j < k`` is the
 holomorphic variable z_{j+1} and variable ``k + j`` is its conjugate partner
@@ -13,7 +28,11 @@ so :meth:`MultiPoly.partial` is the same operation for real and complex kinds.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat, starmap
+from operator import add, sub
 
 from .exact import (
     DimensionMismatch,
@@ -31,16 +50,34 @@ class ConsistencyError(ValueError):
     """A complex evaluation point assigns zb a value other than conj(z)."""
 
 
+_set = object.__setattr__
+
+
+def _canonicalize(terms: dict) -> dict:
+    """Drop zero coefficients and demote integral Fractions, in place."""
+    for key in [k for k, c in terms.items() if not c or type(c) is Fraction]:
+        coeff = terms[key]
+        if not coeff:
+            del terms[key]
+        elif coeff.denominator == 1:
+            terms[key] = coeff.numerator
+    return terms
+
+
+def _check_ring_shape(num_vars: int, num_complex: int) -> None:
+    if num_complex and num_vars != 2 * num_complex:
+        raise DimensionMismatch(
+            f"complex ring with {num_complex} pairs needs {2 * num_complex} "
+            f"variables, got {num_vars}")
+
+
 class MultiPoly:
     """Immutable sparse polynomial in canonical form (no zero coefficients)."""
 
-    __slots__ = ("num_vars", "num_complex", "terms")
+    __slots__ = ("num_vars", "num_complex", "terms", "_max_exp", "_packed")
 
     def __init__(self, num_vars: int, terms: dict, num_complex: int = 0):
-        if num_complex and num_vars != 2 * num_complex:
-            raise DimensionMismatch(
-                f"complex ring with {num_complex} pairs needs {2 * num_complex} "
-                f"variables, got {num_vars}")
+        _check_ring_shape(num_vars, num_complex)
         clean = {}
         for exponents, coeff in terms.items():
             if len(exponents) != num_vars:
@@ -50,9 +87,25 @@ class MultiPoly:
             value = make_scalar_like(coeff)
             if value != 0:
                 clean[tuple(exponents)] = value
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "num_complex", num_complex)
-        object.__setattr__(self, "terms", clean)
+        self._fill(num_vars, clean, num_complex)
+
+    def _fill(self, num_vars: int, terms: dict, num_complex: int,
+              packed=None) -> None:
+        _set(self, "num_vars", num_vars)
+        _set(self, "num_complex", num_complex)
+        _set(self, "terms", terms)
+        _set(self, "_max_exp", None)
+        _set(self, "_packed", packed)
+
+    @classmethod
+    def _trusted(cls, num_vars: int, terms: dict, num_complex: int = 0) -> "MultiPoly":
+        """Internal constructor for coefficients that exact arithmetic made
+        from canonical scalars, under keys of the right length.  It only
+        drops zeros and demotes integral Fractions, and it takes ownership of
+        ``terms``: callers pass a dict they built for it."""
+        poly = object.__new__(cls)
+        poly._fill(num_vars, _canonicalize(terms), num_complex)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -106,30 +159,31 @@ class MultiPoly:
 
     # -- ring operations --------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self op other, for op in {add, sub}, applied term by term."""
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = MultiPoly.constant(self.num_vars, other, self.num_complex)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
         terms = dict(self.terms)
+        get = terms.get
         for exponents, coeff in other.terms.items():
-            terms[exponents] = terms.get(exponents, 0) + coeff
-        return MultiPoly(self.num_vars, terms, self.num_complex)
+            terms[exponents] = op(get(exponents, 0), coeff)
+        return MultiPoly._trusted(self.num_vars, terms, self.num_complex)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.num_vars,
-                         {e: -c for e, c in self.terms.items()},
-                         self.num_complex)
+        return MultiPoly._trusted(self.num_vars,
+                                  {e: -c for e, c in self.terms.items()},
+                                  self.num_complex)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            other = MultiPoly.constant(self.num_vars, other, self.num_complex)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -140,16 +194,25 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
-        terms: dict = {}
-        accumulate_product(terms, self, other)
-        return MultiPoly(self.num_vars, terms, self.num_complex)
+        if len(self.terms) == 1:
+            return _monomial_product(self, other)
+        if len(other.terms) == 1:
+            return _monomial_product(other, self)
+        width = _field_width(self._max_exponent() + other._max_exponent())
+        accumulator: dict = {}
+        accumulate_product(accumulator, self, other, width=width)
+        # Products are chained (powers, composition, lowering), so the result
+        # keeps its packed terms for the next one.
+        return _from_packed(accumulator, width, self.num_vars, self.num_complex,
+                            keep_packed=True)
 
     __rmul__ = __mul__
 
     def scale(self, factor: Scalar) -> "MultiPoly":
-        return MultiPoly(self.num_vars,
-                         {e: factor * c for e, c in self.terms.items()},
-                         self.num_complex)
+        factor = make_scalar_like(factor)
+        return MultiPoly._trusted(self.num_vars,
+                                  {e: factor * c for e, c in self.terms.items()},
+                                  self.num_complex)
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -178,7 +241,7 @@ class MultiPoly:
                 continue
             lowered = exponents[:index] + (e - 1,) + exponents[index + 1:]
             terms[lowered] = terms.get(lowered, 0) + e * coeff
-        return MultiPoly(self.num_vars, terms, self.num_complex)
+        return MultiPoly._trusted(self.num_vars, terms, self.num_complex)
 
     def conjugate_poly(self) -> "MultiPoly":
         """Swap each z_k with zb_k and conjugate every coefficient."""
@@ -189,7 +252,7 @@ class MultiPoly:
         for exponents, coeff in self.terms.items():
             swapped = exponents[k:] + exponents[:k]
             terms[swapped] = conjugate(coeff)
-        return MultiPoly(self.num_vars, terms, self.num_complex)
+        return MultiPoly._trusted(self.num_vars, terms, self.num_complex)
 
     # -- evaluation / substitution -------------------------------------------------
 
@@ -277,6 +340,7 @@ class MultiPoly:
     def remap(self, num_vars: int, index_map: dict[int, int],
               num_complex: int = 0) -> "MultiPoly":
         """Embed into a larger ring, sending old variable j to index_map[j]."""
+        _check_ring_shape(num_vars, num_complex)
         terms = {}
         for exponents, coeff in self.terms.items():
             new_exp = [0] * num_vars
@@ -284,7 +348,7 @@ class MultiPoly:
                 if e:
                     new_exp[index_map[j]] = e
             terms[tuple(new_exp)] = coeff
-        return MultiPoly(num_vars, terms, num_complex)
+        return MultiPoly._trusted(num_vars, terms, num_complex)
 
     # -- inspection -------------------------------------------------------------
 
@@ -293,16 +357,105 @@ class MultiPoly:
             return 0
         return max(sum(e) for e in self.terms)
 
+    # -- packed terms (product kernel only) ----------------------------------------
+
+    def _max_exponent(self) -> int:
+        """The largest exponent of any variable in any term (0 if none)."""
+        if self._max_exp is None:
+            value = max(map(max, self.terms), default=0) if self.num_vars else 0
+            _set(self, "_max_exp", value)
+        return self._max_exp
+
+    def _packed_items(self, width: int):
+        """The terms as (packed key, coefficient) pairs at ``width`` bytes a
+        field, packed on first use and cached for the last width asked."""
+        cached = self._packed
+        if cached is None or cached[0] != width:
+            keys = _pack_all(self.terms, self.num_vars, width)
+            cached = (width, list(zip(keys, self.terms.values())))
+            _set(self, "_packed", cached)
+        return cached[1]
 
 
-def accumulate_product(accumulator: dict, p: MultiPoly, q: MultiPoly) -> None:
-    """accumulator += p*q, as raw term dict updates (hot path for Gram
-    matrices and polynomial matrix products)."""
-    q_items = list(q.terms.items())
-    for ep, cp in p.terms.items():
-        for eq, cq in q_items:
-            key = tuple(a + b for a, b in zip(ep, eq))
-            accumulator[key] = accumulator.get(key, 0) + cp * cq
+# ---------------------------------------------------------------------------
+# Packed-key product kernel
+# ---------------------------------------------------------------------------
+
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _field_width(max_exponent_sum: int) -> int:
+    """Bytes per exponent field that hold every exponent sum up to the bound."""
+    needed = max(1, (max_exponent_sum.bit_length() + 7) // 8)
+    for width in _STRUCT_CODES:
+        if needed <= width:
+            return width
+    return needed
+
+
+@lru_cache(maxsize=64)
+def _fields(num_vars: int, width: int) -> struct.Struct:
+    return struct.Struct(f"<{num_vars}{_STRUCT_CODES[width]}")
+
+
+def _pack_all(exponent_tuples, num_vars: int, width: int) -> list[int]:
+    """Exponent tuples -> ints with ``width``-byte little-endian fields."""
+    if width in _STRUCT_CODES:
+        raw = starmap(_fields(num_vars, width).pack, exponent_tuples)
+    else:
+        raw = (b"".join(x.to_bytes(width, "little") for x in e)
+               for e in exponent_tuples)
+    return list(map(int.from_bytes, raw, repeat("little")))
+
+
+def _unpack_all(keys, num_vars: int, width: int):
+    """The inverse of :func:`_pack_all`, as an iterator of tuples."""
+    size = num_vars * width
+    raw = map(int.to_bytes, keys, repeat(size), repeat("little"))
+    if width in _STRUCT_CODES:
+        return map(_fields(num_vars, width).unpack, raw)
+    return (tuple(int.from_bytes(b[i:i + width], "little")
+                  for i in range(0, size, width)) for b in raw)
+
+
+def _from_packed(accumulator: dict, width: int, num_vars: int,
+                 num_complex: int, keep_packed: bool = False) -> MultiPoly:
+    """The polynomial whose packed terms ``accumulator`` holds; it takes
+    ownership of the dict."""
+    _canonicalize(accumulator)
+    terms = dict(zip(_unpack_all(accumulator, num_vars, width),
+                     accumulator.values()))
+    poly = object.__new__(MultiPoly)
+    poly._fill(num_vars, terms, num_complex,
+               (width, accumulator.items()) if keep_packed else None)
+    return poly
+
+
+def _monomial_product(monomial: MultiPoly, p: MultiPoly) -> MultiPoly:
+    """monomial * p.  The product shifts each term of p by one exponent
+    tuple, so no two terms collide and nothing needs packing: parsing and
+    lowering multiply monomials far more often than anything else."""
+    (shift, factor), = monomial.terms.items()
+    return MultiPoly._trusted(
+        p.num_vars,
+        {tuple(map(add, shift, e)): factor * c for e, c in p.terms.items()},
+        p.num_complex)
+
+
+def accumulate_product(accumulator: dict, p: MultiPoly, q: MultiPoly, *,
+                       width: int) -> None:
+    """accumulator += p*q over packed keys with ``width``-byte fields (hot
+    path for Gram matrices and polynomial matrix products).  The caller picks
+    a width that holds every exponent sum, the same for every product that
+    goes into one accumulator."""
+    if (p._max_exponent() + q._max_exponent()) >> (8 * width):
+        raise OverflowError(f"exponent sums of p*q overflow {width}-byte fields")
+    get = accumulator.get
+    q_items = q._packed_items(width)
+    for kp, cp in p._packed_items(width):
+        for kq, cq in q_items:
+            key = kp + kq
+            accumulator[key] = get(key, 0) + cp * cq
 
 
 def poly_dot(left: list[MultiPoly], right: list[MultiPoly]) -> MultiPoly:
@@ -312,10 +465,12 @@ def poly_dot(left: list[MultiPoly], right: list[MultiPoly]) -> MultiPoly:
     if not left:
         raise DimensionMismatch("poly_dot of empty vectors")
     num_vars, num_complex = left[0].num_vars, left[0].num_complex
-    terms: dict = {}
+    width = _field_width(max(p._max_exponent() + q._max_exponent()
+                             for p, q in zip(left, right)))
+    accumulator: dict = {}
     for p, q in zip(left, right):
-        accumulate_product(terms, p, q)
-    return MultiPoly(num_vars, terms, num_complex)
+        accumulate_product(accumulator, p, q, width=width)
+    return _from_packed(accumulator, width, num_vars, num_complex)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from morphlift.analysis import (
     is_holomorphic,
     is_orthogonal_multiplication,
 )
+from morphlift.catalog import lookup
 from morphlift.lift import complete_lift_real
 from morphlift.mapfile import parse_map, parse_poly
 from morphlift.maps import (
@@ -219,6 +221,61 @@ def test_degree_4_morphism_lift_fails_hwc(phi_r16_real):
     # to a morphism: both sides of the transfer criterion are negative
     assert not hessian_conditions(phi_r16_real).verdict
     assert not hwc_certificate(complete_lift_real(phi_r16_real)).verdict
+
+
+# The certificates the full-matrix computation gave: the first nonzero entry
+# in row-major order, with its residual.  (kind, component pair, entry,
+# residual term count, SHA-256 of the rendered residual)
+R16_HESSIAN_CERTIFICATE = (
+    "hessian-square", (1, 2), (1, 1), 40,
+    "4adc8242d2e2a55dd89aded777fc45b4c46096b26c47c6fd9175eeeb52cf89dc")
+R32_HESSIAN_CERTIFICATE = (
+    "hessian-square", (1, 2), (1, 1), 256,
+    "497428428674a7a713d5debc0ffe8d3d336e0142b0bf48dde62782eb02f2395f")
+
+
+def _certificate(report):
+    v = report.violation
+    text = render(v.residual)
+    return (v.kind, (v.component_k, v.component_l), v.entry,
+            len(v.residual.terms), hashlib.sha256(text.encode()).hexdigest())
+
+
+def test_hessian_certificates_on_the_lift_ladder(phi_r16_real):
+    r16 = hessian_conditions(phi_r16_real)
+    assert _certificate(r16) == R16_HESSIAN_CERTIFICATE
+    assert r16.notes == ("input map is HWC (the lift equivalence is stated "
+                         "under the HWC hypothesis)",)
+    r32 = hessian_conditions(complete_lift_real(phi_r16_real))
+    assert _certificate(r32) == R32_HESSIAN_CERTIFICATE
+    assert "NOT HWC" in r32.notes[0]
+
+
+@pytest.mark.parametrize("entry_id,certificate", [
+    ("ex3.1.iii-quaternion-real-lift", None),
+    ("ex2.4-complex-lift-Q", ("hessian-square", (1, 3), (13, 13), "-1")),
+])
+def test_hessian_certificates_on_catalog_maps(entry_id, certificate):
+    phi = parse_map(lookup(entry_id).definition)
+    if not isinstance(phi, RealPolyMap):
+        phi = real_identification(phi)
+    report = hessian_conditions(phi)
+    if certificate is None:
+        assert report.verdict and report.violation is None
+    else:
+        v = report.violation
+        assert (v.kind, (v.component_k, v.component_l), v.entry,
+                render(v.residual)) == certificate
+
+
+def test_hessian_anticommutator_certificate():
+    # equal squares, so the first failure is the anticommutator 2*H^2
+    report = hessian_conditions(parse_map(
+        "map f: R^2 -> R^2 { f1 = x1*x2; f2 = x1*x2; }"))
+    v = report.violation
+    assert (v.kind, v.component_k, v.component_l, v.entry) == \
+        ("hessian-anticommute", 1, 2, (1, 1))
+    assert v.residual == MultiPoly.constant(2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,26 @@ def test_lift_complex_rejects_real_input(tmp_path):
     assert code == 2
 
 
+def test_lift_real_with_exponents_past_one_byte(tmp_path):
+    # lowering and lifting these need exponent fields wider than one byte
+    path = tmp_path / "wide.map"
+    path.write_text("map w: R^2 -> R^2 {\n"
+                    "    w1 = x1^300 + x2;\n"
+                    "    w2 = (x1^100 - 2/3*x2)^3;\n"
+                    "}\n")
+    code, text = run_cli(["lift", "--real", str(path)])
+    assert code == 0
+    assert text == (
+        "real complete lift: R^2 -> R^2 lifts to R^4 -> R^2\n"
+        "  F1 = 300*x1^299*y1 + y2\n"
+        "  F2 = 300*x1^299*y1 - 2*x1^200*y2 - 400*x1^199*x2*y1"
+        " + 8/3*x1^100*x2*y2 + 400/3*x1^99*x2^2*y1 - 8/9*x2^2*y2\n"
+        "coefficient matrix M(x) with lift = M(x) * y:\n"
+        "  [300*x1^299, 1]\n"
+        "  [300*x1^299 - 400*x1^199*x2 + 400/3*x1^99*x2^2,"
+        " -2*x1^200 + 8/3*x1^100*x2 - 8/9*x2^2]\n")
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

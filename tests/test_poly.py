@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +8,13 @@ from hypothesis import given, strategies as st
 from genmaps import random_complex_poly, random_real_poly
 from morphlift.exact import DimensionMismatch, GaussianRational
 from morphlift.mapfile import parse_poly
-from morphlift.poly import ConsistencyError, MultiPoly, render
+from morphlift.poly import (
+    ConsistencyError,
+    MultiPoly,
+    accumulate_product,
+    poly_dot,
+    render,
+)
 
 I = GaussianRational(0, 1)
 
@@ -237,3 +244,136 @@ def test_render_parse_round_trip_real(q):
 @given(complex_polys)
 def test_render_parse_round_trip_complex(q):
     assert parse_poly(render(q), 4, 2) == q
+
+
+# ---------------------------------------------------------------------------
+# Packed product kernel against the tuple-keyed reference
+# ---------------------------------------------------------------------------
+
+def reference_product(a, b):
+    """a*b by the tuple-keyed kernel that the packed one replaced: the test
+    oracle for every product path."""
+    accumulator = {}
+    b_items = list(b.terms.items())
+    for ea, ca in a.terms.items():
+        for eb, cb in b_items:
+            key = tuple(x + y for x, y in zip(ea, eb))
+            accumulator[key] = accumulator.get(key, 0) + ca * cb
+    return MultiPoly(a.num_vars, accumulator, a.num_complex)
+
+
+def reference_sum(polys, num_vars, num_complex):
+    terms = {}
+    for q in polys:
+        for exponents, coeff in q.terms.items():
+            terms[exponents] = terms.get(exponents, 0) + coeff
+    return MultiPoly(num_vars, terms, num_complex)
+
+
+def reference_power(a, exponent):
+    result = MultiPoly.constant(a.num_vars, 1, a.num_complex)
+    for _ in range(exponent):
+        result = reference_product(result, a)
+    return result
+
+
+def reference_compose(q, values):
+    num_vars, num_complex = values[0].num_vars, values[0].num_complex
+    summands = []
+    for exponents, coeff in q.terms.items():
+        term = MultiPoly.constant(num_vars, coeff, num_complex)
+        for value, e in zip(values, exponents):
+            term = reference_product(term, reference_power(value, e))
+        summands.append(term)
+    return reference_sum(summands, num_vars, num_complex)
+
+
+# Each side of every field-width boundary: 1, 2, 4 and 8 bytes, and wider.
+BOUNDARY_EXPONENTS = (127, 128, 255, 256, 65535, 65536,
+                      2**31, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64 + 1)
+RINGS = ((0, 0), (1, 0), (2, 0), (3, 0), (2, 1), (4, 2))
+
+small_exponents = st.integers(0, 3)
+wide_exponents = st.one_of(small_exponents, st.sampled_from(BOUNDARY_EXPONENTS))
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+coefficients = st.one_of(
+    st.integers(-3, 3), rationals,
+    st.builds(GaussianRational, rationals, rationals))
+
+
+def polys_in(ring, exponents=wide_exponents, max_size=4):
+    num_vars, num_complex = ring
+    return st.dictionaries(st.tuples(*[exponents] * num_vars), coefficients,
+                           max_size=max_size).map(
+        lambda terms: MultiPoly(num_vars, terms, num_complex))
+
+
+@given(st.data())
+def test_product_matches_reference(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    a, b = data.draw(polys_in(ring)), data.draw(polys_in(ring))
+    expected = reference_product(a, b)
+    assert a * b == expected
+    assert b * a == expected
+
+
+@given(st.data())
+def test_dot_matches_reference(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    size = data.draw(st.integers(1, 3))
+    left = [data.draw(polys_in(ring)) for _ in range(size)]
+    right = [data.draw(polys_in(ring)) for _ in range(size)]
+    expected = reference_sum([reference_product(a, b)
+                              for a, b in zip(left, right)], *ring)
+    assert poly_dot(left, right) == expected
+    # a dot product that cancels to the zero polynomial
+    assert poly_dot(left + left, right + [-b for b in right]).terms == {}
+
+
+@given(st.data())
+def test_power_matches_reference(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    a = data.draw(polys_in(ring, max_size=3))
+    exponent = data.draw(st.integers(0, 4))
+    assert a ** exponent == reference_power(a, exponent)
+
+
+@given(st.data())
+def test_compose_matches_reference(data):
+    ring = data.draw(st.sampled_from(RINGS[1:]))
+    outer = data.draw(st.sampled_from(RINGS[1:]))
+    q = data.draw(polys_in(outer, exponents=st.integers(0, 2), max_size=3))
+    values = [data.draw(polys_in(ring, max_size=3))
+              for _ in range(outer[0])]
+    assert q.compose(values) == reference_compose(q, values)
+
+
+def test_wide_monomial_product():
+    x1 = MultiPoly.variable(1, 0)
+    a = x1 ** 200
+    assert a * a == reference_product(a, a) == MultiPoly(1, {(400,): 1})
+
+
+def test_wide_binomial_power():
+    binomial = p("x1 + x2", 2)
+    power = binomial ** 130
+    assert power == reference_power(binomial, 130)
+    assert power.terms[(65, 65)] == comb(130, 65)
+
+
+def test_product_of_exponents_past_eight_bytes():
+    a = MultiPoly(2, {(2**64 + 1, 3): 2, (0, 1): Fraction(1, 2)})
+    b = MultiPoly(2, {(2**64 - 1, 0): -1, (1, 2**70): I})
+    assert a * b == reference_product(a, b)
+    assert (a * b).terms[(2**65, 3)] == -2
+
+
+def test_accumulate_product_rejects_fields_too_narrow():
+    # 200 + 200 needs two bytes a field; one byte would carry into x2
+    a = MultiPoly(2, {(200, 0): 1, (0, 1): 1})
+    accumulator = {}
+    with pytest.raises(OverflowError):
+        accumulate_product(accumulator, a, a, width=1)
+    assert accumulator == {}
+    accumulate_product(accumulator, a, a, width=2)
+    assert len(accumulator) == 3
