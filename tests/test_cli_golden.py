@@ -1,0 +1,91 @@
+"""Golden bytes of the command-line front end.
+
+Every case runs ``cli_main`` in-process, from a directory that holds its
+input files, once as text and once with ``--json``.  Stdout must equal
+``tests/golden/<case>.out`` and stderr ``tests/golden/<case>.err`` (an
+absent ``.err`` file means stderr is empty), byte for byte; the exit status
+is pinned in the table below.  The expected files are the program's output
+as committed, so a change that alters what the CLI prints changes them in
+the same commit.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from morphlift.catalog import lookup
+from morphlift.cli import cli_main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+INPUTS = {
+    "quaternion.map": lookup("ex1.4.iii-quaternion").definition,
+    "zwbar.map": lookup("ex1.4.i-zwbar").definition,
+    "stereo.map": lookup("ex1.4.iv-hyperbolic-stereographic").definition,
+    "qr.map": lookup("ex3.5-antilift-obstruction").definition,
+    "phi.map": lookup("ex3.7-R16-to-C").definition,
+    "hessian.map": "map f: R^2 -> R^2 { f1 = x1^2 - x2^2; f2 = x1*x2; }\n",
+    "lifted.map": "map f: R^4 -> R^1 { f1 = 2*x1*x3 + x4; }\n",
+    "fiber.map": "map f: R^4 -> R^1 { f1 = x1*x3^2; }\n",
+    "bad.map": "map f: R^2 -> R^1 { f1 = x1 +; }\n",
+    # the nine printed points of the R^16 -> C example, then the repair point
+    "phi.pts": ("0, 0, 1, 0, 1, 0, 0, 1\n"
+                "0, 0, i, 0, 1, 0, 0, 1\n"
+                "1, 0, 0, 0, 1, 0, 1, 0\n"
+                "i, 0, 0, 0, 1, 0, 1, 0\n"
+                "1, 0, 0, 1, 1, 0, 0, 0\n"
+                "1, 0, 0, 1, i, 0, 0, 0\n"
+                "1, 0, 1, 0, 1, 0, 0, 0\n"
+                "1, 0, 1, 0, i, 0, 0, 0\n"
+                "0, 0, 1-i, 0, 1, 1, 0, 0\n"
+                "1, 1, 0, 0, 0, 0, 1, 0\n"),
+}
+
+CASES = [
+    ("lift-real-complex-map", ["lift", "--real", "quaternion.map"], 0),
+    ("lift-complex", ["lift", "--complex", "zwbar.map"], 0),
+    ("lift-smooth", ["lift", "--real", "stereo.map"], 0),
+    ("check-default", ["check", "quaternion.map"], 0),
+    ("check-hessian-fails", ["check", "hessian.map", "--hessian-conditions"], 0),
+    ("check-orthmult-blocks", ["check", "quaternion.map",
+                               "--orthogonal-multiplication", "--blocks", "4,4"], 0),
+    ("antilift-complete-lift", ["antilift", "lifted.map", "--split", "2"], 0),
+    ("antilift-mixed-partial", ["antilift", "qr.map", "--split", "4"], 0),
+    ("antilift-not-partial-linear", ["antilift", "fiber.map", "--split", "2"], 0),
+    ("kaehler-points", ["kaehler", "phi.map", "--points", "phi.pts"], 0),
+    ("kaehler-search", ["kaehler", "zwbar.map", "--search", "--budget", "50"], 0),
+    ("numeric-check", ["numeric-check", "stereo.map", "--points", "20",
+                       "--seed", "3", "--tol", "1e-8"], 0),
+    ("reproduce-entry", ["reproduce", "ex1.4.i-zwbar"], 0),
+    ("reproduce-all", ["reproduce", "--all"], 0),
+    ("catalog-list", ["catalog", "list"], 0),
+    ("catalog-dump", ["catalog", "dump", "ex1.4.i-zw"], 0),
+    ("error-missing-file", ["lift", "--real", "missing.map"], 2),
+    ("error-parse", ["check", "bad.map"], 2),
+    ("error-split-mismatch", ["antilift", "quaternion.map", "--split", "3"], 2),
+]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden-inputs")
+    for name, text in INPUTS.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    return directory
+
+
+@pytest.mark.parametrize("json_flag", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("case, argv, status", CASES, ids=[c[0] for c in CASES])
+def test_cli_output_bytes(inputs, monkeypatch, case, argv, status, json_flag):
+    monkeypatch.chdir(inputs)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(["--json", *argv] if json_flag else argv)
+    stem = case + ("-json" if json_flag else "")
+    err_path = GOLDEN / f"{stem}.err"
+    assert code == status
+    assert stdout.getvalue().encode() == (GOLDEN / f"{stem}.out").read_bytes()
+    assert stderr.getvalue().encode() == (err_path.read_bytes()
+                                          if err_path.exists() else b"")
