@@ -15,11 +15,9 @@ from .calculus import (
     PolyMatrix,
     antiholomorphic_jacobian,
     complex_gradient,
-    gram,
     hessian,
     jacobian,
     laplacian,
-    laplacian_map,
     wirtinger_jacobian,
 )
 from .exact import (
@@ -27,7 +25,6 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     bilinear_dot,
-    span_contains,
 )
 from .expr import EvalDomainError, Expr, NotPolynomial, SmoothMap
 from .kaehler import (
@@ -76,10 +73,9 @@ __all__ = [
     "CheckReport", "Violation", "hessian_conditions", "hwc_certificate",
     "is_harmonic", "is_harmonic_morphism", "is_holomorphic",
     "is_orthogonal_multiplication",
-    "PolyMatrix", "antiholomorphic_jacobian", "complex_gradient", "gram",
-    "hessian", "jacobian", "laplacian", "laplacian_map", "wirtinger_jacobian",
+    "PolyMatrix", "antiholomorphic_jacobian", "complex_gradient",
+    "hessian", "jacobian", "laplacian", "wirtinger_jacobian",
     "DimensionMismatch", "ExactMatrix", "GaussianRational", "bilinear_dot",
-    "span_contains",
     "EvalDomainError", "Expr", "NotPolynomial", "SmoothMap",
     "INCONCLUSIVE", "NOT_KAEHLER", "KaehlerReport", "gradient_at",
     "search_points", "span_report",

@@ -49,9 +49,6 @@ class PolyMatrix:
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols})"
 
-    def row(self, i):
-        return self.entries[i]
-
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(zip(*self.entries)) if self.rows else PolyMatrix([])
 
@@ -62,18 +59,6 @@ class PolyMatrix:
         cols = list(zip(*other.entries))
         return PolyMatrix([[poly_dot(list(row), list(col)) for col in cols]
                            for row in self.entries])
-
-    def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch")
-        return PolyMatrix([[a + b for a, b in zip(r1, r2)]
-                           for r1, r2 in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix([[-p for p in row] for row in self.entries])
-
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self + (-other)
 
     def is_zero(self) -> bool:
         return all(p.is_zero for row in self.entries for p in row)
@@ -106,10 +91,6 @@ def laplacian(p: MultiPoly) -> MultiPoly:
     return total
 
 
-def laplacian_map(phi: RealPolyMap) -> list[MultiPoly]:
-    return [laplacian(c) for c in phi.components]
-
-
 def wirtinger_jacobian(phi: ComplexPolyMap) -> PolyMatrix:
     """Holomorphic Jacobian: entry (i, j) = formal partial of component i by z_j."""
     return PolyMatrix([[c.partial(j) for j in range(phi.domain_dim)]
@@ -133,15 +114,3 @@ def complex_gradient(phi: RealPolyMap) -> list[MultiPoly]:
     u, v = phi.components
     return [u.partial(j) + v.partial(j).scale(I) for j in range(phi.domain_dim)]
 
-
-def gram(j: PolyMatrix) -> PolyMatrix:
-    """The symmetric matrix J * J^t of row-by-row polynomial dot products."""
-    n = j.rows
-    rows = [list(r) for r in j.entries]
-    entries = [[None] * n for _ in range(n)]
-    for k in range(n):
-        for l in range(k, n):
-            value = poly_dot(rows[k], rows[l])
-            entries[k][l] = value
-            entries[l][k] = value
-    return PolyMatrix(entries)

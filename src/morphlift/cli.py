@@ -1,5 +1,8 @@
 """Command-line front end.
 
+Each subcommand returns one :class:`Report`; ``cli_main`` alone writes it,
+as text lines or as the ``--json`` payload.
+
 Exit status: 0 when the requested computation succeeded (a negative verdict
 or an obstruction is a valid answer), 1 when ``reproduce`` found a mismatch
 against the stored expectations, 2 for usage, parse or input errors.
@@ -10,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 
 from . import catalog as catalog_module
 from .analysis import (
@@ -118,6 +122,16 @@ def _build_parser() -> argparse.ArgumentParser:
 # Helpers
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Report:
+    """One command's result: the ``--json`` payload, the text lines built
+    from the payload's values, and the exit status."""
+
+    payload: dict
+    lines: list[str]
+    status: int = 0
+
+
 def _load_map(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -137,6 +151,11 @@ def _require_real(parsed, notes: list):
                    "use numeric-check for smooth maps")
 
 
+def _numbered(prefix: str, texts) -> list:
+    return [f"  {prefix}{index} = {text}"
+            for index, text in enumerate(texts, start=1)]
+
+
 def _check_payload(report: CheckReport, names) -> dict:
     payload = {"name": report.check, "verdict": report.verdict}
     if report.dilation is not None:
@@ -149,149 +168,112 @@ def _check_payload(report: CheckReport, names) -> dict:
             "residual": render(violation.residual, names),
         }
         if violation.entry is not None:
-            payload["violation"]["entry"] = list(violation.entry)
+            payload["violation"]["entry"] = violation.entry
     if report.notes:
-        payload["notes"] = list(report.notes)
+        payload["notes"] = report.notes
     return payload
 
 
-def _print_check(payload: dict, out):
+def _check_lines(payload: dict) -> list:
     verdict = "true" if payload["verdict"] else "false"
-    print(f"{payload['name']}: {verdict}", file=out)
+    lines = [f"{payload['name']}: {verdict}"]
     if "dilation" in payload:
-        print(f"  dilation^2 = {payload['dilation']}", file=out)
+        lines.append(f"  dilation^2 = {payload['dilation']}")
     if "violation" in payload:
         violation = payload["violation"]
         k, l = violation["components"]
-        print(f"  violation [{violation['kind']}] at components ({k},{l}): "
-              f"residual = {violation['residual']}", file=out)
-    for note in payload.get("notes", ()):
-        print(f"  note: {note}", file=out)
-
-
-def _emit(args, payload: dict, out) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        lines.append(f"  violation [{violation['kind']}] at components ({k},{l}): "
+                     f"residual = {violation['residual']}")
+    lines.extend(f"  note: {note}" for note in payload.get("notes", ()))
+    return lines
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_lift(args, out) -> int:
+def _cmd_lift(args) -> Report:
     parsed = _load_map(args.file)
     notes: list[str] = []
-    payload: dict = {"schema": SCHEMA_VERSION, "command": "lift"}
-
+    matrix_lines: list[str] = []
     if args.complex_:
         if not isinstance(parsed, ComplexPolyMap):
             raise CliError("--complex needs a polynomial map between complex spaces")
-        lifted = complete_lift_complex(parsed)
+        base, lifted = parsed, complete_lift_complex(parsed)
         names = lifted.names()
-        components = [render(c, names) for c in lifted.components]
-        payload.update({
+        title, space = "complex complete lift", "C"
+        payload = {
             "kind": "complex",
-            "domain_dim": lifted.domain_dim,
             "codomain_dim": lifted.codomain_dim,
-            "variables": list(names),
-            "components": components,
-        })
-        if not args.json:
-            print(f"complex complete lift: C^{parsed.domain_dim} -> "
-                  f"C^{parsed.codomain_dim} lifts to C^{lifted.domain_dim} -> "
-                  f"C^{lifted.codomain_dim}", file=out)
-            for index, text in enumerate(components, start=1):
-                print(f"  F{index} = {text}", file=out)
-        _emit(args, payload, out)
-        return 0
-
-    if isinstance(parsed, SmoothMap):
-        lifted = numeric_complete_lift(parsed)
+            "variables": names,
+            "components": [render(c, names) for c in lifted.components],
+        }
+    elif isinstance(parsed, SmoothMap):
+        base, lifted = parsed, numeric_complete_lift(parsed)
         names = lifted.names()
-        components = [render_expr(c, names) for c in lifted.components]
-        payload.update({
+        title, space = "complete lift (symbolic)", "R"
+        payload = {
             "kind": "smooth",
-            "domain_dim": lifted.domain_dim,
-            "components": components,
+            "components": [render_expr(c, names) for c in lifted.components],
             "guards": [render_expr(g, names) for g in lifted.guards],
-        })
-        if not args.json:
-            print(f"complete lift (symbolic): R^{parsed.domain_dim} -> "
-                  f"R^{parsed.codomain_dim} lifts to R^{lifted.domain_dim} -> "
-                  f"R^{lifted.codomain_dim}", file=out)
-            for index, text in enumerate(components, start=1):
-                print(f"  F{index} = {text}", file=out)
-        _emit(args, payload, out)
-        return 0
-
-    base = _require_real(parsed, notes)
-    lifted = complete_lift_real(base)
-    names = lifted.names()
-    components = [render(c, names) for c in lifted.components]
-    matrix = jacobian(base)
-    base_names = base.names()
-    rows = [[render(matrix[i, j], base_names) for j in range(matrix.cols)]
-            for i in range(matrix.rows)]
-    payload.update({
-        "kind": "real",
-        "domain_dim": lifted.domain_dim,
-        "codomain_dim": lifted.codomain_dim,
-        "variables": list(names),
-        "components": components,
-        "coefficient_matrix": rows,
-        "notes": notes,
-    })
-    if not args.json:
-        for note in notes:
-            print(f"note: {note}", file=out)
-        print(f"real complete lift: R^{base.domain_dim} -> "
-              f"R^{base.codomain_dim} lifts to R^{lifted.domain_dim} -> "
-              f"R^{lifted.codomain_dim}", file=out)
-        for index, text in enumerate(components, start=1):
-            print(f"  F{index} = {text}", file=out)
-        print("coefficient matrix M(x) with lift = M(x) * y:", file=out)
-        for row in rows:
-            print("  [" + ", ".join(row) + "]", file=out)
-    _emit(args, payload, out)
-    return 0
+        }
+    else:
+        base = _require_real(parsed, notes)
+        lifted = complete_lift_real(base)
+        names = lifted.names()
+        title, space = "real complete lift", "R"
+        matrix = jacobian(base)
+        base_names = base.names()
+        rows = [[render(matrix[i, j], base_names) for j in range(matrix.cols)]
+                for i in range(matrix.rows)]
+        payload = {
+            "kind": "real",
+            "codomain_dim": lifted.codomain_dim,
+            "variables": names,
+            "components": [render(c, names) for c in lifted.components],
+            "coefficient_matrix": rows,
+            "notes": notes,
+        }
+        matrix_lines = ["coefficient matrix M(x) with lift = M(x) * y:",
+                        *("  [" + ", ".join(row) + "]" for row in rows)]
+    payload["domain_dim"] = lifted.domain_dim
+    return Report(payload, [
+        *(f"note: {note}" for note in notes),
+        f"{title}: {space}^{base.domain_dim} -> {space}^{base.codomain_dim} "
+        f"lifts to {space}^{lifted.domain_dim} -> {space}^{lifted.codomain_dim}",
+        *_numbered("F", payload["components"]),
+        *matrix_lines])
 
 
-def _cmd_check(args, out) -> int:
+def _cmd_check(args) -> Report:
     parsed = _load_map(args.file)
     if isinstance(parsed, SmoothMap):
         raise CliError("check works on exact polynomial maps; "
                        "use numeric-check for smooth maps")
     notes: list[str] = []
-    requested = {
-        "harmonic": args.harmonic,
-        "hwc": args.hwc,
-        "morphism": args.morphism,
-        "holomorphic": args.holomorphic,
-        "hessian": args.hessian,
-        "orthmult": args.orthmult,
-    }
-    if not any(requested.values()):
-        requested["harmonic"] = requested["hwc"] = requested["morphism"] = True
+    requested = {name for name in ("holomorphic", "harmonic", "hwc", "morphism",
+                                   "hessian", "orthmult") if getattr(args, name)}
+    if not requested:
+        requested = {"harmonic", "hwc", "morphism"}
         if isinstance(parsed, ComplexPolyMap):
-            requested["holomorphic"] = True
+            requested.add("holomorphic")
 
     reports = []
-    if requested["holomorphic"]:
+    if "holomorphic" in requested:
         if not isinstance(parsed, ComplexPolyMap):
             raise CliError("--holomorphic needs a map between complex spaces")
         reports.append(is_holomorphic(parsed))
-    if any(requested[key] for key in ("harmonic", "hwc", "morphism",
-                                      "hessian", "orthmult")):
+    if requested - {"holomorphic"}:
         real_map = _require_real(parsed, notes)
-        if requested["harmonic"]:
+        if "harmonic" in requested:
             reports.append(is_harmonic(real_map))
-        if requested["hwc"]:
+        if "hwc" in requested:
             reports.append(hwc_certificate(real_map))
-        if requested["morphism"]:
+        if "morphism" in requested:
             reports.append(is_harmonic_morphism(real_map))
-        if requested["hessian"]:
+        if "hessian" in requested:
             reports.append(hessian_conditions(real_map))
-        if requested["orthmult"]:
+        if "orthmult" in requested:
             if args.blocks:
                 try:
                     first, second = (int(x) for x in args.blocks.split(","))
@@ -307,20 +289,15 @@ def _cmd_check(args, out) -> int:
     else:
         names = parsed.names()
 
-    payloads = [_check_payload(r, names if r.check != "holomorphic"
-                               else parsed.names()) for r in reports]
-    payload = {"schema": SCHEMA_VERSION, "command": "check",
-               "checks": payloads, "notes": notes}
-    if not args.json:
-        for note in notes:
-            print(f"note: {note}", file=out)
-        for item in payloads:
-            _print_check(item, out)
-    _emit(args, payload, out)
-    return 0
+    checks = [_check_payload(r, names if r.check != "holomorphic"
+                             else parsed.names()) for r in reports]
+    lines = [f"note: {note}" for note in notes]
+    for check in checks:
+        lines.extend(_check_lines(check))
+    return Report({"checks": checks, "notes": notes}, lines)
 
 
-def _cmd_antilift(args, out) -> int:
+def _cmd_antilift(args) -> Report:
     parsed = _load_map(args.file)
     notes: list[str] = []
     real_map = _require_real(parsed, notes)
@@ -329,41 +306,36 @@ def _cmd_antilift(args, out) -> int:
                        f"{2 * args.split} variables; this one has "
                        f"{real_map.domain_dim}")
     outcome = anti_lift(real_map, LiftSplit(real_map.domain_dim, args.split))
-    payload: dict = {"schema": SCHEMA_VERSION, "command": "antilift",
-                     "split": args.split, "notes": notes}
+    payload: dict = {"split": args.split, "notes": notes}
     if isinstance(outcome, RealPolyMap):
         components = [render(c) for c in outcome.components]
         payload.update({"result": "complete-lift", "base_components": components})
-        if not args.json:
-            print("the map is a complete lift; base map (zero constants):",
-                  file=out)
-            for index, text in enumerate(components, start=1):
-                print(f"  f{index} = {text}", file=out)
-    elif isinstance(outcome, MixedPartialObstruction):
+        return Report(payload, [
+            "the map is a complete lift; base map (zero constants):",
+            *_numbered("f", components)])
+    if isinstance(outcome, MixedPartialObstruction):
+        j, k = outcome.var_j, outcome.var_k
+        value_jk, value_kj = render(outcome.value_jk), render(outcome.value_kj)
         payload.update({
             "result": "mixed-partial-obstruction",
             "component": outcome.component,
-            "variables": [outcome.var_j, outcome.var_k],
-            "values": [render(outcome.value_jk), render(outcome.value_kj)],
+            "variables": [j, k],
+            "values": [value_jk, value_kj],
         })
-        if not args.json:
-            print("not a complete lift: mixed-partial obstruction", file=out)
-            print(f"  {outcome.describe()}", file=out)
-            print(f"  {render(outcome.value_jk)} != {render(outcome.value_kj)}",
-                  file=out)
-    else:
-        assert isinstance(outcome, NotPartialLinear)
-        payload.update({
-            "result": "not-partial-linear",
-            "component": outcome.component,
-            "monomial": list(outcome.monomial),
-            "fiber_degree": outcome.fiber_degree,
-        })
-        if not args.json:
-            print("not a complete lift: not linear in the fiber block", file=out)
-            print(f"  {outcome.describe()}", file=out)
-    _emit(args, payload, out)
-    return 0
+        return Report(payload, [
+            "not a complete lift: mixed-partial obstruction",
+            f"  component {outcome.component}: d^2/dx{k}dx{j} = {value_jk} "
+            f"differs from d^2/dx{j}dx{k} = {value_kj}",
+            f"  {value_jk} != {value_kj}"])
+    assert isinstance(outcome, NotPartialLinear)
+    payload.update({
+        "result": "not-partial-linear",
+        "component": outcome.component,
+        "monomial": outcome.monomial,
+        "fiber_degree": outcome.fiber_degree,
+    })
+    return Report(payload, ["not a complete lift: not linear in the fiber block",
+                            f"  {outcome.describe()}"])
 
 
 def _kaehler_input(parsed, notes: list) -> RealPolyMap:
@@ -379,7 +351,7 @@ def _kaehler_input(parsed, notes: list) -> RealPolyMap:
     raise CliError("kaehler needs a polynomial map")
 
 
-def _cmd_kaehler(args, out) -> int:
+def _cmd_kaehler(args) -> Report:
     parsed = _load_map(args.file)
     notes: list[str] = []
     real_map = _kaehler_input(parsed, notes)
@@ -393,155 +365,112 @@ def _cmd_kaehler(args, out) -> int:
         report = span_report(real_map, points)
     else:
         report = search_points(real_map, args.budget, args.seed)
-    gradients = [[render_scalar(x) for x in g] for g in report.gradients]
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "kaehler",
         "m": m,
         "points": [[render_scalar(x) for x in p] for p in report.sample_points],
-        "gradients": gradients,
+        "gradients": [[render_scalar(x) for x in g] for g in report.gradients],
         "rank": report.rank,
         "isotropy_ok": report.isotropy_ok,
         "pairwise_orthogonal": report.pairwise_orthogonal,
-        "jacobian_ranks": list(report.jacobian_ranks),
+        "jacobian_ranks": report.jacobian_ranks,
         "verdict": report.verdict,
-        "notes": notes + list(report.notes),
+        "notes": [*notes, *report.notes],
     }
-    if not args.json:
-        for note in notes:
-            print(f"note: {note}", file=out)
-        print(f"gradient span criterion with m = {m}:", file=out)
-        for point, gradient in zip(payload["points"], gradients):
-            print(f"  point ({', '.join(point)})", file=out)
-            print(f"    gradient ({', '.join(gradient)})", file=out)
-        print(f"rank = {report.rank}; every gradient isotropic: "
+    lines = [f"note: {note}" for note in notes]
+    lines.append(f"gradient span criterion with m = {m}:")
+    for point, gradient in zip(payload["points"], payload["gradients"]):
+        lines.append(f"  point ({', '.join(point)})")
+        lines.append(f"    gradient ({', '.join(gradient)})")
+    lines += [f"rank = {report.rank}; every gradient isotropic: "
               f"{report.isotropy_ok}; pairwise orthogonal: "
-              f"{report.pairwise_orthogonal}", file=out)
-        print(f"real Jacobian ranks at the points: "
-              f"{list(report.jacobian_ranks)}", file=out)
-        print(f"verdict: {report.verdict}", file=out)
-        for note in report.notes:
-            print(f"  note: {note}", file=out)
-    _emit(args, payload, out)
-    return 0
+              f"{report.pairwise_orthogonal}",
+              f"real Jacobian ranks at the points: {list(report.jacobian_ranks)}",
+              f"verdict: {report.verdict}",
+              *(f"  note: {note}" for note in report.notes)]
+    return Report(payload, lines)
 
 
-def _cmd_numeric(args, out) -> int:
+def _cmd_numeric(args) -> Report:
     parsed = _load_map(args.file)
     if isinstance(parsed, (RealPolyMap, ComplexPolyMap)):
         raise CliError("numeric-check is for smooth maps; "
                        "use check for exact polynomial maps")
     points = sample_points(parsed, args.points, args.seed, (-2.0, 2.0))
     report = numeric_check(parsed, points, args.tol)
+    verdict = "pass" if report.verdict else "fail"
     payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "numeric-check",
         "points": args.points,
         "seed": args.seed,
         "tolerance": args.tol,
-        "laplacian_residuals": list(report.laplacian_residuals),
+        "laplacian_residuals": report.laplacian_residuals,
         "conformality_residual": report.conformality_residual,
-        "verdict": "pass" if report.verdict else "fail",
-        "witness_point": list(report.witness_point) if report.witness_point else None,
-        "notes": list(report.notes),
+        "verdict": verdict,
+        "witness_point": report.witness_point or None,
+        "notes": report.notes,
     }
-    if not args.json:
-        print(f"numeric check at {len(points)} sampled points "
-              f"(seed {args.seed}, tolerance {args.tol:g}):", file=out)
-        residuals = ", ".join(f"{r:.3e}" for r in report.laplacian_residuals)
-        print(f"  max |laplacian| per component: {residuals}", file=out)
-        print(f"  max conformality residual: "
-              f"{report.conformality_residual:.3e}", file=out)
-        print(f"  verdict: {payload['verdict']}", file=out)
-        if report.witness_point is not None:
-            witness = ", ".join(f"{x:.6g}" for x in report.witness_point)
-            print(f"  witness point: ({witness})", file=out)
-        for note in report.notes:
-            print(f"  note: {note}", file=out)
-    _emit(args, payload, out)
-    return 0
+    residuals = ", ".join(f"{r:.3e}" for r in report.laplacian_residuals)
+    lines = [f"numeric check at {len(points)} sampled points "
+             f"(seed {args.seed}, tolerance {args.tol:g}):",
+             f"  max |laplacian| per component: {residuals}",
+             f"  max conformality residual: {report.conformality_residual:.3e}",
+             f"  verdict: {verdict}"]
+    if report.witness_point is not None:
+        witness = ", ".join(f"{x:.6g}" for x in report.witness_point)
+        lines.append(f"  witness point: ({witness})")
+    lines.extend(f"  note: {note}" for note in report.notes)
+    return Report(payload, lines)
 
 
-def _cmd_reproduce(args, out) -> int:
+def _cmd_reproduce(args) -> Report:
     if args.all_ == (args.entry is not None):
         raise CliError("reproduce needs an entry id or --all")
     ids = catalog_module.entry_ids() if args.all_ else [args.entry]
-    entries_payload = []
-    all_ok = True
+    entries = []
+    lines = []
     for entry_id in ids:
         report = catalog_module.run_entry(entry_id)
-        all_ok = all_ok and report.ok
-        checks = []
-        for result in report.results:
-            checks.append({
-                "check": result.check,
-                "expected": _jsonable(result.expected),
-                "actual": _jsonable(result.actual),
-                "ok": result.ok,
-                "detail": result.detail,
-            })
-        entries_payload.append({
+        entries.append({
             "id": entry_id,
             "ok": report.ok,
-            "checks": checks,
-            "notes": list(report.notes),
+            "checks": [{"check": result.check, "expected": result.expected,
+                        "actual": result.actual, "ok": result.ok,
+                        "detail": result.detail} for result in report.results],
+            "notes": report.notes,
         })
-        if not args.json:
-            status = "ok" if report.ok else "MISMATCH"
-            print(f"[{status}] {entry_id}", file=out)
-            for result in report.results:
-                marker = "ok" if result.ok else "MISMATCH"
-                line = (f"    {result.check}: expected {result.expected!r}, "
-                        f"got {result.actual!r} [{marker}]")
-                if result.check == "kaehler-gradients":
-                    line = (f"    {result.check}: "
-                            f"{'match' if result.ok else 'MISMATCH'} "
-                            f"({len(result.actual)} gradients)")
-                    print(line, file=out)
-                    for gradient in result.actual:
-                        print(f"      ({', '.join(gradient)})", file=out)
-                    continue
-                print(line, file=out)
-                if result.detail:
-                    print(f"        {result.detail}", file=out)
-            for note in report.notes:
-                print(f"    note: {note}", file=out)
-    payload = {"schema": SCHEMA_VERSION, "command": "reproduce",
-               "entries": entries_payload, "ok": all_ok}
-    if not args.json:
-        print("all expectations matched" if all_ok
-              else "some expectations did not match", file=out)
-    _emit(args, payload, out)
-    return 0 if all_ok else 1
+        lines.append(f"[{'ok' if report.ok else 'MISMATCH'}] {entry_id}")
+        for result in report.results:
+            if result.check == "kaehler-gradients":
+                lines.append(f"    {result.check}: "
+                             f"{'match' if result.ok else 'MISMATCH'} "
+                             f"({len(result.actual)} gradients)")
+                lines.extend(f"      ({', '.join(gradient)})"
+                             for gradient in result.actual)
+                continue
+            lines.append(f"    {result.check}: expected {result.expected!r}, "
+                         f"got {result.actual!r} "
+                         f"[{'ok' if result.ok else 'MISMATCH'}]")
+            if result.detail:
+                lines.append(f"        {result.detail}")
+        lines.extend(f"    note: {note}" for note in report.notes)
+    all_ok = all(entry["ok"] for entry in entries)
+    lines.append("all expectations matched" if all_ok
+                 else "some expectations did not match")
+    return Report({"entries": entries, "ok": all_ok}, lines, 0 if all_ok else 1)
 
 
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def _cmd_catalog(args, out) -> int:
+def _cmd_catalog(args) -> Report:
     if args.action == "list":
         entries = [{"id": e.entry_id, "title": e.title, "kind": e.kind,
                     "provenance": e.provenance}
                    for e in (catalog_module.lookup(i)
                              for i in catalog_module.entry_ids())]
-        if not args.json:
-            for entry in entries:
-                print(f"{entry['id']:36} {entry['kind']:12} {entry['title']}",
-                      file=out)
-        _emit(args, {"schema": SCHEMA_VERSION, "command": "catalog",
-                     "entries": entries}, out)
-        return 0
+        return Report({"entries": entries},
+                      [f"{e['id']:36} {e['kind']:12} {e['title']}" for e in entries])
     if not args.entry:
         raise CliError("catalog dump needs an entry id")
     entry = catalog_module.lookup(args.entry)
-    if not args.json:
-        print(entry.definition, file=out)
-    _emit(args, {"schema": SCHEMA_VERSION, "command": "catalog",
-                 "id": entry.entry_id, "definition": entry.definition}, out)
-    return 0
+    return Report({"id": entry.entry_id, "definition": entry.definition},
+                  [entry.definition])
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +496,20 @@ def cli_main(argv=None, out=None) -> int:
     except SystemExit as error:
         return 2 if error.code not in (0, None) else 0
     try:
-        return _HANDLERS[args.command](args, out)
+        report = _HANDLERS[args.command](args)
     except (CliError, MapSyntaxError, catalog_module.UnknownEntry,
             DimensionMismatch, ShapeError, ConsistencyError, SamplingError,
-            InternalConsistencyError, EvalDomainError, NotPolynomial) as error:
+            InternalConsistencyError, EvalDomainError, NotPolynomial,
+            RecursionError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    if args.json:
+        print(json.dumps({"schema": SCHEMA_VERSION, "command": args.command,
+                          **report.payload}, indent=2, sort_keys=True), file=out)
+    else:
+        for line in report.lines:
+            print(line, file=out)
+    return report.status
 
 
 def main() -> None:

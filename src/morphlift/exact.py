@@ -196,37 +196,26 @@ def to_complex(value: Scalar) -> complex:
     return complex(float(value), 0.0)
 
 
-def _render_rational(value) -> str:
-    return str(value)
-
-
 def render_scalar(value: Scalar) -> str:
     """Canonical text form: ``a/b``, ``c/d*i`` or ``a/b+c/d*i``."""
     re, im = real_part(value), imag_part(value)
     if im == 0:
-        return _render_rational(re)
+        return str(re)
     if im == 1:
         im_text = "i"
     elif im == -1:
         im_text = "-i"
     else:
-        im_text = f"{_render_rational(im)}*i"
+        im_text = f"{im}*i"
     if re == 0:
         return im_text
     joiner = "" if im_text.startswith("-") else "+"
-    return f"{_render_rational(re)}{joiner}{im_text}"
+    return f"{re}{joiner}{im_text}"
 
 
 # ---------------------------------------------------------------------------
 # Vectors and matrices
 # ---------------------------------------------------------------------------
-
-Vector = tuple
-
-
-def as_vector(entries: Iterable[Scalar]) -> Vector:
-    return tuple(entries)
-
 
 def bilinear_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     """The complex-bilinear product sum(u_i * v_i); no conjugation."""
@@ -262,10 +251,6 @@ class ExactMatrix:
     def identity(cls, n: int) -> "ExactMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
     def __getitem__(self, index):
         i, j = index
         return self.entries[i][j]
@@ -283,33 +268,8 @@ class ExactMatrix:
                          for row in self.entries)
         return f"ExactMatrix[{self.rows}x{self.cols}]({body})"
 
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(zip(*self.entries)) if self.rows else ExactMatrix([])
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = other.transpose().entries
-        return ExactMatrix([[bilinear_dot(row, col) for col in cols]
-                            for row in self.entries])
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch in addition")
-        return ExactMatrix([[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.entries, other.entries)])
-
-    def scale(self, factor: Scalar) -> "ExactMatrix":
-        return ExactMatrix([[factor * x for x in row] for row in self.entries])
-
-    def append_row(self, row: Sequence[Scalar]) -> "ExactMatrix":
-        if self.rows and len(row) != self.cols:
-            raise DimensionMismatch("appended row has wrong length")
-        return ExactMatrix(list(self.entries) + [tuple(row)])
 
     def is_symmetric(self) -> bool:
         return self == self.transpose()
@@ -349,59 +309,9 @@ class ExactMatrix:
                 break
         return rank
 
-    def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
-        """Reduced row echelon form (exact field division), with pivot columns."""
-        work = [[Fraction(x) if isinstance(x, int) else x for x in row]
-                for row in self.entries]
-        pivots = []
-        r = 0
-        for col in range(self.cols):
-            pivot_row = None
-            for i in range(r, self.rows):
-                if work[i][col] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            inv = work[r][col]
-            work[r] = [(Fraction(x) if isinstance(x, int) else x) / inv
-                       for x in work[r]]
-            for i in range(self.rows):
-                if i != r and work[i][col] != 0:
-                    factor = work[i][col]
-                    work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-            pivots.append(col)
-            r += 1
-            if r == self.rows:
-                break
-        return ExactMatrix(work), tuple(pivots)
-
-    def nullspace(self) -> list[Vector]:
-        """A basis of the right kernel (one vector per free column)."""
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for free in free_cols:
-            vec = [0] * self.cols
-            vec[free] = 1
-            for row_index, pivot_col in enumerate(pivots):
-                vec[pivot_col] = -reduced.entries[row_index][free]
-            basis.append(as_vector(make_scalar_like(x) for x in vec))
-        return basis
-
 
 def make_scalar_like(value) -> Scalar:
     """Normalize an arbitrary exact value into canonical scalar form."""
     if isinstance(value, GaussianRational):
         return make_scalar(value.re, value.im)
     return normalize_rational(Fraction(value))
-
-
-def span_contains(matrix: ExactMatrix, vector: Sequence[Scalar]) -> bool:
-    """True iff ``vector`` lies in the row span of ``matrix``."""
-    if matrix.rows and len(vector) != matrix.cols:
-        raise DimensionMismatch(
-            f"vector length {len(vector)} does not match {matrix.cols} columns")
-    return matrix.append_row(vector).rank() == matrix.rank()

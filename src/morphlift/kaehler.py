@@ -20,12 +20,13 @@ from .exact import (
     DimensionMismatch,
     ExactMatrix,
     GaussianRational,
+    I,
     Scalar,
     bilinear_dot,
     imag_part,
     real_part,
 )
-from .maps import RealPolyMap
+from .maps import RealPolyMap, ShapeError
 
 NOT_KAEHLER = "not_kaehler_certified"
 INCONCLUSIVE = "inconclusive"
@@ -68,21 +69,23 @@ def gradient_at(Phi: RealPolyMap, point) -> tuple:
     return tuple(p.evaluate(real_point) for p in gradient_polys)
 
 
-def _real_jacobian_rank(Phi: RealPolyMap, real_point) -> int:
-    return ExactMatrix(jacobian(Phi).evaluate(real_point)).rank()
-
-
 def span_report(Phi: RealPolyMap, points) -> KaehlerReport:
     """Evaluate gradients at the given complex points and certify (or not)
-    that no m-dimensional isotropic subspace contains them all."""
-    gradient_polys = complex_gradient(Phi)
+    that no m-dimensional isotropic subspace contains them all.
+
+    The real Jacobian's rows u, v at a point give both the complex gradient
+    u + i*v and the Jacobian rank there."""
+    if Phi.codomain_dim != 2:
+        raise ShapeError(
+            f"complex gradient needs a two-component map, got {Phi.codomain_dim}")
+    real_jacobian = jacobian(Phi)
     m = Phi.domain_dim // 2
     gradients = []
     jacobian_ranks = []
     for point in points:
-        real_point = complex_point_to_real(point)
-        gradients.append(tuple(p.evaluate(real_point) for p in gradient_polys))
-        jacobian_ranks.append(_real_jacobian_rank(Phi, real_point))
+        u, v = real_jacobian.evaluate(complex_point_to_real(point))
+        gradients.append(tuple(a + b * I for a, b in zip(u, v)))
+        jacobian_ranks.append(ExactMatrix([u, v]).rank())
     matrix = ExactMatrix(gradients) if gradients else ExactMatrix([])
     rank = matrix.rank() if gradients else 0
     isotropy_ok = all(bilinear_dot(g, g) == 0 for g in gradients)

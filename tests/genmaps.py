@@ -37,7 +37,42 @@ def _laplacian_matrix(num_vars: int, degree: int):
             lap = lap + poly.partial(j).partial(j)
         for exponents, coeff in lap.terms.items():
             rows[target_index[exponents]][col] = coeff
-    return ExactMatrix(rows), sources
+    return rows, sources
+
+
+def _kernel_basis(rows: list, cols: int) -> list:
+    """A basis of the right kernel of an exact matrix given by its rows, one
+    vector per free column of the reduced row echelon form."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for col in range(cols):
+        pivot_row = None
+        for i in range(r, len(work)):
+            if work[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        inv = work[r][col]
+        work[r] = [x / inv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                factor = work[i][col]
+                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(work):
+            break
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        vec = [0] * cols
+        vec[free] = 1
+        for row_index, pivot_col in enumerate(pivots):
+            vec[pivot_col] = -work[row_index][free]
+        basis.append(vec)
+    return basis
 
 
 _HARMONIC_BASIS_CACHE: dict = {}
@@ -52,9 +87,9 @@ def harmonic_basis(num_vars: int, degree: int) -> list[MultiPoly]:
     if degree < 2:
         basis = [MultiPoly(num_vars, {e: 1}) for e in monomials(num_vars, degree)]
     else:
-        matrix, sources = _laplacian_matrix(num_vars, degree)
+        rows, sources = _laplacian_matrix(num_vars, degree)
         basis = []
-        for vector in matrix.nullspace():
+        for vector in _kernel_basis(rows, len(sources)):
             terms = {sources[i]: c for i, c in enumerate(vector) if c != 0}
             basis.append(MultiPoly(num_vars, terms))
     _HARMONIC_BASIS_CACHE[key] = basis

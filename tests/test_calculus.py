@@ -7,11 +7,9 @@ from genmaps import random_complex_map, random_real_poly
 from morphlift.calculus import (
     antiholomorphic_jacobian,
     complex_gradient,
-    gram,
     hessian,
     jacobian,
     laplacian,
-    laplacian_map,
     wirtinger_jacobian,
 )
 from morphlift.exact import GaussianRational
@@ -81,7 +79,7 @@ def test_laplacian_examples():
 
 
 def test_lift_components_are_harmonic(q_r_lift):
-    assert all(p.is_zero for p in laplacian_map(q_r_lift))
+    assert all(laplacian(c).is_zero for c in q_r_lift.components)
 
 
 def test_wirtinger_jacobian_of_quaternion(quaternion):
@@ -145,8 +143,3 @@ def test_holomorphic_real_jacobian_has_rotation_blocks(seed):
             b = j[2 * k + 1, 2 * l]
             assert j[2 * k, 2 * l + 1] == -b
             assert j[2 * k + 1, 2 * l + 1] == a
-
-
-def test_gram_is_jacobian_times_transpose(quaternion_real):
-    j = jacobian(quaternion_real)
-    assert gram(j) == j @ j.transpose()

@@ -340,3 +340,18 @@ def test_unknown_subcommand_exits_2():
 def test_usage_error_exits_2(quaternion_file):
     code, _ = run_cli(["lift", quaternion_file])  # missing --real/--complex
     assert code == 2
+
+
+@pytest.mark.parametrize("body", [
+    "(" * 3000 + "x1" + ")" * 3000,
+    " + ".join(["x1"] * 20000),
+], ids=["nested-parentheses", "flat-sum"])
+def test_input_too_deep_for_the_parser_exits_2(tmp_path, capsys, body):
+    path = tmp_path / "deep.map"
+    path.write_text(f"map f: R^1 -> R^1 {{ f1 = {body}; }}")
+    code, text = run_cli(["lift", "--real", str(path)])
+    stderr = capsys.readouterr().err
+    assert code == 2
+    assert text == ""
+    assert stderr.startswith("error: ")
+    assert "Traceback" not in stderr

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from morphlift.calculus import jacobian
 from morphlift.catalog import (
     EXPECTED_GRADIENTS,
     KAEHLER_POINTS,
@@ -9,18 +11,20 @@ from morphlift.catalog import (
 )
 from morphlift.exact import (
     DimensionMismatch,
+    ExactMatrix,
     GaussianRational,
     bilinear_dot,
 )
 from morphlift.kaehler import (
     INCONCLUSIVE,
     NOT_KAEHLER,
+    complex_point_to_real,
     gradient_at,
     search_points,
     span_report,
 )
 from morphlift.mapfile import parse_map
-from morphlift.maps import RealPolyMap, real_identification
+from morphlift.maps import RealPolyMap, ShapeError, real_identification
 from morphlift.poly import MultiPoly
 
 I = GaussianRational(0, 1)
@@ -110,6 +114,24 @@ def test_holomorphic_map_gradients_stay_low_rank():
     report = span_report(zw, points)
     assert report.rank <= 2
     assert report.verdict == INCONCLUSIVE
+
+
+def test_span_report_gradients_and_ranks_match_oracles():
+    phi = real_identification(parse_map("map f: C^2 -> C^1 { f1 = z1*conj(z2)^2; }"))
+    rng = random.Random(5)
+    alphabet = (0, 1, -1, I, Fraction(1, 2), GaussianRational(Fraction(-2, 3), 3))
+    points = [tuple(rng.choice(alphabet) for _ in range(2)) for _ in range(12)]
+    report = span_report(phi, points)
+    assert report.gradients == tuple(gradient_at(phi, p) for p in points)
+    assert report.jacobian_ranks == tuple(
+        ExactMatrix(jacobian(phi).evaluate(complex_point_to_real(p))).rank()
+        for p in points)
+
+
+def test_span_report_needs_two_components():
+    phi = parse_map("map f: R^2 -> R^3 { f1 = x1; f2 = x2; f3 = x1*x2; }")
+    with pytest.raises(ShapeError):
+        span_report(phi, [(1,)])
 
 
 def test_empty_point_list():
