@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .exact import (
+    DimensionMismatch,
     GaussianRational,
     Scalar,
     conjugate as conj_scalar,
@@ -23,7 +24,7 @@ from .exact import (
     render_scalar,
     to_complex,
 )
-from .poly import MultiPoly
+from .poly import MultiPoly, _check_ring_shape
 
 
 class NotPolynomial(ValueError):
@@ -337,23 +338,95 @@ def lower_to_poly(node: Expr, num_vars: int, num_complex: int = 0) -> MultiPoly:
 
     In complex rings Var(j) is the holomorphic variable z_{j+1} (j < k) or the
     formal conjugate zb (k <= j < 2k); ``conj`` maps subtrees through the ring
-    involution.  Raises :class:`NotPolynomial` at the first offending node.
+    involution.  Raises :class:`NotPolynomial` at the first offending node,
+    visiting the tree left to right.
+
+    The parser builds a sum of n terms as a left-leaning spine of ``Add``,
+    ``Sub`` and ``Neg`` nodes n deep.  That spine is walked with a list and a
+    sign, not by recursion, and every summand goes into one term dict, so a
+    sum lowers in time linear in its size.  A summand that is a product of
+    constants, variables and natural powers of variables becomes its
+    (exponents, coefficient) pair directly; any other summand goes through
+    the ring operations.  The result, and the order of its terms, is that of
+    adding and subtracting the summands' polynomials one by one.
     """
-    if isinstance(node, Const):
-        return MultiPoly.constant(num_vars, node.value, num_complex)
-    if isinstance(node, Var):
-        return MultiPoly.variable(num_vars, node.index, num_complex)
-    if isinstance(node, Add):
-        return (lower_to_poly(node.left, num_vars, num_complex)
-                + lower_to_poly(node.right, num_vars, num_complex))
-    if isinstance(node, Sub):
-        return (lower_to_poly(node.left, num_vars, num_complex)
-                - lower_to_poly(node.right, num_vars, num_complex))
+    _check_ring_shape(num_vars, num_complex)
+    summands = []   # (node, sign), right to left
+    sign = 1
+    while True:
+        kind = type(node)
+        if kind is Add:
+            summands.append((node.right, sign))
+        elif kind is Sub:
+            summands.append((node.right, -sign))
+        elif kind is Neg:
+            sign = -sign
+            node = node.arg
+            continue
+        else:
+            summands.append((node, sign))
+            break
+        node = node.left
+
+    terms: dict = {}
+    get = terms.get
+    for node, sign in reversed(summands):
+        while type(node) is Neg:
+            node, sign = node.arg, -sign
+        term = _monomial(node, num_vars)
+        if term is None:
+            items = _lower_summand(node, num_vars, num_complex).terms.items()
+        else:
+            items = (term,)
+        for exponents, coeff in items:
+            value = get(exponents, 0) + coeff if sign > 0 else get(exponents, 0) - coeff
+            if value:
+                terms[exponents] = value
+            else:
+                # as when the summands are added one by one: a term that
+                # cancels is dropped, and if it comes back it goes last
+                terms.pop(exponents, None)
+    return MultiPoly._trusted(num_vars, terms, num_complex)
+
+
+def _monomial(node: Expr, num_vars: int):
+    """(exponents, coefficient) of a product of Const, Var and Pow(Var, e >= 0)
+    factors, or None for any other tree."""
+    exponents = [0] * num_vars
+    coeff = 1
+    factors = [node]
+    while factors:
+        node = factors.pop()
+        kind = type(node)
+        if kind is Mul:
+            factors.append(node.right)
+            factors.append(node.left)
+            continue
+        if kind is Const:
+            coeff = coeff * node.value
+            continue
+        if kind is Var:
+            index, e = node.index, 1
+        elif (kind is Pow and type(node.base) is Var
+              and type(node.exponent) is int and node.exponent >= 0):
+            index, e = node.base.index, node.exponent
+        else:
+            return None
+        # factors are visited left to right, so this is the first error the
+        # ring operations would meet as well
+        if not 0 <= index < num_vars:
+            raise DimensionMismatch(f"variable index {index} out of range")
+        exponents[index] += e
+    return tuple(exponents), coeff
+
+
+def _lower_summand(node: Expr, num_vars: int, num_complex: int) -> MultiPoly:
+    """A summand that is not a monomial, through the ring operations."""
+    if isinstance(node, (Add, Sub)):
+        return lower_to_poly(node, num_vars, num_complex)
     if isinstance(node, Mul):
         return (lower_to_poly(node.left, num_vars, num_complex)
                 * lower_to_poly(node.right, num_vars, num_complex))
-    if isinstance(node, Neg):
-        return -lower_to_poly(node.arg, num_vars, num_complex)
     if isinstance(node, Pow):
         if node.exponent < 0:
             raise NotPolynomial(node)
@@ -366,17 +439,23 @@ def lower_to_poly(node: Expr, num_vars: int, num_complex: int = 0) -> MultiPoly:
 
 
 def is_polynomial(node: Expr, allow_conj: bool) -> bool:
-    if isinstance(node, (Const, Var)):
-        return True
-    if isinstance(node, (Add, Sub, Mul)):
-        return is_polynomial(node.left, allow_conj) and is_polynomial(node.right, allow_conj)
-    if isinstance(node, Neg):
-        return is_polynomial(node.arg, allow_conj)
-    if isinstance(node, Pow):
-        return node.exponent >= 0 and is_polynomial(node.base, allow_conj)
-    if isinstance(node, Conj):
-        return allow_conj and is_polynomial(node.arg, allow_conj)
-    return False
+    pending = [node]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (Const, Var)):
+            continue
+        if isinstance(node, (Add, Sub, Mul)):
+            pending.append(node.left)
+            pending.append(node.right)
+        elif isinstance(node, Neg):
+            pending.append(node.arg)
+        elif isinstance(node, Pow) and node.exponent >= 0:
+            pending.append(node.base)
+        elif isinstance(node, Conj) and allow_conj:
+            pending.append(node.arg)
+        else:
+            return False
+    return True
 
 
 def poly_to_expr(p: MultiPoly) -> Expr:

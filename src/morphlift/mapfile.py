@@ -21,7 +21,7 @@ representations; otherwise (division, sqrt, or any guard) the result is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .exact import GaussianRational, Scalar
 from .expr import (
@@ -53,116 +53,104 @@ class MapSyntaxError(ValueError):
         super().__init__(f"{line}:{column}: {message}")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident, number, symbol, end
-    text: str
-    line: int
-    column: int
+# One alternative per token kind, tried in this order.  ``\d`` is a run of
+# str.isdecimal() characters, what int() reads, and ``\w`` is str.isalnum()
+# or "_".  ``[^\W\d]`` also admits numeric characters such as "²" or
+# "¼" that str.isalpha() rejects; those are unexpected characters.
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r\n]+ | \#[^\n]*)
+  | (?P<number>\d+) (?P<decimal>\.)?
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<symbol>-> | [-+*/^(){}:;=,])
+  | (?P<unexpected>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-_SYMBOLS = ("->", "+", "-", "*", "/", "^", "(", ")", "{", "}", ":", ";", "=", ",")
+def _position(source: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset``; columns count code points."""
+    line_start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, line_start) + 1, offset - line_start + 1
 
 
-def _tokenize(source: str) -> list[_Token]:
+def _syntax_error(message: str, source: str, offset: int) -> MapSyntaxError:
+    return MapSyntaxError(message, *_position(source, offset))
+
+
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """Tokens as (kind, text, offset) with kind ident, number, symbol or end.
+
+    The end token sits at the end of the source, or at the ``#`` of a comment
+    that runs to the end of it.
+    """
     tokens = []
-    line, column = 1, 1
-    index = 0
-    length = len(source)
-    while index < length:
-        ch = source[index]
-        if ch == "\n":
-            line += 1
-            column = 1
-            index += 1
+    append = tokens.append
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind == "skip":
             continue
-        if ch in " \t\r":
-            index += 1
-            column += 1
-            continue
-        if ch == "#":
-            while index < length and source[index] != "\n":
-                index += 1
-            continue
-        if ch.isdigit():
-            start = index
-            while index < length and source[index].isdigit():
-                index += 1
-            if index < length and source[index] == ".":
-                raise MapSyntaxError("decimal literals are not supported; "
-                                     "use exact fractions like 1/2", line, column)
-            tokens.append(_Token("number", source[start:index], line, column))
-            column += index - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = index
-            while index < length and (source[index].isalnum() or source[index] == "_"):
-                index += 1
-            tokens.append(_Token("ident", source[start:index], line, column))
-            column += index - start
-            continue
-        matched = None
-        for symbol in _SYMBOLS:
-            if source.startswith(symbol, index):
-                matched = symbol
-                break
-        if matched is None:
-            raise MapSyntaxError(f"unexpected character {ch!r}", line, column)
-        tokens.append(_Token("symbol", matched, line, column))
-        index += len(matched)
-        column += len(matched)
-    tokens.append(_Token("end", "", line, column))
+        text, offset = match.group(), match.start()
+        if kind == "decimal":
+            raise _syntax_error("decimal literals are not supported; "
+                                "use exact fractions like 1/2", source, offset)
+        if kind == "unexpected" or (kind == "ident" and not
+                                    (text[0].isalpha() or text[0] == "_")):
+            raise _syntax_error(f"unexpected character {text[0]!r}", source, offset)
+        append((kind, text, offset))
+    last_line = source.rfind("\n") + 1
+    comment = source.find("#", last_line)
+    append(("end", "", len(source) if comment < 0 else comment))
     return tokens
 
 
 class _Parser:
     """Recursive-descent expression parser over a binding environment."""
 
-    def __init__(self, tokens: list[_Token], env: dict[str, Expr], is_complex: bool):
-        self.tokens = tokens
+    def __init__(self, source: str, env: dict[str, Expr], is_complex: bool):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
         self.env = env
         self.is_complex = is_complex
 
     # -- token plumbing ------------------------------------------------------
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
 
-    def error(self, message: str, token: _Token = None):
+    def error(self, message: str, token: tuple = None):
         token = token or self.peek()
-        raise MapSyntaxError(message, token.line, token.column)
+        raise _syntax_error(message, self.source, token[2])
 
-    def expect(self, kind: str, text: str = None) -> _Token:
+    def expect(self, kind: str, text: str = None) -> tuple:
         token = self.peek()
-        if token.kind != kind or (text is not None and token.text != text):
+        if token[0] != kind or (text is not None and token[1] != text):
             expected = text or kind
-            raise self.error(f"expected {expected!r}, found {token.text or 'end of input'!r}")
+            raise self.error(f"expected {expected!r}, found {token[1] or 'end of input'!r}")
         return self.advance()
 
     def at_symbol(self, text: str) -> bool:
-        token = self.peek()
-        return token.kind == "symbol" and token.text == text
+        # no ident, number or end token has a symbol's text
+        return self.tokens[self.pos][1] == text
 
     # -- grammar ------------------------------------------------------------
 
     def parse_expr(self) -> Expr:
         node = self.parse_term()
-        while self.at_symbol("+") or self.at_symbol("-"):
-            op = self.advance().text
+        while self.peek()[1] in ("+", "-"):
+            op = self.advance()[1]
             right = self.parse_term()
             node = add(node, right) if op == "+" else sub(node, right)
         return node
 
     def parse_term(self) -> Expr:
         node = self.parse_factor()
-        while self.at_symbol("*") or self.at_symbol("/"):
-            op = self.advance().text
+        while self.peek()[1] in ("*", "/"):
+            op = self.advance()[1]
             right = self.parse_factor()
             node = mul(node, right) if op == "*" else div(node, right)
         return node
@@ -180,32 +168,31 @@ class _Parser:
         base = self.parse_atom()
         if self.at_symbol("^"):
             self.advance()
-            token = self.expect("number")
-            return power(base, int(token.text))
+            return power(base, int(self.expect("number")[1]))
         return base
 
     def parse_atom(self) -> Expr:
         token = self.peek()
-        if token.kind == "number":
+        kind, name, _ = token
+        if kind == "number":
             self.advance()
-            return Const(int(token.text))
+            return Const(int(name))
         if self.at_symbol("("):
             self.advance()
             node = self.parse_expr()
             self.expect("symbol", ")")
             return node
-        if token.kind == "ident":
+        if kind == "ident":
             self.advance()
-            name = token.text
             if self.at_symbol("("):
                 self.advance()
                 arg = self.parse_expr()
                 self.expect("symbol", ")")
                 return self.apply_function(name, arg, token)
             return self.lookup(name, token)
-        raise self.error(f"expected an expression, found {token.text or 'end of input'!r}")
+        raise self.error(f"expected an expression, found {name or 'end of input'!r}")
 
-    def apply_function(self, name: str, arg: Expr, token: _Token) -> Expr:
+    def apply_function(self, name: str, arg: Expr, token: tuple) -> Expr:
         if name == "sqrt":
             return Sqrt(arg)
         if name in ("conj", "re", "im"):
@@ -215,7 +202,7 @@ class _Parser:
             return {"conj": Conj, "re": Re, "im": Im}[name](arg)
         raise self.error(f"unknown function {name!r}", token)
 
-    def lookup(self, name: str, token: _Token) -> Expr:
+    def lookup(self, name: str, token: tuple) -> Expr:
         if name in self.env:
             return self.env[name]
         if name == "i":
@@ -247,22 +234,21 @@ def _seed_variables(env: dict[str, Expr], domain_dim: int, is_complex: bool):
 
 def _parse_space(parser: _Parser) -> tuple[str, int]:
     token = parser.expect("ident")
-    if token.text not in ("R", "C"):
+    if token[1] not in ("R", "C"):
         raise parser.error("expected a space like R^4 or C^2", token)
     parser.expect("symbol", "^")
-    dim = int(parser.expect("number").text)
+    dim = int(parser.expect("number")[1])
     if dim <= 0:
         raise parser.error("dimension must be positive", token)
-    return token.text, dim
+    return token[1], dim
 
 
 def parse_map(source: str):
     """Parse a map definition; returns RealPolyMap, ComplexPolyMap or SmoothMap."""
-    tokens = _tokenize(source)
-    parser = _Parser(tokens, {}, is_complex=False)
+    parser = _Parser(source, {}, is_complex=False)
     parser.expect("ident", "map")
     name_token = parser.expect("ident")
-    map_name = name_token.text
+    map_name = name_token[1]
     if map_name in ("guard", "sqrt", "conj", "re", "im", "i"):
         raise parser.error(f"{map_name!r} is reserved and cannot name a map",
                            name_token)
@@ -283,14 +269,13 @@ def parse_map(source: str):
     guards: list[Expr] = []
     parser.expect("symbol", "{")
     while not parser.at_symbol("}"):
-        token = parser.peek()
-        if token.kind == "ident" and token.text == "guard":
+        if parser.peek()[:2] == ("ident", "guard"):
             parser.advance()
             guards.append(parser.parse_expr())
             parser.expect("symbol", ";")
             continue
         binding_token = parser.expect("ident")
-        binding = binding_token.text
+        binding = binding_token[1]
         parser.expect("symbol", "=")
         value = parser.parse_expr()
         parser.expect("symbol", ";")
@@ -307,8 +292,8 @@ def parse_map(source: str):
 
     missing = [c for c in component_names if c not in components]
     if missing:
-        raise MapSyntaxError(f"missing component definitions: {', '.join(missing)}",
-                             name_token.line, name_token.column)
+        raise parser.error(f"missing component definitions: {', '.join(missing)}",
+                           name_token)
     ordered = [components[c] for c in component_names]
 
     num_vars = 2 * domain_dim if is_complex else domain_dim
@@ -317,10 +302,9 @@ def parse_map(source: str):
                                   for c in ordered)
     if is_complex:
         if not all_poly:
-            raise MapSyntaxError(
+            raise parser.error(
                 "non-polynomial complex maps are not supported; only real "
-                "maps may use sqrt, division or guards",
-                name_token.line, name_token.column)
+                "maps may use sqrt, division or guards", name_token)
         polys = [lower_to_poly(c, num_vars, num_complex) for c in ordered]
         return ComplexPolyMap(domain_dim, codomain_dim, tuple(polys))
     if all_poly:
@@ -341,7 +325,7 @@ def parse_poly(source: str, num_vars: int, num_complex: int = 0,
         names = default_names(num_vars, num_complex)
     for index, name in enumerate(names):
         env[name] = Var(index)
-    parser = _Parser(_tokenize(source), env, is_complex=num_complex > 0)
+    parser = _Parser(source, env, is_complex=num_complex > 0)
     node = parser.parse_expr()
     parser.expect("end")
     return lower_to_poly(node, num_vars, num_complex)
@@ -351,7 +335,7 @@ def parse_gaussian(source: str) -> Scalar:
     """Parse an exact Gaussian-rational literal such as ``1-1*i`` or ``3/2``."""
     from .expr import NotPolynomial
 
-    parser = _Parser(_tokenize(source), {}, is_complex=True)
+    parser = _Parser(source, {}, is_complex=True)
     node = parser.parse_expr()
     parser.expect("end")
     try:

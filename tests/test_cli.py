@@ -3,8 +3,11 @@ import json
 
 import pytest
 
+from morphlift.catalog import lookup
 from morphlift.cli import cli_main
-from morphlift.mapfile import parse_map, parse_poly
+from morphlift.lift import complete_lift_real
+from morphlift.mapfile import parse_map, parse_poly, render_map_source
+from morphlift.maps import real_identification
 
 QUATERNION_SRC = """map q: C^4 -> C^2 {
     q1 = z1*z3 - z2*conj(z4);
@@ -344,8 +347,7 @@ def test_usage_error_exits_2(quaternion_file):
 
 @pytest.mark.parametrize("body", [
     "(" * 3000 + "x1" + ")" * 3000,
-    " + ".join(["x1"] * 20000),
-], ids=["nested-parentheses", "flat-sum"])
+], ids=["nested-parentheses"])
 def test_input_too_deep_for_the_parser_exits_2(tmp_path, capsys, body):
     path = tmp_path / "deep.map"
     path.write_text(f"map f: R^1 -> R^1 {{ f1 = {body}; }}")
@@ -355,3 +357,41 @@ def test_input_too_deep_for_the_parser_exits_2(tmp_path, capsys, body):
     assert text == ""
     assert stderr.startswith("error: ")
     assert "Traceback" not in stderr
+
+
+def test_flat_sum_of_20000_terms_lifts(tmp_path, capsys):
+    # The parser builds this sum as a left-leaning tree 20000 deep; lowering
+    # walks it without recursion.
+    path = tmp_path / "flat.map"
+    path.write_text(f"map f: R^1 -> R^1 {{ f1 = {' + '.join(['x1'] * 20000)}; }}")
+    code, text = run_cli(["lift", "--real", str(path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert text.splitlines()[1] == "  F1 = 20000*y1"
+
+
+def test_r32_rung_json_lift_reparses_to_the_r64_rung(tmp_path):
+    r32 = complete_lift_real(real_identification(
+        parse_map(lookup("ex3.7-R16-to-C").definition)))
+    path = tmp_path / "r32.map"
+    path.write_text(render_map_source(r32, "p"))
+    code, payload = run_cli_json(["lift", "--real", str(path)])
+    assert code == 0
+    names = payload["variables"]
+    reparsed = [parse_poly(text, len(names), 0, names)
+                for text in payload["components"]]
+    r64 = complete_lift_real(r32)
+    assert [len(p.terms) for p in r64.components] == [1472, 1472]
+    assert reparsed == list(r64.components)
+
+
+@pytest.mark.parametrize("body,column", [("x1^\N{SUPERSCRIPT TWO}", 29),
+                                         ("\N{SUPERSCRIPT TWO}", 26)],
+                         ids=["exponent", "atom"])
+def test_non_decimal_digit_is_an_unexpected_character(tmp_path, capsys, body, column):
+    path = tmp_path / "digit.map"
+    path.write_text(f"map f: R^1 -> R^1 {{ f1 = {body}; }}", encoding="utf-8")
+    code, text = run_cli(["lift", "--real", str(path)])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: 1:{column}: unexpected character '\N{SUPERSCRIPT TWO}'\n")
