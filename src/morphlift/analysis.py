@@ -132,12 +132,11 @@ def hessian_conditions(phi: RealPolyMap) -> CheckReport:
     Hessians have equal squares and pairwise anticommute.
 
     The equivalence with HWC of the lift holds under the hypothesis that phi
-    itself is HWC; that status is recorded in the report notes rather than
-    required, so the check stays a total function.
+    itself is HWC.  The report notes that hypothesis rather than checking it,
+    so the check stays a total function; :func:`hwc_certificate` decides it.
     """
-    hwc_status = hwc_certificate(phi).verdict
-    notes = (f"input map is {'HWC' if hwc_status else 'NOT HWC'} "
-             "(the lift equivalence is stated under the HWC hypothesis)",)
+    notes = ("the lift equivalence is stated under the hypothesis that the "
+             "input map is HWC; check it with --hwc",)
     hessians = [hessian(c) for c in phi.components]
     rows = [[list(row) for row in h.entries] for h in hessians]
     cols = [[list(col) for col in zip(*h.entries)] for h in hessians]
@@ -173,6 +172,8 @@ def hessian_conditions(phi: RealPolyMap) -> CheckReport:
 def is_orthogonal_multiplication(phi: RealPolyMap, first_block: int,
                                  second_block: int) -> CheckReport:
     """Check |phi(x, y)|^2 = |x|^2 |y|^2 for a bilinear map on R^p x R^q."""
+    if first_block < 1 or second_block < 1:
+        raise ShapeError(f"block sizes {first_block},{second_block} must be positive")
     if first_block + second_block != phi.domain_dim:
         raise ShapeError(
             f"blocks {first_block}+{second_block} do not cover "

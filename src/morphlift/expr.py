@@ -88,8 +88,9 @@ class Const(Expr):
     value: Scalar
 
     def __post_init__(self):
-        object.__setattr__(self, "value",
-                           make_scalar(real_part(self.value), imag_part(self.value)))
+        if type(self.value) is not int:     # a plain int is already canonical
+            object.__setattr__(self, "value", make_scalar(real_part(self.value),
+                                                          imag_part(self.value)))
 
 
 @dataclass(frozen=True, eq=True)

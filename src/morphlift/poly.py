@@ -1,23 +1,19 @@
 """Exact multivariate polynomials over rationals or Gaussian rationals.
 
-A polynomial is a mapping from exponent tuples to nonzero coefficients:
+A polynomial maps monomials to nonzero coefficients.  :attr:`MultiPoly.terms`
+shows them keyed by exponent tuples:
 
     x1^2*x2 + 3  ->  {(2, 1): 1, (0, 0): 3}     (num_vars=2)
 
-That dict, :attr:`MultiPoly.terms`, is the whole public representation.
-
-Products run on packed keys instead (Monagan & Pearce, "Polynomial division
-using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  An
-exponent tuple becomes one ``int`` whose little-endian fields of ``width``
-bytes hold the exponents, so multiplying two monomials is one integer
-addition.  The width is chosen per product from the operands' largest
-exponents, so no field can carry into the next: one byte while the sums stay
-below 256, then 2, 4 or 8 bytes, then as many bytes as the largest sum needs.
-A polynomial packs its terms on first use and caches them for the width last
-used, and a product keeps its result's packed terms, so a chain of products
-packs each operand once.  A product with a single-term factor shifts the
-other factor's exponent tuples instead and packs nothing.  Nothing outside
-the kernel sees packed keys.
+The store behind that read-only view keys each monomial by one packed ``int``
+(Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+packed exponent vectors", CASC 2007), with a little-endian field of ``width``
+bytes per variable.  Multiplying monomials is one integer addition, a partial
+derivative subtracts one unit from a field, and conjugation swaps the key's
+halves.  A polynomial keeps an upper bound on its exponents beside its width.
+A result takes its operands' widest width and widens only when a product's
+bound outgrows it, so no field carries into the next.  Equality and hashing
+do not depend on the width, and no other module sees a packed key.
 
 Complex polynomial rings carry formal conjugate variables: a ring with
 ``num_complex = k`` has ``num_vars = 2k`` where variable ``j < k`` is the
@@ -28,10 +24,9 @@ so :meth:`MultiPoly.partial` is the same operation for real and complex kinds.
 
 from __future__ import annotations
 
-import struct
+from collections.abc import ItemsView, Mapping
 from fractions import Fraction
-from functools import lru_cache
-from itertools import repeat, starmap
+from itertools import repeat
 from operator import add, sub
 
 from .exact import (
@@ -53,6 +48,28 @@ class ConsistencyError(ValueError):
 _set = object.__setattr__
 
 
+def _field_width(bound: int) -> int:
+    """Bytes per exponent field that hold every exponent up to ``bound``."""
+    return max(1, (bound.bit_length() + 7) // 8)
+
+
+def _encode(exponent_tuples, width: int):
+    """Exponent tuples -> keys with ``width``-byte little-endian fields."""
+    if width == 1:
+        raw = map(bytes, exponent_tuples)
+    else:
+        raw = (b"".join(x.to_bytes(width, "little") for x in e)
+               for e in exponent_tuples)
+    return map(int.from_bytes, raw, repeat("little"))
+
+
+def _from_tuples(terms: dict, num_vars: int) -> tuple[dict, int, int]:
+    """The packed terms, width and exponent bound of a dict keyed by tuples."""
+    bound = max(map(max, terms), default=0) if num_vars else 0
+    width = _field_width(bound)
+    return dict(zip(_encode(terms, width), terms.values())), width, bound
+
+
 def _canonicalize(terms: dict) -> dict:
     """Drop zero coefficients and demote integral Fractions, in place."""
     for key in [k for k, c in terms.items() if not c or type(c) is Fraction]:
@@ -71,10 +88,53 @@ def _check_ring_shape(num_vars: int, num_complex: int) -> None:
             f"variables, got {num_vars}")
 
 
+class _TermItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.values())
+
+
+class _TermView(Mapping):
+    """A polynomial's terms keyed by exponent tuples, read-only.  It stores
+    nothing: keys are unpacked as they are read, and ``len`` and ``values``
+    read the packed store as it is."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly: "MultiPoly"):
+        self._poly = poly
+
+    def __len__(self):
+        return len(self._poly._terms)
+
+    def __iter__(self):
+        width = self._poly._width
+        size = self._poly.num_vars * width
+        raw = map(int.to_bytes, self._poly._terms, repeat(size), repeat("little"))
+        if width == 1:
+            return map(tuple, raw)
+        return (tuple(int.from_bytes(b[i:i + width], "little")
+                      for i in range(0, size, width)) for b in raw)
+
+    def __getitem__(self, exponents):
+        poly = self._poly
+        if (not isinstance(exponents, tuple) or len(exponents) != poly.num_vars
+                or min(exponents, default=0) < 0
+                or max(exponents, default=0) >> (8 * poly._width)):
+            raise KeyError(exponents)
+        (key,) = _encode((exponents,), poly._width)
+        return poly._terms[key]
+
+    def values(self):
+        return self._poly._terms.values()
+
+    def items(self):
+        return _TermItems(self)
+
+
 class MultiPoly:
     """Immutable sparse polynomial in canonical form (no zero coefficients)."""
 
-    __slots__ = ("num_vars", "num_complex", "terms", "_max_exp", "_packed")
+    __slots__ = ("num_vars", "num_complex", "_terms", "_width", "_bound")
 
     def __init__(self, num_vars: int, terms: dict, num_complex: int = 0):
         _check_ring_shape(num_vars, num_complex)
@@ -87,28 +147,50 @@ class MultiPoly:
             value = make_scalar_like(coeff)
             if value != 0:
                 clean[tuple(exponents)] = value
-        self._fill(num_vars, clean, num_complex)
+        self._fill(num_vars, num_complex, *_from_tuples(clean, num_vars))
 
-    def _fill(self, num_vars: int, terms: dict, num_complex: int,
-              packed=None) -> None:
+    def _fill(self, num_vars: int, num_complex: int, terms: dict, width: int,
+              bound: int) -> None:
         _set(self, "num_vars", num_vars)
         _set(self, "num_complex", num_complex)
-        _set(self, "terms", terms)
-        _set(self, "_max_exp", None)
-        _set(self, "_packed", packed)
+        _set(self, "_terms", terms)
+        _set(self, "_width", width)
+        _set(self, "_bound", bound)
 
     @classmethod
     def _trusted(cls, num_vars: int, terms: dict, num_complex: int = 0) -> "MultiPoly":
-        """Internal constructor for coefficients that exact arithmetic made
-        from canonical scalars, under keys of the right length.  It only
-        drops zeros and demotes integral Fractions, and it takes ownership of
-        ``terms``: callers pass a dict they built for it."""
+        """Internal constructor from exponent tuples, for coefficients that
+        exact arithmetic made from canonical scalars, under keys of the right
+        length.  It only drops zeros and demotes integral Fractions."""
+        return cls._make(num_vars, num_complex, *_from_tuples(terms, num_vars))
+
+    @classmethod
+    def _make(cls, num_vars: int, num_complex: int, terms: dict, width: int,
+              bound: int) -> "MultiPoly":
+        """Internal constructor from packed keys; it takes ownership of
+        ``terms``, drops zeros and demotes integral Fractions."""
         poly = object.__new__(cls)
-        poly._fill(num_vars, _canonicalize(terms), num_complex)
+        poly._fill(num_vars, num_complex, _canonicalize(terms), width, bound)
         return poly
+
+    def _with(self, terms: dict) -> "MultiPoly":
+        """This ring, width and bound, with the packed ``terms``."""
+        return MultiPoly._make(self.num_vars, self.num_complex, terms,
+                               self._width, self._bound)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self) -> Mapping:
+        """The terms keyed by exponent tuples, as a read-only view."""
+        return _TermView(self)
+
+    def _at(self, width: int) -> dict:
+        """The packed terms at ``width``, which must hold the bound."""
+        if width == self._width:
+            return self._terms
+        return dict(zip(_encode(self.terms, width), self._terms.values()))
 
     # -- constructors ---------------------------------------------------------
 
@@ -139,20 +221,20 @@ class MultiPoly:
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return (self.num_vars == other.num_vars
-                and self.num_complex == other.num_complex
-                and self.terms == other.terms)
+        width = max(self._width, other._width)
+        return ((self.num_vars, self.num_complex) == (other.num_vars, other.num_complex)
+                and self._at(width) == other._at(width))
 
     def __hash__(self):
         return hash((self.num_vars, self.num_complex,
                      frozenset(self.terms.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._terms)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __repr__(self):
         return f"MultiPoly({render(self)!r})"
@@ -166,11 +248,13 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
-        terms = dict(self.terms)
+        width = max(self._width, other._width)
+        terms = dict(self._at(width))
         get = terms.get
-        for exponents, coeff in other.terms.items():
-            terms[exponents] = op(get(exponents, 0), coeff)
-        return MultiPoly._trusted(self.num_vars, terms, self.num_complex)
+        for key, coeff in other._at(width).items():
+            terms[key] = op(get(key, 0), coeff)
+        return MultiPoly._make(self.num_vars, self.num_complex, terms, width,
+                               max(self._bound, other._bound))
 
     def __add__(self, other):
         return self._combine(other, add)
@@ -178,9 +262,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._trusted(self.num_vars,
-                                  {e: -c for e, c in self.terms.items()},
-                                  self.num_complex)
+        return self._with({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         return self._combine(other, sub)
@@ -194,25 +276,13 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
-        if len(self.terms) == 1:
-            return _monomial_product(self, other)
-        if len(other.terms) == 1:
-            return _monomial_product(other, self)
-        width = _field_width(self._max_exponent() + other._max_exponent())
-        accumulator: dict = {}
-        accumulate_product(accumulator, self, other, width=width)
-        # Products are chained (powers, composition, lowering), so the result
-        # keeps its packed terms for the next one.
-        return _from_packed(accumulator, width, self.num_vars, self.num_complex,
-                            keep_packed=True)
+        return _sum_of_products([(self, other)])
 
     __rmul__ = __mul__
 
     def scale(self, factor: Scalar) -> "MultiPoly":
         factor = make_scalar_like(factor)
-        return MultiPoly._trusted(self.num_vars,
-                                  {e: factor * c for e, c in self.terms.items()},
-                                  self.num_complex)
+        return self._with({k: factor * c for k, c in self._terms.items()})
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
@@ -234,25 +304,24 @@ class MultiPoly:
         complex-kind variables: z and zb differentiate independently)."""
         if not 0 <= index < self.num_vars:
             raise DimensionMismatch(f"variable index {index} out of range")
+        shift = 8 * self._width * index
+        mask = (1 << (8 * self._width)) - 1
+        unit = 1 << shift
         terms = {}
-        for exponents, coeff in self.terms.items():
-            e = exponents[index]
-            if e == 0:
-                continue
-            lowered = exponents[:index] + (e - 1,) + exponents[index + 1:]
-            terms[lowered] = terms.get(lowered, 0) + e * coeff
-        return MultiPoly._trusted(self.num_vars, terms, self.num_complex)
+        for key, coeff in self._terms.items():
+            e = (key >> shift) & mask
+            if e:
+                terms[key - unit] = e * coeff
+        return self._with(terms)
 
     def conjugate_poly(self) -> "MultiPoly":
         """Swap each z_k with zb_k and conjugate every coefficient."""
         if self.num_complex == 0:
             raise DimensionMismatch("conjugate_poly needs complex variable kinds")
-        k = self.num_complex
-        terms = {}
-        for exponents, coeff in self.terms.items():
-            swapped = exponents[k:] + exponents[:k]
-            terms[swapped] = conjugate(coeff)
-        return MultiPoly._trusted(self.num_vars, terms, self.num_complex)
+        half = 8 * self._width * self.num_complex
+        low = (1 << half) - 1
+        return self._with({((key & low) << half) | (key >> half): conjugate(c)
+                           for key, c in self._terms.items()})
 
     # -- evaluation / substitution -------------------------------------------------
 
@@ -271,12 +340,17 @@ class MultiPoly:
         return self._evaluate_raw(point)
 
     def _evaluate_raw(self, point) -> Scalar:
+        bits = 8 * self._width
+        mask = (1 << bits) - 1
         total: Scalar = 0
-        for exponents, coeff in self.terms.items():
+        for key, coeff in self._terms.items():
             value = coeff
-            for base, e in zip(point, exponents):
-                if e:
-                    value = value * base ** e
+            while key:      # one factor per variable that occurs, in order
+                shift = (key & -key).bit_length() - 1
+                shift -= shift % bits
+                e = (key >> shift) & mask
+                value = value * point[shift // bits] ** e
+                key -= e << shift
             total = total + value
         return make_scalar_like(total) if not isinstance(total, int) else total
 
@@ -306,12 +380,10 @@ class MultiPoly:
         for exponents, coeff in self.terms.items():
             term = MultiPoly.constant(ring[0], coeff, ring[1])
             for j, e in enumerate(exponents):
-                if e == 0:
-                    continue
-                key = (j, e)
-                if key not in power_cache:
-                    power_cache[key] = values[j] ** e
-                term = term * power_cache[key]
+                if e:
+                    if (j, e) not in power_cache:
+                        power_cache[j, e] = values[j] ** e
+                    term = term * power_cache[j, e]
             result = result + term
         return result
 
@@ -341,106 +413,27 @@ class MultiPoly:
               num_complex: int = 0) -> "MultiPoly":
         """Embed into a larger ring, sending old variable j to index_map[j]."""
         _check_ring_shape(num_vars, num_complex)
+        bits = 8 * self._width
+        mask = (1 << bits) - 1
+        moves = [(bits * j, bits * index_map[j]) for j in range(self.num_vars)]
         terms = {}
-        for exponents, coeff in self.terms.items():
-            new_exp = [0] * num_vars
-            for j, e in enumerate(exponents):
-                if e:
-                    new_exp[index_map[j]] = e
-            terms[tuple(new_exp)] = coeff
-        return MultiPoly._trusted(num_vars, terms, num_complex)
+        for key, coeff in self._terms.items():
+            moved = 0
+            for old, new in moves:
+                moved |= ((key >> old) & mask) << new
+            terms[moved] = coeff
+        return MultiPoly._make(num_vars, num_complex, terms, self._width,
+                               self._bound)
 
     # -- inspection -------------------------------------------------------------
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
-
-    # -- packed terms (product kernel only) ----------------------------------------
-
-    def _max_exponent(self) -> int:
-        """The largest exponent of any variable in any term (0 if none)."""
-        if self._max_exp is None:
-            value = max(map(max, self.terms), default=0) if self.num_vars else 0
-            _set(self, "_max_exp", value)
-        return self._max_exp
-
-    def _packed_items(self, width: int):
-        """The terms as (packed key, coefficient) pairs at ``width`` bytes a
-        field, packed on first use and cached for the last width asked."""
-        cached = self._packed
-        if cached is None or cached[0] != width:
-            keys = _pack_all(self.terms, self.num_vars, width)
-            cached = (width, list(zip(keys, self.terms.values())))
-            _set(self, "_packed", cached)
-        return cached[1]
+        return max(map(sum, self.terms), default=0)
 
 
 # ---------------------------------------------------------------------------
-# Packed-key product kernel
+# Products
 # ---------------------------------------------------------------------------
-
-_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def _field_width(max_exponent_sum: int) -> int:
-    """Bytes per exponent field that hold every exponent sum up to the bound."""
-    needed = max(1, (max_exponent_sum.bit_length() + 7) // 8)
-    for width in _STRUCT_CODES:
-        if needed <= width:
-            return width
-    return needed
-
-
-@lru_cache(maxsize=64)
-def _fields(num_vars: int, width: int) -> struct.Struct:
-    return struct.Struct(f"<{num_vars}{_STRUCT_CODES[width]}")
-
-
-def _pack_all(exponent_tuples, num_vars: int, width: int) -> list[int]:
-    """Exponent tuples -> ints with ``width``-byte little-endian fields."""
-    if width in _STRUCT_CODES:
-        raw = starmap(_fields(num_vars, width).pack, exponent_tuples)
-    else:
-        raw = (b"".join(x.to_bytes(width, "little") for x in e)
-               for e in exponent_tuples)
-    return list(map(int.from_bytes, raw, repeat("little")))
-
-
-def _unpack_all(keys, num_vars: int, width: int):
-    """The inverse of :func:`_pack_all`, as an iterator of tuples."""
-    size = num_vars * width
-    raw = map(int.to_bytes, keys, repeat(size), repeat("little"))
-    if width in _STRUCT_CODES:
-        return map(_fields(num_vars, width).unpack, raw)
-    return (tuple(int.from_bytes(b[i:i + width], "little")
-                  for i in range(0, size, width)) for b in raw)
-
-
-def _from_packed(accumulator: dict, width: int, num_vars: int,
-                 num_complex: int, keep_packed: bool = False) -> MultiPoly:
-    """The polynomial whose packed terms ``accumulator`` holds; it takes
-    ownership of the dict."""
-    _canonicalize(accumulator)
-    terms = dict(zip(_unpack_all(accumulator, num_vars, width),
-                     accumulator.values()))
-    poly = object.__new__(MultiPoly)
-    poly._fill(num_vars, terms, num_complex,
-               (width, accumulator.items()) if keep_packed else None)
-    return poly
-
-
-def _monomial_product(monomial: MultiPoly, p: MultiPoly) -> MultiPoly:
-    """monomial * p.  The product shifts each term of p by one exponent
-    tuple, so no two terms collide and nothing needs packing: parsing and
-    lowering multiply monomials far more often than anything else."""
-    (shift, factor), = monomial.terms.items()
-    return MultiPoly._trusted(
-        p.num_vars,
-        {tuple(map(add, shift, e)): factor * c for e, c in p.terms.items()},
-        p.num_complex)
-
 
 def accumulate_product(accumulator: dict, p: MultiPoly, q: MultiPoly, *,
                        width: int) -> None:
@@ -448,11 +441,11 @@ def accumulate_product(accumulator: dict, p: MultiPoly, q: MultiPoly, *,
     path for Gram matrices and polynomial matrix products).  The caller picks
     a width that holds every exponent sum, the same for every product that
     goes into one accumulator."""
-    if (p._max_exponent() + q._max_exponent()) >> (8 * width):
+    if (p._bound + q._bound) >> (8 * width):
         raise OverflowError(f"exponent sums of p*q overflow {width}-byte fields")
     get = accumulator.get
-    q_items = q._packed_items(width)
-    for kp, cp in p._packed_items(width):
+    q_items = q._at(width).items()
+    for kp, cp in p._at(width).items():
         for kq, cq in q_items:
             key = kp + kq
             accumulator[key] = get(key, 0) + cp * cq
@@ -464,13 +457,19 @@ def poly_dot(left: list[MultiPoly], right: list[MultiPoly]) -> MultiPoly:
         raise DimensionMismatch("poly_dot length mismatch")
     if not left:
         raise DimensionMismatch("poly_dot of empty vectors")
-    num_vars, num_complex = left[0].num_vars, left[0].num_complex
-    width = _field_width(max(p._max_exponent() + q._max_exponent()
-                             for p, q in zip(left, right)))
+    return _sum_of_products(list(zip(left, right)))
+
+
+def _sum_of_products(pairs: list) -> MultiPoly:
+    """The sum of p*q over the pairs, in one accumulator at the widest
+    operand width, or wider once the bound on the exponent sums outgrows it."""
+    bound = max(p._bound + q._bound for p, q in pairs)
+    width = max(_field_width(bound), *(max(p._width, q._width) for p, q in pairs))
     accumulator: dict = {}
-    for p, q in zip(left, right):
+    for p, q in pairs:
         accumulate_product(accumulator, p, q, width=width)
-    return _from_packed(accumulator, width, num_vars, num_complex)
+    p = pairs[0][0]
+    return MultiPoly._make(p.num_vars, p.num_complex, accumulator, width, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +483,8 @@ def default_names(num_vars: int, num_complex: int = 0) -> tuple[str, ...]:
     return tuple(f"x{j + 1}" for j in range(num_vars))
 
 
-def _graded_lex_key(exponents: tuple) -> tuple:
+def _graded_lex_key(item: tuple) -> tuple:
+    exponents = item[0]
     return (sum(exponents), exponents)
 
 
@@ -510,21 +510,17 @@ def render(p: MultiPoly, names=None) -> str:
     """Canonical text form: graded-lex order, explicit ``*`` and ``^``."""
     if names is None:
         names = default_names(p.num_vars, p.num_complex)
-    if not p.terms:
+    if not p:
         return "0"
-    pieces = []
-    for exponents in sorted(p.terms, key=_graded_lex_key, reverse=True):
-        coeff = p.terms[exponents]
-        factors = []
-        for j, e in enumerate(exponents):
-            if e == 1:
-                factors.append(names[j])
-            elif e > 1:
-                factors.append(f"{names[j]}^{e}")
-        sign, coeff_body = _render_coefficient(coeff, bool(factors))
-        pieces.append((sign, coeff_body + "*".join(factors)))
-    first_sign, first_body = pieces[0]
-    out = [first_body if first_sign == "+" else f"-{first_body}"]
-    for sign, body in pieces[1:]:
-        out.append(f" {sign} {body}")
+    out = []
+    for exponents, coeff in sorted(p.terms.items(), key=_graded_lex_key,
+                                   reverse=True):
+        factors = [names[j] if e == 1 else f"{names[j]}^{e}"
+                   for j, e in enumerate(exponents) if e]
+        sign, body = _render_coefficient(coeff, bool(factors))
+        body += "*".join(factors)
+        if out:
+            out.append(f" {sign} {body}")
+        else:
+            out.append(body if sign == "+" else f"-{body}")
     return "".join(out)

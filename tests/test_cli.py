@@ -340,9 +340,16 @@ def test_unknown_subcommand_exits_2():
     assert code == 2
 
 
-def test_usage_error_exits_2(quaternion_file):
-    code, _ = run_cli(["lift", quaternion_file])  # missing --real/--complex
+@pytest.mark.parametrize("argv, message", [
+    (["lift"], "--real --complex"),
+    (["check", "--orthogonal-multiplication", "--blocks=-8,16"],
+     "error: block sizes -8,16 must be positive"),
+], ids=["lift-without-kind", "non-positive-block"])
+def test_usage_error_exits_2(quaternion_file, capsys, argv, message):
+    code, text = run_cli([*argv, quaternion_file])
     assert code == 2
+    assert text == ""
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body", [

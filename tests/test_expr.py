@@ -1,10 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from genmaps import random_real_poly
+from morphlift.exact import GaussianRational
 from morphlift.expr import (
     Const,
     Div,
@@ -105,6 +107,13 @@ def test_parse_render_parse_fixed_point(stereographic):
             assert render_map_source(second, "g") == rendered
         else:
             assert second == first
+
+
+@pytest.mark.parametrize("value, expected", [
+    (5, 5), (True, 1), (Fraction(4, 2), 2), (GaussianRational(3, 0), 3)])
+def test_const_keeps_a_canonical_int(value, expected):
+    held = Const(value).value
+    assert type(held) is int and held == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 from math import comb
+from operator import add, sub
 
 import pytest
 from hypothesis import given, strategies as st
 
+import poly_oracle as oracle
 from genmaps import random_complex_poly, random_real_poly
-from morphlift.exact import DimensionMismatch, GaussianRational
+from morphlift.exact import DimensionMismatch, GaussianRational, make_scalar_like
 from morphlift.mapfile import parse_poly
 from morphlift.poly import (
     ConsistencyError,
@@ -377,3 +379,122 @@ def test_accumulate_product_rejects_fields_too_narrow():
     assert accumulator == {}
     accumulate_product(accumulator, a, a, width=2)
     assert len(accumulator) == 3
+
+
+# ---------------------------------------------------------------------------
+# Packed store against the tuple-keyed oracles
+# ---------------------------------------------------------------------------
+
+def typed(terms):
+    """The terms in dict order, each with its coefficient's type."""
+    return [(e, c, type(c)) for e, c in terms.items()]
+
+
+def draw_ring_and_poly(data, rings=RINGS, **kwargs):
+    ring = data.draw(st.sampled_from(rings))
+    return ring, data.draw(polys_in(ring, **kwargs))
+
+
+@given(st.data())
+def test_term_view_reads_what_the_constructor_was_given(data):
+    num_vars, num_complex = ring = data.draw(st.sampled_from(RINGS))
+    raw = data.draw(st.dictionaries(st.tuples(*[wide_exponents] * num_vars),
+                                    coefficients, max_size=4))
+    q = MultiPoly(num_vars, raw, num_complex)
+    expected = {e: make_scalar_like(c) for e, c in raw.items() if c != 0}
+    assert typed(q.terms) == typed(expected)
+    assert q.terms == expected and dict(q.terms.items()) == expected
+    assert len(q.terms) == len(expected)
+    assert list(q.terms.values()) == list(expected.values())
+    for exponents, coeff in expected.items():
+        assert exponents in q.terms and q.terms[exponents] == coeff
+    absent = [(0,) * (num_vars + 1), list((0,) * num_vars)]
+    if num_vars:
+        absent += [(2**70,) + (0,) * (num_vars - 1), (-1,) + (0,) * (num_vars - 1)]
+    for key in absent:
+        assert key not in q.terms and q.terms.get(key) is None
+        with pytest.raises(KeyError):
+            q.terms[key]
+
+
+@given(st.data())
+def test_ring_operations_match_the_tuple_oracle(data):
+    ring, a = draw_ring_and_poly(data)
+    b = data.draw(polys_in(ring))
+    factor = data.draw(coefficients)
+    ta, tb = dict(a.terms), dict(b.terms)
+    assert typed((a + b).terms) == typed(oracle.combine(ta, tb, add))
+    assert typed((a - b).terms) == typed(oracle.combine(ta, tb, sub))
+    assert typed((a + factor).terms) == typed(
+        oracle.combine(ta, oracle.constant(ring[0], factor), add))
+    assert typed((-a).terms) == typed(oracle.negate(ta))
+    assert typed(a.scale(factor).terms) == typed(oracle.scale(ta, factor))
+    assert typed((a * b).terms) == typed(oracle.product(ta, tb))
+    assert typed(poly_dot([a, b], [b, a]).terms) == typed(
+        oracle.combine(oracle.product(ta, tb), oracle.product(tb, ta), add))
+
+
+@given(st.data())
+def test_partial_conjugate_and_remap_match_the_tuple_oracle(data):
+    (num_vars, num_complex), a = draw_ring_and_poly(data)
+    terms = dict(a.terms)
+    for index in range(num_vars):
+        assert typed(a.partial(index).terms) == typed(oracle.partial(terms, index))
+    if num_complex:
+        assert typed(a.conjugate_poly().terms) == typed(
+            oracle.conjugate_terms(terms, num_complex))
+    extra = data.draw(st.integers(0, 2))
+    target_complex = num_complex + extra if num_complex else 0
+    target_vars = 2 * target_complex if num_complex else num_vars + extra
+    targets = data.draw(st.permutations(range(target_vars)))[:num_vars]
+    index_map = dict(enumerate(targets))
+    moved = a.remap(target_vars, index_map, target_complex)
+    assert (moved.num_vars, moved.num_complex) == (target_vars, target_complex)
+    assert typed(moved.terms) == typed(oracle.remap(terms, target_vars, index_map))
+
+
+@given(st.data())
+def test_evaluate_matches_the_tuple_oracle(data):
+    ring, wide = draw_ring_and_poly(data)
+    # bases whose powers stay small, so that huge exponents evaluate quickly
+    units = st.sampled_from((0, 1, -1, I, -I))
+    small = data.draw(polys_in(ring, exponents=small_exponents, max_size=6))
+    for q, values in ((wide, units), (small, coefficients)):
+        point = tuple(data.draw(values) for _ in range(ring[0]))
+        value = q._evaluate_raw(point)
+        expected = oracle.evaluate(dict(q.terms), point)
+        assert value == expected and type(value) is type(expected)
+
+
+@given(st.data())
+def test_compose_matches_the_tuple_oracle(data):
+    ring = data.draw(st.sampled_from(RINGS[1:]))
+    outer, q = draw_ring_and_poly(data, RINGS[1:], exponents=st.integers(0, 2),
+                                  max_size=3)
+    values = [data.draw(polys_in(ring, max_size=3)) for _ in range(outer[0])]
+    expected = oracle.compose(dict(q.terms), [dict(v.terms) for v in values],
+                              ring[0])
+    assert typed(q.compose(values).terms) == typed(expected)
+
+
+@given(st.data())
+def test_render_matches_the_tuple_oracle(data):
+    (num_vars, num_complex), q = draw_ring_and_poly(data, max_size=6)
+    names = tuple(f"v{j}" for j in range(num_vars))
+    terms = dict(q.terms)
+    assert render(q) == oracle.render(terms, num_vars, num_complex)
+    assert render(q, names) == oracle.render(terms, num_vars, num_complex, names)
+
+
+@given(st.data())
+def test_equal_polynomials_at_different_widths_compare_and_hash_equal(data):
+    (num_vars, num_complex), a = draw_ring_and_poly(
+        data, RINGS[1:], exponents=small_exponents)
+    exponent = data.draw(st.sampled_from(BOUNDARY_EXPONENTS[3:]))
+    wide = MultiPoly(num_vars, {(exponent,) + (0,) * (num_vars - 1): 1},
+                     num_complex)
+    b = (a + wide) - wide
+    assert b._width > a._width      # the same terms, held at two widths
+    assert typed(b.terms) == typed(a.terms)
+    assert a == b and b == a and hash(a) == hash(b)
+    assert a + wide != a and (a + wide) - a == wide
