@@ -64,8 +64,11 @@ class PolyMatrix:
         return all(p.is_zero for row in self.entries for p in row)
 
     def evaluate(self, point):
-        """Evaluate every entry; returns a list of lists of scalars."""
-        return [[p.evaluate(point) for p in row] for row in self.entries]
+        """Evaluate every entry; returns a list of lists of scalars.  The
+        entries share one table of zero fields and powers of the point."""
+        table = {}
+        return [[p.evaluate(point, table=table) for p in row]
+                for row in self.entries]
 
 
 def jacobian(phi: RealPolyMap) -> PolyMatrix:

@@ -11,6 +11,7 @@ the CLI ``reproduce`` command prints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .analysis import (
     hessian_conditions,
@@ -386,11 +387,14 @@ def _poly_summary(p, limit: int = 24) -> str:
 def run_entry(entry_id: str) -> EntryReport:
     entry = lookup(entry_id)
     parsed = parse_map(entry.definition)
-    results = [_run_check(entry, parsed, e) for e in entry.expected]
+    # one span report at the entry's points serves every check that reads it
+    span = cache(lambda: span_report(_real_form(parsed), entry.points))
+    results = [_run_check(entry, parsed, e, span) for e in entry.expected]
     return EntryReport(entry_id, tuple(results), entry.notes)
 
 
-def _run_check(entry: CatalogEntry, parsed, expectation: Expectation) -> CheckResult:
+def _run_check(entry: CatalogEntry, parsed, expectation: Expectation,
+               span) -> CheckResult:
     check, params, expected = expectation.check, expectation.params, expectation.expected
     detail = ""
 
@@ -441,11 +445,11 @@ def _run_check(entry: CatalogEntry, parsed, expectation: Expectation) -> CheckRe
         else:
             actual = type(outcome).__name__
     elif check == "kaehler-gradients":
-        report = span_report(_real_form(parsed), entry.points)
+        report = span()
         actual = tuple(tuple(render_scalar(x) for x in g)
                        for g in report.gradients)
     elif check == "kaehler-span":
-        report = span_report(_real_form(parsed), entry.points)
+        report = span()
         actual = (report.verdict, report.rank)
         detail = (f"isotropic: {report.isotropy_ok}, pairwise orthogonal: "
                   f"{report.pairwise_orthogonal}")

@@ -20,10 +20,10 @@ from .exact import (
     DimensionMismatch,
     ExactMatrix,
     GaussianRational,
-    I,
     Scalar,
     bilinear_dot,
     imag_part,
+    make_scalar,
     real_part,
 )
 from .maps import RealPolyMap, ShapeError
@@ -66,7 +66,8 @@ def gradient_at(Phi: RealPolyMap, point) -> tuple:
             f"{Phi.domain_dim // 2}")
     gradient_polys = complex_gradient(Phi)
     real_point = complex_point_to_real(point)
-    return tuple(p.evaluate(real_point) for p in gradient_polys)
+    table = {}
+    return tuple(p.evaluate(real_point, table=table) for p in gradient_polys)
 
 
 def span_report(Phi: RealPolyMap, points) -> KaehlerReport:
@@ -84,10 +85,9 @@ def span_report(Phi: RealPolyMap, points) -> KaehlerReport:
     jacobian_ranks = []
     for point in points:
         u, v = real_jacobian.evaluate(complex_point_to_real(point))
-        gradients.append(tuple(a + b * I for a, b in zip(u, v)))
+        gradients.append(tuple(map(make_scalar, u, v)))
         jacobian_ranks.append(ExactMatrix([u, v]).rank())
-    matrix = ExactMatrix(gradients) if gradients else ExactMatrix([])
-    rank = matrix.rank() if gradients else 0
+    rank = ExactMatrix(gradients).rank()
     isotropy_ok = all(bilinear_dot(g, g) == 0 for g in gradients)
     pairwise = all(bilinear_dot(gradients[a], gradients[b]) == 0
                    for a in range(len(gradients))
@@ -120,7 +120,9 @@ def search_points(Phi: RealPolyMap, budget: int, seed: int) -> KaehlerReport:
     for _ in range(budget):
         point = tuple(rng.choice(_ALPHABET) for _ in range(m))
         real_point = complex_point_to_real(point)
-        gradient = tuple(p.evaluate(real_point) for p in gradient_polys)
+        table = {}
+        gradient = tuple(p.evaluate(real_point, table=table)
+                         for p in gradient_polys)
         if all(value == 0 for value in gradient):
             continue
         candidate = ExactMatrix(kept_gradients + [gradient])

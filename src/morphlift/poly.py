@@ -325,9 +325,16 @@ class MultiPoly:
 
     # -- evaluation / substitution -------------------------------------------------
 
-    def evaluate(self, point) -> Scalar:
+    def evaluate(self, point, *, table=None) -> Scalar:
         """Exact evaluation.  For complex rings the point must be
-        conjugation-consistent: value(zb_k) == conj(value(z_k))."""
+        conjugation-consistent: value(zb_k) == conj(value(z_k)).
+
+        ``table`` is an initially empty dict that every evaluation at the
+        same point may share, as the entries of a matrix do.  Per field
+        width it holds a mask of the fields of the variables whose value is
+        0 (a term that meets it is 0 and is skipped) and each power
+        ``point[j] ** e`` computed so far, keyed by its packed field value
+        ``e << shift``."""
         if len(point) != self.num_vars:
             raise DimensionMismatch(
                 f"point length {len(point)} != arity {self.num_vars}")
@@ -337,20 +344,28 @@ class MultiPoly:
                 if point[k + j] != conjugate(point[j]):
                     raise ConsistencyError(
                         f"value for zb{j + 1} is not the conjugate of z{j + 1}")
-        return self._evaluate_raw(point)
-
-    def _evaluate_raw(self, point) -> Scalar:
         bits = 8 * self._width
         mask = (1 << bits) - 1
+        if table is None:
+            table = {}
+        if self._width not in table:
+            zeros = sum(mask << (bits * j) for j, x in enumerate(point) if x == 0)
+            table[self._width] = (zeros, {})
+        zeros, powers = table[self._width]
         total: Scalar = 0
         for key, coeff in self._terms.items():
+            if key & zeros:
+                continue
             value = coeff
             while key:      # one factor per variable that occurs, in order
                 shift = (key & -key).bit_length() - 1
-                shift -= shift % bits
-                e = (key >> shift) & mask
-                value = value * point[shift // bits] ** e
-                key -= e << shift
+                field = key & (mask << (shift - shift % bits))
+                power = powers.get(field)
+                if power is None:
+                    j = shift // bits
+                    power = powers[field] = point[j] ** (field >> (bits * j))
+                value = value * power
+                key -= field
             total = total + value
         return make_scalar_like(total) if not isinstance(total, int) else total
 
@@ -361,8 +376,7 @@ class MultiPoly:
         if len(zpoint) != self.num_complex:
             raise DimensionMismatch(
                 f"expected {self.num_complex} complex coordinates, got {len(zpoint)}")
-        full = tuple(zpoint) + tuple(conjugate(z) for z in zpoint)
-        return self._evaluate_raw(full)
+        return self.evaluate(tuple(zpoint) + tuple(conjugate(z) for z in zpoint))
 
     def compose(self, values: list["MultiPoly"]) -> "MultiPoly":
         """Substitute values[j] for variable j, for every variable at once."""

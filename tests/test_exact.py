@@ -1,9 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import exact_oracle
 from morphlift.exact import (
     DimensionMismatch,
     ExactMatrix,
@@ -12,6 +14,8 @@ from morphlift.exact import (
     make_scalar,
     render_scalar,
 )
+from morphlift.kaehler import gradient_at
+from morphlift.lift import complete_lift_real
 
 I = GaussianRational(0, 1)
 
@@ -233,3 +237,99 @@ def test_ninth_gradient_outside_printed_span():
     matrix = ExactMatrix(_printed_gradients())
     assert matrix.rank() == 8
     assert ExactMatrix([*matrix.entries, ninth]).rank() == 9
+
+
+# ---------------------------------------------------------------------------
+# The Z[i] Bareiss rank against the Fraction Bareiss it replaced
+# ---------------------------------------------------------------------------
+
+wide_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=10**6)
+gaussian_integers = st.builds(GaussianRational, st.integers(-3, 3),
+                              st.integers(-3, 3))
+# One kind of entry per matrix: all-integer and all-rational matrices have
+# real pivots throughout, Gaussian ones mostly complex pivots.
+rank_entry_kinds = st.sampled_from((
+    st.integers(-5, 5), wide_rationals, gaussian_integers,
+    st.one_of(st.just(0), st.integers(-5, 5), wide_rationals, gaussian_integers,
+              st.builds(GaussianRational, wide_rationals, wide_rationals))))
+
+
+def _product(left, right):
+    return [[sum((a * b for a, b in zip(row, col)), 0) for col in zip(*right)]
+            for row in left]
+
+
+@st.composite
+def rank_matrices(draw):
+    """Up to 18x34: dense or an n x r times r x m product of low rank r, then
+    zero rows and columns, duplicate rows and a shuffle."""
+    cols = draw(st.integers(1, 34))
+    rows = draw(st.integers(0, 12))
+    rank_entries = draw(rank_entry_kinds)
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, 4))
+        left = [[draw(rank_entries) for _ in range(inner)] for _ in range(rows)]
+        right = [[draw(rank_entries) for _ in range(cols)] for _ in range(inner)]
+        matrix = _product(left, right) if inner else [[0] * cols] * rows
+    else:
+        matrix = [[draw(rank_entries) for _ in range(cols)] for _ in range(rows)]
+    matrix = [list(row) for row in matrix]
+    for j in draw(st.lists(st.integers(0, cols - 1), max_size=4)):
+        for row in matrix:
+            row[j] = 0
+    if matrix:
+        for i in draw(st.lists(st.integers(0, len(matrix) - 1), max_size=2)):
+            matrix[i] = [0] * cols
+        for i in draw(st.lists(st.integers(0, len(matrix) - 1), max_size=4)):
+            matrix.append(list(matrix[i]))
+    return draw(st.permutations(matrix))
+
+
+@st.composite
+def swapped_complex_pivots(draw):
+    """Gaussian matrices whose first pivot sits below a row that is 0 in the
+    first column, and has a nonzero imaginary part."""
+    rows, cols = draw(st.integers(2, 18)), draw(st.integers(1, 34))
+    gaussian = st.builds(GaussianRational, st.integers(-4, 4), st.integers(1, 4))
+    entries = st.one_of(st.just(0), st.integers(-4, 4), gaussian_integers, gaussian)
+    matrix = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    below = draw(st.integers(1, rows - 1))
+    for row in matrix[:below]:
+        row[0] = 0
+    matrix[below][0] = draw(gaussian)
+    return matrix
+
+
+def _assert_rank_matches_oracle(rows):
+    matrix = ExactMatrix(rows)
+    assert matrix.rank() == exact_oracle.rank(matrix)
+
+
+@settings(deadline=None)
+@given(rank_matrices())
+def test_rank_matches_fraction_bareiss(rows):
+    _assert_rank_matches_oracle(rows)
+
+
+@settings(deadline=None)
+@given(swapped_complex_pivots())
+def test_rank_with_complex_pivot_after_row_swap_matches_fraction_bareiss(rows):
+    _assert_rank_matches_oracle(rows)
+
+
+def test_complex_pivot_after_row_swap():
+    # rows 1 and 2 swap; both pivots are 1+i, so the second step divides by
+    # a complex pivot, through its conjugate and its norm
+    rows = [[0, 1, 2, 3], [GaussianRational(1, 1), 2, I, 0],
+            [1, GaussianRational(0, -1), 5, Fraction(1, 3)],
+            [GaussianRational(2, 2), 4, 2 * I, 0]]
+    assert ExactMatrix(rows).rank() == exact_oracle.rank(ExactMatrix(rows)) == 3
+
+
+def test_rank_of_r32_kaehler_gradient_sets(phi_r16_real):
+    r32 = complete_lift_real(phi_r16_real)
+    alphabet = (0, 1, -1, I, -I, GaussianRational(1, -1))
+    rng = random.Random(32)
+    for _ in range(3):
+        points = [tuple(rng.choice(alphabet) for _ in range(16)) for _ in range(17)]
+        _assert_rank_matches_oracle([gradient_at(r32, p) for p in points])

@@ -4,11 +4,17 @@ from math import comb
 from operator import add, sub
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import poly_oracle as oracle
 from genmaps import random_complex_poly, random_real_poly
-from morphlift.exact import DimensionMismatch, GaussianRational, make_scalar_like
+from morphlift.calculus import PolyMatrix
+from morphlift.exact import (
+    DimensionMismatch,
+    GaussianRational,
+    conjugate,
+    make_scalar_like,
+)
 from morphlift.mapfile import parse_poly
 from morphlift.poly import (
     ConsistencyError,
@@ -95,11 +101,17 @@ def test_wirtinger_against_difference_quotient():
     base = [1, 2, GaussianRational(0, 1), GaussianRational(1, -1),
             1, 2, GaussianRational(0, -1), GaussianRational(1, 1)]
     step = Fraction(1, 7)
+
+    def at(poly, point):
+        # a bumped point is not conjugation-consistent, so evaluate() refuses
+        # it; the term-by-term oracle evaluates any point
+        return oracle.evaluate(dict(poly.terms), point)
+
     for var in (3, 7):
         bumped = list(base)
         bumped[var] = bumped[var] + step
-        quotient = (q._evaluate_raw(bumped) - q._evaluate_raw(base)) / step
-        assert quotient == q.partial(var)._evaluate_raw(base)
+        quotient = (at(q, bumped) - at(q, base)) / step
+        assert quotient == at(q.partial(var), base)
 
 
 @given(real_polys, st.integers(0, 2), st.integers(0, 2))
@@ -453,6 +465,13 @@ def test_partial_conjugate_and_remap_match_the_tuple_oracle(data):
     assert typed(moved.terms) == typed(oracle.remap(terms, target_vars, index_map))
 
 
+def draw_point(data, ring, values):
+    """A point of the ring; in a complex ring zb_k takes conj(z_k)."""
+    num_vars, num_complex = ring
+    head = [data.draw(values) for _ in range(num_complex or num_vars)]
+    return tuple(head + [conjugate(x) for x in head] if num_complex else head)
+
+
 @given(st.data())
 def test_evaluate_matches_the_tuple_oracle(data):
     ring, wide = draw_ring_and_poly(data)
@@ -460,10 +479,67 @@ def test_evaluate_matches_the_tuple_oracle(data):
     units = st.sampled_from((0, 1, -1, I, -I))
     small = data.draw(polys_in(ring, exponents=small_exponents, max_size=6))
     for q, values in ((wide, units), (small, coefficients)):
-        point = tuple(data.draw(values) for _ in range(ring[0]))
-        value = q._evaluate_raw(point)
+        point = draw_point(data, ring, values)
+        value = q.evaluate(point)
         expected = oracle.evaluate(dict(q.terms), point)
         assert value == expected and type(value) is type(expected)
+
+
+# Exponents on both sides of the one- and two-byte field limits, and bases
+# with zero, Fraction and Gaussian coordinates whose powers stay cheap: 0,
+# units, and numbers whose square is a power of two times a unit.
+TABLE_EXPONENTS = st.sampled_from((0, 1, 2, 3, 255, 256, 65535, 65536))
+TABLE_BASES = st.sampled_from((0, 0, 1, -1, I, -I, Fraction(1, 2), Fraction(-2),
+                               GaussianRational(1, -1),
+                               GaussianRational(Fraction(1, 2), Fraction(1, 2))))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_table_evaluation_matches_the_tuple_oracle(data):
+    # several polynomials of one ring at one point, sharing one table, as the
+    # entries of a Jacobian do
+    ring = data.draw(st.sampled_from(RINGS[1:]))
+    point = draw_point(data, ring, TABLE_BASES)
+    table = {}
+    for _ in range(3):
+        q = data.draw(polys_in(ring, exponents=TABLE_EXPONENTS, max_size=3))
+        value = q.evaluate(point, table=table)
+        expected = oracle.evaluate(dict(q.terms), point)
+        assert value == expected and type(value) is type(expected)
+        assert q.evaluate(point) == value
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_matrix_entries_of_different_widths_share_one_table(data):
+    point = tuple(data.draw(TABLE_BASES) for _ in range(3))
+    exponent_sets = (st.integers(0, 3), st.sampled_from((255, 256, 65535)),
+                     st.sampled_from((65536, 65537)))
+    entries = [[data.draw(polys_in((3, 0), exponents=exponents, max_size=3))
+                for exponents in exponent_sets] for _ in range(2)]
+    entries[1][1] = entries[1][1] + MultiPoly(3, {(0, 256, 1): 1})
+    entries[1][2] = entries[1][2] + MultiPoly(3, {(1, 2, 65536): 1})
+    assert [q._width for q in entries[1]] == [1, 2, 3]
+    values = PolyMatrix(entries).evaluate(point)
+    for row, expected_row in zip(values, entries):
+        for value, q in zip(row, expected_row):
+            expected = oracle.evaluate(dict(q.terms), point)
+            assert value == expected and type(value) is type(expected)
+
+
+def test_table_evaluation_keeps_the_consistency_check():
+    q = p("z1*zb1 + z2", 4, 2)
+    matrix = PolyMatrix([[q, q.partial(0)]])
+    for bad in ((I, 1, I, 1), (I, 0, -I, 1)):
+        with pytest.raises(ConsistencyError):
+            q.evaluate(bad, table={})
+        with pytest.raises(ConsistencyError):
+            matrix.evaluate(bad)
+    good = (I, 2, -I, 2)
+    assert matrix.evaluate(good) == [[3, -I]]
+    with pytest.raises(DimensionMismatch):
+        matrix.evaluate((I, 2, -I))
 
 
 @given(st.data())
