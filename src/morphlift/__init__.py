@@ -43,19 +43,16 @@ from .lift import (
     block_jacobian_check,
     complete_lift_complex,
     complete_lift_real,
-    quadratic_complete_lift,
 )
 from .mapfile import MapSyntaxError, parse_map, parse_poly, render_map_source
 from .maps import (
     ComplexPolyMap,
-    QuadraticMap,
     RealPolyMap,
     ShapeError,
     complexify,
     compose,
-    from_quadratic,
+    real_form,
     real_identification,
-    to_quadratic,
 )
 from .numeric import (
     InternalConsistencyError,
@@ -81,11 +78,9 @@ __all__ = [
     "search_points", "span_report",
     "LiftSplit", "MixedPartialObstruction", "NotPartialLinear", "anti_lift",
     "block_jacobian_check", "complete_lift_complex", "complete_lift_real",
-    "quadratic_complete_lift",
     "MapSyntaxError", "parse_map", "parse_poly", "render_map_source",
-    "ComplexPolyMap", "QuadraticMap", "RealPolyMap", "ShapeError",
-    "complexify", "compose", "from_quadratic", "real_identification",
-    "to_quadratic",
+    "ComplexPolyMap", "RealPolyMap", "ShapeError", "complexify", "compose",
+    "real_form", "real_identification",
     "InternalConsistencyError", "ResidualReport", "SamplingError",
     "numeric_check", "numeric_complete_lift", "sample_points",
     "ConsistencyError", "MultiPoly", "render",

@@ -37,8 +37,8 @@ from .maps import (
     RealPolyMap,
     complexify,
     compose,
+    real_form,
     real_identification,
-    to_quadratic,
 )
 from .numeric import numeric_check, numeric_complete_lift, sample_points
 from .poly import render
@@ -371,12 +371,6 @@ def lookup(entry_id: str) -> CatalogEntry:
 # Execution
 # ---------------------------------------------------------------------------
 
-def _real_form(parsed):
-    if isinstance(parsed, ComplexPolyMap):
-        return real_identification(parsed)
-    return parsed
-
-
 def _poly_summary(p, limit: int = 24) -> str:
     if len(p.terms) <= limit:
         return render(p)
@@ -388,7 +382,7 @@ def run_entry(entry_id: str) -> EntryReport:
     entry = lookup(entry_id)
     parsed = parse_map(entry.definition)
     # one span report at the entry's points serves every check that reads it
-    span = cache(lambda: span_report(_real_form(parsed), entry.points))
+    span = cache(lambda: span_report(real_form(parsed), entry.points))
     results = [_run_check(entry, parsed, e, span) for e in entry.expected]
     return EntryReport(entry_id, tuple(results), entry.notes)
 
@@ -401,9 +395,9 @@ def _run_check(entry: CatalogEntry, parsed, expectation: Expectation,
     if check == "holomorphic":
         actual = is_holomorphic(parsed).verdict
     elif check == "harmonic":
-        actual = is_harmonic(_real_form(parsed)).verdict
+        actual = is_harmonic(real_form(parsed)).verdict
     elif check == "hwc":
-        report = hwc_certificate(_real_form(parsed))
+        report = hwc_certificate(real_form(parsed))
         actual = report.verdict
         if report.dilation is not None:
             detail = f"dilation = {_poly_summary(report.dilation)}"
@@ -412,14 +406,14 @@ def _run_check(entry: CatalogEntry, parsed, expectation: Expectation,
                       f"{report.violation.component_l}) = "
                       f"{_poly_summary(report.violation.residual)}")
     elif check == "morphism":
-        report = is_harmonic_morphism(_real_form(parsed))
+        report = is_harmonic_morphism(real_form(parsed))
         actual = report.verdict
         if report.dilation is not None:
             detail = f"dilation = {_poly_summary(report.dilation)}"
     elif check == "hessian-conditions":
-        actual = hessian_conditions(_real_form(parsed)).verdict
+        actual = hessian_conditions(real_form(parsed)).verdict
     elif check == "lift-real-morphism":
-        actual = is_harmonic_morphism(complete_lift_real(_real_form(parsed))).verdict
+        actual = is_harmonic_morphism(complete_lift_real(real_form(parsed))).verdict
     elif check == "lift-complex-morphism":
         lift = complete_lift_complex(parsed)
         actual = is_harmonic_morphism(real_identification(lift)).verdict
@@ -432,12 +426,12 @@ def _run_check(entry: CatalogEntry, parsed, expectation: Expectation,
         actual = tuple(render(c, lift.names()) for c in lift.components)
     elif check == "orthogonal-multiplication":
         first, second = params
-        actual = is_orthogonal_multiplication(_real_form(parsed), first, second).verdict
+        actual = is_orthogonal_multiplication(real_form(parsed), first, second).verdict
     elif check == "block-jacobian":
-        actual = block_jacobian_check(to_quadratic(_real_form(parsed)))
+        actual = block_jacobian_check(real_form(parsed))
     elif check == "antilift-obstruction":
         (split,) = params
-        outcome = anti_lift(_real_form(parsed), LiftSplit(2 * split, split))
+        outcome = anti_lift(real_form(parsed), LiftSplit(2 * split, split))
         if isinstance(outcome, MixedPartialObstruction):
             actual = ("mixed-partial", outcome.component,
                       render(outcome.value_jk), render(outcome.value_kj))
@@ -454,11 +448,11 @@ def _run_check(entry: CatalogEntry, parsed, expectation: Expectation,
         detail = (f"isotropic: {report.isotropy_ok}, pairwise orthogonal: "
                   f"{report.pairwise_orthogonal}")
     elif check == "kaehler-augmented":
-        report = span_report(_real_form(parsed), entry.points + params)
+        report = span_report(real_form(parsed), entry.points + params)
         actual = (report.verdict, report.rank)
     elif check == "kaehler-search":
         budget, seed = params
-        report = search_points(_real_form(parsed), budget, seed)
+        report = search_points(real_form(parsed), budget, seed)
         actual = report.verdict
         detail = f"rank {report.rank} from {len(report.sample_points)} kept points"
     elif check == "numeric-morphism":

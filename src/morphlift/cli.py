@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -37,7 +38,7 @@ from .lift import (
     complete_lift_real,
 )
 from .mapfile import MapSyntaxError, parse_map, parse_points
-from .maps import ComplexPolyMap, RealPolyMap, ShapeError, real_identification
+from .maps import ComplexPolyMap, RealPolyMap, ShapeError, real_form
 from .numeric import (
     InternalConsistencyError,
     SamplingError,
@@ -142,13 +143,12 @@ def _load_map(path: str):
 
 
 def _require_real(parsed, notes: list):
-    if isinstance(parsed, RealPolyMap):
-        return parsed
+    if isinstance(parsed, SmoothMap):
+        raise CliError("this command needs a polynomial map; "
+                       "use numeric-check for smooth maps")
     if isinstance(parsed, ComplexPolyMap):
         notes.append("complex map: checks run on its real identification")
-        return real_identification(parsed)
-    raise CliError("this command needs a polynomial map; "
-                   "use numeric-check for smooth maps")
+    return real_form(parsed)
 
 
 def _numbered(prefix: str, texts) -> list:
@@ -343,12 +343,12 @@ def _kaehler_input(parsed, notes: list) -> RealPolyMap:
         if parsed.codomain_dim != 1:
             raise CliError("kaehler needs a map to C (one complex component)")
         notes.append("complex map: using its real identification")
-        return real_identification(parsed)
-    if isinstance(parsed, RealPolyMap):
+    elif isinstance(parsed, RealPolyMap):
         if parsed.codomain_dim != 2 or parsed.domain_dim % 2:
             raise CliError("kaehler needs a map R^{2m} -> R^2 read as C-valued")
-        return parsed
-    raise CliError("kaehler needs a polynomial map")
+    else:
+        raise CliError("kaehler needs a polynomial map")
+    return real_form(parsed)
 
 
 def _cmd_kaehler(args) -> Report:
@@ -391,6 +391,10 @@ def _cmd_kaehler(args) -> Report:
 
 
 def _cmd_numeric(args) -> Report:
+    if args.points < 1:
+        raise CliError(f"--points must be at least 1, got {args.points}")
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise CliError(f"--tol must be a finite number >= 0, got {args.tol}")
     parsed = _load_map(args.file)
     if isinstance(parsed, (RealPolyMap, ComplexPolyMap)):
         raise CliError("numeric-check is for smooth maps; "

@@ -280,9 +280,6 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(zip(*self.entries)) if self.rows else ExactMatrix([])
 
-    def is_symmetric(self) -> bool:
-        return self == self.transpose()
-
     def rank(self) -> int:
         """Rank by fraction-free (Bareiss) elimination over Z[i], first-nonzero
         pivots, on rows scaled to Gaussian integers."""

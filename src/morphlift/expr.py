@@ -139,16 +139,6 @@ class Conj(Expr):
 
 
 @dataclass(frozen=True, eq=True)
-class Re(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True, eq=True)
-class Im(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True, eq=True)
 class Neg(Expr):
     arg: Expr
 
@@ -273,12 +263,6 @@ def derivative(node: Expr, index: int) -> Expr:
         return div(inner, mul(Const(2), Sqrt(node.arg)))
     if isinstance(node, Conj):
         return conj_node(derivative(node.arg, index))
-    if isinstance(node, Re):
-        inner = derivative(node.arg, index)
-        return ZERO if inner == ZERO else Re(inner)
-    if isinstance(node, Im):
-        inner = derivative(node.arg, index)
-        return ZERO if inner == ZERO else Im(inner)
     raise TypeError(f"unknown node {node!r}")
 
 
@@ -321,10 +305,6 @@ def _eval(node: Expr, point) -> complex:
         return cmath.sqrt(value)
     if isinstance(node, Conj):
         return _eval(node.arg, point).conjugate()
-    if isinstance(node, Re):
-        return complex(_eval(node.arg, point).real, 0.0)
-    if isinstance(node, Im):
-        return complex(_eval(node.arg, point).imag, 0.0)
     if isinstance(node, Neg):
         return -_eval(node.arg, point)
     raise TypeError(f"unknown node {node!r}")
@@ -525,12 +505,6 @@ def _render(node: Expr, names) -> tuple[str, int]:
     if isinstance(node, Conj):
         inner, _ = _render(node.arg, names)
         return f"conj({inner})", _PREC_ATOM
-    if isinstance(node, Re):
-        inner, _ = _render(node.arg, names)
-        return f"re({inner})", _PREC_ATOM
-    if isinstance(node, Im):
-        inner, _ = _render(node.arg, names)
-        return f"im({inner})", _PREC_ATOM
     raise TypeError(f"unknown node {node!r}")
 
 

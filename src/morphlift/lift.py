@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .calculus import jacobian
 from .exact import DimensionMismatch
-from .maps import ComplexPolyMap, QuadraticMap, RealPolyMap
-from .poly import MultiPoly, render
+from .maps import ComplexPolyMap, PolyMap, RealPolyMap, ShapeError
+from .poly import MultiPoly, poly_dot, render
 
 
 @dataclass(frozen=True)
@@ -66,87 +66,56 @@ class MixedPartialObstruction:
 Obstruction = NotPartialLinear | MixedPartialObstruction
 
 
-def complete_lift_real(phi: RealPolyMap) -> RealPolyMap:
+def _complete_lift(phi: PolyMap, fiber: str) -> PolyMap:
+    """sum_j remap(d phi^k / d v_j) * w_j over the m base variables v_j.
+
+    The lift lives on twice the domain dimension, so each block of phi's ring
+    (the z and the zb variables of a complex ring) doubles in width: old
+    variable j keeps its offset in its block, and the fiber variable w_j sits
+    at index m + j of the first block."""
     m = phi.domain_dim
-    index_map = {j: j for j in range(m)}
+    num_vars, num_complex = phi.ring(2 * m)
+    index_map = {j: 2 * m * (j // m) + j % m for j in range(phi.ring(m)[0])}
+    fibers = [MultiPoly.variable(num_vars, m + j, num_complex) for j in range(m)]
     components = []
     for comp in phi.components:
-        lifted = MultiPoly.zero(2 * m)
-        for j in range(m):
-            partial = comp.partial(j)
-            if partial.is_zero:
-                continue
-            extended = partial.remap(2 * m, index_map)
-            lifted = lifted + extended * MultiPoly.variable(2 * m, m + j)
-        components.append(lifted)
-    names = tuple(phi.names()) + tuple(f"y{j + 1}" for j in range(m))
+        partials = [comp.partial(j) for j in range(m)]
+        pairs = [(p.remap(num_vars, index_map, num_complex), w)
+                 for p, w in zip(partials, fibers) if p]
+        components.append(poly_dot(*zip(*pairs)) if pairs
+                          else MultiPoly.zero(num_vars, num_complex))
+    names = phi.names()[:m] + tuple(f"{fiber}{j + 1}" for j in range(m))
     if len(set(names)) != len(names):
-        names = None  # repeated lifting: fall back to canonical x-names
-    return RealPolyMap(2 * m, phi.codomain_dim, components, names)
+        names = None  # repeated lifting: fall back to canonical names
+    return type(phi)(2 * m, phi.codomain_dim, components, names)
+
+
+def complete_lift_real(phi: RealPolyMap) -> RealPolyMap:
+    """The real complete lift, on the variables x_1..x_m, y_1..y_m."""
+    return _complete_lift(phi, "y")
 
 
 def complete_lift_complex(phi: ComplexPolyMap) -> ComplexPolyMap:
     """Lift by holomorphic partials only; fiber variables w_1..w_m (their
     formal conjugates exist in the ring but never occur in the lift)."""
-    m = phi.domain_dim
-    new_vars = 4 * m
-    # old z_j -> j, old zb_j -> 2m + j; fiber w_j -> m + j, wb_j -> 3m + j
-    index_map = {j: j for j in range(m)}
-    index_map.update({m + j: 2 * m + j for j in range(m)})
-    components = []
-    for comp in phi.components:
-        lifted = MultiPoly.zero(new_vars, 2 * m)
-        for j in range(m):
-            partial = comp.partial(j)  # holomorphic Wirtinger partial
-            if partial.is_zero:
-                continue
-            extended = partial.remap(new_vars, index_map, 2 * m)
-            lifted = lifted + extended * MultiPoly.variable(new_vars, m + j, 2 * m)
-        components.append(lifted)
-    if phi.var_names is not None:
-        holo = phi.var_names
-    else:
-        holo = tuple(f"z{j + 1}" for j in range(m))
-    names = holo + tuple(f"w{j + 1}" for j in range(m))
-    if len(set(names)) != len(names):
-        names = None  # repeated lifting: fall back to canonical z-names
-    return ComplexPolyMap(2 * m, phi.codomain_dim, components, names)
+    return _complete_lift(phi, "w")
 
 
-def quadratic_complete_lift(Q: QuadraticMap) -> RealPolyMap:
-    """The bilinear lift (X, Y) -> (2 X^t A_1 Y, ..., 2 X^t A_n Y)."""
-    m = Q.domain_dim
-    components = []
-    for a in Q.matrices:
-        terms: dict = {}
-        for j in range(m):
-            for k in range(m):
-                coeff = 2 * a[j, k]
-                if coeff == 0:
-                    continue
-                exponents = [0] * (2 * m)
-                exponents[j] += 1
-                exponents[m + k] += 1
-                key = tuple(exponents)
-                terms[key] = terms.get(key, 0) + coeff
-        components.append(MultiPoly(2 * m, terms))
-    names = tuple(f"x{j + 1}" for j in range(m)) + tuple(f"y{j + 1}" for j in range(m))
-    return RealPolyMap(2 * m, Q.codomain_dim, components, names)
-
-
-def block_jacobian_check(Q: QuadraticMap) -> bool:
-    """Verify symbolically that J(Phi)(X, Y) = [ J(phi)(Y) | J(phi)(X) ].
+def block_jacobian_check(phi: RealPolyMap) -> bool:
+    """Verify symbolically that J(Phi)(X, Y) = [ J(phi)(Y) | J(phi)(X) ] for
+    the complete lift Phi of a quadratic map phi = (X^t A_1 X, ..., X^t A_n X).
 
     This is the identity that transfers horizontal weak conformality between a
-    quadratic map and its lift; it holds precisely because the A_i are
-    symmetric (enforced on construction).
+    quadratic map and its lift (2 X^t A_1 Y, ..., 2 X^t A_n Y); it holds
+    because each gradient 2 A_i X is linear in X.  A zero component is the
+    form A_i = 0.  Raises ShapeError when a component has a term whose total
+    degree is not 2.
     """
-    from .maps import from_quadratic
-
-    phi = from_quadratic(Q)
-    m = Q.domain_dim
-    lift = quadratic_complete_lift(Q)
-    left = jacobian(lift)
+    for index, comp in enumerate(phi.components, start=1):
+        if any(sum(exponents) != 2 for exponents in comp.terms):
+            raise ShapeError(f"component {index} is not homogeneous of degree 2")
+    m = phi.domain_dim
+    left = jacobian(complete_lift_real(phi))
 
     base_jac = jacobian(phi)
     to_y = {j: m + j for j in range(m)}    # substitute x -> y block

@@ -28,8 +28,6 @@ from .expr import (
     Conj,
     Const,
     Expr,
-    Im,
-    Re,
     SmoothMap,
     Sqrt,
     Var,
@@ -195,11 +193,11 @@ class _Parser:
     def apply_function(self, name: str, arg: Expr, token: tuple) -> Expr:
         if name == "sqrt":
             return Sqrt(arg)
-        if name in ("conj", "re", "im"):
+        if name == "conj":
             if not self.is_complex:
                 raise self.error(f"{name!r} is complex syntax in a declared-real map",
                                  token)
-            return {"conj": Conj, "re": Re, "im": Im}[name](arg)
+            return Conj(arg)
         raise self.error(f"unknown function {name!r}", token)
 
     def lookup(self, name: str, token: tuple) -> Expr:

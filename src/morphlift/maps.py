@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import (
-    DimensionMismatch,
-    ExactMatrix,
-    I,
-    imag_part,
-    real_part,
-)
+from .exact import DimensionMismatch, I, imag_part, real_part
 from .poly import MultiPoly, default_names
 
 
@@ -24,8 +18,10 @@ class ShapeError(ValueError):
     """A map does not have the shape an operation requires."""
 
 
-class RealPolyMap:
-    """A polynomial map R^m -> R^n with exact rational coefficients."""
+class _PolyMap:
+    """A polynomial map whose components live in the ring that ``ring``
+    gives for the domain dimension; immutable, equal to maps of its own kind
+    with the same domain and components."""
 
     __slots__ = ("domain_dim", "codomain_dim", "components", "var_names")
 
@@ -34,8 +30,9 @@ class RealPolyMap:
         components = tuple(components)
         if len(components) != codomain_dim:
             raise DimensionMismatch("component count does not match codomain")
+        ring = self.ring(domain_dim)
         for c in components:
-            if c.num_vars != domain_dim or c.num_complex != 0:
+            if (c.num_vars, c.num_complex) != ring:
                 raise DimensionMismatch("component lives in the wrong ring")
         object.__setattr__(self, "domain_dim", domain_dim)
         object.__setattr__(self, "codomain_dim", codomain_dim)
@@ -44,15 +41,10 @@ class RealPolyMap:
                            tuple(var_names) if var_names is not None else None)
 
     def __setattr__(self, name, value):
-        raise AttributeError("RealPolyMap is immutable")
-
-    def names(self) -> tuple:
-        if self.var_names is not None:
-            return self.var_names
-        return default_names(self.domain_dim)
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
-        if not isinstance(other, RealPolyMap):
+        if type(other) is not type(self):
             return NotImplemented
         return (self.domain_dim == other.domain_dim
                 and self.components == other.components)
@@ -61,34 +53,41 @@ class RealPolyMap:
         return hash((self.domain_dim, self.components))
 
     def __repr__(self):
-        return f"RealPolyMap(R^{self.domain_dim} -> R^{self.codomain_dim})"
+        return (f"{type(self).__name__}({self._field}^{self.domain_dim} -> "
+                f"{self._field}^{self.codomain_dim})")
+
+
+class RealPolyMap(_PolyMap):
+    """A polynomial map R^m -> R^n with exact rational coefficients."""
+
+    __slots__ = ()
+    _field = "R"
+
+    @staticmethod
+    def ring(domain_dim: int) -> tuple[int, int]:
+        """(num_vars, num_complex) of the components of a map on R^m."""
+        return domain_dim, 0
+
+    def names(self) -> tuple:
+        if self.var_names is not None:
+            return self.var_names
+        return default_names(self.domain_dim)
 
     def evaluate(self, point) -> tuple:
         return tuple(c.evaluate(point) for c in self.components)
 
 
-class ComplexPolyMap:
+class ComplexPolyMap(_PolyMap):
     """A polynomial map C^m -> C^n in the variables z_k and their formal
     conjugates zb_k (Gaussian-rational coefficients)."""
 
-    __slots__ = ("domain_dim", "codomain_dim", "components", "var_names")
+    __slots__ = ()
+    _field = "C"
 
-    def __init__(self, domain_dim: int, codomain_dim: int, components,
-                 var_names=None):
-        components = tuple(components)
-        if len(components) != codomain_dim:
-            raise DimensionMismatch("component count does not match codomain")
-        for c in components:
-            if c.num_vars != 2 * domain_dim or c.num_complex != domain_dim:
-                raise DimensionMismatch("component lives in the wrong ring")
-        object.__setattr__(self, "domain_dim", domain_dim)
-        object.__setattr__(self, "codomain_dim", codomain_dim)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "var_names",
-                           tuple(var_names) if var_names is not None else None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexPolyMap is immutable")
+    @staticmethod
+    def ring(domain_dim: int) -> tuple[int, int]:
+        """(num_vars, num_complex) of the components of a map on C^m."""
+        return 2 * domain_dim, domain_dim
 
     def names(self) -> tuple:
         """Full 2m-variable name list (holomorphic block then conjugates)."""
@@ -98,54 +97,8 @@ class ComplexPolyMap:
             holo = tuple(f"z{j + 1}" for j in range(self.domain_dim))
         return holo + tuple(f"{n[0]}b{n[1:]}" for n in holo)
 
-    def __eq__(self, other):
-        if not isinstance(other, ComplexPolyMap):
-            return NotImplemented
-        return (self.domain_dim == other.domain_dim
-                and self.components == other.components)
-
-    def __hash__(self):
-        return hash((self.domain_dim, self.components))
-
-    def __repr__(self):
-        return f"ComplexPolyMap(C^{self.domain_dim} -> C^{self.codomain_dim})"
-
     def evaluate(self, zpoint) -> tuple:
         return tuple(c.evaluate_complex(zpoint) for c in self.components)
-
-
-class QuadraticMap:
-    """A map whose components are the quadratic forms X^t A_i X."""
-
-    __slots__ = ("domain_dim", "codomain_dim", "matrices")
-
-    def __init__(self, matrices):
-        matrices = tuple(matrices)
-        if not matrices:
-            raise DimensionMismatch("a quadratic map needs at least one form")
-        m = matrices[0].rows
-        for a in matrices:
-            if a.rows != m or a.cols != m:
-                raise DimensionMismatch("all forms must be square of equal size")
-            if not a.is_symmetric():
-                raise ShapeError("quadratic form matrix is not symmetric")
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "domain_dim", m)
-        object.__setattr__(self, "codomain_dim", len(matrices))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadraticMap is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, QuadraticMap):
-            return NotImplemented
-        return self.matrices == other.matrices
-
-    def __hash__(self):
-        return hash(self.matrices)
-
-    def __repr__(self):
-        return f"QuadraticMap(R^{self.domain_dim} -> R^{self.codomain_dim})"
 
 
 PolyMap = RealPolyMap | ComplexPolyMap
@@ -160,15 +113,9 @@ def real_identification(phi: ComplexPolyMap) -> RealPolyMap:
     parts under the interleaved identification z_k = x_{2k-1} + i*x_{2k}."""
     m = phi.domain_dim
     real_vars = 2 * m
-    values = []
-    for k in range(m):
-        re_var = MultiPoly.variable(real_vars, 2 * k)
-        im_var = MultiPoly.variable(real_vars, 2 * k + 1)
-        values.append(re_var + im_var.scale(I))
-    for k in range(m):
-        re_var = MultiPoly.variable(real_vars, 2 * k)
-        im_var = MultiPoly.variable(real_vars, 2 * k + 1)
-        values.append(re_var - im_var.scale(I))
+    x = [MultiPoly.variable(real_vars, j) for j in range(real_vars)]
+    values = [x[2 * k] + x[2 * k + 1].scale(I) for k in range(m)]
+    values += [x[2 * k] - x[2 * k + 1].scale(I) for k in range(m)]
     components = []
     for comp in phi.components:
         mixed = comp.compose(values)
@@ -205,78 +152,29 @@ def complexify(phi_r: RealPolyMap) -> ComplexPolyMap:
     return ComplexPolyMap(m, n, components)
 
 
+def real_form(phi):
+    """A complex map's real identification; any other map as it is."""
+    if isinstance(phi, ComplexPolyMap):
+        return real_identification(phi)
+    return phi
+
+
 # ---------------------------------------------------------------------------
 # Composition
 # ---------------------------------------------------------------------------
 
 def compose(outer: PolyMap, inner: PolyMap) -> PolyMap:
     """Exact polynomial composition outer o inner."""
-    if isinstance(outer, RealPolyMap) and isinstance(inner, RealPolyMap):
-        if inner.codomain_dim != outer.domain_dim:
-            raise DimensionMismatch(
-                f"cannot compose: inner codomain {inner.codomain_dim} != "
-                f"outer domain {outer.domain_dim}")
-        values = list(inner.components)
-        return RealPolyMap(inner.domain_dim, outer.codomain_dim,
-                           [c.compose(values) for c in outer.components],
-                           inner.var_names)
-    if isinstance(outer, ComplexPolyMap) and isinstance(inner, ComplexPolyMap):
-        if inner.codomain_dim != outer.domain_dim:
-            raise DimensionMismatch(
-                f"cannot compose: inner codomain {inner.codomain_dim} != "
-                f"outer domain {outer.domain_dim}")
-        values = list(inner.components)
+    if type(outer) is not type(inner) or not isinstance(outer, _PolyMap):
+        raise DimensionMismatch("can only compose maps of matching kind "
+                                "(real with real, complex with complex)")
+    if inner.codomain_dim != outer.domain_dim:
+        raise DimensionMismatch(
+            f"cannot compose: inner codomain {inner.codomain_dim} != "
+            f"outer domain {outer.domain_dim}")
+    values = list(inner.components)
+    if isinstance(inner, ComplexPolyMap):
         values.extend(c.conjugate_poly() for c in inner.components)
-        return ComplexPolyMap(inner.domain_dim, outer.codomain_dim,
-                              [c.compose(values) for c in outer.components],
-                              inner.var_names)
-    raise DimensionMismatch("can only compose maps of matching kind "
-                            "(real with real, complex with complex)")
-
-
-# ---------------------------------------------------------------------------
-# Quadratic normal form
-# ---------------------------------------------------------------------------
-
-def to_quadratic(phi: RealPolyMap) -> QuadraticMap:
-    """Extract the symmetric matrices A_i of a homogeneous degree-2 map."""
-    m = phi.domain_dim
-    matrices = []
-    for index, comp in enumerate(phi.components, start=1):
-        rows = [[Fraction(0)] * m for _ in range(m)]
-        if comp.is_zero:
-            raise ShapeError(f"component {index} is zero, not degree 2")
-        for exponents, coeff in comp.terms.items():
-            if sum(exponents) != 2:
-                raise ShapeError(
-                    f"component {index} is not homogeneous of degree 2")
-            support = [j for j, e in enumerate(exponents) if e]
-            if len(support) == 1:
-                j = support[0]
-                rows[j][j] = Fraction(coeff)
-            else:
-                j, k = support
-                half = Fraction(coeff) / 2
-                rows[j][k] += half
-                rows[k][j] += half
-        matrices.append(ExactMatrix(rows))
-    return QuadraticMap(matrices)
-
-
-def from_quadratic(Q: QuadraticMap) -> RealPolyMap:
-    """Expand each X^t A_i X back into a polynomial component."""
-    m = Q.domain_dim
-    components = []
-    for a in Q.matrices:
-        terms: dict = {}
-        for j in range(m):
-            for k in range(j, m):
-                coeff = a[j, k] if j == k else a[j, k] + a[k, j]
-                if coeff == 0:
-                    continue
-                exponents = [0] * m
-                exponents[j] += 1
-                exponents[k] += 1
-                terms[tuple(exponents)] = terms.get(tuple(exponents), 0) + coeff
-        components.append(MultiPoly(m, terms))
-    return RealPolyMap(m, Q.codomain_dim, components)
+    return type(outer)(inner.domain_dim, outer.codomain_dim,
+                       [c.compose(values) for c in outer.components],
+                       inner.var_names)

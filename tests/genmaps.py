@@ -6,8 +6,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from morphlift.exact import ExactMatrix, GaussianRational
-from morphlift.maps import ComplexPolyMap, QuadraticMap, RealPolyMap
+from morphlift.exact import GaussianRational
+from morphlift.maps import ComplexPolyMap, RealPolyMap
 from morphlift.poly import MultiPoly
 
 
@@ -162,16 +162,41 @@ def random_complex_map(rng: random.Random, num_complex: int, codomain: int,
          for _ in range(codomain)])
 
 
-def random_quadratic_map(rng: random.Random, num_vars: int,
-                         codomain: int) -> QuadraticMap:
+def random_symmetric_matrices(rng: random.Random, num_vars: int,
+                              codomain: int) -> list:
+    """``codomain`` symmetric integer matrices A_i (as row lists), each the
+    sum of a random matrix and its transpose; about 0.3 % of them are 0 for
+    num_vars = 2."""
     matrices = []
     for _ in range(codomain):
         upper = [[rng.randint(-3, 3) for _ in range(num_vars)]
                  for _ in range(num_vars)]
-        rows = [[upper[i][j] + upper[j][i] for j in range(num_vars)]
-                for i in range(num_vars)]
-        matrices.append(ExactMatrix(rows))
-    return QuadraticMap(matrices)
+        matrices.append([[upper[i][j] + upper[j][i] for j in range(num_vars)]
+                         for i in range(num_vars)])
+    return matrices
+
+
+def quadratic_map(matrices: list) -> RealPolyMap:
+    """The map X -> (X^t A_1 X, ..., X^t A_n X) of symmetric matrices."""
+    m = len(matrices[0])
+    components = []
+    for a in matrices:
+        terms: dict = {}
+        for j in range(m):
+            for k in range(j, m):
+                exponents = [0] * m
+                exponents[j] += 1
+                exponents[k] += 1
+                terms[tuple(exponents)] = a[j][k] if j == k else a[j][k] + a[k][j]
+        components.append(MultiPoly(m, terms))
+    return RealPolyMap(m, len(matrices), components)
+
+
+def random_quadratic_map(rng: random.Random, num_vars: int,
+                         codomain: int) -> RealPolyMap:
+    """A homogeneous quadratic map from random symmetric matrices (see
+    :func:`random_symmetric_matrices`)."""
+    return quadratic_map(random_symmetric_matrices(rng, num_vars, codomain))
 
 
 def random_rational_point(rng: random.Random, length: int) -> tuple:

@@ -21,7 +21,6 @@ from morphlift.maps import (
     ShapeError,
     compose,
     real_identification,
-    to_quadratic,
 )
 from morphlift.poly import MultiPoly, render
 
@@ -291,7 +290,7 @@ def test_quadratic_morphism_lifts_pass(quaternion_real):
     maps.append(_hopf())
     maps.append(quaternion_real)
     for phi in maps:
-        to_quadratic(phi)  # homogeneous degree 2, by construction
+        assert all(sum(e) == 2 for c in phi.components for e in c.terms)
         assert is_harmonic_morphism(phi).verdict
         assert is_harmonic_morphism(complete_lift_real(phi)).verdict
 

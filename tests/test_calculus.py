@@ -38,17 +38,16 @@ def test_jacobian_rows_of_zwbar_real_form():
 
 def test_jacobian_of_quadratic_map_rows():
     # rows are 2 X^t A_i for X^t A_i X components
-    from genmaps import random_quadratic_map
-    from morphlift.maps import from_quadratic
+    from genmaps import quadratic_map, random_symmetric_matrices
     rng = random.Random(3)
-    quadratic = random_quadratic_map(rng, 3, 2)
-    phi = from_quadratic(quadratic)
+    matrices = random_symmetric_matrices(rng, 3, 2)
+    phi = quadratic_map(matrices)
     j = jacobian(phi)
-    for i, a in enumerate(quadratic.matrices):
+    for i, a in enumerate(matrices):
         for k in range(3):
             expected = MultiPoly.zero(3)
             for l in range(3):
-                expected = expected + MultiPoly.variable(3, l).scale(2 * a[l, k])
+                expected = expected + MultiPoly.variable(3, l).scale(2 * a[l][k])
             assert j[i, k] == expected
 
 

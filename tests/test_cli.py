@@ -344,7 +344,20 @@ def test_unknown_subcommand_exits_2():
     (["lift"], "--real --complex"),
     (["check", "--orthogonal-multiplication", "--blocks=-8,16"],
      "error: block sizes -8,16 must be positive"),
-], ids=["lift-without-kind", "non-positive-block"])
+    # a verdict from no points, or against a NaN tolerance, means nothing
+    (["numeric-check", "--points", "0", "--seed", "1", "--tol", "1e-8"],
+     "error: --points must be at least 1, got 0\n"),
+    (["numeric-check", "--points", "-3", "--seed", "1", "--tol", "1e-8"],
+     "error: --points must be at least 1, got -3\n"),
+    (["numeric-check", "--points", "5", "--seed", "1", "--tol", "nan"],
+     "error: --tol must be a finite number >= 0, got nan\n"),
+    (["numeric-check", "--points", "5", "--seed", "1", "--tol", "inf"],
+     "error: --tol must be a finite number >= 0, got inf\n"),
+    (["numeric-check", "--points", "5", "--seed", "1", "--tol=-0.5"],
+     "error: --tol must be a finite number >= 0, got -0.5\n"),
+], ids=["lift-without-kind", "non-positive-block", "zero-points",
+        "negative-points", "nan-tolerance", "infinite-tolerance",
+        "negative-tolerance"])
 def test_usage_error_exits_2(quaternion_file, capsys, argv, message):
     code, text = run_cli([*argv, quaternion_file])
     assert code == 2

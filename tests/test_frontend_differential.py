@@ -18,7 +18,6 @@ from morphlift.expr import (
     Conj,
     Const,
     Div,
-    Im,
     Mul,
     Neg,
     Pow,
@@ -180,7 +179,7 @@ def _trees(num_vars, complex_ring, with_errors=False):
         if with_errors:
             nodes.extend([st.builds(Div, inner, inner), st.builds(Sqrt, inner),
                           st.builds(Pow, inner, st.integers(-2, -1)),
-                          st.builds(Conj, inner), st.builds(Im, inner)])
+                          st.builds(Conj, inner)])
         return st.one_of(*nodes)
 
     return st.recursive(leaf, extend, max_leaves=24)
@@ -221,7 +220,7 @@ def test_lowering_matches_oracle_in_complex_rings(data, num_complex):
 @given(st.data(), st.integers(0, 2), st.booleans())
 def test_lowering_errors_match_oracle(data, num_vars, complex_ring):
     # out-of-range variables, division, square roots, negative powers, conj
-    # in a real ring and im(): the same exception with the same message
+    # in a real ring: the same exception with the same message
     ring = (2 * num_vars, num_vars) if complex_ring else (num_vars, 0)
     node = data.draw(_trees(ring[0], complex_ring, with_errors=True))
     _assert_same_lowering(node, *ring)

@@ -6,10 +6,14 @@ from hypothesis import given, settings, strategies as st
 from genmaps import (
     random_complex_map,
     random_harmonic_map,
+    quadratic_map,
     random_quadratic_map,
     random_real_map,
+    random_symmetric_matrices,
 )
+import lift_oracle
 from morphlift.calculus import antiholomorphic_jacobian, laplacian
+from morphlift.catalog import entry_ids, lookup
 from morphlift.exact import DimensionMismatch
 from morphlift.lift import (
     LiftSplit,
@@ -19,15 +23,15 @@ from morphlift.lift import (
     block_jacobian_check,
     complete_lift_complex,
     complete_lift_real,
-    quadratic_complete_lift,
 )
 from morphlift.mapfile import parse_map, parse_poly
 from morphlift.maps import (
+    ComplexPolyMap,
     RealPolyMap,
+    ShapeError,
     complexify,
     compose,
     real_identification,
-    to_quadratic,
 )
 from morphlift.poly import MultiPoly, render
 
@@ -119,24 +123,40 @@ def test_complex_lift_of_zwbar_corrects_printed_index():
 # Quadratic lift
 # ---------------------------------------------------------------------------
 
-def test_quadratic_lift_agrees_with_general_lift():
-    zw = parse_map("map f: C^2 -> C^1 { f1 = z1*z2; }")
-    real = real_identification(zw)
-    quadratic = to_quadratic(real)
-    assert quadratic_complete_lift(quadratic) == complete_lift_real(real)
+def _bilinear_lift(matrices):
+    """(X, Y) -> (2 X^t A_1 Y, ..., 2 X^t A_n Y), expanded from the matrices."""
+    m = len(matrices[0])
+    x = [MultiPoly.variable(2 * m, j) for j in range(m)]
+    y = [MultiPoly.variable(2 * m, m + j) for j in range(m)]
+    components = []
+    for a in matrices:
+        total = MultiPoly.zero(2 * m)
+        for j in range(m):
+            for k in range(m):
+                total = total + (x[j] * y[k]).scale(2 * a[j][k])
+        components.append(total)
+    return RealPolyMap(2 * m, len(matrices), components)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_quadratic_lift_agrees_with_general_lift(seed):
+    # the complete lift of (X^t A_i X) is (2 X^t A_i Y)
+    rng = random.Random(seed)
+    matrices = random_symmetric_matrices(rng, rng.randint(1, 4), rng.randint(1, 3))
+    lift = complete_lift_real(quadratic_map(matrices))
+    assert lift == _bilinear_lift(matrices)
 
 
 def test_block_jacobian_check_hopf():
     hopf = parse_map("map h: R^4 -> R^3 { h1 = x1^2 + x2^2 - x3^2 - x4^2; "
                      "h2 = 2*x1*x3 - 2*x2*x4; h3 = 2*x1*x4 + 2*x2*x3; }")
-    assert block_jacobian_check(to_quadratic(hopf))
+    assert block_jacobian_check(hopf)
 
 
 def test_identity_form_lift_is_euler_pairing():
-    from morphlift.exact import ExactMatrix
-    from morphlift.maps import QuadraticMap
-    quadratic = QuadraticMap([ExactMatrix.identity(3)])
-    lift = quadratic_complete_lift(quadratic)
+    identity = [[int(j == k) for k in range(3)] for j in range(3)]
+    lift = complete_lift_real(quadratic_map([identity]))
     assert lift.components[0] == parse_poly(
         "2*x1*x4 + 2*x2*x5 + 2*x3*x6", 6)
 
@@ -145,8 +165,21 @@ def test_identity_form_lift_is_euler_pairing():
 @settings(max_examples=30, deadline=None)
 def test_block_jacobian_check_random_symmetric_families(seed):
     rng = random.Random(seed)
-    quadratic = random_quadratic_map(rng, rng.randint(2, 4), rng.randint(1, 3))
-    assert block_jacobian_check(quadratic)
+    phi = random_quadratic_map(rng, rng.randint(2, 4), rng.randint(1, 3))
+    assert block_jacobian_check(phi)
+
+
+def test_block_jacobian_check_rejects_inhomogeneous():
+    phi = RealPolyMap(1, 1, [parse_poly("x1^2 + x1", 1)])
+    with pytest.raises(ShapeError, match="component 1 is not homogeneous"):
+        block_jacobian_check(phi)
+
+
+def test_block_jacobian_check_accepts_a_zero_component():
+    zero = [[0, 0], [0, 0]]
+    phi = quadratic_map([[[1, 2], [2, -1]], zero])
+    assert phi.components[1].is_zero
+    assert block_jacobian_check(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -284,3 +317,71 @@ def test_lifts_agree_for_zw_but_not_quaternion(quaternion, q_r_complex):
     assert complete_lift_complex(zw) == \
         complexify(complete_lift_real(real_identification(zw)))
     assert complete_lift_complex(quaternion) != q_r_complex
+
+
+# ---------------------------------------------------------------------------
+# The shared lift kernel against the loops it replaced
+# ---------------------------------------------------------------------------
+
+def _assert_same_lift(phi):
+    """Both lifts of phi (the complex one on its real form as well) equal the
+    old loops' lifts term by term in dict order, with the same coefficient
+    types and variable names; returns the new lift."""
+    if isinstance(phi, ComplexPolyMap):
+        _assert_same_lift(real_identification(phi))
+        new, old = complete_lift_complex(phi), lift_oracle.complete_lift_complex(phi)
+    else:
+        new, old = complete_lift_real(phi), lift_oracle.complete_lift_real(phi)
+    assert type(new) is type(old)
+    assert (new.domain_dim, new.codomain_dim) == (old.domain_dim, old.codomain_dim)
+    for p, q in zip(new.components, old.components, strict=True):
+        # anti_lift's NotPartialLinear witness is the first term in this order
+        assert list(p.terms.items()) == list(q.terms.items())
+        assert list(map(type, p.terms.values())) == list(map(type, q.terms.values()))
+        assert (p.num_vars, p.num_complex) == (q.num_vars, q.num_complex)
+    assert new.var_names == old.var_names
+    assert new.names() == old.names()
+    return new
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_lift_kernel_matches_the_old_loops_on_seeded_maps(seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 4), rng.randint(1, 3)
+    maps = [random_real_map(rng, m, n),
+            random_harmonic_map(rng, rng.randint(2, 4), n, max_degree=3),
+            random_quadratic_map(rng, m, n),
+            random_complex_map(rng, rng.randint(1, 3), n),
+            random_complex_map(rng, rng.randint(1, 3), n, holomorphic_only=True)]
+    for phi in maps:
+        lifted = _assert_same_lift(phi)
+        # lifting again repeats the fiber names: both fall back to canonical ones
+        assert _assert_same_lift(lifted).var_names is None
+
+
+def test_lift_kernel_matches_the_old_loops_on_named_variables():
+    real = RealPolyMap(2, 1, [parse_poly("x1^2*x2 - 3", 2)], ("a", "b"))
+    assert _assert_same_lift(real).names() == ("a", "b", "y1", "y2")
+    clash = RealPolyMap(2, 1, [parse_poly("x1*x2", 2)], ("x1", "y1"))
+    assert _assert_same_lift(clash).var_names is None
+    zw = parse_map("map f: C^2 -> C^1 { f1 = z1*z2 + conj(z1); }")
+    named = ComplexPolyMap(2, 1, zw.components, ("u", "v"))
+    assert _assert_same_lift(named).names() == (
+        "u", "v", "w1", "w2", "ub", "vb", "wb1", "wb2")
+    constant = RealPolyMap(2, 2, [parse_poly("5", 2), MultiPoly.zero(2)])
+    assert _assert_same_lift(constant).components == (MultiPoly.zero(4),) * 2
+
+
+def test_lift_kernel_matches_the_old_loops_on_the_catalog():
+    for entry_id in entry_ids():
+        phi = parse_map(lookup(entry_id).definition)
+        if isinstance(phi, (RealPolyMap, ComplexPolyMap)):
+            _assert_same_lift(phi)
+
+
+def test_lift_kernel_matches_the_old_loops_on_the_ladder(phi_r16, phi_r16_real):
+    _assert_same_lift(phi_r16)
+    r32 = _assert_same_lift(phi_r16_real)
+    r64 = _assert_same_lift(r32)
+    assert [len(c.terms) for c in r64.components] == [1472, 1472]

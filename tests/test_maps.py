@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,16 +9,14 @@ from genmaps import (
     random_rational_point,
     random_real_map,
 )
-from morphlift.exact import DimensionMismatch, ExactMatrix, GaussianRational
+from morphlift.exact import DimensionMismatch, GaussianRational
 from morphlift.mapfile import parse_map, parse_poly
 from morphlift.maps import (
+    ComplexPolyMap,
     RealPolyMap,
-    ShapeError,
     complexify,
     compose,
-    from_quadratic,
     real_identification,
-    to_quadratic,
 )
 I = GaussianRational(0, 1)
 
@@ -180,38 +177,8 @@ def test_complex_composition_matches_real_route(seed):
 
 
 # ---------------------------------------------------------------------------
-# Quadratic normal form
+# Quadratic maps
 # ---------------------------------------------------------------------------
-
-def test_to_quadratic_of_zw_real_form():
-    zw = parse_map("map f: C^2 -> C^1 { f1 = z1*z2; }")
-    quadratic = to_quadratic(real_identification(zw))
-    half = Fraction(1, 2)
-    a1 = quadratic.matrices[0]
-    assert a1[0, 2] == half and a1[2, 0] == half
-    assert a1[1, 3] == -half and a1[3, 1] == -half
-    assert a1[0, 0] == 0 and a1[1, 1] == 0
-
-
-def test_to_quadratic_hopf_first_form():
-    hopf = parse_map("map h: R^4 -> R^3 { h1 = x1^2 + x2^2 - x3^2 - x4^2; "
-                     "h2 = 2*x1*x3 - 2*x2*x4; h3 = 2*x1*x4 + 2*x2*x3; }")
-    quadratic = to_quadratic(hopf)
-    assert quadratic.matrices[0] == ExactMatrix(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]])
-
-
-def test_to_quadratic_rejects_inhomogeneous():
-    phi = RealPolyMap(1, 1, [real_poly("x1^2 + x1", 1)])
-    with pytest.raises(ShapeError):
-        to_quadratic(phi)
-
-
-def test_quadratic_round_trip():
-    rng = random.Random(5)
-    quadratic = random_quadratic_map(rng, 4, 3)
-    assert to_quadratic(from_quadratic(quadratic)) == quadratic
-
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=50, deadline=None)
@@ -219,8 +186,7 @@ def test_euler_identity_for_quadratic_maps(seed):
     # J(phi)(x) * x = 2*phi(x) for homogeneous degree-2 maps
     from morphlift.calculus import jacobian
     rng = random.Random(seed)
-    quadratic = random_quadratic_map(rng, 3, 2)
-    phi = from_quadratic(quadratic)
+    phi = random_quadratic_map(rng, 3, 2)
     point = random_rational_point(rng, 3)
     j = jacobian(phi)
     for i in range(phi.codomain_dim):
@@ -230,9 +196,36 @@ def test_euler_identity_for_quadratic_maps(seed):
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=50, deadline=None)
-def test_from_quadratic_components_homogeneous(seed):
+def test_random_quadratic_map_components_homogeneous(seed):
     rng = random.Random(seed)
-    quadratic = random_quadratic_map(rng, 3, 2)
-    phi = from_quadratic(quadratic)
+    phi = random_quadratic_map(rng, 3, 2)
     for comp in phi.components:
         assert all(sum(e) == 2 for e in comp.terms)
+
+
+# ---------------------------------------------------------------------------
+# The two map kinds
+# ---------------------------------------------------------------------------
+
+def test_map_kinds_share_checks_equality_hash_and_repr():
+    zw = parse_map("map f: C^2 -> C^1 { f1 = z1*z2; }")
+    real = real_identification(zw)
+    assert repr(zw) == "ComplexPolyMap(C^2 -> C^1)"
+    assert repr(real) == "RealPolyMap(R^4 -> R^2)"
+    assert zw == parse_map("map g: C^2 -> C^1 { g1 = z2*z1; }")
+    assert hash(zw) == hash(parse_map("map g: C^2 -> C^1 { g1 = z2*z1; }"))
+    assert real == RealPolyMap(4, 2, real.components, ("a", "b", "c", "d"))
+    # a real map never equals a complex one, even on the same variables
+    ident_c = parse_map("map f: C^1 -> C^1 { f1 = z1; }")
+    ident_r = RealPolyMap(2, 1, [real_poly("x1", 2)])
+    assert ident_c != ident_r and ident_r != ident_c
+    assert RealPolyMap(1, 0, []) != ComplexPolyMap(1, 0, [])
+    for phi, name in ((zw, "ComplexPolyMap"), (real, "RealPolyMap")):
+        with pytest.raises(AttributeError, match=f"{name} is immutable"):
+            phi.domain_dim = 7
+    with pytest.raises(DimensionMismatch):
+        RealPolyMap(2, 1, [parse_poly("z1", 2, 1)])
+    with pytest.raises(DimensionMismatch):
+        ComplexPolyMap(1, 1, [real_poly("x1", 2)])
+    with pytest.raises(DimensionMismatch):
+        RealPolyMap(2, 2, [real_poly("x1", 2)])
