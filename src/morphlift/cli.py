@@ -352,6 +352,8 @@ def _kaehler_input(parsed, notes: list) -> RealPolyMap:
 
 
 def _cmd_kaehler(args) -> Report:
+    if args.search and args.budget < 1:
+        raise CliError(f"--budget must be at least 1, got {args.budget}")
     parsed = _load_map(args.file)
     notes: list[str] = []
     real_map = _kaehler_input(parsed, notes)

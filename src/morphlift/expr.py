@@ -3,6 +3,14 @@
 Carries the maps the polynomial representation cannot (division, sqrt), with
 symbolic differentiation and IEEE-double evaluation.  Polynomial trees lower
 exactly to :class:`~morphlift.poly.MultiPoly`.
+
+Floats come from one evaluator.  :func:`compile_tape` interns the nodes of
+the trees a caller needs, so structurally equal subtrees share one slot, and
+lists the slots in the order a recursive evaluator would visit them;
+:meth:`Tape.run` computes each slot once per point in a flat loop and yields
+each output as soon as it is done.  :func:`eval_float` is a tape of one
+output.  Differentiation, evaluation and rendering walk the trees with
+explicit stacks, so a sum thousands of terms deep needs no recursion.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .exact import (
     DimensionMismatch,
@@ -143,6 +151,10 @@ class Neg(Expr):
     arg: Expr
 
 
+_BINARY = (Add, Sub, Mul, Div)
+_UNARY = (Sqrt, Conj, Neg)
+
+
 def describe(node: Expr) -> str:
     return type(node).__name__.lower()
 
@@ -235,79 +247,216 @@ def conj_node(arg: Expr) -> Expr:
 # Symbolic differentiation
 # ---------------------------------------------------------------------------
 
-def derivative(node: Expr, index: int) -> Expr:
-    if isinstance(node, Const):
-        return ZERO
-    if isinstance(node, Var):
-        return ONE if node.index == index else ZERO
-    if isinstance(node, Add):
-        return add(derivative(node.left, index), derivative(node.right, index))
-    if isinstance(node, Sub):
-        return sub(derivative(node.left, index), derivative(node.right, index))
-    if isinstance(node, Neg):
-        return neg(derivative(node.arg, index))
-    if isinstance(node, Mul):
-        return add(mul(derivative(node.left, index), node.right),
-                   mul(node.left, derivative(node.right, index)))
-    if isinstance(node, Div):
-        du = derivative(node.left, index)
-        dv = derivative(node.right, index)
-        numerator = sub(mul(node.right, du), mul(node.left, dv))
-        return div(numerator, power(node.right, 2))
-    if isinstance(node, Pow):
-        inner = derivative(node.base, index)
-        return mul(mul(Const(node.exponent), power(node.base, node.exponent - 1)),
-                   inner)
-    if isinstance(node, Sqrt):
-        inner = derivative(node.arg, index)
-        return div(inner, mul(Const(2), Sqrt(node.arg)))
-    if isinstance(node, Conj):
-        return conj_node(derivative(node.arg, index))
+def _children(node: Expr) -> tuple:
+    kind = type(node)
+    if kind in _BINARY:
+        return (node.left, node.right)
+    if kind is Pow:
+        return (node.base,)
+    if kind in _UNARY:
+        return (node.arg,)
+    if kind is Const or kind is Var:
+        return ()
     raise TypeError(f"unknown node {node!r}")
 
 
+def derivative(node: Expr, index: int) -> Expr:
+    """d(node)/dx_index, built with the smart constructors above.
+
+    The tree is walked with an explicit stack, so a long sum needs no
+    recursion, and a node object reached twice is differentiated once.
+    """
+    done: dict = {}     # id(inner node) -> its derivative; the tree keeps ids alive
+    results: list = []  # derivatives of the finished operands, the left one first
+    pending = [node]
+    while pending:
+        item = pending.pop()
+        kind = type(item)
+        if kind is tuple:       # (node,): its operands' derivatives are on top
+            top = item[0]
+            if type(top) in _BINARY:
+                right = results.pop()
+                d = _derive(top, [results.pop(), right], index)
+            else:
+                d = _derive(top, [results.pop()], index)
+            done[id(top)] = d
+            results.append(d)
+        elif kind is Const:
+            results.append(ZERO)
+        elif kind is Var:
+            results.append(ONE if item.index == index else ZERO)
+        elif id(item) in done:
+            results.append(done[id(item)])
+        else:
+            pending.append((item,))
+            pending.extend(reversed(_children(item)))
+    return results[0]
+
+
+def _derive(node: Expr, d: list, index: int) -> Expr:
+    """The derivative of an inner node given those of its operands, ``d``."""
+    kind = type(node)
+    if kind is Add:
+        return add(d[0], d[1])
+    if kind is Sub:
+        return sub(d[0], d[1])
+    if kind is Neg:
+        return neg(d[0])
+    if kind is Mul:
+        return add(mul(d[0], node.right), mul(node.left, d[1]))
+    if kind is Div:
+        numerator = sub(mul(node.right, d[0]), mul(node.left, d[1]))
+        return div(numerator, power(node.right, 2))
+    if kind is Pow:
+        return mul(mul(Const(node.exponent), power(node.base, node.exponent - 1)),
+                   d[0])
+    if kind is Sqrt:
+        return div(d[0], mul(Const(2), Sqrt(node.arg)))
+    return conj_node(d[0])      # Conj
+
+
 # ---------------------------------------------------------------------------
-# Floating-point evaluation
+# Floating-point evaluation on a tape
 # ---------------------------------------------------------------------------
+
+# Tape instructions are (op, a, b) triples; slot i holds instruction i's value.
+(_CONST, _VAR, _ADD, _SUB, _MUL, _DIV, _POW, _SQRT, _CONJ, _NEG, _NONZERO,
+ _CONVERT) = range(12)
+_BINARY_OPS = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
+_UNARY_OPS = {Sqrt: _SQRT, Conj: _CONJ, Neg: _NEG}
+_EXPAND, _EMIT, _CHECK = range(3)
+
+
+class Tape:
+    """Expression trees compiled to one list of slots, run by a flat loop.
+
+    Built by :func:`compile_tape`.  ``segments`` holds, per output, the
+    instructions that output adds to the tape and the slot of its root.
+    """
+
+    __slots__ = ("segments",)
+
+    def __init__(self, segments: list):
+        self.segments = segments
+
+    def run(self, point: Sequence[Union[float, complex]]) -> Iterator[complex]:
+        """Yield each output's value at ``point``, in order, as soon as its
+        slots are done; a caller that stops early evaluates nothing of the
+        later outputs.  Raises :class:`EvalDomainError` where the recursive
+        reading of the trees would: at the first failing node, or at a root
+        that is not finite."""
+        values: list = []
+        push = values.append
+        isfinite = math.isfinite
+        for code, root in self.segments:
+            for op, a, b in code:
+                if op == _MUL:
+                    push(values[a] * values[b])
+                elif op == _ADD:
+                    push(values[a] + values[b])
+                elif op == _VAR:
+                    push(complex(point[a]))
+                elif op == _CONST:
+                    push(a)
+                elif op == _SUB:
+                    push(values[a] - values[b])
+                elif op == _POW:
+                    base = values[a]
+                    if b < 0 and base == 0:
+                        raise EvalDomainError("zero raised to a negative power")
+                    push(base ** b)
+                elif op == _NONZERO:
+                    if values[a] == 0:
+                        raise EvalDomainError("division by zero")
+                    push(None)
+                elif op == _DIV:
+                    push(values[a] / values[b])
+                elif op == _NEG:
+                    push(-values[a])
+                elif op == _SQRT:
+                    value = values[a]
+                    if value.imag == 0 and value.real < 0:
+                        raise EvalDomainError("square root of a negative real")
+                    push(cmath.sqrt(value))
+                elif op == _CONJ:
+                    push(values[a].conjugate())
+                else:   # _CONVERT: a constant no float can hold raises here
+                    push(to_complex(a))
+            value = values[root]
+            if not (isfinite(value.real) and isfinite(value.imag)):
+                raise EvalDomainError("evaluation produced a non-finite value")
+            yield value
+
+
+def compile_tape(outputs: Sequence[Expr]) -> Tape:
+    """Compile the trees ``outputs`` to one :class:`Tape`.
+
+    Nodes are interned by (kind, child slots, payload), hash-consing in the
+    way of Filliatre & Conchon (2006), so structurally equal subtrees share a
+    slot even when they are different objects; constants are keyed by their
+    exact value.  The slots follow the order in which a recursive evaluator
+    visits the trees: post-order, left before right, except that ``Div``
+    evaluates its denominator, checks it is nonzero, then its numerator.  A
+    slot already on the tape is not evaluated again, so each distinct node
+    costs one step per point (the tape of Griewank & Walther, *Evaluating
+    Derivatives*, 2008) and the walk needs no recursion.
+    """
+    slots: dict = {}        # (op, a, b) with exact payloads -> slot
+    slot_of: dict = {}      # id(node) -> slot; the outputs keep ids alive
+    segments = []
+    for root in outputs:
+        code = []
+        stack = [(root, _EXPAND)]
+        while stack:
+            node, action = stack.pop()
+            if action == _EXPAND:
+                if id(node) in slot_of:
+                    continue
+                stack.append((node, _EMIT))
+                if type(node) is Div:
+                    stack += [(node.left, _EXPAND), (node.right, _CHECK),
+                              (node.right, _EXPAND)]
+                else:
+                    stack.extend((child, _EXPAND)
+                                 for child in reversed(_children(node)))
+                continue
+            if action == _CHECK:
+                key = instruction = (_NONZERO, slot_of[id(node)], None)
+            else:
+                key, instruction = _instruction(node, slot_of)
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = len(slots)
+                code.append(instruction)
+            if action == _EMIT:
+                slot_of[id(node)] = slot
+        segments.append((code, slot_of[id(root)]))
+    return Tape(segments)
+
+
+def _instruction(node: Expr, slot_of: dict) -> tuple:
+    """(interning key, instruction) of a node whose children have slots."""
+    kind = type(node)
+    if kind is Const:
+        key = (_CONST, node.value, None)
+        try:
+            return key, (_CONST, to_complex(node.value), None)
+        except OverflowError:
+            return key, (_CONVERT, node.value, None)
+    if kind is Var:
+        key = (_VAR, node.index, None)
+    elif kind is Pow:
+        key = (_POW, slot_of[id(node.base)], node.exponent)
+    elif kind in _BINARY_OPS:
+        key = (_BINARY_OPS[kind], slot_of[id(node.left)], slot_of[id(node.right)])
+    else:
+        key = (_UNARY_OPS[kind], slot_of[id(node.arg)], None)
+    return key, key
+
 
 def eval_float(node: Expr, point: Sequence[Union[float, complex]]) -> complex:
-    value = _eval(node, point)
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise EvalDomainError("evaluation produced a non-finite value")
+    (value,) = compile_tape((node,)).run(point)
     return value
-
-
-def _eval(node: Expr, point) -> complex:
-    if isinstance(node, Const):
-        return to_complex(node.value)
-    if isinstance(node, Var):
-        return complex(point[node.index])
-    if isinstance(node, Add):
-        return _eval(node.left, point) + _eval(node.right, point)
-    if isinstance(node, Sub):
-        return _eval(node.left, point) - _eval(node.right, point)
-    if isinstance(node, Mul):
-        return _eval(node.left, point) * _eval(node.right, point)
-    if isinstance(node, Div):
-        denominator = _eval(node.right, point)
-        if denominator == 0:
-            raise EvalDomainError("division by zero")
-        return _eval(node.left, point) / denominator
-    if isinstance(node, Pow):
-        base = _eval(node.base, point)
-        if node.exponent < 0 and base == 0:
-            raise EvalDomainError("zero raised to a negative power")
-        return base ** node.exponent
-    if isinstance(node, Sqrt):
-        value = _eval(node.arg, point)
-        if value.imag == 0 and value.real < 0:
-            raise EvalDomainError("square root of a negative real")
-        return cmath.sqrt(value)
-    if isinstance(node, Conj):
-        return _eval(node.arg, point).conjugate()
-    if isinstance(node, Neg):
-        return -_eval(node.arg, point)
-    raise TypeError(f"unknown node {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -463,49 +612,77 @@ def render_expr(node: Expr, names: Sequence[str]) -> str:
     return text
 
 
-def _render_at(node: Expr, names, minimum: int) -> str:
-    text, prec = _render(node, names)
-    return f"({text})" if prec < minimum else text
-
-
-def _render(node: Expr, names) -> tuple[str, int]:
-    if isinstance(node, Const):
-        text = render_scalar(node.value)
-        if imag_part(node.value) != 0 or real_part(node.value) < 0 \
-                or isinstance(real_part(node.value), Fraction):
-            return text, _PREC_ADD  # forces parentheses in tighter contexts
-        return text, _PREC_ATOM
-    if isinstance(node, Var):
-        return names[node.index], _PREC_ATOM
-    if isinstance(node, Add):
-        left, _ = _render(node.left, names)
-        right = _render_at(node.right, names, _PREC_MUL)
-        return f"{left} + {right}", _PREC_ADD
-    if isinstance(node, Sub):
-        left, _ = _render(node.left, names)
-        right = _render_at(node.right, names, _PREC_MUL)
-        return f"{left} - {right}", _PREC_ADD
-    if isinstance(node, Mul):
-        left = _render_at(node.left, names, _PREC_MUL)
-        right = _render_at(node.right, names, _PREC_MUL)
-        return f"{left}*{right}", _PREC_MUL
-    if isinstance(node, Div):
-        left = _render_at(node.left, names, _PREC_MUL)
-        right = _render_at(node.right, names, _PREC_UNARY)
-        return f"{left}/{right}", _PREC_MUL
-    if isinstance(node, Neg):
-        inner = _render_at(node.arg, names, _PREC_UNARY)
-        return f"-{inner}", _PREC_UNARY
-    if isinstance(node, Pow):
-        base = _render_at(node.base, names, _PREC_ATOM)
-        return f"{base}^{node.exponent}", _PREC_POW
-    if isinstance(node, Sqrt):
-        inner, _ = _render(node.arg, names)
-        return f"sqrt({inner})", _PREC_ATOM
-    if isinstance(node, Conj):
-        inner, _ = _render(node.arg, names)
-        return f"conj({inner})", _PREC_ATOM
-    raise TypeError(f"unknown node {node!r}")
+def _render(root: Expr, names) -> tuple[str, int]:
+    """(text, precedence) of a tree, without recursion: the nodes are listed
+    in pre-order, then joined in the reverse order, each node popping its
+    operands' texts (the left one first) off a stack."""
+    order = []
+    pending = [root]
+    while pending:
+        node = pending.pop()
+        order.append(node)
+        kind = type(node)
+        if kind in _BINARY:
+            pending.append(node.right)
+            pending.append(node.left)
+        elif kind is Pow:
+            pending.append(node.base)
+        elif kind in _UNARY:
+            pending.append(node.arg)
+        elif kind is not Const and kind is not Var:
+            raise TypeError(f"unknown node {node!r}")
+    done: list = []
+    push, pop = done.append, done.pop
+    for node in reversed(order):
+        kind = type(node)
+        if kind is Var:
+            push((names[node.index], _PREC_ATOM))
+            continue
+        if kind is Const:
+            value = node.value
+            text = render_scalar(value)
+            if imag_part(value) != 0 or real_part(value) < 0 \
+                    or isinstance(real_part(value), Fraction):
+                push((text, _PREC_ADD))     # parenthesized in tighter contexts
+            else:
+                push((text, _PREC_ATOM))
+            continue
+        left, left_prec = pop()
+        if kind in _BINARY:
+            right, right_prec = pop()
+            if kind is Mul:
+                if left_prec < _PREC_MUL:
+                    left = f"({left})"
+                if right_prec < _PREC_MUL:
+                    right = f"({right})"
+                push((f"{left}*{right}", _PREC_MUL))
+            elif kind is Add:
+                if right_prec < _PREC_MUL:
+                    right = f"({right})"
+                push((f"{left} + {right}", _PREC_ADD))
+            elif kind is Sub:
+                if right_prec < _PREC_MUL:
+                    right = f"({right})"
+                push((f"{left} - {right}", _PREC_ADD))
+            else:
+                if left_prec < _PREC_MUL:
+                    left = f"({left})"
+                if right_prec < _PREC_UNARY:
+                    right = f"({right})"
+                push((f"{left}/{right}", _PREC_MUL))
+        elif kind is Pow:
+            if left_prec < _PREC_ATOM:
+                left = f"({left})"
+            push((f"{left}^{node.exponent}", _PREC_POW))
+        elif kind is Neg:
+            if left_prec < _PREC_UNARY:
+                left = f"({left})"
+            push((f"-{left}", _PREC_UNARY))
+        elif kind is Sqrt:
+            push((f"sqrt({left})", _PREC_ATOM))
+        else:
+            push((f"conj({left})", _PREC_ATOM))
+    return done[0]
 
 
 # ---------------------------------------------------------------------------
@@ -541,15 +718,20 @@ class SmoothMap:
         return tuple(f"x{j + 1}" for j in range(self.domain_dim))
 
     def guard_values(self, point) -> list[float]:
-        return [eval_float(g, point).real for g in self.guards]
+        return [value.real for value in compile_tape(self.guards).run(point)]
 
     def check_guards(self, point, margin: float = 0.0) -> None:
-        for g in self.guards:
-            value = eval_float(g, point)
+        self.check_guard_values(compile_tape(self.guards).run(point), margin)
+
+    def check_guard_values(self, values: Iterator[complex],
+                           margin: float = 0.0) -> None:
+        """Take one value per guard from ``values``, in order, and raise at
+        the first that is not above ``margin``, before taking the next."""
+        for g, value in zip(self.guards, values):
             if value.real <= margin:
                 raise EvalDomainError(
                     f"guard {render_expr(g, self.names())} violated at sample point")
 
     def __call__(self, point) -> list[complex]:
         self.check_guards(point)
-        return [eval_float(c, point) for c in self.components]
+        return list(compile_tape(self.components).run(point))

@@ -5,6 +5,11 @@ Derivatives are always symbolic (two applications for the Laplacian, never
 nested finite differences), so only evaluation roundoff remains; a central
 finite difference cross-checks every first derivative once per run.  Results
 are falsification/confirmation evidence, not proofs, and reports say so.
+
+A check compiles the guards and the derivatives it needs into one
+:class:`~morphlift.expr.Tape` and runs it once per point, so each distinct
+node is evaluated once per point.  The values, and every error, are those of
+evaluating the trees one by one.  No points is an error, not a pass.
 """
 
 from __future__ import annotations
@@ -12,7 +17,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .expr import EvalDomainError, SmoothMap, Var, add, derivative, eval_float, mul
+from .expr import (
+    EvalDomainError,
+    SmoothMap,
+    Tape,
+    Var,
+    add,
+    compile_tape,
+    derivative,
+    mul,
+)
 
 
 class SamplingError(RuntimeError):
@@ -50,12 +64,14 @@ def numeric_complete_lift(phi: SmoothMap) -> SmoothMap:
     return SmoothMap(2 * m, tuple(components), phi.guards, names)
 
 
-def _finite_difference(comp, point, j, step=1e-6):
+def _finite_difference(tape: Tape, point, j, step=1e-6):
     forward = list(point)
     backward = list(point)
     forward[j] += step
     backward[j] -= step
-    return (eval_float(comp, forward) - eval_float(comp, backward)) / (2 * step)
+    (up,) = tape.run(forward)
+    (down,) = tape.run(backward)
+    return (up - down) / (2 * step)
 
 
 def numeric_check(phi: SmoothMap, points, tolerance: float) -> ResidualReport:
@@ -64,42 +80,49 @@ def numeric_check(phi: SmoothMap, points, tolerance: float) -> ResidualReport:
     The squared dilation has no closed form here, so per point it is
     estimated as the mean diagonal of G = J J^t; the conformality residual
     then measures the distance of G from that multiple of the identity.
+
+    One tape holds the guards, then the second and the first derivatives,
+    and runs once per point.  Each guard's margin is checked before any node
+    of a later output is evaluated, so every error is the one that
+    evaluating the trees one by one, in that order, would raise.
     """
+    points = [tuple(p) for p in points]
+    if not points:
+        raise ValueError("numeric_check needs at least one point")
     m = phi.domain_dim
     n = phi.codomain_dim
-    first = [[derivative(c, j) for j in range(m)] for c in phi.components]
-    second = [[derivative(first[k][j], j) for j in range(m)]
-              for k in range(n)]
+    first = [derivative(c, j) for c in phi.components for j in range(m)]
+    second = [derivative(first[k * m + j], j) for k in range(n) for j in range(m)]
+    tape = compile_tape([*phi.guards, *second, *first])
 
-    points = [tuple(p) for p in points]
-    if points:
-        # cross-check every symbolic first derivative at the first point
-        p0 = points[0]
-        phi.check_guards(p0)
-        for k in range(n):
-            for j in range(m):
-                symbolic = eval_float(first[k][j], p0)
-                numeric = _finite_difference(phi.components[k], p0, j)
-                scale = max(1.0, abs(symbolic))
-                if abs(symbolic - numeric) > 1e-4 * scale:
-                    raise InternalConsistencyError(
-                        f"d(component {k + 1})/dx{j + 1}: symbolic "
-                        f"{symbolic:.6g} vs finite difference {numeric:.6g}")
+    # cross-check every symbolic first derivative at the first point
+    p0 = points[0]
+    phi.check_guards(p0)
+    symbolic_values = compile_tape(first).run(p0)
+    for k, comp in enumerate(phi.components):
+        comp_tape = compile_tape((comp,))
+        for j in range(m):
+            symbolic = next(symbolic_values)
+            numeric = _finite_difference(comp_tape, p0, j)
+            scale = max(1.0, abs(symbolic))
+            if abs(symbolic - numeric) > 1e-4 * scale:
+                raise InternalConsistencyError(
+                    f"d(component {k + 1})/dx{j + 1}: symbolic "
+                    f"{symbolic:.6g} vs finite difference {numeric:.6g}")
 
     laplacian_max = [0.0] * n
     conformality_max = 0.0
     witness = None
     for point in points:
-        phi.check_guards(point)
+        values = tape.run(point)
+        phi.check_guard_values(values)
         for k in range(n):
-            residual = abs(sum(eval_float(second[k][j], point).real
-                               for j in range(m)))
+            residual = abs(sum(next(values).real for _ in range(m)))
             if residual > laplacian_max[k]:
                 laplacian_max[k] = residual
             if residual > tolerance and witness is None:
                 witness = point
-        jac = [[eval_float(first[k][j], point).real for j in range(m)]
-               for k in range(n)]
+        jac = [[next(values).real for _ in range(m)] for _ in range(n)]
         g = [[sum(jac[k][i] * jac[l][i] for i in range(m)) for l in range(n)]
              for k in range(n)]
         dilation = sum(g[k][k] for k in range(n)) / n
@@ -120,7 +143,10 @@ def sample_points(phi: SmoothMap, count: int, seed: int, box,
                   margin: float = 1e-6) -> list[tuple]:
     """Deterministic guarded sampling: uniform draws in the box, rejecting
     points whose guard values fall below the margin."""
+    if count < 0:
+        raise ValueError(f"cannot sample {count} points")
     bounds = _normalize_box(box, phi.domain_dim)
+    guard_tape = compile_tape(phi.guards)
     rng = random.Random(seed)
     points: list[tuple] = []
     attempts = 0
@@ -133,7 +159,7 @@ def sample_points(phi: SmoothMap, count: int, seed: int, box,
         attempts += 1
         point = tuple(rng.uniform(lo, hi) for lo, hi in bounds)
         try:
-            guard_values = phi.guard_values(point)
+            guard_values = [value.real for value in guard_tape.run(point)]
         except EvalDomainError:
             continue
         if all(value >= margin for value in guard_values):

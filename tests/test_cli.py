@@ -355,9 +355,14 @@ def test_unknown_subcommand_exits_2():
      "error: --tol must be a finite number >= 0, got inf\n"),
     (["numeric-check", "--points", "5", "--seed", "1", "--tol=-0.5"],
      "error: --tol must be a finite number >= 0, got -0.5\n"),
+    # a search with no budget draws no points and proves nothing either
+    (["kaehler", "--search", "--budget", "0"],
+     "error: --budget must be at least 1, got 0\n"),
+    (["kaehler", "--search", "--budget=-5"],
+     "error: --budget must be at least 1, got -5\n"),
 ], ids=["lift-without-kind", "non-positive-block", "zero-points",
         "negative-points", "nan-tolerance", "infinite-tolerance",
-        "negative-tolerance"])
+        "negative-tolerance", "zero-budget", "negative-budget"])
 def test_usage_error_exits_2(quaternion_file, capsys, argv, message):
     code, text = run_cli([*argv, quaternion_file])
     assert code == 2
@@ -388,6 +393,21 @@ def test_flat_sum_of_20000_terms_lifts(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().err == ""
     assert text.splitlines()[1] == "  F1 = 20000*y1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["lift", "--real"],
+    ["numeric-check", "--points", "5", "--seed", "1", "--tol", "1e-8"],
+], ids=["lift", "numeric-check"])
+def test_long_smooth_sum_exits_0(tmp_path, capsys, argv):
+    # a smooth map is differentiated, rendered and evaluated without
+    # recursion, so a sum 5000 deep is no harder than a short one
+    path = tmp_path / "long.map"
+    path.write_text(f"map f: R^1 -> R^1 {{ f1 = {' + '.join(['x1'] * 5000)} + 1/x1; }}")
+    code, text = run_cli([*argv, str(path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert text
 
 
 def test_r32_rung_json_lift_reparses_to_the_r64_rung(tmp_path):

@@ -37,6 +37,11 @@ def test_sampling_count_zero():
         parse_map("map f: C^1 -> C^1 { f1 = z1; }"))), 0, 1, (-1, 1)) == []
 
 
+def test_sampling_negative_count_is_an_error(stereographic):
+    with pytest.raises(ValueError, match="^cannot sample -3 points$"):
+        sample_points(stereographic, -3, seed=1, box=(-2.0, 2.0))
+
+
 def test_sampling_degenerate_box_fails(stereographic):
     box = [(0.0, 0.0), (0.0, 0.0), (0.0, 1.0)]
     with pytest.raises(SamplingError):
@@ -59,6 +64,12 @@ def test_stereographic_is_numerically_a_morphism(stereographic):
     assert report.verdict
     assert max(report.laplacian_residuals) <= 1e-8
     assert report.conformality_residual <= 1e-8
+
+
+def test_numeric_check_without_points_is_an_error(stereographic):
+    # no evidence must not read as a pass
+    with pytest.raises(ValueError, match="^numeric_check needs at least one point$"):
+        numeric_check(stereographic, [], 1e-8)
 
 
 def test_laplacian_failure_is_detected():

@@ -1,0 +1,304 @@
+"""Differential tests of the float pipeline against ``expr_oracle``: the
+compiled tape against recursive evaluation (one output and several), the
+iterative derivative and renderer against the recursive ones, and
+``numeric_check`` reports against the one-tree-at-a-time check."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import expr_oracle as oracle
+from morphlift.catalog import lookup
+from morphlift.exact import GaussianRational
+from morphlift.expr import (
+    Add,
+    Conj,
+    Const,
+    Div,
+    EvalDomainError,
+    Mul,
+    Neg,
+    Pow,
+    SmoothMap,
+    Sqrt,
+    Sub,
+    Var,
+    compile_tape,
+    derivative,
+    eval_float,
+    poly_to_expr,
+    render_expr,
+)
+from morphlift.mapfile import parse_map
+from morphlift.maps import real_identification
+from morphlift.numeric import numeric_check, numeric_complete_lift, sample_points
+
+NUM_VARS = 3
+NAMES = ("x1", "x2", "x3")
+MAX_TREE_SIZE = 200     # nodes of the tree a DAG unfolds to; the oracle recurses
+
+constants = st.one_of(
+    st.integers(-6, 6),
+    st.sampled_from([2 ** 53, 2 ** 53 + 1, 10 ** 400, -(3 ** 700)]),
+    st.fractions(min_value=-10, max_value=10, max_denominator=12),
+    st.sampled_from([Fraction(10 ** 400, 3), Fraction(1, 10 ** 400)]),
+    st.builds(GaussianRational,
+              st.fractions(min_value=-3, max_value=3, max_denominator=4),
+              st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+)
+leaves = st.one_of(st.builds(Const, constants),
+                   st.builds(Var, st.integers(0, NUM_VARS - 1)))
+coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0,
+                     1e200, -1e200, 1e-200, 1e155, complex(0.0, 1.0)]),
+    st.floats(-4.0, 4.0))
+points = st.lists(coordinates, min_size=NUM_VARS, max_size=NUM_VARS)
+
+
+def _size(node) -> int:
+    if isinstance(node, (Const, Var)):
+        return 1
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return 1 + _size(node.left) + _size(node.right)
+    if isinstance(node, Pow):
+        return 1 + _size(node.base)
+    return 1 + _size(node.arg)
+
+
+def _rebuilt(node):
+    """A structurally equal tree of new node objects."""
+    kind = type(node)
+    if kind is Const:
+        return Const(node.value)
+    if kind is Var:
+        return Var(node.index)
+    if kind in (Add, Sub, Mul, Div):
+        return kind(_rebuilt(node.left), _rebuilt(node.right))
+    if kind is Pow:
+        return Pow(_rebuilt(node.base), node.exponent)
+    return kind(_rebuilt(node.arg))
+
+
+@st.composite
+def dags(draw):
+    """A pool of nodes built bottom up from earlier ones: every node kind,
+    shared subtrees (one object used twice) and structurally equal distinct
+    objects (rebuilt copies)."""
+    pool = [draw(leaves) for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 24))):
+        small = [node for node in pool if _size(node) <= MAX_TREE_SIZE // 2]
+
+        def pick():
+            return draw(st.sampled_from(small))
+        kind = draw(st.sampled_from(
+            [Add, Sub, Mul, Div, Pow, Sqrt, Conj, Neg, "copy", "leaf"]))
+        if kind in (Add, Sub, Mul, Div):
+            node = kind(pick(), pick())
+        elif kind is Pow:
+            node = Pow(pick(), draw(st.integers(-3, 4)))
+        elif kind in (Sqrt, Conj, Neg):
+            node = kind(pick())
+        elif kind == "copy":
+            node = _rebuilt(pick())
+        else:
+            node = draw(leaves)
+        pool.append(node)
+    return pool
+
+
+def _outcome(evaluate):
+    """repr of the values, or the type and message of the first exception."""
+    try:
+        return "value", repr(evaluate())
+    except (ArithmeticError, IndexError) as error:
+        return "raises", type(error), str(error)
+
+
+def _oracle_values(outputs, point):
+    return [oracle.eval_float(node, point) for node in outputs]
+
+
+# ---------------------------------------------------------------------------
+# Evaluation
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(dags(), points)
+def test_single_output_matches_recursive_evaluation(pool, point):
+    root = pool[-1]
+    assert _outcome(lambda: eval_float(root, point)) \
+        == _outcome(lambda: oracle.eval_float(root, point))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dags(), st.data(), points)
+def test_several_outputs_match_recursive_evaluation_in_order(pool, data, point):
+    outputs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    tape = compile_tape(outputs)
+    assert _outcome(lambda: list(tape.run(point))) \
+        == _outcome(lambda: _oracle_values(outputs, point))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dags(), st.data(), points)
+def test_a_tape_stops_where_its_caller_stops(pool, data, point):
+    # outputs after the first value the caller takes are not evaluated
+    outputs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    tail = Div(Const(1), Sub(Var(0), Var(0)))       # always divides by zero
+    values = compile_tape([*outputs, tail]).run(point)
+    expected = _outcome(lambda: _oracle_values(outputs, point))
+    assert _outcome(lambda: [next(values) for _ in outputs]) == expected
+
+
+@pytest.mark.parametrize("outputs, point, message", [
+    # a Div evaluates and checks its denominator before its numerator
+    ([Div(Sqrt(Var(0)), Var(1))], [-1.0, 0.0], "division by zero"),
+    ([Div(Sqrt(Var(0)), Var(1))], [-1.0, 2.0], "square root of a negative real"),
+    # a root is checked as soon as it is done, before a later output runs
+    ([Mul(Var(0), Var(0)), Div(Const(1), Var(1))], [1e200, 0.0],
+     "evaluation produced a non-finite value"),
+    ([Div(Const(1), Var(1)), Mul(Var(0), Var(0))], [1e200, 0.0],
+     "division by zero"),
+    # a constant no float can hold raises where it is evaluated, not before
+    ([Div(Const(1), Var(0)), Const(10 ** 400)], [0.0, 0.0], "division by zero"),
+    ([Pow(Var(0), -1), Const(10 ** 400)], [0.0, 0.0],
+     "zero raised to a negative power"),
+])
+def test_errors_come_in_evaluation_order(outputs, point, message):
+    with pytest.raises(EvalDomainError, match=f"^{message}$"):
+        list(compile_tape(outputs).run(point))
+    with pytest.raises(EvalDomainError, match=f"^{message}$"):
+        _oracle_values(outputs, point)
+
+
+def test_an_infinite_intermediate_with_a_finite_root_is_not_an_error():
+    x = Var(0)
+    (value,) = compile_tape([Div(Const(1), Mul(x, x))]).run([1e200])
+    assert value == 0j == oracle.eval_float(Div(Const(1), Mul(x, x)), [1e200])
+
+
+def test_constants_are_interned_by_exact_value():
+    # one float, two exact values: two slots (plus nothing else)
+    tape = compile_tape([Const(2 ** 53), Const(2 ** 53 + 1), Const(2 ** 53)])
+    assert [len(code) for code, _ in tape.segments] == [1, 1, 0]
+    assert [root for _, root in tape.segments] == [0, 1, 0]
+
+
+def test_structurally_equal_subtrees_share_one_slot():
+    def radius():
+        return Sqrt(Var(0) * Var(0) + Var(1) * Var(1))
+    tape = compile_tape([radius() / Var(1), Var(0) / radius()])
+    # y, y != 0, x, x*x, y*y, sum, sqrt, quotient; then sqrt != 0, quotient
+    assert [len(code) for code, _ in tape.segments] == [8, 2]
+
+
+@pytest.mark.parametrize("catalog_map", [False, True], ids=["map", "lift"])
+def test_stereographic_values_match_at_sampled_points(stereographic, catalog_map):
+    phi = numeric_complete_lift(stereographic) if catalog_map else stereographic
+    outputs = [*phi.guards, *phi.components,
+               *(derivative(c, j) for c in phi.components
+                 for j in range(phi.domain_dim))]
+    tape = compile_tape(outputs)
+    for point in sample_points(phi, 100, seed=7, box=(-2.0, 2.0)):
+        assert repr(list(tape.run(point))) == repr(_oracle_values(outputs, point))
+
+
+# ---------------------------------------------------------------------------
+# Differentiation and rendering
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(dags(), st.integers(0, NUM_VARS - 1))
+def test_derivative_matches_recursive_derivative(pool, index):
+    root = pool[-1]
+    derived = derivative(root, index)
+    expected = oracle.derivative(root, index)
+    assert derived == expected
+    assert render_expr(derived, NAMES) == oracle.render_expr(expected, NAMES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dags())
+def test_render_matches_recursive_render(pool):
+    for node in pool:
+        assert render_expr(node, NAMES) == oracle.render_expr(node, NAMES)
+
+
+def test_deep_sum_differentiates_and_renders_without_recursion():
+    total = Var(0)
+    for _ in range(20000):
+        total = Add(total, Mul(Var(0), Var(1)))
+    assert render_expr(derivative(total, 1), NAMES).count("x1") == 20000
+    (value,) = compile_tape([total]).run([2.0, 3.0])
+    assert value == 2.0 + 20000 * 6.0
+
+
+# ---------------------------------------------------------------------------
+# numeric_check reports
+# ---------------------------------------------------------------------------
+
+def _as_smooth(real_map) -> SmoothMap:
+    return SmoothMap(real_map.domain_dim,
+                     tuple(poly_to_expr(c) for c in real_map.components))
+
+
+def _report_maps():
+    stereographic = parse_map(lookup("ex1.4.iv-hyperbolic-stereographic").definition)
+    linear = _as_smooth(parse_map(
+        "map f: R^2 -> R^2 { f1 = x1 + x2; f2 = x1 - x2; }"))
+    return {
+        "stereographic": stereographic,
+        "stereographic-lift": numeric_complete_lift(stereographic),
+        "laplacian-fails": parse_map(
+            "map f: R^2 -> R^2 { f1 = x1^2; f2 = x2; guard x1 + 10; }"),
+        "projection": _as_smooth(parse_map(
+            "map p: R^4 -> R^2 { p1 = x1; p2 = x2; }")),
+        "zw": _as_smooth(real_identification(
+            parse_map("map f: C^2 -> C^1 { f1 = z1*z2; }"))),
+        "linear-lift": numeric_complete_lift(linear),
+        "quotient": parse_map("map f: R^3 -> R^2 { f1 = sqrt(x1^2 + x2^2 + 1)"
+                              "/(x3 + 5); f2 = x1*x2/(x1^2 + 1); guard x3 + 5; }"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_report_maps()))
+def test_numeric_check_report_matches_the_recursive_check(name):
+    phi = _report_maps()[name]
+    for seed, tolerance in [(7, 1e-8), (3, 1e-12)]:
+        points = sample_points(phi, 60, seed, (-2.0, 2.0))
+        report = numeric_check(phi, points, tolerance)
+        expected = oracle.numeric_check(phi, points, tolerance)
+        for field in report.__dataclass_fields__:
+            assert repr(getattr(report, field)) == repr(getattr(expected, field))
+
+
+@pytest.mark.parametrize("points, message", [
+    # the first point fails its guard in the cross-check
+    ([(0.0, 1.0)], "guard x1 violated at sample point"),
+    # a later point fails its guard before any derivative, which would divide
+    # by zero there, is evaluated
+    ([(1.0, 1.0), (0.0, 1.0)], "guard x1 violated at sample point"),
+    ([(1.0, 1.0), (-0.0, 1.0)], "guard x1 violated at sample point"),
+    # the guard holds, the second derivative divides by zero
+    ([(1.0, 1.0), (1.0, 0.0)], "division by zero"),
+])
+def test_numeric_check_errors_match_the_recursive_check(points, message):
+    phi = parse_map("map f: R^2 -> R^1 { f1 = x2/x1 + 1/x2; guard x1; }")
+    with pytest.raises(EvalDomainError, match=f"^{message}$"):
+        numeric_check(phi, points, 1e-8)
+    with pytest.raises(EvalDomainError, match=f"^{message}$"):
+        oracle.numeric_check(phi, points, 1e-8)
+
+
+def test_sampled_points_come_from_one_guard_tape(stereographic):
+    rng = random.Random(5)
+    for _ in range(200):
+        point = [rng.uniform(-2, 2) for _ in range(3)]
+        try:
+            expected = [oracle.eval_float(g, point).real
+                        for g in stereographic.guards]
+        except EvalDomainError:
+            continue
+        assert repr(stereographic.guard_values(point)) == repr(expected)
