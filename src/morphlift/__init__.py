@@ -18,7 +18,6 @@ from .calculus import (
     hessian,
     jacobian,
     laplacian,
-    wirtinger_jacobian,
 )
 from .exact import (
     DimensionMismatch,
@@ -31,7 +30,6 @@ from .kaehler import (
     INCONCLUSIVE,
     NOT_KAEHLER,
     KaehlerReport,
-    gradient_at,
     search_points,
     span_report,
 )
@@ -71,11 +69,11 @@ __all__ = [
     "is_harmonic", "is_harmonic_morphism", "is_holomorphic",
     "is_orthogonal_multiplication",
     "PolyMatrix", "antiholomorphic_jacobian", "complex_gradient",
-    "hessian", "jacobian", "laplacian", "wirtinger_jacobian",
+    "hessian", "jacobian", "laplacian",
     "DimensionMismatch", "ExactMatrix", "GaussianRational", "bilinear_dot",
     "EvalDomainError", "Expr", "NotPolynomial", "SmoothMap",
-    "INCONCLUSIVE", "NOT_KAEHLER", "KaehlerReport", "gradient_at",
-    "search_points", "span_report",
+    "INCONCLUSIVE", "NOT_KAEHLER", "KaehlerReport", "search_points",
+    "span_report",
     "LiftSplit", "MixedPartialObstruction", "NotPartialLinear", "anti_lift",
     "block_jacobian_check", "complete_lift_complex", "complete_lift_real",
     "MapSyntaxError", "parse_map", "parse_poly", "render_map_source",

@@ -49,9 +49,6 @@ class PolyMatrix:
     def __repr__(self):
         return f"PolyMatrix({self.rows}x{self.cols})"
 
-    def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(zip(*self.entries)) if self.rows else PolyMatrix([])
-
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
@@ -92,12 +89,6 @@ def laplacian(p: MultiPoly) -> MultiPoly:
     for i in range(p.num_vars):
         total = total + p.partial(i).partial(i)
     return total
-
-
-def wirtinger_jacobian(phi: ComplexPolyMap) -> PolyMatrix:
-    """Holomorphic Jacobian: entry (i, j) = formal partial of component i by z_j."""
-    return PolyMatrix([[c.partial(j) for j in range(phi.domain_dim)]
-                       for c in phi.components])
 
 
 def antiholomorphic_jacobian(phi: ComplexPolyMap) -> PolyMatrix:

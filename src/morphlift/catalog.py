@@ -381,23 +381,25 @@ def _poly_summary(p, limit: int = 24) -> str:
 def run_entry(entry_id: str) -> EntryReport:
     entry = lookup(entry_id)
     parsed = parse_map(entry.definition)
+    real = real_form(parsed)
     # one span report at the entry's points serves every check that reads it
-    span = cache(lambda: span_report(real_form(parsed), entry.points))
-    results = [_run_check(entry, parsed, e, span) for e in entry.expected]
+    span = cache(lambda: span_report(real, entry.points))
+    results = [_run_check(entry, parsed, real, e, span) for e in entry.expected]
     return EntryReport(entry_id, tuple(results), entry.notes)
 
 
-def _run_check(entry: CatalogEntry, parsed, expectation: Expectation,
+def _run_check(entry: CatalogEntry, parsed, real, expectation: Expectation,
                span) -> CheckResult:
+    """One expectation on the parsed map, whose real form is ``real``."""
     check, params, expected = expectation.check, expectation.params, expectation.expected
     detail = ""
 
     if check == "holomorphic":
         actual = is_holomorphic(parsed).verdict
     elif check == "harmonic":
-        actual = is_harmonic(real_form(parsed)).verdict
+        actual = is_harmonic(real).verdict
     elif check == "hwc":
-        report = hwc_certificate(real_form(parsed))
+        report = hwc_certificate(real)
         actual = report.verdict
         if report.dilation is not None:
             detail = f"dilation = {_poly_summary(report.dilation)}"
@@ -406,32 +408,32 @@ def _run_check(entry: CatalogEntry, parsed, expectation: Expectation,
                       f"{report.violation.component_l}) = "
                       f"{_poly_summary(report.violation.residual)}")
     elif check == "morphism":
-        report = is_harmonic_morphism(real_form(parsed))
+        report = is_harmonic_morphism(real)
         actual = report.verdict
         if report.dilation is not None:
             detail = f"dilation = {_poly_summary(report.dilation)}"
     elif check == "hessian-conditions":
-        actual = hessian_conditions(real_form(parsed)).verdict
+        actual = hessian_conditions(real).verdict
     elif check == "lift-real-morphism":
-        actual = is_harmonic_morphism(complete_lift_real(real_form(parsed))).verdict
+        actual = is_harmonic_morphism(complete_lift_real(real)).verdict
     elif check == "lift-complex-morphism":
         lift = complete_lift_complex(parsed)
         actual = is_harmonic_morphism(real_identification(lift)).verdict
     elif check == "lifts-agree":
         lift = complete_lift_complex(parsed)
-        roundtrip = complexify(complete_lift_real(real_identification(parsed)))
+        roundtrip = complexify(complete_lift_real(real))
         actual = lift == roundtrip
     elif check == "complex-lift-equals":
         lift = complete_lift_complex(parsed)
         actual = tuple(render(c, lift.names()) for c in lift.components)
     elif check == "orthogonal-multiplication":
         first, second = params
-        actual = is_orthogonal_multiplication(real_form(parsed), first, second).verdict
+        actual = is_orthogonal_multiplication(real, first, second).verdict
     elif check == "block-jacobian":
-        actual = block_jacobian_check(real_form(parsed))
+        actual = block_jacobian_check(real)
     elif check == "antilift-obstruction":
         (split,) = params
-        outcome = anti_lift(real_form(parsed), LiftSplit(2 * split, split))
+        outcome = anti_lift(real, LiftSplit(2 * split, split))
         if isinstance(outcome, MixedPartialObstruction):
             actual = ("mixed-partial", outcome.component,
                       render(outcome.value_jk), render(outcome.value_kj))
@@ -448,11 +450,11 @@ def _run_check(entry: CatalogEntry, parsed, expectation: Expectation,
         detail = (f"isotropic: {report.isotropy_ok}, pairwise orthogonal: "
                   f"{report.pairwise_orthogonal}")
     elif check == "kaehler-augmented":
-        report = span_report(real_form(parsed), entry.points + params)
+        report = span_report(real, entry.points + params)
         actual = (report.verdict, report.rank)
     elif check == "kaehler-search":
         budget, seed = params
-        report = search_points(real_form(parsed), budget, seed)
+        report = search_points(real, budget, seed)
         actual = report.verdict
         detail = f"rank {report.rank} from {len(report.sample_points)} kept points"
     elif check == "numeric-morphism":

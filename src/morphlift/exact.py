@@ -256,10 +256,6 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __getitem__(self, index):
         i, j = index
         return self.entries[i][j]
@@ -276,9 +272,6 @@ class ExactMatrix:
         body = "; ".join(", ".join(render_scalar(x) for x in row)
                          for row in self.entries)
         return f"ExactMatrix[{self.rows}x{self.cols}]({body})"
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(zip(*self.entries)) if self.rows else ExactMatrix([])
 
     def rank(self) -> int:
         """Rank by fraction-free (Bareiss) elimination over Z[i], first-nonzero

@@ -23,7 +23,6 @@ from typing import Iterator, Sequence, Union
 
 from .exact import (
     DimensionMismatch,
-    GaussianRational,
     Scalar,
     conjugate as conj_scalar,
     imag_part,
@@ -48,50 +47,15 @@ class EvalDomainError(ArithmeticError):
 
 
 class Expr:
-    """Base class; construction goes through the dataclass nodes below."""
+    """Base class; construction goes through the dataclass nodes below.
+
+    Nodes compare and hash by identity and print as plain objects: a
+    structural comparison would recurse once per level of a tree."""
 
     __slots__ = ()
 
-    def __add__(self, other):
-        return Add(self, _as_expr(other))
 
-    def __radd__(self, other):
-        return Add(_as_expr(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, _as_expr(other))
-
-    def __rsub__(self, other):
-        return Sub(_as_expr(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, _as_expr(other))
-
-    def __rmul__(self, other):
-        return Mul(_as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Div(_as_expr(other), self)
-
-    def __pow__(self, exponent: int):
-        return Pow(self, exponent)
-
-    def __neg__(self):
-        return Neg(self)
-
-
-def _as_expr(value) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, (int, Fraction, GaussianRational)):
-        return Const(value)
-    raise TypeError(f"cannot treat {value!r} as an expression")
-
-
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
     value: Scalar
 
@@ -101,52 +65,52 @@ class Const(Expr):
                                                           imag_part(self.value)))
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     index: int
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Sqrt(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Conj(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Expr):
     arg: Expr
 
@@ -588,18 +552,6 @@ def is_polynomial(node: Expr, allow_conj: bool) -> bool:
     return True
 
 
-def poly_to_expr(p: MultiPoly) -> Expr:
-    """Inverse of lowering, used to push exact maps through the float pipeline."""
-    total: Expr = ZERO
-    for exponents in sorted(p.terms, key=lambda e: (sum(e), e), reverse=True):
-        term: Expr = Const(p.terms[exponents])
-        for j, e in enumerate(exponents):
-            if e:
-                term = mul(term, power(Var(j), e))
-        total = add(total, term)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Rendering (parses back through the map grammar)
 # ---------------------------------------------------------------------------
@@ -717,21 +669,10 @@ class SmoothMap:
             return self.var_names
         return tuple(f"x{j + 1}" for j in range(self.domain_dim))
 
-    def guard_values(self, point) -> list[float]:
-        return [value.real for value in compile_tape(self.guards).run(point)]
-
-    def check_guards(self, point, margin: float = 0.0) -> None:
-        self.check_guard_values(compile_tape(self.guards).run(point), margin)
-
-    def check_guard_values(self, values: Iterator[complex],
-                           margin: float = 0.0) -> None:
+    def check_guard_values(self, values: Iterator[complex]) -> None:
         """Take one value per guard from ``values``, in order, and raise at
-        the first that is not above ``margin``, before taking the next."""
+        the first that is not positive, before taking the next."""
         for g, value in zip(self.guards, values):
-            if value.real <= margin:
+            if value.real <= 0:
                 raise EvalDomainError(
                     f"guard {render_expr(g, self.names())} violated at sample point")
-
-    def __call__(self, point) -> list[complex]:
-        self.check_guards(point)
-        return list(compile_tape(self.components).run(point))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .calculus import complex_gradient, jacobian
 from .exact import (
-    DimensionMismatch,
     ExactMatrix,
     GaussianRational,
     Scalar,
@@ -55,19 +54,6 @@ def complex_point_to_real(point) -> tuple:
         reals.append(real_part(value))
         reals.append(imag_part(value))
     return tuple(reals)
-
-
-def gradient_at(Phi: RealPolyMap, point) -> tuple:
-    """Exact complex gradient of Phi (a map to R^2 read as C) at a complex
-    point given in the ambient complex coordinates."""
-    if 2 * len(point) != Phi.domain_dim:
-        raise DimensionMismatch(
-            f"point has {len(point)} complex coordinates; the map needs "
-            f"{Phi.domain_dim // 2}")
-    gradient_polys = complex_gradient(Phi)
-    real_point = complex_point_to_real(point)
-    table = {}
-    return tuple(p.evaluate(real_point, table=table) for p in gradient_polys)
 
 
 def span_report(Phi: RealPolyMap, points) -> KaehlerReport:

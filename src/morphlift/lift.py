@@ -149,16 +149,15 @@ def anti_lift(Phi: RealPolyMap, split: LiftSplit) -> RealPolyMap | Obstruction:
     # stage (a): extract M(x) with Phi^i = sum_j M[i][j](x) * y_j
     coefficient_rows: list[list[MultiPoly]] = []
     for index, comp in enumerate(Phi.components, start=1):
-        row = [MultiPoly.zero(m) for _ in range(m)]
+        entries: list[dict] = [{} for _ in range(m)]
         for exponents, coeff in comp.terms.items():
             fiber = exponents[m:]
             fiber_degree = sum(fiber)
             if fiber_degree != 1:
                 return NotPartialLinear(index, exponents, fiber_degree)
-            j = fiber.index(1)
-            base_exp = exponents[:m]
-            row[j] = row[j] + MultiPoly(m, {base_exp: coeff})
-        coefficient_rows.append(row)
+            # distinct monomials of Phi give distinct (j, base exponents)
+            entries[fiber.index(1)][exponents[:m]] = coeff
+        coefficient_rows.append([MultiPoly(m, terms) for terms in entries])
 
     # stage (b): integrability dM_ij/dx_k == dM_ik/dx_j
     for index, row in enumerate(coefficient_rows, start=1):

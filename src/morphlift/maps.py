@@ -73,9 +73,6 @@ class RealPolyMap(_PolyMap):
             return self.var_names
         return default_names(self.domain_dim)
 
-    def evaluate(self, point) -> tuple:
-        return tuple(c.evaluate(point) for c in self.components)
-
 
 class ComplexPolyMap(_PolyMap):
     """A polynomial map C^m -> C^n in the variables z_k and their formal
@@ -96,9 +93,6 @@ class ComplexPolyMap(_PolyMap):
         else:
             holo = tuple(f"z{j + 1}" for j in range(self.domain_dim))
         return holo + tuple(f"{n[0]}b{n[1:]}" for n in holo)
-
-    def evaluate(self, zpoint) -> tuple:
-        return tuple(c.evaluate_complex(zpoint) for c in self.components)
 
 
 PolyMap = RealPolyMap | ComplexPolyMap

@@ -29,6 +29,10 @@ from .expr import (
 )
 
 
+# Every guard value at a sampled point is at least this large.
+GUARD_MARGIN = 1e-6
+
+
 class SamplingError(RuntimeError):
     """Rejection sampling could not find enough guard-satisfying points."""
 
@@ -82,7 +86,7 @@ def numeric_check(phi: SmoothMap, points, tolerance: float) -> ResidualReport:
     then measures the distance of G from that multiple of the identity.
 
     One tape holds the guards, then the second and the first derivatives,
-    and runs once per point.  Each guard's margin is checked before any node
+    and runs once per point.  Each guard's sign is checked before any node
     of a later output is evaluated, so every error is the one that
     evaluating the trees one by one, in that order, would raise.
     """
@@ -97,7 +101,7 @@ def numeric_check(phi: SmoothMap, points, tolerance: float) -> ResidualReport:
 
     # cross-check every symbolic first derivative at the first point
     p0 = points[0]
-    phi.check_guards(p0)
+    phi.check_guard_values(compile_tape(phi.guards).run(p0))
     symbolic_values = compile_tape(first).run(p0)
     for k, comp in enumerate(phi.components):
         comp_tape = compile_tape((comp,))
@@ -139,13 +143,14 @@ def numeric_check(phi: SmoothMap, points, tolerance: float) -> ResidualReport:
                           conformality_max, tolerance, verdict, witness)
 
 
-def sample_points(phi: SmoothMap, count: int, seed: int, box,
-                  margin: float = 1e-6) -> list[tuple]:
-    """Deterministic guarded sampling: uniform draws in the box, rejecting
-    points whose guard values fall below the margin."""
+def sample_points(phi: SmoothMap, count: int, seed: int, box) -> list[tuple]:
+    """Deterministic guarded sampling: uniform draws in the cube
+    ``box = (lo, hi)`` in every coordinate, rejecting points where a guard
+    value falls below ``GUARD_MARGIN``."""
     if count < 0:
         raise ValueError(f"cannot sample {count} points")
-    bounds = _normalize_box(box, phi.domain_dim)
+    lo, hi = map(float, box)
+    dims = range(phi.domain_dim)
     guard_tape = compile_tape(phi.guards)
     rng = random.Random(seed)
     points: list[tuple] = []
@@ -157,20 +162,11 @@ def sample_points(phi: SmoothMap, count: int, seed: int, box,
                 f"rejected {attempts} of {attempts + len(points)} draws; "
                 "choose a box further from the excluded locus")
         attempts += 1
-        point = tuple(rng.uniform(lo, hi) for lo, hi in bounds)
+        point = tuple(rng.uniform(lo, hi) for _ in dims)
         try:
             guard_values = [value.real for value in guard_tape.run(point)]
         except EvalDomainError:
             continue
-        if all(value >= margin for value in guard_values):
+        if all(value >= GUARD_MARGIN for value in guard_values):
             points.append(point)
     return points
-
-
-def _normalize_box(box, dim: int):
-    box = list(box)
-    if len(box) == 2 and not hasattr(box[0], "__len__"):
-        return [(float(box[0]), float(box[1]))] * dim
-    if len(box) != dim:
-        raise SamplingError(f"box must give {dim} coordinate ranges")
-    return [(float(lo), float(hi)) for lo, hi in box]

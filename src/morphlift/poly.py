@@ -369,15 +369,6 @@ class MultiPoly:
             total = total + value
         return make_scalar_like(total) if not isinstance(total, int) else total
 
-    def evaluate_complex(self, zpoint) -> Scalar:
-        """Evaluate a complex-ring polynomial at z-values; zb gets conj(z)."""
-        if self.num_complex == 0:
-            raise DimensionMismatch("evaluate_complex needs a complex ring")
-        if len(zpoint) != self.num_complex:
-            raise DimensionMismatch(
-                f"expected {self.num_complex} complex coordinates, got {len(zpoint)}")
-        return self.evaluate(tuple(zpoint) + tuple(conjugate(z) for z in zpoint))
-
     def compose(self, values: list["MultiPoly"]) -> "MultiPoly":
         """Substitute values[j] for variable j, for every variable at once."""
         if len(values) != self.num_vars:
@@ -400,28 +391,6 @@ class MultiPoly:
                     term = term * power_cache[j, e]
             result = result + term
         return result
-
-    def substitute(self, index: int, value: "MultiPoly") -> "MultiPoly":
-        """Substitute ``value`` for variable ``index``.  The value may live
-        in a different ring only when no other variable occurs."""
-        if not 0 <= index < self.num_vars:
-            raise DimensionMismatch(f"variable index {index} out of range")
-        same_ring = (value.num_vars, value.num_complex) == \
-            (self.num_vars, self.num_complex)
-        if same_ring:
-            filler = [MultiPoly.variable(self.num_vars, j, self.num_complex)
-                      for j in range(self.num_vars)]
-        else:
-            for exponents in self.terms:
-                if any(e and j != index for j, e in enumerate(exponents)):
-                    raise DimensionMismatch(
-                        "cross-ring substitution needs a polynomial in the "
-                        "substituted variable only")
-            # untouched slots are never raised to a positive power
-            filler = [MultiPoly.zero(value.num_vars, value.num_complex)
-                      for _ in range(self.num_vars)]
-        filler[index] = value
-        return self.compose(filler)
 
     def remap(self, num_vars: int, index_map: dict[int, int],
               num_complex: int = 0) -> "MultiPoly":

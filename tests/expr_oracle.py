@@ -4,14 +4,18 @@ recursion, one tree at a time, before evaluation moved to one compiled tape.
 
 The bodies are the old functions' bodies, so the differential tests in
 ``test_tape.py`` compare the tape, the iterative derivative and the
-iterative renderer with the code they replaced.  These functions are not
-part of the package.
+iterative renderer with the code they replaced.  Two helpers serve the
+tests as well: ``same_tree``, the structural comparison that the nodes,
+which compare by identity, do not offer, and ``poly_to_expr``, which
+writes a polynomial as a tree.  These functions are not part of the
+package.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 from morphlift.exact import imag_part, real_part, render_scalar, to_complex
@@ -21,6 +25,7 @@ from morphlift.expr import (
     Const,
     Div,
     EvalDomainError,
+    Expr,
     Mul,
     Neg,
     Pow,
@@ -38,6 +43,43 @@ from morphlift.expr import (
     sub,
 )
 from morphlift.numeric import InternalConsistencyError, ResidualReport
+
+
+# ---------------------------------------------------------------------------
+# Structure
+# ---------------------------------------------------------------------------
+
+def same_tree(a, b) -> bool:
+    """Whether two trees are equal node by node: the same node kinds, equal
+    payloads (constant values, variable indices, exponents) and equal
+    children.  Pairs of nodes wait on a list, so depth costs no recursion."""
+    pending = [(a, b)]
+    while pending:
+        a, b = pending.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return False
+        for field in fields(a):
+            left, right = getattr(a, field.name), getattr(b, field.name)
+            if isinstance(left, Expr):
+                pending.append((left, right))
+            elif left != right:
+                return False
+    return True
+
+
+def poly_to_expr(p):
+    """A tree that lowers back to the polynomial ``p``: its terms by
+    descending total degree, each a constant times powers of variables."""
+    total = ZERO
+    for exponents in sorted(p.terms, key=lambda e: (sum(e), e), reverse=True):
+        term = Const(p.terms[exponents])
+        for j, e in enumerate(exponents):
+            if e:
+                term = mul(term, power(Var(j), e))
+        total = add(total, term)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
 """Test oracle for complete lifts: ``complete_lift_real`` and
 ``complete_lift_complex`` as they were when each ran its own loop, adding
-one product ``remap(d phi^k / d v_j) * w_j`` at a time.
+one product ``remap(d phi^k / d v_j) * w_j`` at a time, and ``anti_lift``
+as it was when it added one single-term polynomial at a time into each
+entry of the coefficient matrix.
 
 The bodies are the old functions' bodies, so the differential tests in
-``test_lift.py`` compare the shared lift kernel with the loops it replaced.
-These functions are not part of the package.
+``test_lift.py`` compare the shared lift kernel and the anti-lift with the
+code they replaced.  These functions are not part of the package.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+from morphlift.exact import DimensionMismatch
+from morphlift.lift import MixedPartialObstruction, NotPartialLinear
 from morphlift.maps import ComplexPolyMap, RealPolyMap
 from morphlift.poly import MultiPoly
 
@@ -56,3 +62,51 @@ def complete_lift_complex(phi: ComplexPolyMap) -> ComplexPolyMap:
     if len(set(names)) != len(names):
         names = None  # repeated lifting: fall back to canonical z-names
     return ComplexPolyMap(2 * m, phi.codomain_dim, components, names)
+
+
+def anti_lift(Phi, split):
+    if Phi.domain_dim != split.total_dim:
+        raise DimensionMismatch(
+            f"map has {Phi.domain_dim} variables, split describes {split.total_dim}")
+    m = split.split_index
+
+    # stage (a): extract M(x) with Phi^i = sum_j M[i][j](x) * y_j
+    coefficient_rows: list[list[MultiPoly]] = []
+    for index, comp in enumerate(Phi.components, start=1):
+        row = [MultiPoly.zero(m) for _ in range(m)]
+        for exponents, coeff in comp.terms.items():
+            fiber = exponents[m:]
+            fiber_degree = sum(fiber)
+            if fiber_degree != 1:
+                return NotPartialLinear(index, exponents, fiber_degree)
+            j = fiber.index(1)
+            base_exp = exponents[:m]
+            row[j] = row[j] + MultiPoly(m, {base_exp: coeff})
+        coefficient_rows.append(row)
+
+    # stage (b): integrability dM_ij/dx_k == dM_ik/dx_j
+    for index, row in enumerate(coefficient_rows, start=1):
+        for j in range(m):
+            for k in range(j + 1, m):
+                djk = row[j].partial(k)
+                dkj = row[k].partial(j)
+                if djk != dkj:
+                    return MixedPartialObstruction(index, j + 1, k + 1, djk, dkj)
+
+    # stage (c): phi^i(x) = sum_j integral_0^1 M_ij(t x) x_j dt, exactly
+    components = []
+    for row in coefficient_rows:
+        terms: dict = {}
+        for j in range(m):
+            for exponents, coeff in row[j].terms.items():
+                degree = sum(exponents)
+                lifted = list(exponents)
+                lifted[j] += 1
+                key = tuple(lifted)
+                if isinstance(coeff, int):
+                    scaled = Fraction(coeff, degree + 1)
+                else:
+                    scaled = coeff / (degree + 1)
+                terms[key] = terms.get(key, 0) + scaled
+        components.append(MultiPoly(m, terms))
+    return RealPolyMap(m, Phi.codomain_dim, components)

@@ -10,7 +10,6 @@ from morphlift.calculus import (
     hessian,
     jacobian,
     laplacian,
-    wirtinger_jacobian,
 )
 from morphlift.exact import GaussianRational
 from morphlift.mapfile import parse_map, parse_poly
@@ -65,7 +64,7 @@ def test_hessian_examples():
 def test_hessian_symmetric_and_trace_is_laplacian(seed):
     poly = random_real_poly(random.Random(seed), 3, max_degree=4)
     h = hessian(poly)
-    assert h == h.transpose()
+    assert all(h[i, j] == h[j, i] for i in range(3) for j in range(3))
     trace = MultiPoly.zero(3)
     for i in range(3):
         trace = trace + h[i, i]
@@ -82,9 +81,9 @@ def test_lift_components_are_harmonic(q_r_lift):
 
 
 def test_wirtinger_jacobian_of_quaternion(quaternion):
-    j = wirtinger_jacobian(quaternion)
+    q1 = quaternion.components[0]
     names = quaternion.names()
-    assert [render(j[0, k], names) for k in range(4)] == \
+    assert [render(q1.partial(k), names) for k in range(4)] == \
         ["z3", "-zb4", "z1", "0"]
     anti = antiholomorphic_jacobian(quaternion)
     assert render(anti[0, 3], names) == "-z2"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exact_oracle
+from morphlift.calculus import complex_gradient
 from morphlift.exact import (
     DimensionMismatch,
     ExactMatrix,
@@ -14,7 +15,7 @@ from morphlift.exact import (
     make_scalar,
     render_scalar,
 )
-from morphlift.kaehler import gradient_at
+from morphlift.kaehler import complex_point_to_real
 from morphlift.lift import complete_lift_real
 
 I = GaussianRational(0, 1)
@@ -121,12 +122,7 @@ def test_bilinear_dot_symmetric_and_linear(u, data):
 # ---------------------------------------------------------------------------
 
 def test_rank_identity():
-    assert ExactMatrix.identity(8).rank() == 8
-
-
-def test_transpose_involution():
-    a = ExactMatrix([[1, 2, 3], [4, 5, 6]])
-    assert a.transpose().transpose() == a
+    assert ExactMatrix([[int(i == j) for j in range(8)] for i in range(8)]).rank() == 8
 
 
 def _minor_rank(matrix: ExactMatrix) -> int:
@@ -179,7 +175,7 @@ def test_rank_against_minor_oracle(rows):
 @given(small_matrices)
 def test_rank_of_transpose(rows):
     matrix = ExactMatrix(rows)
-    assert matrix.rank() == matrix.transpose().rank()
+    assert matrix.rank() == ExactMatrix(zip(*rows)).rank()
 
 
 @settings(deadline=None)
@@ -330,6 +326,9 @@ def test_rank_of_r32_kaehler_gradient_sets(phi_r16_real):
     r32 = complete_lift_real(phi_r16_real)
     alphabet = (0, 1, -1, I, -I, GaussianRational(1, -1))
     rng = random.Random(32)
+    gradient = complex_gradient(r32)
     for _ in range(3):
         points = [tuple(rng.choice(alphabet) for _ in range(16)) for _ in range(17)]
-        _assert_rank_matches_oracle([gradient_at(r32, p) for p in points])
+        _assert_rank_matches_oracle(
+            [tuple(g.evaluate(complex_point_to_real(p)) for g in gradient)
+             for p in points])

@@ -5,12 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from expr_oracle import poly_to_expr, same_tree
 from genmaps import random_real_poly
 from morphlift.exact import GaussianRational
 from morphlift.expr import (
+    Add,
     Const,
     Div,
     EvalDomainError,
+    Mul,
     NotPolynomial,
     Pow,
     SmoothMap,
@@ -19,10 +22,10 @@ from morphlift.expr import (
     derivative,
     eval_float,
     lower_to_poly,
-    poly_to_expr,
 )
 from morphlift.mapfile import MapSyntaxError, parse_map, render_map_source
 from morphlift.maps import ComplexPolyMap, RealPolyMap
+from morphlift.numeric import numeric_check
 from morphlift.poly import MultiPoly
 
 
@@ -109,6 +112,18 @@ def test_parse_render_parse_fixed_point(stereographic):
             assert second == first
 
 
+def test_a_deep_smooth_map_compares_hashes_and_prints_without_recursion():
+    # nodes compare and hash by identity, so no operation walks the
+    # 5000-deep sum
+    source = ("map f: R^1 -> R^1 { f1 = " + " + ".join(["x1"] * 5000)
+              + " + 1/x1; }")
+    first, second = parse_map(source), parse_map(source)
+    assert isinstance(first, SmoothMap)
+    assert first == first and first != second
+    assert len({first, second}) == 2
+    assert repr(first) and str(first)
+
+
 @pytest.mark.parametrize("value, expected", [
     (5, 5), (True, 1), (Fraction(4, 2), 2), (GaussianRational(3, 0), 3)])
 def test_const_keeps_a_canonical_int(value, expected):
@@ -121,7 +136,7 @@ def test_const_keeps_a_canonical_int(value, expected):
 # ---------------------------------------------------------------------------
 
 def _radius():
-    return Sqrt(Var(0) ** 2 + Var(1) ** 2 + Var(2) ** 2)
+    return Sqrt(Add(Add(Pow(Var(0), 2), Pow(Var(1), 2)), Pow(Var(2), 2)))
 
 
 def test_sqrt_derivative_against_finite_difference():
@@ -143,7 +158,7 @@ def test_quotient_rule():
 
 
 def test_constant_derivative_is_zero():
-    assert derivative(Const(7), 0) == Const(0)
+    assert same_tree(derivative(Const(7), 0), Const(0))
 
 
 @given(st.integers(0, 10**6), st.integers(0, 2))
@@ -180,19 +195,19 @@ def test_smooth_map_derivative_cross_check(stereographic):
 # ---------------------------------------------------------------------------
 
 def test_eval_stereographic_hand_value(stereographic):
-    value = stereographic((1.0, 0.0, -1.0))
+    value = [eval_float(c, (1.0, 0.0, -1.0)) for c in stereographic.components]
     r = math.sqrt(2.0)
     assert abs(value[0].real - 1.0 / (r + 1.0)) < 1e-12
     assert abs(value[1].real) < 1e-15
 
 
 def test_eval_square():
-    assert eval_float(Var(0) ** 2, [3.0]) == 9.0
+    assert eval_float(Pow(Var(0), 2), [3.0]) == 9.0
 
 
 def test_eval_guard_violation(stereographic):
-    with pytest.raises(EvalDomainError):
-        stereographic((0.0, 0.0, 1.0))
+    with pytest.raises(EvalDomainError, match="^guard .* violated at sample point$"):
+        numeric_check(stereographic, [(0.0, 0.0, 1.0)], 1e-8)
 
 
 def test_eval_negative_sqrt_is_domain_error():
@@ -210,14 +225,14 @@ def test_eval_division_by_zero():
 # ---------------------------------------------------------------------------
 
 def test_lower_simple_product():
-    tree = Var(0) * Var(1) + Const(1)
+    tree = Add(Mul(Var(0), Var(1)), Const(1))
     poly = lower_to_poly(tree, 2)
     assert len(poly.terms) == 2
 
 
 def test_lower_conj_maps_to_antiholomorphic_variable():
     from morphlift.expr import Conj
-    tree = Var(0) * Conj(Var(3))
+    tree = Mul(Var(0), Conj(Var(3)))
     poly = lower_to_poly(tree, 8, 4)
     assert poly == MultiPoly(8, {(1, 0, 0, 0, 0, 0, 0, 1): 1}, 4)
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from morphlift.calculus import jacobian
+from morphlift.calculus import complex_gradient, jacobian
 from morphlift.catalog import (
     EXPECTED_GRADIENTS,
     KAEHLER_POINTS,
@@ -14,12 +14,12 @@ from morphlift.exact import (
     ExactMatrix,
     GaussianRational,
     bilinear_dot,
+    conjugate,
 )
 from morphlift.kaehler import (
     INCONCLUSIVE,
     NOT_KAEHLER,
     complex_point_to_real,
-    gradient_at,
     search_points,
     span_report,
 )
@@ -30,43 +30,44 @@ from morphlift.poly import MultiPoly
 I = GaussianRational(0, 1)
 
 
+def _gradients(phi, points) -> tuple:
+    return span_report(phi, points).gradients
+
+
 def test_gradient_at_listed_points_matches_confirmed_vectors(phi_r16_real):
-    for point, expected in zip(KAEHLER_POINTS, EXPECTED_GRADIENTS):
-        assert gradient_at(phi_r16_real, point) == tuple(expected)
+    assert _gradients(phi_r16_real, KAEHLER_POINTS) == \
+        tuple(map(tuple, EXPECTED_GRADIENTS))
 
 
 def test_gradient_at_independent_product_rule_oracle(phi_r16_real, q_r_complex):
     # independent derivation: Phi = A*B, so grad Phi = B*grad A + A*grad B,
     # with grad A, grad B computed from scratch by Wirtinger-to-real
     # conversion of the two bilinear factors
-    from morphlift.calculus import complex_gradient
     factors = q_r_complex.components
     factor_maps = [real_identification(type(q_r_complex)(8, 1, [c]))
                    for c in factors]
     grad_polys = [complex_gradient(f) for f in factor_maps]
+    expected = []
     for point in KAEHLER_POINTS:
-        real_point = []
-        from morphlift.exact import imag_part, real_part
-        for z in point:
-            real_point.extend((real_part(z), imag_part(z)))
-        real_point = tuple(real_point)
-        a_value = factors[0].evaluate_complex(point)
-        b_value = factors[1].evaluate_complex(point)
-        expected = tuple(
+        real_point = complex_point_to_real(point)
+        z_and_zb = tuple(point) + tuple(conjugate(z) for z in point)
+        a_value = factors[0].evaluate(z_and_zb)
+        b_value = factors[1].evaluate(z_and_zb)
+        expected.append(tuple(
             b_value * ga.evaluate(real_point) + a_value * gb.evaluate(real_point)
-            for ga, gb in zip(grad_polys[0], grad_polys[1]))
-        assert gradient_at(phi_r16_real, point) == expected
+            for ga, gb in zip(grad_polys[0], grad_polys[1])))
+    assert _gradients(phi_r16_real, KAEHLER_POINTS) == tuple(expected)
 
 
 def test_gradient_point_length_checked(phi_r16_real):
     with pytest.raises(DimensionMismatch):
-        gradient_at(phi_r16_real, (0, 0, 1))
+        span_report(phi_r16_real, [(0, 0, 1)])
 
 
 def test_gradient_of_constant_map_is_zero():
     constant = RealPolyMap(4, 2, [MultiPoly.constant(4, 3),
                                   MultiPoly.constant(4, 0)])
-    assert gradient_at(constant, (1, I)) == (0, 0, 0, 0)
+    assert _gradients(constant, [(1, I)]) == ((0, 0, 0, 0),)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +123,10 @@ def test_span_report_gradients_and_ranks_match_oracles():
     alphabet = (0, 1, -1, I, Fraction(1, 2), GaussianRational(Fraction(-2, 3), 3))
     points = [tuple(rng.choice(alphabet) for _ in range(2)) for _ in range(12)]
     report = span_report(phi, points)
-    assert report.gradients == tuple(gradient_at(phi, p) for p in points)
+    gradient = complex_gradient(phi)
+    assert report.gradients == tuple(
+        tuple(g.evaluate(complex_point_to_real(p)) for g in gradient)
+        for p in points)
     assert report.jacobian_ranks == tuple(
         ExactMatrix(jacobian(phi).evaluate(complex_point_to_real(p))).rank()
         for p in points)
@@ -154,17 +158,15 @@ def test_catalog_morphism_gradients_are_isotropic(source):
     rng = random.Random(4)
     points = [tuple(GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
                     for _ in range(2)) for _ in range(6)]
-    for point in points:
-        gradient = gradient_at(phi, point)
+    for gradient in _gradients(phi, points):
         assert bilinear_dot(gradient, gradient) == 0
 
 
 def test_phi_r16_gradients_are_isotropic_everywhere_sampled(phi_r16_real):
     rng = random.Random(9)
-    for _ in range(10):
-        point = tuple(GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
-                      for _ in range(8))
-        gradient = gradient_at(phi_r16_real, point)
+    points = [tuple(GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))
+                    for _ in range(8)) for _ in range(10)]
+    for gradient in _gradients(phi_r16_real, points):
         assert bilinear_dot(gradient, gradient) == 0
 
 

@@ -9,6 +9,7 @@ from genmaps import (
     quadratic_map,
     random_quadratic_map,
     random_real_map,
+    random_real_poly,
     random_symmetric_matrices,
 )
 import lift_oracle
@@ -31,6 +32,7 @@ from morphlift.maps import (
     ShapeError,
     complexify,
     compose,
+    real_form,
     real_identification,
 )
 from morphlift.poly import MultiPoly, render
@@ -385,3 +387,87 @@ def test_lift_kernel_matches_the_old_loops_on_the_ladder(phi_r16, phi_r16_real):
     r32 = _assert_same_lift(phi_r16_real)
     r64 = _assert_same_lift(r32)
     assert [len(c.terms) for c in r64.components] == [1472, 1472]
+
+
+# ---------------------------------------------------------------------------
+# The anti-lift against the loop it replaced
+# ---------------------------------------------------------------------------
+
+def _assert_same_antilift(Phi, split):
+    """anti_lift and the old loop give the same outcome: the same witness, or
+    the same map term by term in dict order with the same coefficient
+    types; returns the outcome."""
+    new, old = anti_lift(Phi, split), lift_oracle.anti_lift(Phi, split)
+    assert type(new) is type(old)
+    assert new == old
+    if isinstance(new, RealPolyMap):
+        polys = list(zip(new.components, old.components, strict=True))
+    elif isinstance(new, MixedPartialObstruction):
+        polys = [(new.value_jk, old.value_jk), (new.value_kj, old.value_kj)]
+    else:
+        polys = []
+    for p, q in polys:
+        assert list(p.terms.items()) == list(q.terms.items())
+        assert list(map(type, p.terms.values())) == list(map(type, q.terms.values()))
+    return new
+
+
+def _random_fiber_linear_map(rng, m, n):
+    """sum_j M_ij(x) y_j with random coefficients M_ij, which are rarely a
+    Jacobian."""
+    identity = {j: j for j in range(m)}
+    components = []
+    for _ in range(n):
+        total = MultiPoly.zero(2 * m)
+        for j in range(m):
+            entry = random_real_poly(rng, m).remap(2 * m, identity)
+            total = total + entry * MultiPoly.variable(2 * m, m + j)
+        components.append(total)
+    return RealPolyMap(2 * m, n, components)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_antilift_matches_the_old_loop_on_seeded_maps(seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 4), rng.randint(1, 3)
+    split = LiftSplit(2 * m, m)
+    lifts = [random_real_map(rng, m, n),
+             random_harmonic_map(rng, max(m, 2), n, max_degree=3),
+             random_quadratic_map(rng, m, n),
+             real_identification(random_complex_map(rng, rng.randint(1, 2), n))]
+    for phi in lifts:
+        lift = complete_lift_real(phi)
+        outcome = _assert_same_antilift(lift, LiftSplit(lift.domain_dim,
+                                                        phi.domain_dim))
+        assert isinstance(outcome, RealPolyMap)
+    _assert_same_antilift(_random_fiber_linear_map(rng, m, n), split)
+    _assert_same_antilift(random_real_map(rng, 2 * m, n), split)
+
+
+def test_antilift_matches_the_old_loop_on_both_obstructions(quaternion_real):
+    rng = random.Random(10)
+    mixed = [quaternion_real,
+             real_form(parse_map(lookup("ex3.5-antilift-obstruction").definition)),
+             *(_random_fiber_linear_map(rng, 3, 2) for _ in range(5))]
+    for Phi in mixed:
+        outcome = _assert_same_antilift(Phi, LiftSplit(Phi.domain_dim,
+                                                       Phi.domain_dim // 2))
+        assert isinstance(outcome, MixedPartialObstruction)
+    lift = complete_lift_real(random_real_map(rng, 3, 2))
+    squared = MultiPoly.variable(6, 4) ** 2
+    not_linear = [parse_map("map f: R^2 -> R^1 { f1 = x1*x2^2; }"),
+                  RealPolyMap(6, 2, [lift.components[0] + squared,
+                                     lift.components[1]]),
+                  RealPolyMap(6, 2, [lift.components[0],
+                                     lift.components[1] + 1])]
+    for Phi in not_linear:
+        outcome = _assert_same_antilift(Phi, LiftSplit(Phi.domain_dim,
+                                                       Phi.domain_dim // 2))
+        assert isinstance(outcome, NotPartialLinear)
+
+
+def test_antilift_matches_the_old_loop_on_the_ladder(phi_r16_real):
+    r32 = complete_lift_real(phi_r16_real)
+    recovered = _assert_same_antilift(r32, LiftSplit(32, 16))
+    assert recovered == phi_r16_real

@@ -65,11 +65,12 @@ def test_real_identification_preserves_evaluation(seed):
     real = real_identification(phi)
     zpoint = tuple(GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
                    for _ in range(2))
-    complex_values = phi.evaluate(zpoint)
+    conjugates = tuple(z.conjugate() for z in zpoint)
+    complex_values = [c.evaluate(zpoint + conjugates) for c in phi.components]
     real_point = []
     for z in zpoint:
         real_point.extend((z.re, z.im))
-    real_values = real.evaluate(real_point)
+    real_values = [c.evaluate(real_point) for c in real.components]
     for k, value in enumerate(complex_values):
         from morphlift.exact import imag_part, real_part
         assert real_values[2 * k] == real_part(value)

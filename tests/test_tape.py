@@ -28,12 +28,16 @@ from morphlift.expr import (
     compile_tape,
     derivative,
     eval_float,
-    poly_to_expr,
     render_expr,
 )
 from morphlift.mapfile import parse_map
 from morphlift.maps import real_identification
-from morphlift.numeric import numeric_check, numeric_complete_lift, sample_points
+from morphlift.numeric import (
+    GUARD_MARGIN,
+    numeric_check,
+    numeric_complete_lift,
+    sample_points,
+)
 
 NUM_VARS = 3
 NAMES = ("x1", "x2", "x3")
@@ -188,8 +192,8 @@ def test_constants_are_interned_by_exact_value():
 
 def test_structurally_equal_subtrees_share_one_slot():
     def radius():
-        return Sqrt(Var(0) * Var(0) + Var(1) * Var(1))
-    tape = compile_tape([radius() / Var(1), Var(0) / radius()])
+        return Sqrt(Add(Mul(Var(0), Var(0)), Mul(Var(1), Var(1))))
+    tape = compile_tape([Div(radius(), Var(1)), Div(Var(0), radius())])
     # y, y != 0, x, x*x, y*y, sum, sqrt, quotient; then sqrt != 0, quotient
     assert [len(code) for code, _ in tape.segments] == [8, 2]
 
@@ -215,7 +219,7 @@ def test_derivative_matches_recursive_derivative(pool, index):
     root = pool[-1]
     derived = derivative(root, index)
     expected = oracle.derivative(root, index)
-    assert derived == expected
+    assert oracle.same_tree(derived, expected)
     assert render_expr(derived, NAMES) == oracle.render_expr(expected, NAMES)
 
 
@@ -241,7 +245,7 @@ def test_deep_sum_differentiates_and_renders_without_recursion():
 
 def _as_smooth(real_map) -> SmoothMap:
     return SmoothMap(real_map.domain_dim,
-                     tuple(poly_to_expr(c) for c in real_map.components))
+                     tuple(oracle.poly_to_expr(c) for c in real_map.components))
 
 
 def _report_maps():
@@ -293,12 +297,20 @@ def test_numeric_check_errors_match_the_recursive_check(points, message):
 
 
 def test_sampled_points_come_from_one_guard_tape(stereographic):
-    rng = random.Random(5)
-    for _ in range(200):
-        point = [rng.uniform(-2, 2) for _ in range(3)]
-        try:
-            expected = [oracle.eval_float(g, point).real
-                        for g in stereographic.guards]
-        except EvalDomainError:
-            continue
-        assert repr(stereographic.guard_values(point)) == repr(expected)
+    # the same draws, kept where the recursive evaluation of every guard
+    # succeeds and reaches the margin; the second map's guards reject about
+    # three draws in four, one of them by a square root of a negative
+    guarded = parse_map("map f: R^3 -> R^1 { f1 = x1/x2; guard x2; "
+                        "guard sqrt(x1) - x3; }")
+    for phi in (stereographic, guarded):
+        rng = random.Random(5)
+        expected = []
+        while len(expected) < 200:
+            point = tuple(rng.uniform(-2.0, 2.0) for _ in range(3))
+            try:
+                values = [oracle.eval_float(g, point).real for g in phi.guards]
+            except EvalDomainError:
+                continue
+            if all(value >= GUARD_MARGIN for value in values):
+                expected.append(point)
+        assert sample_points(phi, 200, 5, (-2.0, 2.0)) == expected
