@@ -3,9 +3,10 @@
 Each entry stores a parseable definition in the map-definition format, the
 checks it is expected to satisfy, and notes for the places where the printed
 source values are internally inconsistent (confirmed against the independent
-symbolic oracles; see the test suite for the confirmations).  ``run_entry``
-executes every expectation and diffs expected against actual, which is what
-the CLI ``reproduce`` command prints.
+symbolic oracles; see the test suite for the confirmations).  ``CHECKS`` is
+the one table from a check name to its computation, for both the CLI
+``check`` command and ``run_entry``, which executes every expectation and
+diffs expected against actual in the payload that ``reproduce`` prints.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .analysis import (
+    CheckReport,
     hessian_conditions,
     hwc_certificate,
     is_harmonic,
@@ -64,28 +66,6 @@ class CatalogEntry:
     expected: tuple
     provenance: str
     notes: tuple = ()
-    points: tuple = ()           # complex sample points for the Kaehler checks
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    check: str
-    params: tuple
-    expected: object
-    actual: object
-    ok: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class EntryReport:
-    entry_id: str
-    results: tuple
-    notes: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.results)
 
 
 # ---------------------------------------------------------------------------
@@ -128,24 +108,6 @@ _STEREOGRAPHIC_SRC = """map h: R^3 -> R^2 {
 }"""
 
 
-def _quaternion() -> ComplexPolyMap:
-    return parse_map(_QUATERNION_SRC)
-
-
-def _quaternion_real() -> RealPolyMap:
-    return real_identification(_quaternion())
-
-
-def _q_r_complex() -> ComplexPolyMap:
-    """The real complete lift of the quaternion product, as a complex map."""
-    return complexify(complete_lift_real(_quaternion_real()))
-
-
-def _phi_r16() -> ComplexPolyMap:
-    """zw composed after the complex form of the real lift: C^8 -> C."""
-    return compose(parse_map(_ZW_SRC), _q_r_complex())
-
-
 # Sample points for the R^16 -> C example, in the ambient complex coordinates
 # (z1, z2, z3, z4, w1, w2, w3, w4).
 KAEHLER_POINTS = (
@@ -180,12 +142,14 @@ EXPECTED_GRADIENTS = (
 )
 
 
-def _build_registry() -> dict:
-    q = _quaternion()
+@cache
+def registry() -> dict:
+    q = parse_map(_QUATERNION_SRC)
     q_r = real_identification(q)
     complex_lift_q = complete_lift_complex(q)
     q_r_lift = complete_lift_real(q_r)
-    phi = _phi_r16()
+    # zw composed after the complex form of the real lift: C^8 -> C
+    phi = compose(parse_map(_ZW_SRC), complexify(q_r_lift))
 
     entries = [
         CatalogEntry(
@@ -320,15 +284,15 @@ def _build_registry() -> dict:
             kind="complex_poly",
             definition=render_map_source(phi, "Phi"),
             provenance="example 3.7",
-            points=KAEHLER_POINTS,
             expected=(
                 Expectation("morphism", True),
                 Expectation("kaehler-gradients",
                             tuple(tuple(render_scalar(x) for x in g)
-                                  for g in EXPECTED_GRADIENTS)),
-                Expectation("kaehler-span", ("inconclusive", 8)),
+                                  for g in EXPECTED_GRADIENTS),
+                            KAEHLER_POINTS),
+                Expectation("kaehler-span", ("inconclusive", 8), KAEHLER_POINTS),
                 Expectation("kaehler-augmented", ("not_kaehler_certified", 9),
-                            (KAEHLER_REPAIR_POINT,)),
+                            KAEHLER_POINTS + (KAEHLER_REPAIR_POINT,)),
                 Expectation("kaehler-search", "not_kaehler_certified", (500, 0)),
             ),
             notes=(
@@ -344,16 +308,6 @@ def _build_registry() -> dict:
         ),
     ]
     return {entry.entry_id: entry for entry in entries}
-
-
-_REGISTRY = None
-
-
-def registry() -> dict:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _build_registry()
-    return _REGISTRY
 
 
 def entry_ids() -> list[str]:
@@ -378,100 +332,111 @@ def _poly_summary(p, limit: int = 24) -> str:
             f"leading part {render(p).split(' + ')[0]} + ...>")
 
 
-def run_entry(entry_id: str) -> EntryReport:
+def _certificate(report: CheckReport) -> str:
+    if report.dilation is not None:
+        return f"dilation = {_poly_summary(report.dilation)}"
+    violation = report.violation
+    if violation is None:
+        return ""
+    return (f"residual at ({violation.component_k},{violation.component_l}) = "
+            f"{_poly_summary(violation.residual)}")
+
+
+def _lifts_agree(phi: ComplexPolyMap):
+    roundtrip = complexify(complete_lift_real(real_form(phi)))
+    return complete_lift_complex(phi) == roundtrip, ""
+
+
+def _complex_lift_components(phi: ComplexPolyMap):
+    lift = complete_lift_complex(phi)
+    return tuple(render(c, lift.names()) for c in lift.components), ""
+
+
+def _antilift_obstruction(phi: RealPolyMap, split: int):
+    outcome = anti_lift(phi, LiftSplit(2 * split, split))
+    if not isinstance(outcome, MixedPartialObstruction):
+        return type(outcome).__name__, ""
+    return (("mixed-partial", outcome.component, render(outcome.value_jk),
+             render(outcome.value_kj)), outcome.describe())
+
+
+def _span(report):
+    return ((report.verdict, report.rank),
+            f"isotropic: {report.isotropy_ok}, pairwise orthogonal: "
+            f"{report.pairwise_orthogonal}")
+
+
+def _kaehler_search(phi: RealPolyMap, budget: int, seed: int):
+    report = search_points(phi, budget, seed)
+    return report.verdict, (f"rank {report.rank} from "
+                            f"{len(report.sample_points)} kept points")
+
+
+def _numeric_morphism(phi, count: int, seed: int, tolerance: float):
+    report = numeric_check(phi, sample_points(phi, count, seed, (-2.0, 2.0)), tolerance)
+    return report.verdict, (
+        f"max laplacian residual {max(report.laplacian_residuals):.2e}, "
+        f"conformality residual {report.conformality_residual:.2e}")
+
+
+def _lift_numeric_hwc_fails(phi, count: int, seed: int, threshold: float):
+    lift = numeric_complete_lift(phi)
+    report = numeric_check(lift, sample_points(lift, count, seed, (-2.0, 2.0)), 1e-8)
+    residual = report.conformality_residual
+    return ((not report.verdict) and residual >= threshold,
+            f"conformality residual {residual:.2e}")
+
+
+# Each check name maps to the form of its input and a function of that input
+# and the expectation's params: "parsed" is the parsed map, "complex" a map
+# between complex spaces, "real" its real form, and "span" the span report at
+# the points in params.  A function returns a CheckReport or (actual, detail).
+# The six analysis rows lead the table; they are also the flags of `check`.
+CHECKS = {
+    "holomorphic": ("complex", is_holomorphic),
+    "harmonic": ("real", is_harmonic),
+    "hwc": ("real", hwc_certificate),
+    "morphism": ("real", is_harmonic_morphism),
+    "hessian-conditions": ("real", hessian_conditions),
+    "orthogonal-multiplication": ("real", is_orthogonal_multiplication),
+    "lift-real-morphism": ("real", lambda phi: is_harmonic_morphism(
+        complete_lift_real(phi))),
+    "lift-complex-morphism": ("complex", lambda phi: is_harmonic_morphism(
+        real_identification(complete_lift_complex(phi)))),
+    "lifts-agree": ("complex", _lifts_agree),
+    "complex-lift-equals": ("complex", _complex_lift_components),
+    "block-jacobian": ("real", lambda phi: (block_jacobian_check(phi), "")),
+    "antilift-obstruction": ("real", _antilift_obstruction),
+    "kaehler-gradients": ("span", lambda report: (tuple(
+        tuple(render_scalar(x) for x in g) for g in report.gradients), "")),
+    "kaehler-span": ("span", _span),
+    "kaehler-augmented": ("span", _span),
+    "kaehler-search": ("real", _kaehler_search),
+    "numeric-morphism": ("parsed", _numeric_morphism),
+    "lift-numeric-hwc-fails": ("parsed", _lift_numeric_hwc_fails),
+}
+
+
+def run_entry(entry_id: str) -> dict:
+    """Run one entry's expectations; the result is ``reproduce``'s payload."""
     entry = lookup(entry_id)
     parsed = parse_map(entry.definition)
     real = real_form(parsed)
-    # one span report at the entry's points serves every check that reads it
-    span = cache(lambda: span_report(real, entry.points))
-    results = [_run_check(entry, parsed, real, e, span) for e in entry.expected]
-    return EntryReport(entry_id, tuple(results), entry.notes)
-
-
-def _run_check(entry: CatalogEntry, parsed, real, expectation: Expectation,
-               span) -> CheckResult:
-    """One expectation on the parsed map, whose real form is ``real``."""
-    check, params, expected = expectation.check, expectation.params, expectation.expected
-    detail = ""
-
-    if check == "holomorphic":
-        actual = is_holomorphic(parsed).verdict
-    elif check == "harmonic":
-        actual = is_harmonic(real).verdict
-    elif check == "hwc":
-        report = hwc_certificate(real)
-        actual = report.verdict
-        if report.dilation is not None:
-            detail = f"dilation = {_poly_summary(report.dilation)}"
-        elif report.violation is not None:
-            detail = (f"residual at ({report.violation.component_k},"
-                      f"{report.violation.component_l}) = "
-                      f"{_poly_summary(report.violation.residual)}")
-    elif check == "morphism":
-        report = is_harmonic_morphism(real)
-        actual = report.verdict
-        if report.dilation is not None:
-            detail = f"dilation = {_poly_summary(report.dilation)}"
-    elif check == "hessian-conditions":
-        actual = hessian_conditions(real).verdict
-    elif check == "lift-real-morphism":
-        actual = is_harmonic_morphism(complete_lift_real(real)).verdict
-    elif check == "lift-complex-morphism":
-        lift = complete_lift_complex(parsed)
-        actual = is_harmonic_morphism(real_identification(lift)).verdict
-    elif check == "lifts-agree":
-        lift = complete_lift_complex(parsed)
-        roundtrip = complexify(complete_lift_real(real))
-        actual = lift == roundtrip
-    elif check == "complex-lift-equals":
-        lift = complete_lift_complex(parsed)
-        actual = tuple(render(c, lift.names()) for c in lift.components)
-    elif check == "orthogonal-multiplication":
-        first, second = params
-        actual = is_orthogonal_multiplication(real, first, second).verdict
-    elif check == "block-jacobian":
-        actual = block_jacobian_check(real)
-    elif check == "antilift-obstruction":
-        (split,) = params
-        outcome = anti_lift(real, LiftSplit(2 * split, split))
-        if isinstance(outcome, MixedPartialObstruction):
-            actual = ("mixed-partial", outcome.component,
-                      render(outcome.value_jk), render(outcome.value_kj))
-            detail = outcome.describe()
+    # one span report per point set serves every check that reads it
+    span = cache(lambda points: span_report(real, points))
+    inputs = {"parsed": parsed, "complex": parsed, "real": real}
+    checks = []
+    for expectation in entry.expected:
+        form, run = CHECKS[expectation.check]
+        if form == "span":
+            result = run(span(expectation.params))
         else:
-            actual = type(outcome).__name__
-    elif check == "kaehler-gradients":
-        report = span()
-        actual = tuple(tuple(render_scalar(x) for x in g)
-                       for g in report.gradients)
-    elif check == "kaehler-span":
-        report = span()
-        actual = (report.verdict, report.rank)
-        detail = (f"isotropic: {report.isotropy_ok}, pairwise orthogonal: "
-                  f"{report.pairwise_orthogonal}")
-    elif check == "kaehler-augmented":
-        report = span_report(real, entry.points + params)
-        actual = (report.verdict, report.rank)
-    elif check == "kaehler-search":
-        budget, seed = params
-        report = search_points(real, budget, seed)
-        actual = report.verdict
-        detail = f"rank {report.rank} from {len(report.sample_points)} kept points"
-    elif check == "numeric-morphism":
-        count, seed, tolerance = params
-        points = sample_points(parsed, count, seed, (-2.0, 2.0))
-        report = numeric_check(parsed, points, tolerance)
-        actual = report.verdict
-        detail = (f"max laplacian residual {max(report.laplacian_residuals):.2e}, "
-                  f"conformality residual {report.conformality_residual:.2e}")
-    elif check == "lift-numeric-hwc-fails":
-        count, seed, threshold = params
-        lift = numeric_complete_lift(parsed)
-        points = sample_points(lift, count, seed, (-2.0, 2.0))
-        report = numeric_check(lift, points, 1e-8)
-        actual = (not report.verdict) and report.conformality_residual >= threshold
-        detail = f"conformality residual {report.conformality_residual:.2e}"
-    else:
-        raise ValueError(f"unknown catalog check {check!r}")
-
-    return CheckResult(check, params, expected, actual, actual == expected, detail)
+            result = run(inputs[form], *expectation.params)
+        if isinstance(result, CheckReport):
+            result = result.verdict, _certificate(result)
+        actual, detail = result
+        checks.append({"check": expectation.check, "expected": expectation.expected,
+                       "actual": actual, "ok": actual == expectation.expected,
+                       "detail": detail})
+    return {"id": entry_id, "ok": all(check["ok"] for check in checks),
+            "checks": checks, "notes": entry.notes}

@@ -13,19 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
 from . import catalog as catalog_module
-from .analysis import (
-    CheckReport,
-    hessian_conditions,
-    hwc_certificate,
-    is_harmonic,
-    is_harmonic_morphism,
-    is_holomorphic,
-    is_orthogonal_multiplication,
-)
+from .analysis import CheckReport
 from .exact import DimensionMismatch, render_scalar
 from .expr import EvalDomainError, NotPolynomial, SmoothMap, render_expr
 from .kaehler import search_points, span_report
@@ -51,6 +44,9 @@ from .poly import ConsistencyError, render
 
 SCHEMA_VERSION = 1
 
+# the analysis rows lead the check table; each is a flag of `check`
+CHECK_FLAGS = list(catalog_module.CHECKS)[:6]
+
 
 class CliError(Exception):
     """An input problem the user can fix; reported on stderr, exit 2."""
@@ -72,13 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = commands.add_parser("check", help="run certificate checks")
     check.add_argument("file")
-    check.add_argument("--harmonic", action="store_true")
-    check.add_argument("--hwc", action="store_true")
-    check.add_argument("--morphism", action="store_true")
-    check.add_argument("--holomorphic", action="store_true")
-    check.add_argument("--hessian-conditions", dest="hessian", action="store_true")
-    check.add_argument("--orthogonal-multiplication", dest="orthmult",
-                       action="store_true")
+    for name in CHECK_FLAGS:
+        check.add_argument(f"--{name}", dest="checks", action="append_const",
+                           const=name, default=[])
     check.add_argument("--blocks", default=None,
                        help="P,Q block sizes for --orthogonal-multiplication "
                             "(default: halves)")
@@ -245,52 +237,46 @@ def _cmd_lift(args) -> Report:
         *matrix_lines])
 
 
+def _blocks(text, phi) -> tuple:
+    if text is None:
+        if phi.domain_dim % 2:
+            raise CliError("--orthogonal-multiplication needs --blocks "
+                           "for odd-dimensional domains")
+        return (phi.domain_dim // 2,) * 2
+    try:
+        first, second = (int(x) for x in text.split(","))
+    except ValueError as error:
+        raise CliError("--blocks expects two integers like 4,4") from error
+    return first, second
+
+
 def _cmd_check(args) -> Report:
+    requested = set(args.checks)
+    if args.blocks is not None and "orthogonal-multiplication" not in requested:
+        raise CliError("--blocks needs --orthogonal-multiplication")
     parsed = _load_map(args.file)
     if isinstance(parsed, SmoothMap):
         raise CliError("check works on exact polynomial maps; "
                        "use numeric-check for smooth maps")
-    notes: list[str] = []
-    requested = {name for name in ("holomorphic", "harmonic", "hwc", "morphism",
-                                   "hessian", "orthmult") if getattr(args, name)}
     if not requested:
         requested = {"harmonic", "hwc", "morphism"}
         if isinstance(parsed, ComplexPolyMap):
             requested.add("holomorphic")
-
-    reports = []
-    if "holomorphic" in requested:
-        if not isinstance(parsed, ComplexPolyMap):
-            raise CliError("--holomorphic needs a map between complex spaces")
-        reports.append(is_holomorphic(parsed))
-    if requested - {"holomorphic"}:
-        real_map = _require_real(parsed, notes)
-        if "harmonic" in requested:
-            reports.append(is_harmonic(real_map))
-        if "hwc" in requested:
-            reports.append(hwc_certificate(real_map))
-        if "morphism" in requested:
-            reports.append(is_harmonic_morphism(real_map))
-        if "hessian" in requested:
-            reports.append(hessian_conditions(real_map))
-        if "orthmult" in requested:
-            if args.blocks:
-                try:
-                    first, second = (int(x) for x in args.blocks.split(","))
-                except ValueError as error:
-                    raise CliError("--blocks expects two integers like 4,4") from error
-            else:
-                if real_map.domain_dim % 2:
-                    raise CliError("--orthogonal-multiplication needs --blocks "
-                                   "for odd-dimensional domains")
-                first = second = real_map.domain_dim // 2
-            reports.append(is_orthogonal_multiplication(real_map, first, second))
-        names = real_map.names()
-    else:
-        names = parsed.names()
-
-    checks = [_check_payload(r, names if r.check != "holomorphic"
-                             else parsed.names()) for r in reports]
+    real = real_form(parsed)
+    notes: list[str] = []
+    checks = []
+    for name in sorted(requested, key=CHECK_FLAGS.index):
+        form, run = catalog_module.CHECKS[name]
+        if form == "real":
+            phi = real
+            if real is not parsed and not notes:
+                notes.append("complex map: checks run on its real identification")
+        elif isinstance(parsed, ComplexPolyMap):
+            phi = parsed
+        else:
+            raise CliError(f"--{name} needs a map between complex spaces")
+        blocks = _blocks(args.blocks, phi) if name == "orthogonal-multiplication" else ()
+        checks.append(_check_payload(run(phi, *blocks), phi.names()))
     lines = [f"note: {note}" for note in notes]
     for check in checks:
         lines.extend(_check_lines(check))
@@ -431,33 +417,23 @@ def _cmd_reproduce(args) -> Report:
     if args.all_ == (args.entry is not None):
         raise CliError("reproduce needs an entry id or --all")
     ids = catalog_module.entry_ids() if args.all_ else [args.entry]
-    entries = []
+    entries = [catalog_module.run_entry(entry_id) for entry_id in ids]
     lines = []
-    for entry_id in ids:
-        report = catalog_module.run_entry(entry_id)
-        entries.append({
-            "id": entry_id,
-            "ok": report.ok,
-            "checks": [{"check": result.check, "expected": result.expected,
-                        "actual": result.actual, "ok": result.ok,
-                        "detail": result.detail} for result in report.results],
-            "notes": report.notes,
-        })
-        lines.append(f"[{'ok' if report.ok else 'MISMATCH'}] {entry_id}")
-        for result in report.results:
-            if result.check == "kaehler-gradients":
-                lines.append(f"    {result.check}: "
-                             f"{'match' if result.ok else 'MISMATCH'} "
-                             f"({len(result.actual)} gradients)")
-                lines.extend(f"      ({', '.join(gradient)})"
-                             for gradient in result.actual)
+    for entry in entries:
+        lines.append(f"[{'ok' if entry['ok'] else 'MISMATCH'}] {entry['id']}")
+        for check in entry["checks"]:
+            name, actual, ok = check["check"], check["actual"], check["ok"]
+            if name == "kaehler-gradients":
+                # one vector a line, where a generic line would print two long reprs
+                lines.append(f"    {name}: {'match' if ok else 'MISMATCH'} "
+                             f"({len(actual)} gradients)")
+                lines.extend(f"      ({', '.join(gradient)})" for gradient in actual)
                 continue
-            lines.append(f"    {result.check}: expected {result.expected!r}, "
-                         f"got {result.actual!r} "
-                         f"[{'ok' if result.ok else 'MISMATCH'}]")
-            if result.detail:
-                lines.append(f"        {result.detail}")
-        lines.extend(f"    note: {note}" for note in report.notes)
+            lines.append(f"    {name}: expected {check['expected']!r}, got {actual!r} "
+                         f"[{'ok' if ok else 'MISMATCH'}]")
+            if check["detail"]:
+                lines.append(f"        {check['detail']}")
+        lines.extend(f"    note: {note}" for note in entry["notes"])
     all_ok = all(entry["ok"] for entry in entries)
     lines.append("all expectations matched" if all_ok
                  else "some expectations did not match")
@@ -509,12 +485,17 @@ def cli_main(argv=None, out=None) -> int:
             RecursionError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps({"schema": SCHEMA_VERSION, "command": args.command,
-                          **report.payload}, indent=2, sort_keys=True), file=out)
-    else:
-        for line in report.lines:
-            print(line, file=out)
+    try:
+        if args.json:
+            print(json.dumps({"schema": SCHEMA_VERSION, "command": args.command,
+                              **report.payload}, indent=2, sort_keys=True), file=out)
+        else:
+            for line in report.lines:
+                print(line, file=out)
+        out.flush()
+    except BrokenPipeError:
+        # the reader has gone: send what is left, and the flush at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
     return report.status
 
 

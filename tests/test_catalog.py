@@ -1,13 +1,19 @@
+import re
+
 import pytest
 
+from morphlift.analysis import CheckReport
 from morphlift.catalog import (
+    CHECKS,
     CatalogEntry,
     UnknownEntry,
     entry_ids,
     lookup,
     run_entry,
 )
+from morphlift.cli import cli_main
 from morphlift.mapfile import parse_map
+from morphlift.maps import real_form
 
 SPEC_IDS = {
     "ex1.4.i-zw",
@@ -60,15 +66,15 @@ def test_lookup_returns_entry():
 @pytest.mark.parametrize("entry_id", sorted(SPEC_IDS))
 def test_entry_reproduces(entry_id):
     report = run_entry(entry_id)
-    failures = [r for r in report.results if not r.ok]
+    failures = [r for r in report["checks"] if not r["ok"]]
     assert not failures, failures
 
 
 def test_quaternion_lift_entry_details():
     report = run_entry("ex3.1.iii-quaternion-real-lift")
-    by_check = {r.check: r for r in report.results}
-    assert by_check["morphism"].actual is True
-    assert by_check["orthogonal-multiplication"].actual is False
+    by_check = {r["check"]: r for r in report["checks"]}
+    assert by_check["morphism"]["actual"] is True
+    assert by_check["orthogonal-multiplication"]["actual"] is False
 
 
 def test_discrepancy_notes_present():
@@ -76,3 +82,43 @@ def test_discrepancy_notes_present():
     assert lookup("ex1.4.i-zwbar").notes
     assert lookup("ex1.4.ii-hopf-construction").notes
     assert lookup("ex3.5-antilift-obstruction").notes
+
+
+# ---------------------------------------------------------------------------
+# the check table
+# ---------------------------------------------------------------------------
+
+ANALYSIS_ROWS = ["holomorphic", "harmonic", "hwc", "morphism",
+                 "hessian-conditions", "orthogonal-multiplication"]
+
+
+def _expectation_checks():
+    return {e.check for entry_id in entry_ids() for e in lookup(entry_id).expected}
+
+
+def test_every_expectation_names_a_table_row():
+    assert _expectation_checks() <= set(CHECKS)
+
+
+def test_every_table_row_is_used():
+    assert set(CHECKS) == _expectation_checks() | set(ANALYSIS_ROWS)
+
+
+def test_the_analysis_rows_lead_the_table():
+    assert list(CHECKS)[:6] == ANALYSIS_ROWS
+
+
+def test_check_help_lists_the_analysis_rows_in_table_order(capsys):
+    assert cli_main(["check", "--help"]) == 0
+    flags = re.findall(r"^  (?:-h, )?(--[a-z-]+)", capsys.readouterr().out, re.M)
+    assert [f for f in flags if f not in ("--help", "--blocks")] == [
+        f"--{name}" for name in list(CHECKS)[:6]]
+
+
+@pytest.mark.parametrize("name", ANALYSIS_ROWS)
+def test_analysis_row_returns_a_check_report(name):
+    quaternion = parse_map(lookup("ex1.4.iii-quaternion").definition)
+    form, run = CHECKS[name]
+    phi = quaternion if form == "complex" else real_form(quaternion)
+    blocks = (4, 4) if name == "orthogonal-multiplication" else ()
+    assert isinstance(run(phi, *blocks), CheckReport)

@@ -1,9 +1,15 @@
+import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from morphlift.catalog import lookup
+import morphlift
+from morphlift.catalog import lookup, registry
 from morphlift.cli import cli_main
 from morphlift.lift import complete_lift_real
 from morphlift.mapfile import parse_map, parse_poly, render_map_source
@@ -307,6 +313,38 @@ def test_reproduce_unknown_entry():
     assert code == 2
 
 
+@pytest.fixture()
+def wrong_expectation(monkeypatch):
+    """The zw entry with its morphism expectation flipped to False."""
+    entry_id = "ex1.4.i-zw"
+    entry = registry()[entry_id]
+    expected = tuple(dataclasses.replace(e, expected=False) if e.check == "morphism"
+                     else e for e in entry.expected)
+    monkeypatch.setitem(registry(), entry_id,
+                        dataclasses.replace(entry, expected=expected))
+    return entry_id
+
+
+def test_reproduce_mismatch_exits_1(wrong_expectation):
+    code, text = run_cli(["reproduce", wrong_expectation])
+    assert code == 1
+    assert text.startswith(f"[MISMATCH] {wrong_expectation}\n")
+    assert "    morphism: expected False, got True [MISMATCH]\n" in text
+    assert text.endswith("some expectations did not match\n")
+
+
+def test_reproduce_mismatch_json_is_not_ok(wrong_expectation):
+    code, payload = run_cli_json(["reproduce", wrong_expectation])
+    assert code == 1
+    assert payload["ok"] is False
+    (entry,) = payload["entries"]
+    assert entry["ok"] is False
+    by_check = {check["check"]: check for check in entry["checks"]}
+    assert by_check["morphism"]["ok"] is False
+    assert by_check["morphism"]["actual"] is True
+    assert all(check["ok"] for name, check in by_check.items() if name != "morphism")
+
+
 def test_catalog_list():
     code, text = run_cli(["catalog", "list"])
     assert code == 0
@@ -360,9 +398,13 @@ def test_unknown_subcommand_exits_2():
      "error: --budget must be at least 1, got 0\n"),
     (["kaehler", "--search", "--budget=-5"],
      "error: --budget must be at least 1, got -5\n"),
+    # block sizes mean something only to the orthogonal-multiplication check
+    (["check", "--harmonic", "--blocks", "banana"],
+     "error: --blocks needs --orthogonal-multiplication\n"),
 ], ids=["lift-without-kind", "non-positive-block", "zero-points",
         "negative-points", "nan-tolerance", "infinite-tolerance",
-        "negative-tolerance", "zero-budget", "negative-budget"])
+        "negative-tolerance", "zero-budget", "negative-budget",
+        "blocks-without-orthogonal-multiplication"])
 def test_usage_error_exits_2(quaternion_file, capsys, argv, message):
     code, text = run_cli([*argv, quaternion_file])
     assert code == 2
@@ -435,3 +477,20 @@ def test_non_decimal_digit_is_an_unexpected_character(tmp_path, capsys, body, co
     assert (code, text) == (2, "")
     assert capsys.readouterr().err == (
         f"error: 1:{column}: unexpected character '\N{SUPERSCRIPT TWO}'\n")
+
+
+def test_closed_output_pipe_exits_quietly():
+    # the reader is gone before the command writes a byte
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(morphlift.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    try:
+        child = subprocess.run([sys.executable, "-m", "morphlift.cli", "catalog", "list"],
+                               stdout=write_end, stderr=subprocess.PIPE, env=env,
+                               timeout=60)
+    finally:
+        os.close(write_end)
+    assert child.stderr == b""
+    assert child.returncode == 0
