@@ -33,10 +33,26 @@ from .poly import MultiPoly, poly_dot
 
 @dataclass(frozen=True)
 class Violation:
-    """A failed polynomial identity: the residual should have been zero."""
+    """A failed polynomial identity: the residual should have been zero.
+
+    ``component_k`` and ``component_l`` are 1-based, and what they index
+    depends on ``kind``:
+
+    * ``laplacian``: (k, k), the component that is not harmonic;
+    * ``off-diagonal``: (k, l), the Gram entry <grad phi_k, grad phi_l>;
+    * ``diagonal``: (1, k), the Gram entry |grad phi_k|^2 against the
+      dilation |grad phi_1|^2;
+    * ``hessian-square``: (1, a), the Hessian square H_a^2 against H_1^2,
+      with ``entry`` the matrix cell;
+    * ``hessian-anticommute``: (a, b), the anticommutator H_a H_b + H_b H_a,
+      with ``entry`` the matrix cell;
+    * ``antiholomorphic``: (row, variable), the component and the zb
+      variable of the nonzero Wirtinger partial, also given as ``entry``;
+    * ``norm-product``: (0, 0), since the identity is about the whole map.
+    """
 
     kind: str
-    component_k: int        # 1-based indices into the components
+    component_k: int
     component_l: int
     residual: MultiPoly
     entry: tuple = None     # optional matrix position for matrix identities
@@ -77,13 +93,17 @@ def hwc_certificate(phi: RealPolyMap) -> CheckReport:
     j = jacobian(phi)
     rows = [list(r) for r in j.entries]
     n = phi.codomain_dim
-    dilation = poly_dot(rows[0], rows[0])
+    # The dilation is built only once a diagonal entry or a passing verdict
+    # reads it: a map refuted off the diagonal first never pays for it.
+    dilation = None
     for k in range(n):
         for l in range(k, n):
             if k == 0 and l == 0:
                 continue
             entry = poly_dot(rows[k], rows[l])
             if k == l:
+                if dilation is None:
+                    dilation = poly_dot(rows[0], rows[0])
                 residual = entry - dilation
                 if not residual.is_zero:
                     return CheckReport(
@@ -94,6 +114,8 @@ def hwc_certificate(phi: RealPolyMap) -> CheckReport:
                     return CheckReport(
                         "hwc", False,
                         violation=Violation("off-diagonal", k + 1, l + 1, entry))
+    if dilation is None:
+        dilation = poly_dot(rows[0], rows[0])
     notes = ()
     if dilation.is_zero:
         notes = ("constant/degenerate map: dilation is identically zero",)
@@ -137,35 +159,46 @@ def hessian_conditions(phi: RealPolyMap) -> CheckReport:
     """
     notes = ("the lift equivalence is stated under the hypothesis that the "
              "input map is HWC; check it with --hwc",)
+    # Each Hessian forms its rows and columns on first use, and -H_1 is
+    # formed one row at a time, so a certificate at an early entry reads
+    # O(m) second partials of the m^2.
     hessians = [hessian(c) for c in phi.components]
-    rows = [[list(row) for row in h.entries] for h in hessians]
-    cols = [[list(col) for col in zip(*h.entries)] for h in hessians]
-    negated_rows = [[-p for p in row] for row in rows[0]]
-    cells = [(i, j) for i in range(phi.domain_dim) for j in range(phi.domain_dim)]
-    n = phi.codomain_dim
+    first = hessians[0]
+    negated_rows = {}
+
+    def negated_row(i):
+        if i not in negated_rows:
+            negated_rows[i] = [-p for p in first.row(i)]
+        return negated_rows[i]
+
+    m, n = phi.domain_dim, phi.codomain_dim
     # Each matrix identity is decided entry by entry in row-major order, and
     # the first nonzero entry is the certificate: (H_a^2 - H_1^2)[i, j] and
     # (H_a H_b + H_b H_a)[i, j] are each one dot product of stacked vectors.
     for alpha in range(1, n):
-        for i, j in cells:
-            residual = poly_dot(rows[alpha][i] + negated_rows[i],
-                                cols[alpha][j] + cols[0][j])
-            if not residual.is_zero:
-                return CheckReport(
-                    "hessian_conditions", False, notes=notes,
-                    violation=Violation("hessian-square", 1, alpha + 1,
-                                        residual, entry=(i + 1, j + 1)))
-    for alpha in range(n):
-        for beta in range(alpha + 1, n):
-            for i, j in cells:
-                residual = poly_dot(rows[alpha][i] + rows[beta][i],
-                                    cols[beta][j] + cols[alpha][j])
+        h = hessians[alpha]
+        for i in range(m):
+            stacked_row = h.row(i) + negated_row(i)
+            for j in range(m):
+                residual = poly_dot(stacked_row, h.column(j) + first.column(j))
                 if not residual.is_zero:
                     return CheckReport(
                         "hessian_conditions", False, notes=notes,
-                        violation=Violation("hessian-anticommute", alpha + 1,
-                                            beta + 1, residual,
-                                            entry=(i + 1, j + 1)))
+                        violation=Violation("hessian-square", 1, alpha + 1,
+                                            residual, entry=(i + 1, j + 1)))
+    for alpha in range(n):
+        for beta in range(alpha + 1, n):
+            a, b = hessians[alpha], hessians[beta]
+            for i in range(m):
+                stacked_row = a.row(i) + b.row(i)
+                for j in range(m):
+                    residual = poly_dot(stacked_row, b.column(j) + a.column(j))
+                    if not residual.is_zero:
+                        return CheckReport(
+                            "hessian_conditions", False, notes=notes,
+                            violation=Violation("hessian-anticommute", alpha + 1,
+                                                beta + 1, residual,
+                                                entry=(i + 1, j + 1)))
     return CheckReport("hessian_conditions", True, notes=notes)
 
 

@@ -74,12 +74,50 @@ def jacobian(phi: RealPolyMap) -> PolyMatrix:
                        for c in phi.components])
 
 
-def hessian(p: MultiPoly) -> PolyMatrix:
+class Hessian:
+    """The matrix of second partials of one polynomial, built on demand.
+
+    Entry (i, j) is the partial by variable j of the partial by variable i.
+    It is built the first time a row, a column or the entry itself is read,
+    and kept, so a check that reads a few rows and columns costs O(m) second
+    partials instead of m^2."""
+
+    __slots__ = ("rows", "cols", "_firsts", "_entries", "_rows", "_cols")
+
+    def __init__(self, firsts: list[MultiPoly]):
+        self.rows = self.cols = len(firsts)
+        self._firsts = firsts
+        self._entries = {}
+        self._rows = {}
+        self._cols = {}
+
+    def __getitem__(self, index) -> MultiPoly:
+        entry = self._entries.get(index)
+        if entry is None:
+            i, j = index
+            entry = self._entries[index] = self._firsts[i].partial(j)
+        return entry
+
+    def row(self, i: int) -> list[MultiPoly]:
+        """Row i, the same list on every call: the caller must not change it."""
+        if i not in self._rows:
+            self._rows[i] = [self[i, j] for j in range(self.cols)]
+        return self._rows[i]
+
+    def column(self, j: int) -> list[MultiPoly]:
+        """Column j, the same list on every call: the caller must not change it."""
+        if j not in self._cols:
+            self._cols[j] = [self[i, j] for i in range(self.rows)]
+        return self._cols[j]
+
+    def is_zero(self) -> bool:
+        return all(p.is_zero for i in range(self.rows) for p in self.row(i))
+
+
+def hessian(p: MultiPoly) -> Hessian:
     if p.num_complex:
         raise DimensionMismatch("hessian is defined for real variable kinds")
-    firsts = [p.partial(i) for i in range(p.num_vars)]
-    return PolyMatrix([[firsts[i].partial(j) for j in range(p.num_vars)]
-                       for i in range(p.num_vars)])
+    return Hessian([p.partial(i) for i in range(p.num_vars)])
 
 
 def laplacian(p: MultiPoly) -> MultiPoly:

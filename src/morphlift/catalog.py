@@ -43,7 +43,7 @@ from .maps import (
     real_identification,
 )
 from .numeric import numeric_check, numeric_complete_lift, sample_points
-from .poly import render
+from .poly import render, render_leading
 
 
 class UnknownEntry(KeyError):
@@ -329,7 +329,7 @@ def _poly_summary(p, limit: int = 24) -> str:
     if len(p.terms) <= limit:
         return render(p)
     return (f"<{len(p.terms)} terms, total degree {p.total_degree()}; "
-            f"leading part {render(p).split(' + ')[0]} + ...>")
+            f"leading part {render_leading(p)} + ...>")
 
 
 def _certificate(report: CheckReport) -> str:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
-from itertools import repeat
+from itertools import repeat, takewhile
 from operator import add, sub
 
 from .exact import (
@@ -466,11 +466,6 @@ def default_names(num_vars: int, num_complex: int = 0) -> tuple[str, ...]:
     return tuple(f"x{j + 1}" for j in range(num_vars))
 
 
-def _graded_lex_key(item: tuple) -> tuple:
-    exponents = item[0]
-    return (sum(exponents), exponents)
-
-
 def _render_coefficient(coeff: Scalar, has_vars: bool) -> tuple[str, str]:
     """Return (sign, body) where body omits the leading sign."""
     re, im = real_part(coeff), imag_part(coeff)
@@ -489,21 +484,40 @@ def _render_coefficient(coeff: Scalar, has_vars: bool) -> tuple[str, str]:
     return "+", f"{body}*" if has_vars else body
 
 
+def _pieces(p: MultiPoly, names):
+    """The text of each term of a nonzero ``p`` in graded-lex order, highest
+    first, each after the first with the `` + `` or `` - `` that joins it to
+    the one before.  A term is rendered only when it is read."""
+    joined = False
+    terms = p.terms
+    # (degree, exponents) is unique per term, so no coefficient is compared
+    for _, exponents, coeff in sorted(zip(map(sum, terms), terms, terms.values()),
+                                      reverse=True):
+        factors = [names[j] if e == 1 else f"{names[j]}^{e}"
+                   for j, e in enumerate(exponents) if e]
+        sign, body = _render_coefficient(coeff, bool(factors))
+        body += "*".join(factors)
+        if joined:
+            yield f" {sign} {body}"
+        else:
+            yield body if sign == "+" else f"-{body}"
+            joined = True
+
+
 def render(p: MultiPoly, names=None) -> str:
     """Canonical text form: graded-lex order, explicit ``*`` and ``^``."""
     if names is None:
         names = default_names(p.num_vars, p.num_complex)
     if not p:
         return "0"
-    out = []
-    for exponents, coeff in sorted(p.terms.items(), key=_graded_lex_key,
-                                   reverse=True):
-        factors = [names[j] if e == 1 else f"{names[j]}^{e}"
-                   for j, e in enumerate(exponents) if e]
-        sign, body = _render_coefficient(coeff, bool(factors))
-        body += "*".join(factors)
-        if out:
-            out.append(f" {sign} {body}")
-        else:
-            out.append(body if sign == "+" else f"-{body}")
-    return "".join(out)
+    return "".join(_pieces(p, names))
+
+
+def render_leading(p: MultiPoly) -> str:
+    """``render(p).split(' + ')[0]``, rendering no term past it: the leading
+    term and the run of terms after it that join with `` - ``.  No rendered
+    term contains a space, so the split falls only between terms."""
+    if not p:
+        return "0"
+    pieces = _pieces(p, default_names(p.num_vars, p.num_complex))
+    return "".join(takewhile(lambda piece: not piece.startswith(" + "), pieces))

@@ -1,0 +1,170 @@
+"""``hwc_certificate`` and ``hessian_conditions`` build only the Gram and
+Hessian entries their verdict and certificate read.  They must report what
+the old bodies in ``analysis_oracle`` report, term for term, on every input,
+and the work they skip must stay skipped."""
+
+import random
+
+import pytest
+
+import analysis_oracle
+from genmaps import random_harmonic_map, random_quadratic_map, random_real_map
+from morphlift import analysis
+from morphlift.analysis import hessian_conditions, hwc_certificate
+from morphlift.catalog import entry_ids, lookup
+from morphlift.lift import complete_lift_real
+from morphlift.mapfile import parse_map
+from morphlift.maps import RealPolyMap, real_form
+from morphlift.poly import MultiPoly
+
+CHECKS = [(hwc_certificate, analysis_oracle.hwc_certificate),
+          (hessian_conditions, analysis_oracle.hessian_conditions)]
+
+
+def _terms(p):
+    """The terms in dict order, each with its coefficient's type."""
+    return None if p is None else [(e, c, type(c)) for e, c in p.terms.items()]
+
+
+def _fields(report):
+    v = report.violation
+    violation = None if v is None else (
+        v.kind, v.component_k, v.component_l, v.entry, _terms(v.residual))
+    return (report.check, report.verdict, report.notes,
+            _terms(report.dilation), violation)
+
+
+def _assert_same(phi):
+    for check, oracle in CHECKS:
+        assert _fields(check(phi)) == _fields(oracle(phi)), check.__name__
+
+
+def _catalog_maps():
+    for entry_id in entry_ids():
+        phi = real_form(parse_map(lookup(entry_id).definition))
+        if isinstance(phi, RealPolyMap):
+            yield entry_id, phi
+
+
+CATALOG = list(_catalog_maps())
+
+
+@pytest.mark.parametrize("entry_id,phi", CATALOG, ids=[e for e, _ in CATALOG])
+def test_catalog_maps_and_their_lifts_match_the_oracle(entry_id, phi):
+    _assert_same(phi)
+    if phi.domain_dim <= 8:
+        _assert_same(complete_lift_real(phi))
+
+
+def test_lift_ladder_matches_the_oracle(phi_r16_real):
+    _assert_same(phi_r16_real)
+    _assert_same(complete_lift_real(phi_r16_real))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_seeded_maps_match_the_oracle(seed):
+    rng = random.Random(seed)
+    maps = [random_real_map(rng, 3, rng.randint(1, 3)),
+            random_harmonic_map(rng, 3, rng.randint(1, 3)),
+            random_quadratic_map(rng, 3, rng.randint(1, 3))]
+    for phi in maps:
+        _assert_same(phi)
+        _assert_same(complete_lift_real(phi))
+
+
+# Maps whose certificate is not the first entry of its matrix.
+HAND_BUILT = {
+    # Gram entry (2, 2) is 4 against a dilation of 1; in the second map
+    # (3, 3), 4*x3^2 against 1, fails after (2, 2) passes
+    "diagonal": ("map f: R^2 -> R^2 { f1 = x1; f2 = 2*x2; }",
+                 ("diagonal", 1, 2, None)),
+    "late-diagonal": ("map f: R^3 -> R^3 { f1 = x1; f2 = x2; f3 = x3^2; }",
+                      ("diagonal", 1, 3, None)),
+    # H_2^2 - H_1^2 = diag(0, -4, 4): the first nonzero cell is (2, 2)
+    "hessian-cell": ("map f: R^3 -> R^2 { f1 = x1^2 - x2^2; f2 = x1^2 - x3^2; }",
+                     ("hessian-square", 1, 2, (2, 2))),
+    # H_1 = diag(2, -2) and H_2 = H_3 square to 4I, and H_1 anticommutes with\n    # both: the first failure is H_2 H_3 + H_3 H_2 = 8I, at cell (1, 1)
+    "anticommutator": ("map f: R^2 -> R^3 { f1 = x1^2 - x2^2; f2 = 2*x1*x2; "
+                       "f3 = 2*x1*x2; }", ("hessian-anticommute", 2, 3, (1, 1))),
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_hand_built_certificates_match_the_oracle(name):
+    source, certificate = HAND_BUILT[name]
+    phi = parse_map(source)
+    _assert_same(phi)
+    check = hessian_conditions if certificate[0].startswith("hessian") \
+        else hwc_certificate
+    v = check(phi).violation
+    assert (v.kind, v.component_k, v.component_l, v.entry) == certificate
+
+
+# ---------------------------------------------------------------------------
+# Work counts: what a certificate does not read is not built
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def poly_dot_calls(monkeypatch):
+    calls = []
+    real = analysis.poly_dot
+
+    def counting(left, right):
+        calls.append((left, right))
+        return real(left, right)
+
+    monkeypatch.setattr(analysis, "poly_dot", counting)
+    return calls
+
+
+@pytest.fixture
+def partial_calls(monkeypatch):
+    calls = []
+    real = MultiPoly.partial
+
+    def counting(self, index):
+        calls.append(index)
+        return real(self, index)
+
+    monkeypatch.setattr(MultiPoly, "partial", counting)
+    return calls
+
+
+def test_off_diagonal_refutation_builds_one_gram_entry(poly_dot_calls):
+    report = hwc_certificate(parse_map(
+        "map f: R^2 -> R^2 { f1 = x1 + x2; f2 = x1; }"))
+    assert report.violation.kind == "off-diagonal"
+    assert len(poly_dot_calls) == 1
+
+
+def test_r32_rung_refutation_builds_no_dilation(phi_r16_real, poly_dot_calls):
+    rung = complete_lift_real(phi_r16_real)
+    report = hwc_certificate(rung)
+    v = report.violation
+    assert (v.kind, v.component_k, v.component_l) == ("off-diagonal", 1, 2)
+    [(left, right)] = poly_dot_calls
+    assert left is not right          # the dilation is rows[0] . rows[0]
+
+
+def test_diagonal_refutation_builds_the_dilation_once(poly_dot_calls):
+    report = hwc_certificate(parse_map(
+        "map f: R^3 -> R^3 { f1 = x1; f2 = x2; f3 = x3^2; }"))
+    assert report.violation.kind == "diagonal"
+    first_row = poly_dot_calls[0][0]      # the first call is G[1, 2]
+    dilations = [left for left, right in poly_dot_calls
+                 if left is first_row and right is first_row]
+    # G[1, 2], G[1, 3], G[2, 2], the dilation, G[2, 3], G[3, 3]
+    assert len(dilations) == 1 and len(poly_dot_calls) == 6
+
+
+def test_r32_rung_hessian_conditions_build_o_m_second_partials(phi_r16_real,
+                                                               partial_calls):
+    rung = complete_lift_real(phi_r16_real)
+    m, n = rung.domain_dim, rung.codomain_dim
+    partial_calls.clear()
+    report = hessian_conditions(rung)
+    assert report.violation.entry == (1, 1)
+    # n*m first partials, then row 1 and column 1 of H_1 and of H_2, which
+    # share their (1, 1) entry
+    assert len(partial_calls) == n * m + 2 * (2 * m - 1)
+    assert len(partial_calls) < m * m

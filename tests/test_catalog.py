@@ -1,19 +1,23 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from morphlift.analysis import CheckReport
 from morphlift.catalog import (
     CHECKS,
     CatalogEntry,
     UnknownEntry,
+    _poly_summary,
     entry_ids,
     lookup,
     run_entry,
 )
 from morphlift.cli import cli_main
-from morphlift.mapfile import parse_map
+from morphlift.exact import GaussianRational
+from morphlift.mapfile import parse_map, parse_poly
 from morphlift.maps import real_form
+from morphlift.poly import MultiPoly, render
 
 SPEC_IDS = {
     "ex1.4.i-zw",
@@ -122,3 +126,47 @@ def test_analysis_row_returns_a_check_report(name):
     phi = quaternion if form == "complex" else real_form(quaternion)
     blocks = (4, 4) if name == "orthogonal-multiplication" else ()
     assert isinstance(run(phi, *blocks), CheckReport)
+
+
+# ---------------------------------------------------------------------------
+# Certificate summaries
+# ---------------------------------------------------------------------------
+
+def _old_summary(p, limit=24):
+    """``_poly_summary`` as it was when it rendered every term."""
+    if len(p.terms) <= limit:
+        return render(p)
+    return (f"<{len(p.terms)} terms, total degree {p.total_degree()}; "
+            f"leading part {render(p).split(' + ')[0]} + ...>")
+
+
+_ratios = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_coefficients = st.one_of(
+    _ratios,
+    st.sampled_from([-1, 1, -2]),          # signs and units render specially
+    st.builds(GaussianRational, _ratios, _ratios))
+
+
+_MONOMIALS = [(a, b, c) for a in range(4) for b in range(4) for c in range(4)]
+
+
+@given(st.permutations(_MONOMIALS),
+       st.lists(_coefficients, min_size=16, max_size=34), st.booleans())
+@settings(max_examples=100)
+def test_poly_summary_renders_what_the_full_rendering_did(monomials, coefficients,
+                                                          complex_ring):
+    # 16..34 terms, on both sides of the 24-term limit; the negative units
+    # make leading runs of terms joined by " - "
+    if complex_ring:
+        p = MultiPoly(6, {e + (0, 0, 0): c for e, c in zip(monomials, coefficients)}, 3)
+    else:
+        p = MultiPoly(3, dict(zip(monomials, coefficients)))
+    assert _poly_summary(p) == _old_summary(p)
+
+
+def test_poly_summary_of_a_negative_leading_run():
+    p = parse_poly(" - ".join(f"x1^{k}" for k in range(30, 0, -1)) + " + 1", 1)
+    summary = _poly_summary(p)
+    assert summary == _old_summary(p)
+    run = " - ".join([f"x1^{k}" for k in range(30, 1, -1)] + ["x1"])
+    assert summary == f"<31 terms, total degree 30; leading part {run} + ...>"
