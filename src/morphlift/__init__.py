@@ -14,9 +14,9 @@ from .analysis import (
 from .calculus import (
     PolyMatrix,
     antiholomorphic_jacobian,
-    complex_gradient,
     hessian,
     jacobian,
+    jacobian_at,
     laplacian,
 )
 from .exact import (
@@ -68,8 +68,8 @@ __all__ = [
     "CheckReport", "Violation", "hessian_conditions", "hwc_certificate",
     "is_harmonic", "is_harmonic_morphism", "is_holomorphic",
     "is_orthogonal_multiplication",
-    "PolyMatrix", "antiholomorphic_jacobian", "complex_gradient",
-    "hessian", "jacobian", "laplacian",
+    "PolyMatrix", "antiholomorphic_jacobian", "hessian", "jacobian",
+    "jacobian_at", "laplacian",
     "DimensionMismatch", "ExactMatrix", "GaussianRational", "bilinear_dot",
     "EvalDomainError", "Expr", "NotPolynomial", "SmoothMap",
     "INCONCLUSIVE", "NOT_KAEHLER", "KaehlerReport", "search_points",

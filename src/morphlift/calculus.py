@@ -7,7 +7,9 @@ analysis module an exact, decidable polynomial identity.
 
 from __future__ import annotations
 
-from .exact import DimensionMismatch, I
+from itertools import combinations
+
+from .exact import DimensionMismatch, I, make_scalar_like
 from .maps import ComplexPolyMap, RealPolyMap, ShapeError
 from .poly import MultiPoly, poly_dot
 
@@ -60,18 +62,77 @@ class PolyMatrix:
     def is_zero(self) -> bool:
         return all(p.is_zero for row in self.entries for p in row)
 
-    def evaluate(self, point):
-        """Evaluate every entry; returns a list of lists of scalars.  The
-        entries share one table of zero fields and powers of the point."""
-        table = {}
-        return [[p.evaluate(point, table=table) for p in row]
-                for row in self.entries]
-
 
 def jacobian(phi: RealPolyMap) -> PolyMatrix:
     """Entry (i, j) is the partial of component i by variable j."""
     return PolyMatrix([[c.partial(j) for j in range(phi.domain_dim)]
                        for c in phi.components])
+
+
+def _jacobian_plan(phi: RealPolyMap) -> tuple[list, list]:
+    """The contributions of phi's terms to its Jacobian, and the (variable,
+    exponent) pair of each power they read.
+
+    Term c*x^e of component k contributes c*e_j*x^(e - u_j) to entry (k, j)
+    for each variable x_j it contains.  A contribution is (slot, coefficient,
+    support, factors): the entry's index in the row-major matrix, c*e_j, a
+    mask with bit i set for each variable x_i of x^(e - u_j), and the
+    indices of the powers whose product is x^(e - u_j)."""
+    n = phi.domain_dim
+    plan = []
+    index = {}          # e*n + j -> index of the power x_j^e
+    for k, component in enumerate(phi.components):
+        for fields, coeff in component.sparse_terms():
+            if not fields:
+                continue        # a constant term contributes nothing
+            powers = []
+            support = 0
+            for j, e in fields:
+                powers.append(index.setdefault(e * n + j, len(index)))
+                support |= 1 << j
+            # combinations() leaves out the last field first
+            for (j, e), factors in zip(reversed(fields),
+                                       combinations(powers, len(powers) - 1)):
+                if e == 1:
+                    plan.append((k * n + j, coeff, support ^ (1 << j), factors))
+                else:
+                    lower = index.setdefault((e - 1) * n + j, len(index))
+                    plan.append((k * n + j, make_scalar_like(coeff * e), support,
+                                 factors + (lower,)))
+    return plan, [divmod(code, n)[::-1] for code in index]
+
+
+def jacobian_at(phi: RealPolyMap, points):
+    """The value rows of phi's Jacobian at each of the points in turn, read
+    straight from the terms of phi: no partial is built.
+
+    The terms are decoded once per call, before the first point is read.
+    At each point, one mask of the variables whose value is 0 skips every
+    contribution that meets one before any product, and each power of a
+    coordinate is computed once."""
+    n = phi.domain_dim
+    plan, pairs = _jacobian_plan(phi)
+    for point in points:
+        if len(point) != n:
+            raise DimensionMismatch(f"point length {len(point)} != arity {n}")
+        zeros = 0
+        for j, x in enumerate(point):
+            if x == 0:
+                zeros |= 1 << j
+        powers = [None] * len(pairs)
+        values = [0] * (phi.codomain_dim * n)
+        for slot, value, support, factors in plan:
+            if support & zeros:
+                continue
+            for f in factors:
+                power = powers[f]
+                if power is None:
+                    j, e = pairs[f]
+                    power = powers[f] = point[j] ** e
+                value = value * power
+            values[slot] += value
+        values = [v if type(v) is int else make_scalar_like(v) for v in values]
+        yield [values[k * n:(k + 1) * n] for k in range(phi.codomain_dim)]
 
 
 class Hessian:
@@ -80,7 +141,9 @@ class Hessian:
     Entry (i, j) is the partial by variable j of the partial by variable i.
     It is built the first time a row, a column or the entry itself is read,
     and kept, so a check that reads a few rows and columns costs O(m) second
-    partials instead of m^2."""
+    partials instead of m^2.  Entry (j, i) equals entry (i, j) term for term,
+    in the same order and with the same coefficient types, so whichever is
+    read second is the one already built."""
 
     __slots__ = ("rows", "cols", "_firsts", "_entries", "_rows", "_cols")
 
@@ -95,7 +158,10 @@ class Hessian:
         entry = self._entries.get(index)
         if entry is None:
             i, j = index
-            entry = self._entries[index] = self._firsts[i].partial(j)
+            entry = self._entries.get((j, i))
+            if entry is None:
+                entry = self._firsts[i].partial(j)
+            self._entries[index] = entry
         return entry
 
     def row(self, i: int) -> list[MultiPoly]:

@@ -328,8 +328,9 @@ def lookup(entry_id: str) -> CatalogEntry:
 def _poly_summary(p, limit: int = 24) -> str:
     if len(p.terms) <= limit:
         return render(p)
-    return (f"<{len(p.terms)} terms, total degree {p.total_degree()}; "
-            f"leading part {render_leading(p)} + ...>")
+    degree, leading = render_leading(p)
+    return (f"<{len(p.terms)} terms, total degree {degree}; "
+            f"leading part {leading} + ...>")
 
 
 def _certificate(report: CheckReport) -> str:

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import tee
 
-from .calculus import complex_gradient, jacobian
+from .calculus import jacobian_at
 from .exact import (
     ExactMatrix,
     GaussianRational,
@@ -62,17 +63,23 @@ def span_report(Phi: RealPolyMap, points) -> KaehlerReport:
 
     The real Jacobian's rows u, v at a point give both the complex gradient
     u + i*v and the Jacobian rank there."""
+    _check_two_components(Phi)
+    points = tuple(points)
+    rows = jacobian_at(Phi, map(complex_point_to_real, points))
+    return _report(Phi, points, list(rows))
+
+
+def _check_two_components(Phi: RealPolyMap) -> None:
     if Phi.codomain_dim != 2:
         raise ShapeError(
             f"complex gradient needs a two-component map, got {Phi.codomain_dim}")
-    real_jacobian = jacobian(Phi)
+
+
+def _report(Phi: RealPolyMap, points: tuple, rows: list) -> KaehlerReport:
+    """The report on the points, given the real Jacobian's rows at each."""
     m = Phi.domain_dim // 2
-    gradients = []
-    jacobian_ranks = []
-    for point in points:
-        u, v = real_jacobian.evaluate(complex_point_to_real(point))
-        gradients.append(tuple(map(make_scalar, u, v)))
-        jacobian_ranks.append(ExactMatrix([u, v]).rank())
+    gradients = tuple(tuple(map(make_scalar, u, v)) for u, v in rows)
+    jacobian_ranks = tuple(ExactMatrix(uv).rank() for uv in rows)
     rank = ExactMatrix(gradients).rank()
     isotropy_ok = all(bilinear_dot(g, g) == 0 for g in gradients)
     pairwise = all(bilinear_dot(gradients[a], gradients[b]) == 0
@@ -83,8 +90,8 @@ def span_report(Phi: RealPolyMap, points) -> KaehlerReport:
     if verdict == NOT_KAEHLER:
         notes = (f"gradient span has rank {rank} > m = {m}: no m-dimensional "
                  "subspace (isotropic or not) contains every gradient",)
-    return KaehlerReport(tuple(points), tuple(gradients), rank, isotropy_ok,
-                         pairwise, verdict, tuple(jacobian_ranks), notes)
+    return KaehlerReport(points, gradients, rank, isotropy_ok, pairwise,
+                         verdict, jacobian_ranks, notes)
 
 
 _ALPHABET: tuple[Scalar, ...] = (
@@ -96,27 +103,29 @@ _ALPHABET: tuple[Scalar, ...] = (
 def search_points(Phi: RealPolyMap, budget: int, seed: int) -> KaehlerReport:
     """Greedy deterministic search for points whose gradients overflow the
     rank bound.  Samples small Gaussian-integer coordinates, keeps a point
-    iff it increases the span rank, stops at rank > m or budget exhaustion."""
+    iff it increases the span rank, stops at rank > m or budget exhaustion.
+    Points are drawn one at a time, as the search reads them."""
+    _check_two_components(Phi)
     rng = random.Random(seed)
-    gradient_polys = complex_gradient(Phi)
     m = Phi.domain_dim // 2
+    drawn, again = tee(tuple(rng.choice(_ALPHABET) for _ in range(m))
+                       for _ in range(budget))
     kept_points = []
+    kept_rows = []
     kept_gradients: list[tuple] = []
     rank = 0
-    for _ in range(budget):
-        point = tuple(rng.choice(_ALPHABET) for _ in range(m))
-        real_point = complex_point_to_real(point)
-        table = {}
-        gradient = tuple(p.evaluate(real_point, table=table)
-                         for p in gradient_polys)
+    for point, rows in zip(drawn,
+                           jacobian_at(Phi, map(complex_point_to_real, again))):
+        gradient = tuple(map(make_scalar, *rows))
         if all(value == 0 for value in gradient):
             continue
         candidate = ExactMatrix(kept_gradients + [gradient])
         new_rank = candidate.rank()
         if new_rank > rank:
             kept_points.append(point)
+            kept_rows.append(rows)
             kept_gradients.append(gradient)
             rank = new_rank
         if rank > m:
             break
-    return span_report(Phi, kept_points)
+    return _report(Phi, tuple(kept_points), kept_rows)

@@ -325,16 +325,13 @@ class MultiPoly:
 
     # -- evaluation / substitution -------------------------------------------------
 
-    def evaluate(self, point, *, table=None) -> Scalar:
+    def evaluate(self, point) -> Scalar:
         """Exact evaluation.  For complex rings the point must be
         conjugation-consistent: value(zb_k) == conj(value(z_k)).
 
-        ``table`` is an initially empty dict that every evaluation at the
-        same point may share, as the entries of a matrix do.  Per field
-        width it holds a mask of the fields of the variables whose value is
-        0 (a term that meets it is 0 and is skipped) and each power
-        ``point[j] ** e`` computed so far, keyed by its packed field value
-        ``e << shift``."""
+        A mask of the fields of the variables whose value is 0 skips every
+        term that meets one, and each power ``point[j] ** e`` is computed
+        once, keyed by its packed field value ``e << shift``."""
         if len(point) != self.num_vars:
             raise DimensionMismatch(
                 f"point length {len(point)} != arity {self.num_vars}")
@@ -346,12 +343,8 @@ class MultiPoly:
                         f"value for zb{j + 1} is not the conjugate of z{j + 1}")
         bits = 8 * self._width
         mask = (1 << bits) - 1
-        if table is None:
-            table = {}
-        if self._width not in table:
-            zeros = sum(mask << (bits * j) for j, x in enumerate(point) if x == 0)
-            table[self._width] = (zeros, {})
-        zeros, powers = table[self._width]
+        zeros = sum(mask << (bits * j) for j, x in enumerate(point) if x == 0)
+        powers = {}
         total: Scalar = 0
         for key, coeff in self._terms.items():
             if key & zeros:
@@ -410,8 +403,20 @@ class MultiPoly:
 
     # -- inspection -------------------------------------------------------------
 
-    def total_degree(self) -> int:
-        return max(map(sum, self.terms), default=0)
+    def sparse_terms(self):
+        """Each term as (fields, coefficient), where ``fields`` lists
+        (variable, exponent) for each variable that occurs, in order of
+        variable: :attr:`terms` without the zero exponents."""
+        bits = 8 * self._width
+        mask = (1 << bits) - 1
+        for key, coeff in self._terms.items():
+            fields = []
+            while key:
+                j = ((key & -key).bit_length() - 1) // bits
+                e = (key >> (bits * j)) & mask
+                key -= e << (bits * j)
+                fields.append((j, e))
+            yield fields, coeff
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +489,21 @@ def _render_coefficient(coeff: Scalar, has_vars: bool) -> tuple[str, str]:
     return "+", f"{body}*" if has_vars else body
 
 
-def _pieces(p: MultiPoly, names):
-    """The text of each term of a nonzero ``p`` in graded-lex order, highest
-    first, each after the first with the `` + `` or `` - `` that joins it to
-    the one before.  A term is rendered only when it is read."""
-    joined = False
+def _graded(p: MultiPoly) -> list:
+    """(total degree, exponents, coefficient) for each term of ``p``, in
+    graded-lex order, highest first."""
     terms = p.terms
     # (degree, exponents) is unique per term, so no coefficient is compared
-    for _, exponents, coeff in sorted(zip(map(sum, terms), terms, terms.values()),
-                                      reverse=True):
+    return sorted(zip(map(sum, terms), terms, terms.values()), reverse=True)
+
+
+def _pieces(graded: list, names):
+    """The text of each term of a nonzero polynomial, given its
+    :func:`_graded` terms, each after the first with the `` + `` or `` - ``
+    that joins it to the one before.  A term is rendered only when it is
+    read."""
+    joined = False
+    for _, exponents, coeff in graded:
         factors = [names[j] if e == 1 else f"{names[j]}^{e}"
                    for j, e in enumerate(exponents) if e]
         sign, body = _render_coefficient(coeff, bool(factors))
@@ -510,14 +521,17 @@ def render(p: MultiPoly, names=None) -> str:
         names = default_names(p.num_vars, p.num_complex)
     if not p:
         return "0"
-    return "".join(_pieces(p, names))
+    return "".join(_pieces(_graded(p), names))
 
 
-def render_leading(p: MultiPoly) -> str:
-    """``render(p).split(' + ')[0]``, rendering no term past it: the leading
+def render_leading(p: MultiPoly) -> tuple[int, str]:
+    """The total degree of ``p``, read from its leading term, and
+    ``render(p).split(' + ')[0]``, rendering no term past it: the leading
     term and the run of terms after it that join with `` - ``.  No rendered
     term contains a space, so the split falls only between terms."""
     if not p:
-        return "0"
-    pieces = _pieces(p, default_names(p.num_vars, p.num_complex))
-    return "".join(takewhile(lambda piece: not piece.startswith(" + "), pieces))
+        return 0, "0"
+    graded = _graded(p)
+    pieces = _pieces(graded, default_names(p.num_vars, p.num_complex))
+    return graded[0][0], "".join(
+        takewhile(lambda piece: not piece.startswith(" + "), pieces))

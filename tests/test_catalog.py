@@ -136,7 +136,7 @@ def _old_summary(p, limit=24):
     """``_poly_summary`` as it was when it rendered every term."""
     if len(p.terms) <= limit:
         return render(p)
-    return (f"<{len(p.terms)} terms, total degree {p.total_degree()}; "
+    return (f"<{len(p.terms)} terms, total degree {max(map(sum, p.terms))}; "
             f"leading part {render(p).split(' + ')[0]} + ...>")
 
 
