@@ -19,7 +19,9 @@ a point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
+from itertools import combinations, combinations_with_replacement
 
 from .calculus import (
     antiholomorphic_jacobian,
@@ -73,14 +75,23 @@ class CheckReport:
             raise ValueError("a failing report must carry a violation")
 
 
-def is_harmonic(phi: RealPolyMap) -> CheckReport:
-    for index, comp in enumerate(phi.components, start=1):
-        residual = laplacian(comp)
+def _decide(check: str, identities, notes: tuple = ()) -> CheckReport:
+    """The report of a check that holds iff every identity in a stream does.
+
+    ``identities`` yields (kind, k, l, entry, residual) in the order that
+    defines the certificate, building each residual only when it is asked
+    for.  The first nonzero residual becomes the violation and ends the
+    stream, so no later residual is built; a stream of zeros is a pass."""
+    for kind, k, l, entry, residual in identities:
         if not residual.is_zero:
-            return CheckReport(
-                "harmonic", False,
-                violation=Violation("laplacian", index, index, residual))
-    return CheckReport("harmonic", True)
+            return CheckReport(check, False, notes=notes,
+                               violation=Violation(kind, k, l, residual, entry))
+    return CheckReport(check, True, notes=notes)
+
+
+def is_harmonic(phi: RealPolyMap) -> CheckReport:
+    return _decide("harmonic", (("laplacian", k, k, None, laplacian(c))
+                                for k, c in enumerate(phi.components, start=1)))
 
 
 def hwc_certificate(phi: RealPolyMap) -> CheckReport:
@@ -90,63 +101,44 @@ def hwc_certificate(phi: RealPolyMap) -> CheckReport:
     every off-diagonal entry is the zero polynomial and all diagonal entries
     agree; the common diagonal is the squared dilation.
     """
-    j = jacobian(phi)
-    rows = [list(r) for r in j.entries]
-    n = phi.codomain_dim
+    rows = [list(r) for r in jacobian(phi).entries]
     # The dilation is built only once a diagonal entry or a passing verdict
     # reads it: a map refuted off the diagonal first never pays for it.
-    dilation = None
-    for k in range(n):
-        for l in range(k, n):
-            if k == 0 and l == 0:
-                continue
-            entry = poly_dot(rows[k], rows[l])
-            if k == l:
-                if dilation is None:
-                    dilation = poly_dot(rows[0], rows[0])
-                residual = entry - dilation
-                if not residual.is_zero:
-                    return CheckReport(
-                        "hwc", False,
-                        violation=Violation("diagonal", 1, k + 1, residual))
-            else:
-                if not entry.is_zero:
-                    return CheckReport(
-                        "hwc", False,
-                        violation=Violation("off-diagonal", k + 1, l + 1, entry))
-    if dilation is None:
-        dilation = poly_dot(rows[0], rows[0])
-    notes = ()
-    if dilation.is_zero:
-        notes = ("constant/degenerate map: dilation is identically zero",)
-    return CheckReport("hwc", True, dilation=dilation, notes=notes)
+    squared_dilation = cache(lambda: poly_dot(rows[0], rows[0]))
+
+    def gram():
+        for k, l in combinations_with_replacement(range(phi.codomain_dim), 2):
+            if k != l:
+                yield "off-diagonal", k + 1, l + 1, None, poly_dot(rows[k], rows[l])
+            elif k:
+                entry = poly_dot(rows[k], rows[k])
+                yield "diagonal", 1, k + 1, None, entry - squared_dilation()
+
+    report = _decide("hwc", gram())
+    if not report.verdict:
+        return report
+    dilation = squared_dilation()
+    notes = (("constant/degenerate map: dilation is identically zero",)
+             if dilation.is_zero else ())
+    return replace(report, dilation=dilation, notes=notes)
 
 
 def is_harmonic_morphism(phi: RealPolyMap) -> CheckReport:
     harmonic = is_harmonic(phi)
     if not harmonic.verdict:
-        return CheckReport("harmonic_morphism", False,
-                           violation=harmonic.violation,
-                           notes=("harmonicity fails",))
+        return replace(harmonic, check="harmonic_morphism",
+                       notes=("harmonicity fails",))
     conformal = hwc_certificate(phi)
-    if not conformal.verdict:
-        return CheckReport("harmonic_morphism", False,
-                           violation=conformal.violation,
-                           notes=("horizontal weak conformality fails",))
-    return CheckReport("harmonic_morphism", True,
-                       dilation=conformal.dilation, notes=conformal.notes)
+    notes = conformal.notes if conformal.verdict else (
+        "horizontal weak conformality fails",)
+    return replace(conformal, check="harmonic_morphism", notes=notes)
 
 
 def is_holomorphic(phi: ComplexPolyMap) -> CheckReport:
     anti = antiholomorphic_jacobian(phi)
-    for i in range(anti.rows):
-        for j in range(anti.cols):
-            if not anti[i, j].is_zero:
-                return CheckReport(
-                    "holomorphic", False,
-                    violation=Violation("antiholomorphic", i + 1, j + 1,
-                                        anti[i, j], entry=(i + 1, j + 1)))
-    return CheckReport("holomorphic", True)
+    return _decide("holomorphic", (
+        ("antiholomorphic", i + 1, j + 1, (i + 1, j + 1), anti[i, j])
+        for i in range(anti.rows) for j in range(anti.cols)))
 
 
 def hessian_conditions(phi: RealPolyMap) -> CheckReport:
@@ -159,47 +151,30 @@ def hessian_conditions(phi: RealPolyMap) -> CheckReport:
     """
     notes = ("the lift equivalence is stated under the hypothesis that the "
              "input map is HWC; check it with --hwc",)
-    # Each Hessian forms its rows and columns on first use, and -H_1 is
-    # formed one row at a time, so a certificate at an early entry reads
-    # O(m) second partials of the m^2.
+    # Each Hessian and -H_1 form a row on first use, so a certificate at an
+    # early entry reads O(m) second partials of the m^2.
     hessians = [hessian(c) for c in phi.components]
     first = hessians[0]
-    negated_rows = {}
+    negated_row = cache(lambda i: [-p for p in first.row(i)])
+    # Row j of a Hessian is also its column j, so cell (i, j) of each
+    # identity is one dot product [left | right]_i . [top | bottom]_j:
+    # (H_a^2 - H_1^2)[i, j] = [H_a | -H_1]_i . [H_a | H_1]_j and
+    # (H_a H_b + H_b H_a)[i, j] = [H_a | H_b]_i . [H_b | H_a]_j.
+    products = [("hessian-square", 1, a + 1, h.row, negated_row, h.row, first.row)
+                for a, h in enumerate(hessians) if a] + [
+        ("hessian-anticommute", a + 1, b + 1, ha.row, hb.row, hb.row, ha.row)
+        for (a, ha), (b, hb) in combinations(enumerate(hessians), 2)]
 
-    def negated_row(i):
-        if i not in negated_rows:
-            negated_rows[i] = [-p for p in first.row(i)]
-        return negated_rows[i]
+    def cells():
+        # the squares, then the anticommutators, each cell in row-major order
+        for kind, k, l, left, right, top, bottom in products:
+            for i in range(phi.domain_dim):
+                stacked_row = left(i) + right(i)
+                for j in range(phi.domain_dim):
+                    yield (kind, k, l, (i + 1, j + 1),
+                           poly_dot(stacked_row, top(j) + bottom(j)))
 
-    m, n = phi.domain_dim, phi.codomain_dim
-    # Each matrix identity is decided entry by entry in row-major order, and
-    # the first nonzero entry is the certificate: (H_a^2 - H_1^2)[i, j] and
-    # (H_a H_b + H_b H_a)[i, j] are each one dot product of stacked vectors.
-    for alpha in range(1, n):
-        h = hessians[alpha]
-        for i in range(m):
-            stacked_row = h.row(i) + negated_row(i)
-            for j in range(m):
-                residual = poly_dot(stacked_row, h.column(j) + first.column(j))
-                if not residual.is_zero:
-                    return CheckReport(
-                        "hessian_conditions", False, notes=notes,
-                        violation=Violation("hessian-square", 1, alpha + 1,
-                                            residual, entry=(i + 1, j + 1)))
-    for alpha in range(n):
-        for beta in range(alpha + 1, n):
-            a, b = hessians[alpha], hessians[beta]
-            for i in range(m):
-                stacked_row = a.row(i) + b.row(i)
-                for j in range(m):
-                    residual = poly_dot(stacked_row, b.column(j) + a.column(j))
-                    if not residual.is_zero:
-                        return CheckReport(
-                            "hessian_conditions", False, notes=notes,
-                            violation=Violation("hessian-anticommute", alpha + 1,
-                                                beta + 1, residual,
-                                                entry=(i + 1, j + 1)))
-    return CheckReport("hessian_conditions", True, notes=notes)
+    return _decide("hessian_conditions", cells(), notes)
 
 
 def is_orthogonal_multiplication(phi: RealPolyMap, first_block: int,
@@ -219,17 +194,10 @@ def is_orthogonal_multiplication(phi: RealPolyMap, first_block: int,
                     f"component {index} is not bilinear in the "
                     f"({first_block}, {second_block}) block split")
     m = phi.domain_dim
-    norm_image = poly_dot(list(phi.components), list(phi.components))
-    first_norm = MultiPoly.zero(m)
-    for j in range(first_block):
-        v = MultiPoly.variable(m, j)
-        first_norm = first_norm + v * v
-    second_norm = MultiPoly.zero(m)
-    for j in range(first_block, m):
-        v = MultiPoly.variable(m, j)
-        second_norm = second_norm + v * v
-    residual = norm_image - first_norm * second_norm
-    if residual.is_zero:
-        return CheckReport("orthogonal_multiplication", True)
-    return CheckReport("orthogonal_multiplication", False,
-                       violation=Violation("norm-product", 0, 0, residual))
+    x = [MultiPoly.variable(m, j) for j in range(first_block)]
+    y = [MultiPoly.variable(m, j) for j in range(first_block, m)]
+    components = list(phi.components)
+    residual = (poly_dot(components, components)
+                - poly_dot(x, x) * poly_dot(y, y))
+    return _decide("orthogonal_multiplication",
+                   [("norm-product", 0, 0, None, residual)])

@@ -136,45 +136,36 @@ def jacobian_at(phi: RealPolyMap, points):
 
 
 class Hessian:
-    """The matrix of second partials of one polynomial, built on demand.
+    """The matrix of second partials of one polynomial, built a row at a time.
 
     Entry (i, j) is the partial by variable j of the partial by variable i.
-    It is built the first time a row, a column or the entry itself is read,
-    and kept, so a check that reads a few rows and columns costs O(m) second
-    partials instead of m^2.  Entry (j, i) equals entry (i, j) term for term,
-    in the same order and with the same coefficient types, so whichever is
-    read second is the one already built."""
+    Row i is built the first time it is read, and kept, so a check that
+    reads a few rows costs O(m) second partials instead of m^2.  Entry
+    (j, i) equals entry (i, j) term for term, in the same order and with the
+    same coefficient types, so row j serves as column j, and a row reuses
+    the entries of the rows already built."""
 
-    __slots__ = ("rows", "cols", "_firsts", "_entries", "_rows", "_cols")
+    __slots__ = ("rows", "cols", "_firsts", "_rows")
 
     def __init__(self, firsts: list[MultiPoly]):
         self.rows = self.cols = len(firsts)
         self._firsts = firsts
-        self._entries = {}
         self._rows = {}
-        self._cols = {}
 
     def __getitem__(self, index) -> MultiPoly:
-        entry = self._entries.get(index)
-        if entry is None:
-            i, j = index
-            entry = self._entries.get((j, i))
-            if entry is None:
-                entry = self._firsts[i].partial(j)
-            self._entries[index] = entry
-        return entry
+        i, j = index
+        return self.row(i)[j]
 
     def row(self, i: int) -> list[MultiPoly]:
-        """Row i, the same list on every call: the caller must not change it."""
-        if i not in self._rows:
-            self._rows[i] = [self[i, j] for j in range(self.cols)]
-        return self._rows[i]
-
-    def column(self, j: int) -> list[MultiPoly]:
-        """Column j, the same list on every call: the caller must not change it."""
-        if j not in self._cols:
-            self._cols[j] = [self[i, j] for i in range(self.rows)]
-        return self._cols[j]
+        """Row i, also column i, the same list on every call: the caller
+        must not change it."""
+        row = self._rows.get(i)
+        if row is None:
+            built = self._rows
+            row = built[i] = [built[j][i] if j in built
+                              else self._firsts[i].partial(j)
+                              for j in range(self.cols)]
+        return row
 
     def is_zero(self) -> bool:
         return all(p.is_zero for i in range(self.rows) for p in self.row(i))

@@ -374,7 +374,7 @@ def _kaehler_search(phi: RealPolyMap, budget: int, seed: int):
 
 
 def _numeric_morphism(phi, count: int, seed: int, tolerance: float):
-    report = numeric_check(phi, sample_points(phi, count, seed, (-2.0, 2.0)), tolerance)
+    report = numeric_check(phi, sample_points(phi, count, seed), tolerance)
     return report.verdict, (
         f"max laplacian residual {max(report.laplacian_residuals):.2e}, "
         f"conformality residual {report.conformality_residual:.2e}")
@@ -382,7 +382,7 @@ def _numeric_morphism(phi, count: int, seed: int, tolerance: float):
 
 def _lift_numeric_hwc_fails(phi, count: int, seed: int, threshold: float):
     lift = numeric_complete_lift(phi)
-    report = numeric_check(lift, sample_points(lift, count, seed, (-2.0, 2.0)), 1e-8)
+    report = numeric_check(lift, sample_points(lift, count, seed), 1e-8)
     residual = report.conformality_residual
     return ((not report.verdict) and residual >= threshold,
             f"conformality residual {residual:.2e}")

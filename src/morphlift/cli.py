@@ -387,7 +387,7 @@ def _cmd_numeric(args) -> Report:
     if isinstance(parsed, (RealPolyMap, ComplexPolyMap)):
         raise CliError("numeric-check is for smooth maps; "
                        "use check for exact polynomial maps")
-    points = sample_points(parsed, args.points, args.seed, (-2.0, 2.0))
+    points = sample_points(parsed, args.points, args.seed)
     report = numeric_check(parsed, points, args.tol)
     verdict = "pass" if report.verdict else "fail"
     payload = {
@@ -482,7 +482,7 @@ def cli_main(argv=None, out=None) -> int:
     except (CliError, MapSyntaxError, catalog_module.UnknownEntry,
             DimensionMismatch, ShapeError, ConsistencyError, SamplingError,
             InternalConsistencyError, EvalDomainError, NotPolynomial,
-            RecursionError) as error:
+            OverflowError, RecursionError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     try:

@@ -31,7 +31,7 @@ from .exact import (
     render_scalar,
     to_complex,
 )
-from .poly import MultiPoly, _check_ring_shape
+from .poly import MultiPoly, _check_ring_shape, default_names
 
 
 class NotPolynomial(ValueError):
@@ -667,7 +667,7 @@ class SmoothMap:
     def names(self) -> tuple:
         if self.var_names is not None:
             return self.var_names
-        return tuple(f"x{j + 1}" for j in range(self.domain_dim))
+        return default_names(self.domain_dim)
 
     def check_guard_values(self, values: Iterator[complex]) -> None:
         """Take one value per guard from ``values``, in order, and raise at

@@ -131,6 +131,15 @@ class _Parser:
             raise self.error(f"expected {expected!r}, found {token[1] or 'end of input'!r}")
         return self.advance()
 
+    def number(self) -> int:
+        """The next token, which must be a number, as an int."""
+        token = self.expect("number")
+        try:
+            return int(token[1])
+        except ValueError:      # longer than int() reads from a string
+            raise self.error(f"number of {len(token[1])} digits is too long",
+                             token) from None
+
     def at_symbol(self, text: str) -> bool:
         # no ident, number or end token has a symbol's text
         return self.tokens[self.pos][1] == text
@@ -166,15 +175,14 @@ class _Parser:
         base = self.parse_atom()
         if self.at_symbol("^"):
             self.advance()
-            return power(base, int(self.expect("number")[1]))
+            return power(base, self.number())
         return base
 
     def parse_atom(self) -> Expr:
         token = self.peek()
         kind, name, _ = token
         if kind == "number":
-            self.advance()
-            return Const(int(name))
+            return Const(self.number())
         if self.at_symbol("("):
             self.advance()
             node = self.parse_expr()
@@ -220,22 +228,12 @@ class _Parser:
         raise self.error(f"unknown identifier {name!r}", token)
 
 
-def _seed_variables(env: dict[str, Expr], domain_dim: int, is_complex: bool):
-    if is_complex:
-        for j in range(domain_dim):
-            env[f"z{j + 1}"] = Var(j)
-            env[f"zb{j + 1}"] = Var(domain_dim + j)
-    else:
-        for j in range(domain_dim):
-            env[f"x{j + 1}"] = Var(j)
-
-
 def _parse_space(parser: _Parser) -> tuple[str, int]:
     token = parser.expect("ident")
     if token[1] not in ("R", "C"):
         raise parser.error("expected a space like R^4 or C^2", token)
     parser.expect("symbol", "^")
-    dim = int(parser.expect("number")[1])
+    dim = parser.number()
     if dim <= 0:
         raise parser.error("dimension must be positive", token)
     return token[1], dim
@@ -259,7 +257,10 @@ def parse_map(source: str):
                            name_token)
     is_complex = domain_kind == "C"
     parser.is_complex = is_complex
-    _seed_variables(parser.env, domain_dim, is_complex)
+    kind = ComplexPolyMap if is_complex else RealPolyMap
+    num_vars, num_complex = kind.ring(domain_dim)
+    for index, name in enumerate(default_names(num_vars, num_complex)):
+        parser.env[name] = Var(index)
 
     variable_names = frozenset(parser.env)
     component_names = [f"{map_name}{k + 1}" for k in range(codomain_dim)]
@@ -294,20 +295,15 @@ def parse_map(source: str):
                            name_token)
     ordered = [components[c] for c in component_names]
 
-    num_vars = 2 * domain_dim if is_complex else domain_dim
-    num_complex = domain_dim if is_complex else 0
     all_poly = not guards and all(is_polynomial(c, allow_conj=is_complex)
                                   for c in ordered)
-    if is_complex:
-        if not all_poly:
-            raise parser.error(
-                "non-polynomial complex maps are not supported; only real "
-                "maps may use sqrt, division or guards", name_token)
-        polys = [lower_to_poly(c, num_vars, num_complex) for c in ordered]
-        return ComplexPolyMap(domain_dim, codomain_dim, tuple(polys))
+    if is_complex and not all_poly:
+        raise parser.error(
+            "non-polynomial complex maps are not supported; only real "
+            "maps may use sqrt, division or guards", name_token)
     if all_poly:
-        polys = [lower_to_poly(c, num_vars) for c in ordered]
-        return RealPolyMap(domain_dim, codomain_dim, tuple(polys))
+        polys = [lower_to_poly(c, num_vars, num_complex) for c in ordered]
+        return kind(domain_dim, codomain_dim, tuple(polys))
     return SmoothMap(domain_dim, tuple(ordered), tuple(guards))
 
 

@@ -88,11 +88,9 @@ class ComplexPolyMap(_PolyMap):
 
     def names(self) -> tuple:
         """Full 2m-variable name list (holomorphic block then conjugates)."""
-        if self.var_names is not None:
-            holo = self.var_names
-        else:
-            holo = tuple(f"z{j + 1}" for j in range(self.domain_dim))
-        return holo + tuple(f"{n[0]}b{n[1:]}" for n in holo)
+        if self.var_names is None:
+            return default_names(*self.ring(self.domain_dim))
+        return self.var_names + tuple(f"{n[0]}b{n[1:]}" for n in self.var_names)
 
 
 PolyMap = RealPolyMap | ComplexPolyMap

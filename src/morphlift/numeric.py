@@ -31,6 +31,8 @@ from .expr import (
 
 # Every guard value at a sampled point is at least this large.
 GUARD_MARGIN = 1e-6
+# Sampled coordinates are drawn uniformly from this interval.
+SAMPLE_BOX = (-2.0, 2.0)
 
 
 class SamplingError(RuntimeError):
@@ -143,13 +145,13 @@ def numeric_check(phi: SmoothMap, points, tolerance: float) -> ResidualReport:
                           conformality_max, tolerance, verdict, witness)
 
 
-def sample_points(phi: SmoothMap, count: int, seed: int, box) -> list[tuple]:
+def sample_points(phi: SmoothMap, count: int, seed: int) -> list[tuple]:
     """Deterministic guarded sampling: uniform draws in the cube
-    ``box = (lo, hi)`` in every coordinate, rejecting points where a guard
+    ``SAMPLE_BOX`` in every coordinate, rejecting points where a guard
     value falls below ``GUARD_MARGIN``."""
     if count < 0:
         raise ValueError(f"cannot sample {count} points")
-    lo, hi = map(float, box)
+    lo, hi = SAMPLE_BOX
     dims = range(phi.domain_dim)
     guard_tape = compile_tape(phi.guards)
     rng = random.Random(seed)
@@ -160,7 +162,7 @@ def sample_points(phi: SmoothMap, count: int, seed: int, box) -> list[tuple]:
         if attempts >= limit:
             raise SamplingError(
                 f"rejected {attempts} of {attempts + len(points)} draws; "
-                "choose a box further from the excluded locus")
+                "the guards exclude almost all of the sampling box")
         attempts += 1
         point = tuple(rng.uniform(lo, hi) for _ in dims)
         try:

@@ -313,10 +313,10 @@ def test_criterion_10_hessian_transfer_consistency(
 
 def test_criterion_11_numeric_stereographic(stereographic):
     with _Timer() as timer:
-        points = sample_points(stereographic, 100, seed=7, box=(-2.0, 2.0))
+        points = sample_points(stereographic, 100, seed=7)
         base_report = numeric_check(stereographic, points, 1e-8)
         lift = numeric_complete_lift(stereographic)
-        lift_points = sample_points(lift, 100, seed=7, box=(-2.0, 2.0))
+        lift_points = sample_points(lift, 100, seed=7)
         lift_report = numeric_check(lift, lift_points, 1e-8)
     ok = (base_report.verdict and not lift_report.verdict
           and lift_report.conformality_residual >= 1e-3

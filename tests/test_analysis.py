@@ -13,6 +13,7 @@ from morphlift.analysis import (
     is_holomorphic,
     is_orthogonal_multiplication,
 )
+from morphlift.calculus import antiholomorphic_jacobian, laplacian
 from morphlift.catalog import lookup
 from morphlift.lift import complete_lift_real
 from morphlift.mapfile import parse_map, parse_poly
@@ -51,6 +52,24 @@ def test_square_is_not_harmonic():
     assert not report.verdict
     assert report.violation.component_k == 1
     assert report.violation.residual == MultiPoly.constant(2, 2)
+
+
+def test_failing_first_component_computes_one_laplacian(monkeypatch):
+    # the first nonzero residual ends the check: the second component's
+    # Laplacian is never built
+    from morphlift import analysis
+
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return laplacian(p)
+
+    monkeypatch.setattr(analysis, "laplacian", counting)
+    phi = parse_map("map f: R^2 -> R^2 { f1 = x1^2; f2 = x2^3; }")
+    report = is_harmonic(phi)
+    assert report.violation.component_k == 1
+    assert calls == [phi.components[0]]
 
 
 def test_complex_lift_real_form_is_harmonic(quaternion):
@@ -171,6 +190,16 @@ def test_quaternion_not_holomorphic(quaternion):
     assert not report.verdict
     assert report.violation.entry == (1, 4)
     assert render(report.violation.residual, quaternion.names()) == "-z2"
+
+
+def test_holomorphic_certificate_is_the_first_nonzero_partial(quaternion):
+    anti = antiholomorphic_jacobian(quaternion)
+    first = next((i + 1, j + 1) for i in range(anti.rows)
+                 for j in range(anti.cols) if not anti[i, j].is_zero)
+    v = is_holomorphic(quaternion).violation
+    assert (v.kind, v.component_k, v.component_l) == ("antiholomorphic", *first)
+    assert v.entry == first
+    assert v.residual == anti[first[0] - 1, first[1] - 1]
 
 
 def test_pure_conjugation_not_holomorphic():

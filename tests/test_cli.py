@@ -479,6 +479,49 @@ def test_non_decimal_digit_is_an_unexpected_character(tmp_path, capsys, body, co
         f"error: 1:{column}: unexpected character '\N{SUPERSCRIPT TWO}'\n")
 
 
+NUMERIC_CHECK = ["numeric-check", "--points", "5", "--seed", "1", "--tol", "1e-8"]
+
+
+@pytest.mark.parametrize("body", [
+    "f1 = x1/(x2^2 + 1) + 10^400;",
+    "f1 = x1/(x2^2 + 1); guard x1^2 + 10^400;",
+], ids=["component", "guard"])
+def test_constant_too_large_for_a_float_exits_2(tmp_path, capsys, body):
+    # the tape converts 10^400 to a float in the finite-difference
+    # cross-check, or when sampling reads the guard
+    path = tmp_path / "huge.map"
+    path.write_text(f"map f: R^2 -> R^1 {{ {body} }}")
+    code, text = run_cli([*NUMERIC_CHECK, str(path)])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == "error: int too large to convert to float\n"
+
+
+LONG = "7" * 5000       # more digits than int() reads from a string
+
+
+@pytest.mark.parametrize("source,position", [
+    (f"map f: R^2 -> R^1 {{ f1 = {LONG}*x1; }}", "1:26"),
+    (f"map f: R^2 -> R^1 {{ f1 = x1^{LONG}; }}", "1:29"),
+    (f"map f: R^{LONG} -> R^1 {{ f1 = x1; }}", "1:10"),
+], ids=["coefficient", "exponent", "dimension"])
+def test_integer_literal_too_long_exits_2(tmp_path, capsys, source, position):
+    path = tmp_path / "long.map"
+    path.write_text(source)
+    code, text = run_cli(["lift", "--real", str(path)])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: {position}: number of 5000 digits is too long\n")
+
+
+def test_point_coordinate_too_long_exits_2(phi_file, tmp_path, capsys):
+    pts = tmp_path / "points.txt"
+    pts.write_text(f"0, 0, 1, 0, 1, 0, 0, 1\n1, 2, 3, 4, 5, 6, 7, {LONG}\n")
+    code, text = run_cli(["kaehler", phi_file, "--points", str(pts)])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: 2:1: bad coordinate: 1:1: number of 5000 digits is too long\n")
+
+
 def test_closed_output_pipe_exits_quietly():
     # the reader is gone before the command writes a byte
     read_end, write_end = os.pipe()

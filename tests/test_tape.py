@@ -205,7 +205,7 @@ def test_stereographic_values_match_at_sampled_points(stereographic, catalog_map
                *(derivative(c, j) for c in phi.components
                  for j in range(phi.domain_dim))]
     tape = compile_tape(outputs)
-    for point in sample_points(phi, 100, seed=7, box=(-2.0, 2.0)):
+    for point in sample_points(phi, 100, seed=7):
         assert repr(list(tape.run(point))) == repr(_oracle_values(outputs, point))
 
 
@@ -271,7 +271,7 @@ def _report_maps():
 def test_numeric_check_report_matches_the_recursive_check(name):
     phi = _report_maps()[name]
     for seed, tolerance in [(7, 1e-8), (3, 1e-12)]:
-        points = sample_points(phi, 60, seed, (-2.0, 2.0))
+        points = sample_points(phi, 60, seed)
         report = numeric_check(phi, points, tolerance)
         expected = oracle.numeric_check(phi, points, tolerance)
         for field in report.__dataclass_fields__:
@@ -313,4 +313,4 @@ def test_sampled_points_come_from_one_guard_tape(stereographic):
                 continue
             if all(value >= GUARD_MARGIN for value in values):
                 expected.append(point)
-        assert sample_points(phi, 200, 5, (-2.0, 2.0)) == expected
+        assert sample_points(phi, 200, 5) == expected
