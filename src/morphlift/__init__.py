@@ -23,6 +23,7 @@ from .exact import (
     DimensionMismatch,
     ExactMatrix,
     GaussianRational,
+    IntegerTooLong,
     bilinear_dot,
 )
 from .expr import EvalDomainError, Expr, NotPolynomial, SmoothMap
@@ -34,7 +35,6 @@ from .kaehler import (
     span_report,
 )
 from .lift import (
-    LiftSplit,
     MixedPartialObstruction,
     NotPartialLinear,
     anti_lift,
@@ -70,11 +70,12 @@ __all__ = [
     "is_orthogonal_multiplication",
     "PolyMatrix", "antiholomorphic_jacobian", "hessian", "jacobian",
     "jacobian_at", "laplacian",
-    "DimensionMismatch", "ExactMatrix", "GaussianRational", "bilinear_dot",
+    "DimensionMismatch", "ExactMatrix", "GaussianRational", "IntegerTooLong",
+    "bilinear_dot",
     "EvalDomainError", "Expr", "NotPolynomial", "SmoothMap",
     "INCONCLUSIVE", "NOT_KAEHLER", "KaehlerReport", "search_points",
     "span_report",
-    "LiftSplit", "MixedPartialObstruction", "NotPartialLinear", "anti_lift",
+    "MixedPartialObstruction", "NotPartialLinear", "anti_lift",
     "block_jacobian_check", "complete_lift_complex", "complete_lift_real",
     "MapSyntaxError", "parse_map", "parse_poly", "render_map_source",
     "ComplexPolyMap", "RealPolyMap", "ShapeError", "complexify", "compose",

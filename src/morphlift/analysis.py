@@ -177,23 +177,19 @@ def hessian_conditions(phi: RealPolyMap) -> CheckReport:
     return _decide("hessian_conditions", cells(), notes)
 
 
-def is_orthogonal_multiplication(phi: RealPolyMap, first_block: int,
-                                 second_block: int) -> CheckReport:
-    """Check |phi(x, y)|^2 = |x|^2 |y|^2 for a bilinear map on R^p x R^q."""
-    if first_block < 1 or second_block < 1:
-        raise ShapeError(f"block sizes {first_block},{second_block} must be positive")
-    if first_block + second_block != phi.domain_dim:
-        raise ShapeError(
-            f"blocks {first_block}+{second_block} do not cover "
-            f"{phi.domain_dim} variables")
+def is_orthogonal_multiplication(phi: RealPolyMap, first_block: int) -> CheckReport:
+    """Check |phi(x, y)|^2 = |x|^2 |y|^2 for a bilinear map on R^p x R^q,
+    where p = first_block and q is the rest of phi's variables."""
+    m = phi.domain_dim
+    if not 0 < first_block < m:
+        raise ShapeError(f"first block {first_block} must lie in 1..{m - 1} on R^{m}")
     for index, comp in enumerate(phi.components, start=1):
         for exponents in comp.terms:
             if (sum(exponents[:first_block]) != 1
                     or sum(exponents[first_block:]) != 1):
                 raise ShapeError(
                     f"component {index} is not bilinear in the "
-                    f"({first_block}, {second_block}) block split")
-    m = phi.domain_dim
+                    f"({first_block}, {m - first_block}) block split")
     x = [MultiPoly.variable(m, j) for j in range(first_block)]
     y = [MultiPoly.variable(m, j) for j in range(first_block, m)]
     components = list(phi.components)

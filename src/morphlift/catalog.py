@@ -26,7 +26,6 @@ from .analysis import (
 from .exact import GaussianRational, render_scalar
 from .kaehler import search_points, span_report
 from .lift import (
-    LiftSplit,
     MixedPartialObstruction,
     anti_lift,
     block_jacobian_check,
@@ -212,7 +211,7 @@ def registry() -> dict:
             expected=(
                 Expectation("holomorphic", False),
                 Expectation("morphism", True),
-                Expectation("orthogonal-multiplication", True, (4, 4)),
+                Expectation("orthogonal-multiplication", True, (4,)),
             ),
         ),
         CatalogEntry(
@@ -258,7 +257,7 @@ def registry() -> dict:
             provenance="example 3.1(iii) and the final remark",
             expected=(
                 Expectation("morphism", True),
-                Expectation("orthogonal-multiplication", False, (8, 8)),
+                Expectation("orthogonal-multiplication", False, (8,)),
             ),
         ),
         CatalogEntry(
@@ -268,8 +267,7 @@ def registry() -> dict:
             definition=render_map_source(q_r, "qr"),
             provenance="example 3.5",
             expected=(
-                Expectation("antilift-obstruction",
-                            ("mixed-partial", 2, "-1", "1"), (4,)),
+                Expectation("antilift-obstruction", ("mixed-partial", 2, "-1", "1")),
             ),
             notes=(
                 "the printed PDE table disagrees with the Jacobian matrix "
@@ -353,8 +351,8 @@ def _complex_lift_components(phi: ComplexPolyMap):
     return tuple(render(c, lift.names()) for c in lift.components), ""
 
 
-def _antilift_obstruction(phi: RealPolyMap, split: int):
-    outcome = anti_lift(phi, LiftSplit(2 * split, split))
+def _antilift_obstruction(phi: RealPolyMap):
+    outcome = anti_lift(phi)
     if not isinstance(outcome, MixedPartialObstruction):
         return type(outcome).__name__, ""
     return (("mixed-partial", outcome.component, render(outcome.value_jk),

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 from . import catalog as catalog_module
 from .analysis import CheckReport
-from .exact import DimensionMismatch, render_scalar
+from .exact import DimensionMismatch, IntegerTooLong, render_scalar
 from .expr import EvalDomainError, NotPolynomial, SmoothMap, render_expr
 from .kaehler import search_points, span_report
 from .lift import (
-    LiftSplit,
     MixedPartialObstruction,
     NotPartialLinear,
     anti_lift,
@@ -72,14 +71,12 @@ def _build_parser() -> argparse.ArgumentParser:
         check.add_argument(f"--{name}", dest="checks", action="append_const",
                            const=name, default=[])
     check.add_argument("--blocks", default=None,
-                       help="P,Q block sizes for --orthogonal-multiplication "
-                            "(default: halves)")
+                       help="size P of the first block for "
+                            "--orthogonal-multiplication (default: half)")
 
     antilift = commands.add_parser("antilift",
                                    help="decide whether a map is a complete lift")
     antilift.add_argument("file")
-    antilift.add_argument("--split", type=int, required=True,
-                          help="base dimension m (map must have 2m variables)")
 
     kaehler = commands.add_parser("kaehler",
                                   help="isotropic-span criterion for maps to C")
@@ -237,17 +234,16 @@ def _cmd_lift(args) -> Report:
         *matrix_lines])
 
 
-def _blocks(text, phi) -> tuple:
+def _first_block(text, phi) -> int:
     if text is None:
         if phi.domain_dim % 2:
             raise CliError("--orthogonal-multiplication needs --blocks "
                            "for odd-dimensional domains")
-        return (phi.domain_dim // 2,) * 2
+        return phi.domain_dim // 2
     try:
-        first, second = (int(x) for x in text.split(","))
+        return int(text)
     except ValueError as error:
-        raise CliError("--blocks expects two integers like 4,4") from error
-    return first, second
+        raise CliError("--blocks expects one integer like 4") from error
 
 
 def _cmd_check(args) -> Report:
@@ -275,7 +271,8 @@ def _cmd_check(args) -> Report:
             phi = parsed
         else:
             raise CliError(f"--{name} needs a map between complex spaces")
-        blocks = _blocks(args.blocks, phi) if name == "orthogonal-multiplication" else ()
+        blocks = ((_first_block(args.blocks, phi),)
+                  if name == "orthogonal-multiplication" else ())
         checks.append(_check_payload(run(phi, *blocks), phi.names()))
     lines = [f"note: {note}" for note in notes]
     for check in checks:
@@ -287,12 +284,8 @@ def _cmd_antilift(args) -> Report:
     parsed = _load_map(args.file)
     notes: list[str] = []
     real_map = _require_real(parsed, notes)
-    if real_map.domain_dim != 2 * args.split:
-        raise CliError(f"--split {args.split} needs a map with "
-                       f"{2 * args.split} variables; this one has "
-                       f"{real_map.domain_dim}")
-    outcome = anti_lift(real_map, LiftSplit(real_map.domain_dim, args.split))
-    payload: dict = {"split": args.split, "notes": notes}
+    outcome = anti_lift(real_map)
+    payload: dict = {"split": real_map.domain_dim // 2, "notes": notes}
     if isinstance(outcome, RealPolyMap):
         components = [render(c) for c in outcome.components]
         payload.update({"result": "complete-lift", "base_components": components})
@@ -300,20 +293,23 @@ def _cmd_antilift(args) -> Report:
             "the map is a complete lift; base map (zero constants):",
             *_numbered("f", components)])
     if isinstance(outcome, MixedPartialObstruction):
-        j, k = outcome.var_j, outcome.var_k
-        value_jk, value_kj = render(outcome.value_jk), render(outcome.value_kj)
+        values = [render(outcome.value_jk), render(outcome.value_kj)]
         payload.update({
             "result": "mixed-partial-obstruction",
             "component": outcome.component,
-            "variables": [j, k],
-            "values": [value_jk, value_kj],
+            "variables": [outcome.var_j, outcome.var_k],
+            "values": values,
         })
-        return Report(payload, [
-            "not a complete lift: mixed-partial obstruction",
-            f"  component {outcome.component}: d^2/dx{k}dx{j} = {value_jk} "
-            f"differs from d^2/dx{j}dx{k} = {value_kj}",
-            f"  {value_jk} != {value_kj}"])
+        return Report(payload, ["not a complete lift: mixed-partial obstruction",
+                                f"  {outcome.describe()}",
+                                f"  {values[0]} != {values[1]}"])
     assert isinstance(outcome, NotPartialLinear)
+    # the JSON form prints the witness monomial; the text form exits the same
+    # way when one of its exponents is too long, so the two keep one status
+    try:
+        str(max((*outcome.monomial, outcome.fiber_degree)))
+    except ValueError as error:
+        raise IntegerTooLong() from error
     payload.update({
         "result": "not-partial-linear",
         "component": outcome.component,
@@ -482,7 +478,7 @@ def cli_main(argv=None, out=None) -> int:
     except (CliError, MapSyntaxError, catalog_module.UnknownEntry,
             DimensionMismatch, ShapeError, ConsistencyError, SamplingError,
             InternalConsistencyError, EvalDomainError, NotPolynomial,
-            OverflowError, RecursionError) as error:
+            IntegerTooLong, OverflowError, RecursionError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     try:

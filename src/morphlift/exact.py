@@ -16,6 +16,7 @@ Every division by the previous pivot is exact in Z[i].
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence, Union
@@ -23,6 +24,15 @@ from typing import Iterable, Sequence, Union
 
 class DimensionMismatch(ValueError):
     """Operands have incompatible shapes or arities."""
+
+
+class IntegerTooLong(ValueError):
+    """An integer to print has more digits than Python turns into text; the
+    parser refuses literals that long, so such output could not be read back."""
+
+    def __init__(self):
+        super().__init__(f"the output holds an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits, too long to print")
 
 
 def normalize_rational(value) -> Union[int, Fraction]:
@@ -208,18 +218,21 @@ def to_complex(value: Scalar) -> complex:
 def render_scalar(value: Scalar) -> str:
     """Canonical text form: ``a/b``, ``c/d*i`` or ``a/b+c/d*i``."""
     re, im = real_part(value), imag_part(value)
-    if im == 0:
-        return str(re)
-    if im == 1:
-        im_text = "i"
-    elif im == -1:
-        im_text = "-i"
-    else:
-        im_text = f"{im}*i"
-    if re == 0:
-        return im_text
-    joiner = "" if im_text.startswith("-") else "+"
-    return f"{re}{joiner}{im_text}"
+    try:
+        if im == 0:
+            return str(re)
+        if im == 1:
+            im_text = "i"
+        elif im == -1:
+            im_text = "-i"
+        else:
+            im_text = f"{im}*i"
+        if re == 0:
+            return im_text
+        joiner = "" if im_text.startswith("-") else "+"
+        return f"{re}{joiner}{im_text}"
+    except ValueError as error:
+        raise IntegerTooLong() from error
 
 
 # ---------------------------------------------------------------------------

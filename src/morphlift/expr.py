@@ -23,6 +23,7 @@ from typing import Iterator, Sequence, Union
 
 from .exact import (
     DimensionMismatch,
+    IntegerTooLong,
     Scalar,
     conjugate as conj_scalar,
     imag_part,
@@ -560,7 +561,10 @@ _PREC_ADD, _PREC_MUL, _PREC_UNARY, _PREC_POW, _PREC_ATOM = 0, 1, 2, 3, 4
 
 
 def render_expr(node: Expr, names: Sequence[str]) -> str:
-    text, _ = _render(node, names)
+    try:
+        text, _ = _render(node, names)
+    except ValueError as error:
+        raise IntegerTooLong() from error
     return text
 
 

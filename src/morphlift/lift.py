@@ -14,24 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .calculus import jacobian
 from .exact import DimensionMismatch
 from .maps import ComplexPolyMap, PolyMap, RealPolyMap, ShapeError
 from .poly import MultiPoly, poly_dot, render
-
-
-@dataclass(frozen=True)
-class LiftSplit:
-    """A choice of base/fiber split: variables 1..m base, m+1..2m fiber."""
-
-    total_dim: int
-    split_index: int
-
-    def __post_init__(self):
-        if self.total_dim != 2 * self.split_index:
-            raise DimensionMismatch(
-                f"split {self.split_index} does not halve {self.total_dim} variables")
 
 
 @dataclass(frozen=True)
@@ -76,12 +64,13 @@ def _complete_lift(phi: PolyMap, fiber: str) -> PolyMap:
     m = phi.domain_dim
     num_vars, num_complex = phi.ring(2 * m)
     index_map = {j: 2 * m * (j // m) + j % m for j in range(phi.ring(m)[0])}
-    fibers = [MultiPoly.variable(num_vars, m + j, num_complex) for j in range(m)]
+    # a fiber variable is built once, and only for a nonzero partial: each
+    # one is keyed over all 2m variables, so m of them would cost O(m^2)
+    fiber_variable = cache(lambda j: MultiPoly.variable(num_vars, m + j, num_complex))
     components = []
     for comp in phi.components:
-        partials = [comp.partial(j) for j in range(m)]
-        pairs = [(p.remap(num_vars, index_map, num_complex), w)
-                 for p, w in zip(partials, fibers) if p]
+        pairs = [(p.remap(num_vars, index_map, num_complex), fiber_variable(j))
+                 for j, p in enumerate(map(comp.partial, range(m))) if p]
         components.append(poly_dot(*zip(*pairs)) if pairs
                           else MultiPoly.zero(num_vars, num_complex))
     names = phi.names()[:m] + tuple(f"{fiber}{j + 1}" for j in range(m))
@@ -131,20 +120,22 @@ def block_jacobian_check(phi: RealPolyMap) -> bool:
     return True
 
 
-def anti_lift(Phi: RealPolyMap, split: LiftSplit) -> RealPolyMap | Obstruction:
-    """Decide whether Phi(x, y) is the complete lift of some phi(x).
+def anti_lift(Phi: RealPolyMap) -> RealPolyMap | Obstruction:
+    """Decide whether Phi(x, y) is the complete lift of some phi(x), where x
+    is the first half of Phi's variables and y the second.
 
     Three stages: (a) every monomial must have fiber degree exactly one,
     giving the coefficient matrix M(x) with Phi = M(x) y; (b) M must satisfy
     the integrability conditions dM_ij/dx_k = dM_ik/dx_j; (c) phi is then
     reconstructed by exact monomial-wise radial integration, normalized to
     zero constant term.  Returns the reconstructed map or the first failing
-    stage's obstruction witness.
+    stage's obstruction witness.  Raises DimensionMismatch when Phi has an
+    odd number of variables, since a lift lives on R^{2m}.
     """
-    if Phi.domain_dim != split.total_dim:
-        raise DimensionMismatch(
-            f"map has {Phi.domain_dim} variables, split describes {split.total_dim}")
-    m = split.split_index
+    m, odd = divmod(Phi.domain_dim, 2)
+    if odd:
+        raise DimensionMismatch(f"a complete lift has an even number of "
+                                f"variables; this map has {Phi.domain_dim}")
 
     # stage (a): extract M(x) with Phi^i = sum_j M[i][j](x) * y_j
     coefficient_rows: list[list[MultiPoly]] = []
@@ -174,14 +165,8 @@ def anti_lift(Phi: RealPolyMap, split: LiftSplit) -> RealPolyMap | Obstruction:
         terms: dict = {}
         for j in range(m):
             for exponents, coeff in row[j].terms.items():
-                degree = sum(exponents)
-                lifted = list(exponents)
-                lifted[j] += 1
-                key = tuple(lifted)
-                if isinstance(coeff, int):
-                    scaled = Fraction(coeff, degree + 1)
-                else:
-                    scaled = coeff / (degree + 1)
-                terms[key] = terms.get(key, 0) + scaled
+                # x^a integrates along t x to x^(a + e_j) / (|a| + 1)
+                key = exponents[:j] + (exponents[j] + 1,) + exponents[j + 1:]
+                terms[key] = terms.get(key, 0) + Fraction(coeff, sum(key))
         components.append(MultiPoly(m, terms))
     return RealPolyMap(m, Phi.codomain_dim, components)

@@ -163,13 +163,14 @@ class _Parser:
         return node
 
     def parse_factor(self) -> Expr:
-        if self.at_symbol("-"):
-            self.advance()
-            return neg(self.parse_factor())
-        if self.at_symbol("+"):
-            self.advance()
-            return self.parse_factor()
-        return self.parse_power()
+        # a loop, not a call per sign; the innermost minus applies first
+        minus_signs = 0
+        while self.peek()[1] in ("+", "-"):
+            minus_signs += self.advance()[1] == "-"
+        node = self.parse_power()
+        for _ in range(minus_signs):
+            node = neg(node)
+        return node
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()

@@ -32,6 +32,7 @@ from operator import add, sub
 from .exact import (
     DimensionMismatch,
     GaussianRational,
+    IntegerTooLong,
     Scalar,
     conjugate,
     imag_part,
@@ -521,7 +522,10 @@ def render(p: MultiPoly, names=None) -> str:
         names = default_names(p.num_vars, p.num_complex)
     if not p:
         return "0"
-    return "".join(_pieces(_graded(p), names))
+    try:
+        return "".join(_pieces(_graded(p), names))
+    except ValueError as error:
+        raise IntegerTooLong() from error
 
 
 def render_leading(p: MultiPoly) -> tuple[int, str]:

@@ -36,7 +36,6 @@ from morphlift.cli import cli_main
 from morphlift.exact import bilinear_dot
 from morphlift.kaehler import NOT_KAEHLER, search_points, span_report
 from morphlift.lift import (
-    LiftSplit,
     MixedPartialObstruction,
     anti_lift,
     block_jacobian_check,
@@ -217,7 +216,7 @@ def test_criterion_05a_r16_certificate_recovered(phi_r16_real):
 
 def test_criterion_06_antilift_obstruction(quaternion_real):
     with _Timer() as timer:
-        outcome = anti_lift(quaternion_real, LiftSplit(8, 4))
+        outcome = anti_lift(quaternion_real)
         is_obstruction = isinstance(outcome, MixedPartialObstruction)
         values_ok = (is_obstruction and outcome.component == 2
                      and outcome.value_jk == MultiPoly.constant(4, -1)
@@ -338,7 +337,7 @@ def test_criterion_12_antilift_round_trip():
             m = rng.randint(1, 4)
             phi = random_real_map(rng, m, rng.randint(1, 3), max_degree=3)
             lift = complete_lift_real(phi)
-            recovered = anti_lift(lift, LiftSplit(2 * m, m))
+            recovered = anti_lift(lift)
             assert isinstance(recovered, RealPolyMap)
             zero = (0,) * m
             for rec, original in zip(recovered.components, phi.components):

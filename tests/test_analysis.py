@@ -356,24 +356,24 @@ def test_composition_equivalence_through_projection():
 # ---------------------------------------------------------------------------
 
 def test_quaternion_product_is_orthogonal_multiplication(quaternion_real):
-    assert is_orthogonal_multiplication(quaternion_real, 4, 4).verdict
+    assert is_orthogonal_multiplication(quaternion_real, 4).verdict
 
 
 def test_lift_of_orthogonal_multiplication_need_not_be_one(q_r_lift):
-    report = is_orthogonal_multiplication(q_r_lift, 8, 8)
+    report = is_orthogonal_multiplication(q_r_lift, 8)
     assert not report.verdict
     assert not report.violation.residual.is_zero
 
 
 def test_scalar_multiplication_is_orthogonal():
     phi = parse_map("map f: R^2 -> R^1 { f1 = x1*x2; }")
-    assert is_orthogonal_multiplication(phi, 1, 1).verdict
+    assert is_orthogonal_multiplication(phi, 1).verdict
 
 
 def test_orthogonal_multiplication_rejects_nonbilinear():
     phi = parse_map("map f: R^2 -> R^1 { f1 = x1^2; }")
     with pytest.raises(ShapeError):
-        is_orthogonal_multiplication(phi, 1, 1)
+        is_orthogonal_multiplication(phi, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_analysis_row_returns_a_check_report(name):
     quaternion = parse_map(lookup("ex1.4.iii-quaternion").definition)
     form, run = CHECKS[name]
     phi = quaternion if form == "complex" else real_form(quaternion)
-    blocks = (4, 4) if name == "orthogonal-multiplication" else ()
+    blocks = (4,) if name == "orthogonal-multiplication" else ()
     assert isinstance(run(phi, *blocks), CheckReport)
 
 

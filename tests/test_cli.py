@@ -152,7 +152,7 @@ def test_check_holomorphic_on_real_map_is_usage_error(tmp_path):
 def test_check_orthogonal_multiplication_blocks(quaternion_file):
     code, payload = run_cli_json(["check", quaternion_file,
                                   "--orthogonal-multiplication",
-                                  "--blocks", "4,4"])
+                                  "--blocks", "4"])
     assert code == 0
     assert payload["checks"][0]["verdict"] is True
 
@@ -175,7 +175,7 @@ def test_antilift_obstruction_report(tmp_path):
     assert code == 0
     path = tmp_path / "qr.map"
     path.write_text(text)
-    code, payload = run_cli_json(["antilift", str(path), "--split", "4"])
+    code, payload = run_cli_json(["antilift", str(path)])
     assert code == 0
     assert payload["result"] == "mixed-partial-obstruction"
     assert payload["component"] == 2
@@ -185,17 +185,20 @@ def test_antilift_obstruction_report(tmp_path):
 def test_antilift_recovers_base(tmp_path):
     path = tmp_path / "lift.map"
     path.write_text("map f: R^4 -> R^1 { f1 = 2*x1*x3 + x4; }")
-    code, payload = run_cli_json(["antilift", str(path), "--split", "2"])
+    code, payload = run_cli_json(["antilift", str(path)])
     assert code == 0
     assert payload["result"] == "complete-lift"
     assert payload["base_components"] == ["x1^2 + x2"]
 
 
-def test_antilift_split_mismatch_is_usage_error(tmp_path):
+def test_antilift_odd_domain_is_usage_error(tmp_path, capsys):
     path = tmp_path / "f.map"
     path.write_text("map f: R^3 -> R^1 { f1 = x1; }")
-    code, _ = run_cli(["antilift", str(path), "--split", "2"])
+    code, text = run_cli(["antilift", str(path)])
     assert code == 2
+    assert text == ""
+    assert capsys.readouterr().err == ("error: a complete lift has an even number "
+                                       "of variables; this map has 3\n")
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +383,12 @@ def test_unknown_subcommand_exits_2():
 
 @pytest.mark.parametrize("argv, message", [
     (["lift"], "--real --complex"),
-    (["check", "--orthogonal-multiplication", "--blocks=-8,16"],
-     "error: block sizes -8,16 must be positive"),
+    (["check", "--orthogonal-multiplication", "--blocks=-8"],
+     "error: first block -8 must lie in 1..7 on R^8\n"),
+    (["check", "--orthogonal-multiplication", "--blocks", "8"],
+     "error: first block 8 must lie in 1..7 on R^8\n"),
+    (["check", "--orthogonal-multiplication", "--blocks", "4,4"],
+     "error: --blocks expects one integer like 4\n"),
     # a verdict from no points, or against a NaN tolerance, means nothing
     (["numeric-check", "--points", "0", "--seed", "1", "--tol", "1e-8"],
      "error: --points must be at least 1, got 0\n"),
@@ -401,7 +408,8 @@ def test_unknown_subcommand_exits_2():
     # block sizes mean something only to the orthogonal-multiplication check
     (["check", "--harmonic", "--blocks", "banana"],
      "error: --blocks needs --orthogonal-multiplication\n"),
-], ids=["lift-without-kind", "non-positive-block", "zero-points",
+], ids=["lift-without-kind", "non-positive-block", "block-covering-the-domain",
+        "two-blocks", "zero-points",
         "negative-points", "nan-tolerance", "infinite-tolerance",
         "negative-tolerance", "zero-budget", "negative-budget",
         "blocks-without-orthogonal-multiplication"])
@@ -511,6 +519,61 @@ def test_integer_literal_too_long_exits_2(tmp_path, capsys, source, position):
     assert (code, text) == (2, "")
     assert capsys.readouterr().err == (
         f"error: {position}: number of 5000 digits is too long\n")
+
+
+NINES = "9" * 4300      # as many digits as int() reads; twice it has one more
+
+
+@pytest.mark.parametrize("argv", [["lift", "--real"], ["--json", "lift", "--real"],
+                                  ["check"]], ids=["lift", "lift-json", "check"])
+@pytest.mark.parametrize("source", [
+    "map f: R^2 -> R^1 { f1 = 10^5000*x1*x2; }",
+    f"map f: R^1 -> R^1 {{ f1 = x1^{NINES}*x1^{NINES}; }}",
+], ids=["coefficient", "exponent-sum"])
+def test_integer_too_long_to_print_exits_2(tmp_path, capsys, argv, source):
+    # each literal parses, but the output holds an integer longer than any
+    # literal the parser reads, so it could not be read back
+    path = tmp_path / "long.map"
+    path.write_text(source)
+    code, text = run_cli([*argv, str(path)])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: the output holds an integer of more than "
+        f"{sys.get_int_max_str_digits()} digits, too long to print\n")
+
+
+@pytest.mark.parametrize("argv", [["antilift"], ["--json", "antilift"]],
+                         ids=["text", "json"])
+@pytest.mark.parametrize("source", [
+    f"map f: R^2 -> R^1 {{ f1 = x2^{NINES}*x2^{NINES}; }}",
+    f"map f: R^2 -> R^1 {{ f1 = x1^{NINES}*x1^{NINES}*x2^2; }}",
+], ids=["fiber-degree", "base-exponent"])
+def test_antilift_witness_too_long_to_print_exits_2(tmp_path, capsys, argv, source):
+    # the map is not linear in the fiber block, and its witness monomial holds
+    # an exponent too long to print: in the fiber degree, which both forms
+    # print, or in the base block, which only the JSON form prints; the text
+    # form exits as the JSON form does, so the two keep one status
+    path = tmp_path / "long.map"
+    path.write_text(source)
+    code, text = run_cli([*argv, str(path)])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: the output holds an integer of more than "
+        f"{sys.get_int_max_str_digits()} digits, too long to print\n")
+
+
+@pytest.mark.parametrize("signs", ["-" * 5000, "-+" * 2500 + "-"],
+                         ids=["even", "odd"])
+def test_long_run_of_unary_signs_parses(tmp_path, capsys, signs):
+    path = tmp_path / "signs.map"
+    path.write_text(f"map f: R^1 -> R^1 {{ f1 = {signs}x1; }}")
+    code, _ = run_cli(["check", str(path)])
+    assert code == 0
+    code, text = run_cli(["lift", "--real", str(path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    expected = "-y1" if signs.count("-") % 2 else "y1"
+    assert text.splitlines()[1] == f"  F1 = {expected}"
 
 
 def test_point_coordinate_too_long_exits_2(phi_file, tmp_path, capsys):

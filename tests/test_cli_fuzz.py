@@ -1,5 +1,6 @@
 """Bounded grammar fuzz of ``cli_main``: whatever the map file says, ``lift
---real`` and ``check`` end with exit status 0, 1 or 2 and no traceback.
+--real`` and ``check`` end with exit status 0, 1 or 2 and no traceback, and
+``antilift`` and ``check --orthogonal-multiplication --blocks P`` with 0 or 2.
 
 Map files come from the grammar of ``mapfile`` (nesting depth at most 6,
 exponents at most 3, at most 40 summands in a sum), with junk characters
@@ -71,6 +72,7 @@ def expressions(draw, names, functions, depth=0):
 
 @st.composite
 def map_sources(draw):
+    """(source, n): a map file, and the n real variables its header declares."""
     complex_map = draw(st.booleans())
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 2))
@@ -102,20 +104,40 @@ def map_sources(draw):
     for _ in range(draw(st.sampled_from([0, 0, 0, 0, 1, 2, 3]))):
         at = draw(st.integers(0, len(source)))
         source = source[:at] + draw(JUNK) + source[at:]
-    return source
+    return source, 2 * m if complex_map else m
+
+
+def _assert_exit_contract(argv, statuses):
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        code = cli_main(argv, out=io.StringIO())
+    assert code in statuses, (argv, code)
+    assert "Traceback" not in stderr.getvalue()
+    assert (code == 2) == stderr.getvalue().startswith("error: ")
 
 
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(source=map_sources())
-def test_lift_and_check_keep_the_exit_contract(tmp_path_factory, source):
+@given(sized=map_sources())
+def test_lift_and_check_keep_the_exit_contract(tmp_path_factory, sized):
     path = tmp_path_factory.mktemp("fuzz") / "f.map"
-    path.write_text(source, encoding="utf-8")
+    path.write_text(sized[0], encoding="utf-8")
     for argv in (["lift", "--real", str(path)], ["check", str(path)],
                  ["--json", "check", str(path)]):
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            code = cli_main(argv, out=io.StringIO())
-        assert code in (0, 1, 2), (argv, code)
-        assert "Traceback" not in stderr.getvalue()
-        assert (code == 2) == stderr.getvalue().startswith("error: ")
+        _assert_exit_contract(argv, (0, 1, 2))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(sized=map_sources(), data=st.data())
+def test_antilift_and_blocks_keep_the_exit_contract(tmp_path_factory, sized, data):
+    # real maps declare an odd or an even number of variables, complex maps
+    # an even one; P runs over -1..n+1, so it lies outside 1..n-1 on either side
+    source, n = sized
+    path = tmp_path_factory.mktemp("fuzz") / "f.map"
+    path.write_text(source, encoding="utf-8")
+    first_block = data.draw(st.integers(-1, n + 1), label="P")
+    for argv in (["antilift", str(path)], ["--json", "antilift", str(path)],
+                 ["check", "--orthogonal-multiplication", "--blocks",
+                  str(first_block), str(path)]):
+        _assert_exit_contract(argv, (0, 2))

@@ -29,6 +29,7 @@ INPUTS = {
     "hessian.map": "map f: R^2 -> R^2 { f1 = x1^2 - x2^2; f2 = x1*x2; }\n",
     "lifted.map": "map f: R^4 -> R^1 { f1 = 2*x1*x3 + x4; }\n",
     "fiber.map": "map f: R^4 -> R^1 { f1 = x1*x3^2; }\n",
+    "odd.map": "map f: R^3 -> R^1 { f1 = x1*x3 + x2; }\n",
     "bad.map": "map f: R^2 -> R^1 { f1 = x1 +; }\n",
     # the nine printed points of the R^16 -> C example, then the repair point
     "phi.pts": ("0, 0, 1, 0, 1, 0, 0, 1\n"
@@ -50,10 +51,10 @@ CASES = [
     ("check-default", ["check", "quaternion.map"], 0),
     ("check-hessian-fails", ["check", "hessian.map", "--hessian-conditions"], 0),
     ("check-orthmult-blocks", ["check", "quaternion.map",
-                               "--orthogonal-multiplication", "--blocks", "4,4"], 0),
-    ("antilift-complete-lift", ["antilift", "lifted.map", "--split", "2"], 0),
-    ("antilift-mixed-partial", ["antilift", "qr.map", "--split", "4"], 0),
-    ("antilift-not-partial-linear", ["antilift", "fiber.map", "--split", "2"], 0),
+                               "--orthogonal-multiplication", "--blocks", "4"], 0),
+    ("antilift-complete-lift", ["antilift", "lifted.map"], 0),
+    ("antilift-mixed-partial", ["antilift", "qr.map"], 0),
+    ("antilift-not-partial-linear", ["antilift", "fiber.map"], 0),
     ("kaehler-points", ["kaehler", "phi.map", "--points", "phi.pts"], 0),
     ("kaehler-search", ["kaehler", "zwbar.map", "--search", "--budget", "50"], 0),
     ("numeric-check", ["numeric-check", "stereo.map", "--points", "20",
@@ -64,7 +65,7 @@ CASES = [
     ("catalog-dump", ["catalog", "dump", "ex1.4.i-zw"], 0),
     ("error-missing-file", ["lift", "--real", "missing.map"], 2),
     ("error-parse", ["check", "bad.map"], 2),
-    ("error-split-mismatch", ["antilift", "quaternion.map", "--split", "3"], 2),
+    ("error-odd-domain", ["antilift", "odd.map"], 2),
 ]
 
 
@@ -89,3 +90,10 @@ def test_cli_output_bytes(inputs, monkeypatch, case, argv, status, json_flag):
     assert stdout.getvalue().encode() == (GOLDEN / f"{stem}.out").read_bytes()
     assert stderr.getvalue().encode() == (err_path.read_bytes()
                                           if err_path.exists() else b"")
+
+
+def test_every_golden_file_belongs_to_a_case():
+    stems = {case + suffix for case, _, _ in CASES for suffix in ("", "-json")}
+    orphans = sorted(path.name for path in GOLDEN.iterdir()
+                     if path.suffix not in (".out", ".err") or path.stem not in stems)
+    assert orphans == []

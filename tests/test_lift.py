@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,6 @@ from morphlift.calculus import antiholomorphic_jacobian, laplacian
 from morphlift.catalog import entry_ids, lookup
 from morphlift.exact import DimensionMismatch
 from morphlift.lift import (
-    LiftSplit,
     MixedPartialObstruction,
     NotPartialLinear,
     anti_lift,
@@ -81,6 +82,20 @@ def test_lift_fiber_partials_recover_base_jacobian():
         for j in range(3):
             expected = comp.partial(j).remap(6, embed)
             assert lift.components[k].partial(3 + j) == expected
+
+
+def test_wide_domain_lift_builds_only_the_fiber_variables_it_uses():
+    # each fiber variable is keyed over all 2m variables: building all m of
+    # them peaked at about 42 MB here, where f1 = x1 needs one
+    phi = RealPolyMap(5000, 1, [MultiPoly.variable(5000, 0)])
+    tracemalloc.start()
+    try:
+        lift = complete_lift_real(phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lift.components == (MultiPoly.variable(10000, 5000),)
+    assert peak < 8 * 2**20
 
 
 def test_lift_is_linear_in_fiber_block():
@@ -189,7 +204,7 @@ def test_block_jacobian_check_accepts_a_zero_component():
 # ---------------------------------------------------------------------------
 
 def test_antilift_of_quaternion_real_form(quaternion_real):
-    outcome = anti_lift(quaternion_real, LiftSplit(8, 4))
+    outcome = anti_lift(quaternion_real)
     assert isinstance(outcome, MixedPartialObstruction)
     assert outcome.component == 2
     assert outcome.value_jk == MultiPoly.constant(4, -1)
@@ -200,7 +215,7 @@ def test_antilift_recovers_map_from_its_lift():
     zwbar = parse_map("map f: C^2 -> C^1 { f1 = z1*conj(z2); }")
     real = real_identification(zwbar)
     lift = complete_lift_real(real)
-    recovered = anti_lift(lift, LiftSplit(8, 4))
+    recovered = anti_lift(lift)
     assert isinstance(recovered, RealPolyMap)
     assert recovered == real  # zero constant terms already
 
@@ -208,7 +223,7 @@ def test_antilift_recovers_map_from_its_lift():
 def test_antilift_of_constant_coefficient_matrix_is_linear_map():
     # Phi(x, y) = L y recovers phi(x) = L x
     phi = parse_map("map f: R^4 -> R^2 { f1 = 2*x3 - x4; f2 = x3 + 5*x4; }")
-    recovered = anti_lift(phi, LiftSplit(4, 2))
+    recovered = anti_lift(phi)
     assert isinstance(recovered, RealPolyMap)
     assert recovered.components[0] == parse_poly("2*x1 - x2", 2)
     assert recovered.components[1] == parse_poly("x1 + 5*x2", 2)
@@ -216,16 +231,16 @@ def test_antilift_of_constant_coefficient_matrix_is_linear_map():
 
 def test_antilift_rejects_nonlinear_fiber_dependence():
     phi = parse_map("map f: R^2 -> R^1 { f1 = x1*x2^2; }")
-    outcome = anti_lift(phi, LiftSplit(2, 1))
+    outcome = anti_lift(phi)
     assert isinstance(outcome, NotPartialLinear)
     assert outcome.component == 1
     assert outcome.fiber_degree == 2
 
 
-def test_antilift_split_must_match():
-    phi = parse_map("map f: R^2 -> R^1 { f1 = x1*x2; }")
+def test_antilift_rejects_odd_domain():
+    phi = parse_map("map f: R^3 -> R^1 { f1 = x1*x2; }")
     with pytest.raises(DimensionMismatch):
-        anti_lift(phi, LiftSplit(4, 2))
+        anti_lift(phi)
 
 
 @given(st.integers(0, 10**6))
@@ -234,7 +249,7 @@ def test_antilift_round_trip_up_to_constants(seed):
     rng = random.Random(seed)
     phi = random_real_map(rng, rng.randint(1, 3), rng.randint(1, 3))
     lift = complete_lift_real(phi)
-    recovered = anti_lift(lift, LiftSplit(2 * phi.domain_dim, phi.domain_dim))
+    recovered = anti_lift(lift)
     assert isinstance(recovered, RealPolyMap)
     zero = (0,) * phi.domain_dim
     for rec, original in zip(recovered.components, phi.components):
@@ -393,11 +408,13 @@ def test_lift_kernel_matches_the_old_loops_on_the_ladder(phi_r16, phi_r16_real):
 # The anti-lift against the loop it replaced
 # ---------------------------------------------------------------------------
 
-def _assert_same_antilift(Phi, split):
-    """anti_lift and the old loop give the same outcome: the same witness, or
-    the same map term by term in dict order with the same coefficient
-    types; returns the outcome."""
-    new, old = anti_lift(Phi, split), lift_oracle.anti_lift(Phi, split)
+def _assert_same_antilift(Phi):
+    """anti_lift and the old loop, which takes the split as an object with
+    ``total_dim`` and ``split_index``, give the same outcome: the same
+    witness, or the same map term by term in dict order with the same
+    coefficient types; returns the outcome."""
+    split = SimpleNamespace(total_dim=Phi.domain_dim, split_index=Phi.domain_dim // 2)
+    new, old = anti_lift(Phi), lift_oracle.anti_lift(Phi, split)
     assert type(new) is type(old)
     assert new == old
     if isinstance(new, RealPolyMap):
@@ -431,18 +448,16 @@ def _random_fiber_linear_map(rng, m, n):
 def test_antilift_matches_the_old_loop_on_seeded_maps(seed):
     rng = random.Random(seed)
     m, n = rng.randint(1, 4), rng.randint(1, 3)
-    split = LiftSplit(2 * m, m)
     lifts = [random_real_map(rng, m, n),
              random_harmonic_map(rng, max(m, 2), n, max_degree=3),
              random_quadratic_map(rng, m, n),
              real_identification(random_complex_map(rng, rng.randint(1, 2), n))]
     for phi in lifts:
         lift = complete_lift_real(phi)
-        outcome = _assert_same_antilift(lift, LiftSplit(lift.domain_dim,
-                                                        phi.domain_dim))
+        outcome = _assert_same_antilift(lift)
         assert isinstance(outcome, RealPolyMap)
-    _assert_same_antilift(_random_fiber_linear_map(rng, m, n), split)
-    _assert_same_antilift(random_real_map(rng, 2 * m, n), split)
+    _assert_same_antilift(_random_fiber_linear_map(rng, m, n))
+    _assert_same_antilift(random_real_map(rng, 2 * m, n))
 
 
 def test_antilift_matches_the_old_loop_on_both_obstructions(quaternion_real):
@@ -451,8 +466,7 @@ def test_antilift_matches_the_old_loop_on_both_obstructions(quaternion_real):
              real_form(parse_map(lookup("ex3.5-antilift-obstruction").definition)),
              *(_random_fiber_linear_map(rng, 3, 2) for _ in range(5))]
     for Phi in mixed:
-        outcome = _assert_same_antilift(Phi, LiftSplit(Phi.domain_dim,
-                                                       Phi.domain_dim // 2))
+        outcome = _assert_same_antilift(Phi)
         assert isinstance(outcome, MixedPartialObstruction)
     lift = complete_lift_real(random_real_map(rng, 3, 2))
     squared = MultiPoly.variable(6, 4) ** 2
@@ -462,12 +476,11 @@ def test_antilift_matches_the_old_loop_on_both_obstructions(quaternion_real):
                   RealPolyMap(6, 2, [lift.components[0],
                                      lift.components[1] + 1])]
     for Phi in not_linear:
-        outcome = _assert_same_antilift(Phi, LiftSplit(Phi.domain_dim,
-                                                       Phi.domain_dim // 2))
+        outcome = _assert_same_antilift(Phi)
         assert isinstance(outcome, NotPartialLinear)
 
 
 def test_antilift_matches_the_old_loop_on_the_ladder(phi_r16_real):
     r32 = complete_lift_real(phi_r16_real)
-    recovered = _assert_same_antilift(r32, LiftSplit(32, 16))
+    recovered = _assert_same_antilift(r32)
     assert recovered == phi_r16_real
