@@ -13,7 +13,6 @@ from .analysis import (
 )
 from .calculus import (
     PolyMatrix,
-    antiholomorphic_jacobian,
     hessian,
     jacobian,
     jacobian_at,
@@ -68,7 +67,7 @@ __all__ = [
     "CheckReport", "Violation", "hessian_conditions", "hwc_certificate",
     "is_harmonic", "is_harmonic_morphism", "is_holomorphic",
     "is_orthogonal_multiplication",
-    "PolyMatrix", "antiholomorphic_jacobian", "hessian", "jacobian",
+    "PolyMatrix", "hessian", "jacobian",
     "jacobian_at", "laplacian",
     "DimensionMismatch", "ExactMatrix", "GaussianRational", "IntegerTooLong",
     "bilinear_dot",

@@ -23,12 +23,7 @@ from dataclasses import dataclass, replace
 from functools import cache
 from itertools import combinations, combinations_with_replacement
 
-from .calculus import (
-    antiholomorphic_jacobian,
-    hessian,
-    jacobian,
-    laplacian,
-)
+from .calculus import hessian, jacobian, laplacian
 from .maps import ComplexPolyMap, RealPolyMap, ShapeError
 from .poly import MultiPoly, poly_dot
 
@@ -135,10 +130,11 @@ def is_harmonic_morphism(phi: RealPolyMap) -> CheckReport:
 
 
 def is_holomorphic(phi: ComplexPolyMap) -> CheckReport:
-    anti = antiholomorphic_jacobian(phi)
+    # each partial by zb_j is taken only when `_decide` reads it
+    m = phi.domain_dim
     return _decide("holomorphic", (
-        ("antiholomorphic", i + 1, j + 1, (i + 1, j + 1), anti[i, j])
-        for i in range(anti.rows) for j in range(anti.cols)))
+        ("antiholomorphic", i + 1, j + 1, (i + 1, j + 1), c.partial(m + j))
+        for i, c in enumerate(phi.components) for j in range(m)))
 
 
 def hessian_conditions(phi: RealPolyMap) -> CheckReport:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .exact import DimensionMismatch, I, make_scalar_like
-from .maps import ComplexPolyMap, RealPolyMap, ShapeError
+from .maps import RealPolyMap, ShapeError
 from .poly import MultiPoly, poly_dot
 
 
@@ -184,13 +184,6 @@ def laplacian(p: MultiPoly) -> MultiPoly:
     for i in range(p.num_vars):
         total = total + p.partial(i).partial(i)
     return total
-
-
-def antiholomorphic_jacobian(phi: ComplexPolyMap) -> PolyMatrix:
-    """Entry (i, j) = formal partial of component i by zb_j."""
-    m = phi.domain_dim
-    return PolyMatrix([[c.partial(m + j) for j in range(m)]
-                       for c in phi.components])
 
 
 def complex_gradient(phi: RealPolyMap) -> list[MultiPoly]:

@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from . import catalog as catalog_module
 from .analysis import CheckReport
@@ -51,7 +52,10 @@ class CliError(Exception):
     """An input problem the user can fix; reported on stderr, exit 2."""
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused by later ones:
+    parsing reads it and changes nothing in it."""
     parser = argparse.ArgumentParser(
         prog="morphlift",
         description="exact complete lifts and harmonic-morphism certificates")

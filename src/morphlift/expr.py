@@ -464,7 +464,6 @@ def lower_to_poly(node: Expr, num_vars: int, num_complex: int = 0) -> MultiPoly:
         node = node.left
 
     terms: dict = {}
-    get = terms.get
     for node, sign in reversed(summands):
         while type(node) is Neg:
             node, sign = node.arg, -sign
@@ -474,14 +473,20 @@ def lower_to_poly(node: Expr, num_vars: int, num_complex: int = 0) -> MultiPoly:
         else:
             items = (term,)
         for exponents, coeff in items:
-            value = get(exponents, 0) + coeff if sign > 0 else get(exponents, 0) - coeff
-            if value:
-                terms[exponents] = value
-            else:
-                # as when the summands are added one by one: a term that
-                # cancels is dropped, and if it comes back it goes last
-                terms.pop(exponents, None)
+            accumulate_term(terms, exponents, coeff, sign)
     return MultiPoly._trusted(num_vars, terms, num_complex)
+
+
+def accumulate_term(terms: dict, exponents: tuple, coeff, sign: int) -> None:
+    """Add ``coeff`` to ``terms[exponents]``, or subtract it when ``sign`` is
+    negative, as adding the summands' polynomials one by one would: a term
+    that cancels is dropped, and if it comes back it goes last."""
+    value = terms.get(exponents, 0)
+    value = value + coeff if sign > 0 else value - coeff
+    if value:
+        terms[exponents] = value
+    else:
+        terms.pop(exponents, None)
 
 
 def _monomial(node: Expr, num_vars: int):

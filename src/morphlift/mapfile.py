@@ -1,4 +1,4 @@
-"""The map-definition text format.
+r"""The map-definition text format.
 
 Grammar (UTF-8 text, ``#`` comments to end of line)::
 
@@ -17,11 +17,34 @@ use ``z1..zm`` (``zb1..zbm`` for formal conjugates), the reserved constant
 an error.  Maps whose components are all polynomial parse to the exact
 representations; otherwise (division, sqrt, or any guard) the result is a
 :class:`~morphlift.expr.SmoothMap`.
+
+Canonical text, the subset that :func:`~morphlift.poly.render` and
+:func:`render_map_source` write when every coefficient is rational, is read
+straight into term dicts:
+
+* a polynomial is one summand or more, each ``[INT[/INT]*]NAME[^INT]`` then
+  any number of ``*NAME[^INT]``, or ``INT[/INT]`` alone, joined by ``+`` or
+  ``-``, with at most one ``-`` in front of the first.  INT is a run of
+  ASCII digits (a denominator not 0), and NAME an ASCII name that is a
+  variable of the ring.  Whitespace is ``[ \t\r\n]``, at either end and
+  around each sign, never inside a summand;
+* a map is ``map NAME: K^m -> K^n {`` with K both R or both C and m, n
+  without leading zeros, then ``NAME1 = POLY;`` to ``NAMEn = POLY;`` in
+  that order, then ``}``, with whitespace between tokens except inside
+  ``K^m`` and ``K^n``: no comments, bindings or guards, no reserved NAME,
+  and no component named like a variable.
+
+:func:`parse_map` and :func:`parse_poly` try that reader on the whole input
+first.  On anything outside the subset they run the tokenizer, the parser
+and :func:`~morphlift.expr.lower_to_poly` on the whole input, so every other
+input, and every error, takes the general path.  Both paths give the same
+terms, in the same order, with the same coefficient types.
 """
 
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 
 from .exact import GaussianRational, Scalar
 from .expr import (
@@ -31,6 +54,7 @@ from .expr import (
     SmoothMap,
     Sqrt,
     Var,
+    accumulate_term,
     add,
     div,
     is_polynomial,
@@ -242,11 +266,14 @@ def _parse_space(parser: _Parser) -> tuple[str, int]:
 
 def parse_map(source: str):
     """Parse a map definition; returns RealPolyMap, ComplexPolyMap or SmoothMap."""
+    canonical = _read_canonical_map(source)
+    if canonical is not None:
+        return canonical
     parser = _Parser(source, {}, is_complex=False)
     parser.expect("ident", "map")
     name_token = parser.expect("ident")
     map_name = name_token[1]
-    if map_name in ("guard", "sqrt", "conj", "re", "im", "i"):
+    if map_name in _RESERVED_MAP_NAMES:
         raise parser.error(f"{map_name!r} is reserved and cannot name a map",
                            name_token)
     parser.expect("symbol", ":")
@@ -318,12 +345,123 @@ def parse_poly(source: str, num_vars: int, num_complex: int = 0,
     env: dict[str, Expr] = {}
     if names is None:
         names = default_names(num_vars, num_complex)
+    if not num_complex or num_vars == 2 * num_complex:
+        canonical = _read_canonical_poly(
+            source, {name: index for index, name in enumerate(names)},
+            num_vars, num_complex)
+        if canonical is not None:
+            return canonical
     for index, name in enumerate(names):
         env[name] = Var(index)
     parser = _Parser(source, env, is_complex=num_complex > 0)
     node = parser.parse_expr()
     parser.expect("end")
     return lower_to_poly(node, num_vars, num_complex)
+
+
+# ---------------------------------------------------------------------------
+# Canonical text, read straight into terms
+# ---------------------------------------------------------------------------
+
+_RESERVED_MAP_NAMES = ("guard", "sqrt", "conj", "re", "im", "i")
+
+# ``[ \t\r\n]`` is the tokenizer's whitespace; ``\s`` would also take "\f",
+# "\v" and non-ASCII spaces, which the tokenizer rejects.
+_BLANK = r"[ \t\r\n]"
+_SEPARATOR = re.compile(rf"{_BLANK}*([+-]){_BLANK}*")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_FACTOR = rf"{_NAME}(?:\^[0-9]+)?"
+_SUMMAND = re.compile(rf"(?:([0-9]+)(?:/([0-9]+))?\*)?({_FACTOR}(?:\*{_FACTOR})*)"
+                      r"|([0-9]+)(?:/([0-9]+))?")
+_MAP_HEADER = re.compile(
+    rf"{_BLANK}*map{_BLANK}+({_NAME}){_BLANK}*:{_BLANK}*([RC])\^([1-9][0-9]*)"
+    rf"{_BLANK}*->{_BLANK}*([RC])\^([1-9][0-9]*){_BLANK}*\{{")
+_COMPONENT = re.compile(rf"{_BLANK}*({_NAME}){_BLANK}*=([^;]*);")
+_MAP_END = re.compile(rf"{_BLANK}*\}}{_BLANK}*")
+
+
+def _read_canonical_poly(text: str, index: dict, num_vars: int,
+                         num_complex: int):
+    """The polynomial that ``text`` in the canonical subset (see the module
+    docstring) denotes, over the variables ``index`` maps to their
+    positions; None for any other text.
+
+    Each summand's (exponents, coefficient) goes into one term dict through
+    :func:`~morphlift.expr.accumulate_term`, in the order in which
+    :func:`~morphlift.expr.lower_to_poly` adds them, so the terms, their
+    order and their coefficient types are the general path's."""
+    parts = _SEPARATOR.split(text.strip(" \t\r\n"))
+    # summand, then (sign, summand) pairs; a leading "-" leaves "" first
+    if parts[0]:
+        signs, summands = ["+", *parts[1::2]], parts[::2]
+    elif parts[1:2] == ["-"]:
+        signs, summands = parts[1::2], parts[2::2]
+    else:
+        return None
+    terms: dict = {}
+    try:
+        for sign, summand in zip(signs, summands):
+            match = _SUMMAND.fullmatch(summand)
+            if match is None:
+                return None
+            numerator, denominator, factors, constant, constant_denominator = \
+                match.groups()
+            exponents = [0] * num_vars
+            if factors is None:
+                numerator, denominator = constant, constant_denominator
+            else:
+                for factor in factors.split("*"):
+                    name, _, power = factor.partition("^")
+                    position = index.get(name)
+                    if position is None or position >= num_vars:
+                        return None
+                    exponents[position] += int(power) if power else 1
+            coeff = int(numerator) if numerator else 1
+            if denominator:
+                divisor = int(denominator)
+                if not divisor:
+                    return None
+                coeff = Fraction(coeff, divisor)
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator
+            accumulate_term(terms, tuple(exponents), coeff, 1 if sign == "+" else -1)
+    except ValueError:      # a literal longer than int() reads from a string
+        return None
+    return MultiPoly._trusted(num_vars, terms, num_complex)
+
+
+def _read_canonical_map(source: str):
+    """The polynomial map that ``source`` in the canonical subset (see the
+    module docstring) defines; None for any other source."""
+    header = _MAP_HEADER.match(source)
+    if header is None:
+        return None
+    map_name, domain_kind, domain, codomain_kind, codomain = header.groups()
+    if domain_kind != codomain_kind or map_name in _RESERVED_MAP_NAMES:
+        return None
+    try:
+        domain_dim, codomain_dim = int(domain), int(codomain)
+    except ValueError:      # too long for int()
+        return None
+    kind = ComplexPolyMap if domain_kind == "C" else RealPolyMap
+    num_vars, num_complex = kind.ring(domain_dim)
+    index = {name: position for position, name
+             in enumerate(default_names(num_vars, num_complex))}
+    polys = []
+    end = header.end()
+    for k in range(1, codomain_dim + 1):
+        component = _COMPONENT.match(source, end)
+        if (component is None or component[1] != f"{map_name}{k}"
+                or component[1] in index):
+            return None
+        poly = _read_canonical_poly(component[2], index, num_vars, num_complex)
+        if poly is None:
+            return None
+        polys.append(poly)
+        end = component.end()
+    if _MAP_END.fullmatch(source, end) is None:
+        return None
+    return kind(domain_dim, codomain_dim, tuple(polys))
 
 
 def parse_gaussian(source: str) -> Scalar:

@@ -1,7 +1,9 @@
 """Test oracle for exact Jacobians at points: ``PolyMatrix.evaluate``,
 ``span_report`` and ``search_points`` as they were when the Kaehler checks
 built the Jacobian (or the complex gradient) as polynomials and evaluated
-each entry at each point.
+each entry at each point.  Also ``antiholomorphic_jacobian``, the whole
+matrix of partials by the zb variables, which ``analysis.is_holomorphic``
+built before it took each partial only when `_decide` read it.
 
 The bodies are the old functions' bodies, so the differential tests in
 ``test_calculus_differential.py`` compare ``calculus.jacobian_at``, which
@@ -28,7 +30,14 @@ from morphlift.kaehler import (
     KaehlerReport,
     complex_point_to_real,
 )
-from morphlift.maps import RealPolyMap, ShapeError
+from morphlift.maps import ComplexPolyMap, RealPolyMap, ShapeError
+
+
+def antiholomorphic_jacobian(phi: ComplexPolyMap) -> PolyMatrix:
+    """Entry (i, j) = formal partial of component i by zb_j."""
+    m = phi.domain_dim
+    return PolyMatrix([[c.partial(m + j) for j in range(m)]
+                       for c in phi.components])
 
 
 def matrix_evaluate(matrix: PolyMatrix, point) -> list:

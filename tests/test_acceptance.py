@@ -20,13 +20,14 @@ from genmaps import (
     random_quadratic_map,
     random_real_map,
 )
+from calculus_oracle import antiholomorphic_jacobian
 from morphlift.analysis import (
     hessian_conditions,
     hwc_certificate,
     is_harmonic,
     is_harmonic_morphism,
 )
-from morphlift.calculus import antiholomorphic_jacobian, laplacian
+from morphlift.calculus import laplacian
 from morphlift.catalog import (
     EXPECTED_GRADIENTS,
     KAEHLER_POINTS,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genmaps import random_harmonic_map, random_rational_point
+from calculus_oracle import antiholomorphic_jacobian
 from morphlift.analysis import (
     hessian_conditions,
     hwc_certificate,
@@ -13,7 +14,7 @@ from morphlift.analysis import (
     is_holomorphic,
     is_orthogonal_multiplication,
 )
-from morphlift.calculus import antiholomorphic_jacobian, laplacian
+from morphlift.calculus import laplacian
 from morphlift.catalog import lookup
 from morphlift.lift import complete_lift_real
 from morphlift.mapfile import parse_map, parse_poly
@@ -200,6 +201,28 @@ def test_holomorphic_certificate_is_the_first_nonzero_partial(quaternion):
     assert (v.kind, v.component_k, v.component_l) == ("antiholomorphic", *first)
     assert v.entry == first
     assert v.residual == anti[first[0] - 1, first[1] - 1]
+
+
+@pytest.mark.parametrize("entry_id, partials, total", [
+    ("ex2.4-complex-lift-Q", 4, 16),
+    ("ex1.4.iii-quaternion", 4, 8),
+])
+def test_holomorphic_takes_only_the_partials_it_reads(monkeypatch, entry_id,
+                                                      partials, total):
+    # the certificate is at entry (1, 4): the first row's four partials
+    phi = parse_map(lookup(entry_id).definition)
+    assert phi.codomain_dim * phi.domain_dim == total
+    taken = []
+    partial = MultiPoly.partial
+
+    def counted(self, index):
+        taken.append(index)
+        return partial(self, index)
+
+    monkeypatch.setattr(MultiPoly, "partial", counted)
+    report = is_holomorphic(phi)
+    assert report.violation.entry == (1, 4)
+    assert len(taken) == partials
 
 
 def test_pure_conjugation_not_holomorphic():

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import io
 import json
@@ -13,7 +14,7 @@ from morphlift.catalog import lookup, registry
 from morphlift.cli import cli_main
 from morphlift.lift import complete_lift_real
 from morphlift.mapfile import parse_map, parse_poly, render_map_source
-from morphlift.maps import real_identification
+from morphlift.maps import MAX_PAIR_DEGREE, ShapeError, real_identification
 
 QUATERNION_SRC = """map q: C^4 -> C^2 {
     q1 = z1*z3 - z2*conj(z4);
@@ -132,7 +133,7 @@ def test_check_dilation_round_trips_through_parser(quaternion_file):
 
 def test_lift_components_round_trip_through_parser(quaternion_file):
     from morphlift.lift import complete_lift_real
-    from morphlift.maps import real_identification
+    from morphlift.maps import MAX_PAIR_DEGREE, ShapeError, real_identification
 
     code, payload = run_cli_json(["lift", "--real", quaternion_file])
     assert code == 0
@@ -562,6 +563,32 @@ def test_antilift_witness_too_long_to_print_exits_2(tmp_path, capsys, argv, sour
         f"{sys.get_int_max_str_digits()} digits, too long to print\n")
 
 
+@pytest.mark.parametrize("argv", [["check"], ["--json", "check"], ["antilift"],
+                                  ["--json", "antilift"], ["lift", "--real"],
+                                  ["--json", "lift", "--real"]],
+                         ids=["check", "check-json", "antilift", "antilift-json",
+                              "lift", "lift-json"])
+def test_complex_exponent_past_the_expansion_limit_exits_2(tmp_path, capsys, argv):
+    # (x + iy)^e costs about e^2 to expand; this e has 4301 digits
+    path = tmp_path / "power.map"
+    path.write_text(f"map f: C^1 -> C^1 {{ f1 = z1^{NINES}*z1^{NINES}; }}")
+    code, text = run_cli([*argv, str(path)])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: component 1 has a monomial of degree above {MAX_PAIR_DEGREE} "
+        "in z1 and zb1, more than the real identification expands\n")
+
+
+def test_real_identification_refuses_before_expanding():
+    over = parse_map(f"map f: C^2 -> C^2 {{ f1 = z1; "
+                     f"f2 = z1^3 + z2^600*zb2^{MAX_PAIR_DEGREE - 599}; }}")
+    with pytest.raises(ShapeError, match="component 2 .* in z2 and zb2"):
+        real_identification(over)
+    # the limit is on one pair's degree, not on the monomial's
+    spread = parse_map("map f: C^2 -> C^1 { f1 = z1^40*zb2^40; }")
+    assert len(real_identification(spread).components) == 2
+
+
 @pytest.mark.parametrize("signs", ["-" * 5000, "-+" * 2500 + "-"],
                          ids=["even", "odd"])
 def test_long_run_of_unary_signs_parses(tmp_path, capsys, signs):
@@ -600,3 +627,44 @@ def test_closed_output_pipe_exits_quietly():
         os.close(write_end)
     assert child.stderr == b""
     assert child.returncode == 0
+
+
+def _fresh_process(argv, cwd):
+    src = str(Path(morphlift.__file__).parent.parent)
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run([sys.executable, "-m", "morphlift.cli", *argv], cwd=cwd,
+                           capture_output=True, env=env, timeout=60)
+    return child.returncode, child.stdout.decode(), child.stderr.decode()
+
+
+def test_reused_parser_answers_as_a_fresh_process(tmp_path, monkeypatch):
+    # the check flags append to a list default: a parser that kept the
+    # --hwc of one call would run only hwc on the next plain `check`
+    (tmp_path / "f.map").write_text(
+        "map f: R^2 -> R^2 { f1 = x1^2 - x2^2; f2 = x1*x2; }\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")     # argparse wraps usage to the terminal
+    sequence = [["check", "--hwc", "f.map"], ["check", "f.map"],
+                ["--json", "check", "f.map"], ["check", "--hwc"],
+                ["check", "--hwc", "f.map"]]
+    for argv in sequence:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli_main(argv)
+        assert (code, stdout.getvalue(), stderr.getvalue()) == \
+            _fresh_process(argv, tmp_path), argv
+
+
+def test_parser_is_built_on_first_use_not_at_import():
+    src = str(Path(morphlift.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import io, morphlift.cli as cli\n"
+             "print(cli._build_parser.cache_info().currsize)\n"
+             "cli.cli_main(['catalog', 'list'], io.StringIO())\n"
+             "cli.cli_main(['catalog', 'list'], io.StringIO())\n"
+             "print(cli._build_parser.cache_info().misses)\n")
+    child = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                           env=env, timeout=60)
+    assert child.stdout.decode().split() == ["0", "1"]

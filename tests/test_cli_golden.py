@@ -31,6 +31,19 @@ INPUTS = {
     "fiber.map": "map f: R^4 -> R^1 { f1 = x1*x3^2; }\n",
     "odd.map": "map f: R^3 -> R^1 { f1 = x1*x3 + x2; }\n",
     "bad.map": "map f: R^2 -> R^1 { f1 = x1 +; }\n",
+    # canonical text, as render_map_source writes it
+    "canonical.map": ("map g: R^6 -> R^2 {\n"
+                      "    g1 = -3/2*x1^2*x4 + 5*x2*x3*x6 - x5^3 + 2/3*x1*x6 - 7;\n"
+                      "    g2 = x1*x2*x3*x4*x5*x6 - 1/4*x3^2 + x4 + 1/2;\n"
+                      "}\n"),
+    # a comment, a binding and spaces inside a product
+    "handwritten.map": ("# a quadratic written by hand\n"
+                        "map h: R^3 -> R^2 {\n"
+                        "    s = x1 + x2;   # a let-style binding\n"
+                        "    h1 = s^2 - 3 * x3;\n"
+                        "    h2 = x1*x2\n"
+                        "         + 1/2;\n"
+                        "}\n"),
     # the nine printed points of the R^16 -> C example, then the repair point
     "phi.pts": ("0, 0, 1, 0, 1, 0, 0, 1\n"
                 "0, 0, i, 0, 1, 0, 0, 1\n"
@@ -48,6 +61,8 @@ CASES = [
     ("lift-real-complex-map", ["lift", "--real", "quaternion.map"], 0),
     ("lift-complex", ["lift", "--complex", "zwbar.map"], 0),
     ("lift-smooth", ["lift", "--real", "stereo.map"], 0),
+    ("lift-real-canonical", ["lift", "--real", "canonical.map"], 0),
+    ("lift-real-handwritten", ["lift", "--real", "handwritten.map"], 0),
     ("check-default", ["check", "quaternion.map"], 0),
     ("check-hessian-fails", ["check", "hessian.map", "--hessian-conditions"], 0),
     ("check-orthmult-blocks", ["check", "quaternion.map",

@@ -15,7 +15,8 @@ from genmaps import (
     random_symmetric_matrices,
 )
 import lift_oracle
-from morphlift.calculus import antiholomorphic_jacobian, laplacian
+from calculus_oracle import antiholomorphic_jacobian
+from morphlift.calculus import laplacian
 from morphlift.catalog import entry_ids, lookup
 from morphlift.exact import DimensionMismatch
 from morphlift.lift import (
