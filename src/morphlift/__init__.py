@@ -23,7 +23,6 @@ from .exact import (
     ExactMatrix,
     GaussianRational,
     IntegerTooLong,
-    bilinear_dot,
 )
 from .expr import EvalDomainError, Expr, NotPolynomial, SmoothMap
 from .kaehler import (
@@ -70,7 +69,6 @@ __all__ = [
     "PolyMatrix", "hessian", "jacobian",
     "jacobian_at", "laplacian",
     "DimensionMismatch", "ExactMatrix", "GaussianRational", "IntegerTooLong",
-    "bilinear_dot",
     "EvalDomainError", "Expr", "NotPolynomial", "SmoothMap",
     "INCONCLUSIVE", "NOT_KAEHLER", "KaehlerReport", "search_points",
     "span_report",

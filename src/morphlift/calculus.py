@@ -106,12 +106,17 @@ def jacobian_at(phi: RealPolyMap, points):
     """The value rows of phi's Jacobian at each of the points in turn, read
     straight from the terms of phi: no partial is built.
 
-    The terms are decoded once per call, before the first point is read.
-    At each point, one mask of the variables whose value is 0 skips every
-    contribution that meets one before any product, and each power of a
-    coordinate is computed once."""
+    The terms are decoded once per map, before the first point is read, and
+    the plan is kept on the map for later calls.  At each point, one mask
+    of the variables whose value is 0 skips every contribution that meets
+    one before any product, and each power of a coordinate is computed
+    once."""
     n = phi.domain_dim
-    plan, pairs = _jacobian_plan(phi)
+    try:
+        plan, pairs = phi._jacobian
+    except AttributeError:
+        plan, pairs = _jacobian_plan(phi)
+        object.__setattr__(phi, "_jacobian", (plan, pairs))
     for point in points:
         if len(point) != n:
             raise DimensionMismatch(f"point length {len(point)} != arity {n}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 
 class DimensionMismatch(ValueError):
@@ -236,18 +236,8 @@ def render_scalar(value: Scalar) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Vectors and matrices
+# Matrices
 # ---------------------------------------------------------------------------
-
-def bilinear_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
-    """The complex-bilinear product sum(u_i * v_i); no conjugation."""
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    total: Scalar = 0
-    for a, b in zip(u, v):
-        total = total + a * b
-    return total
-
 
 class ExactMatrix:
     """Immutable dense matrix over exact scalars."""
@@ -330,8 +320,8 @@ class ExactMatrix:
 def _gaussian_integer_row(row) -> tuple[list, list]:
     """The real and imaginary parts of a row, times the lcm of their
     denominators, as two lists of ints."""
-    re = [real_part(x) for x in row]
-    im = [imag_part(x) for x in row]
+    re = [x.re if type(x) is GaussianRational else x for x in row]
+    im = [x.im if type(x) is GaussianRational else 0 for x in row]
     if any(type(v) is not int for v in re + im):
         scale = lcm(*(v.denominator for v in re + im))
         re = [(v * scale).numerator for v in re]

@@ -15,13 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import tee
+from operator import mul
 
 from .calculus import jacobian_at
 from .exact import (
     ExactMatrix,
     GaussianRational,
     Scalar,
-    bilinear_dot,
     imag_part,
     make_scalar,
     real_part,
@@ -81,10 +81,10 @@ def _report(Phi: RealPolyMap, points: tuple, rows: list) -> KaehlerReport:
     gradients = tuple(tuple(map(make_scalar, u, v)) for u, v in rows)
     jacobian_ranks = tuple(ExactMatrix(uv).rank() for uv in rows)
     rank = ExactMatrix(gradients).rank()
-    isotropy_ok = all(bilinear_dot(g, g) == 0 for g in gradients)
-    pairwise = all(bilinear_dot(gradients[a], gradients[b]) == 0
-                   for a in range(len(gradients))
-                   for b in range(a + 1, len(gradients)))
+    isotropy_ok = all(_orthogonal(uv, uv) for uv in rows)
+    pairwise = all(_orthogonal(rows[a], rows[b])
+                   for a in range(len(rows))
+                   for b in range(a + 1, len(rows)))
     verdict = NOT_KAEHLER if rank > m else INCONCLUSIVE
     notes = ()
     if verdict == NOT_KAEHLER:
@@ -92,6 +92,19 @@ def _report(Phi: RealPolyMap, points: tuple, rows: list) -> KaehlerReport:
                  "subspace (isotropic or not) contains every gradient",)
     return KaehlerReport(points, gradients, rank, isotropy_ok, pairwise,
                          verdict, jacobian_ranks, notes)
+
+
+def _dot(x, y):
+    return sum(map(mul, x, y))
+
+
+def _orthogonal(a, b) -> bool:
+    """Whether the bilinear product of the gradients u_a + i*v_a and
+    u_b + i*v_b is 0, given their real Jacobian rows (u, v): its real part
+    is u_a.u_b - v_a.v_b and its imaginary part u_a.v_b + v_a.u_b."""
+    (u_a, v_a), (u_b, v_b) = a, b
+    return (_dot(u_a, u_b) == _dot(v_a, v_b)
+            and _dot(u_a, v_b) + _dot(v_a, u_b) == 0)
 
 
 _ALPHABET: tuple[Scalar, ...] = (

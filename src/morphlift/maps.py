@@ -21,9 +21,14 @@ class ShapeError(ValueError):
 class _PolyMap:
     """A polynomial map whose components live in the ring that ``ring``
     gives for the domain dimension; immutable, equal to maps of its own kind
-    with the same domain and components."""
+    with the same domain and components.
 
-    __slots__ = ("domain_dim", "codomain_dim", "components", "var_names")
+    ``_jacobian`` is unset until :func:`calculus.jacobian_at` first reads
+    the map; it then holds the plan of the map's Jacobian, which the map's
+    components determine, so equality, hashing and the repr ignore it."""
+
+    __slots__ = ("domain_dim", "codomain_dim", "components", "var_names",
+                 "_jacobian")
 
     def __init__(self, domain_dim: int, codomain_dim: int, components,
                  var_names=None):

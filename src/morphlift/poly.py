@@ -364,7 +364,11 @@ class MultiPoly:
         return make_scalar_like(total) if not isinstance(total, int) else total
 
     def compose(self, values: list["MultiPoly"]) -> "MultiPoly":
-        """Substitute values[j] for variable j, for every variable at once."""
+        """Substitute values[j] for variable j, for every variable at once.
+
+        The expanded monomials are summed into one store, at the widest
+        width any of them takes, as adding them one by one would: a term
+        that cancels is dropped, and if it comes back it goes last."""
         if len(values) != self.num_vars:
             raise DimensionMismatch(
                 f"need {self.num_vars} substitution values, got {len(values)}")
@@ -374,17 +378,27 @@ class MultiPoly:
         for q in values:
             if (q.num_vars, q.num_complex) != ring:
                 raise DimensionMismatch("substitution values live in mixed rings")
-        result = MultiPoly.zero(*ring)
+        terms = self.terms
+        bound = max((sum(e * q._bound for e, q in zip(exponents, values))
+                     for exponents in terms), default=0)
+        width = max(_field_width(bound), *(q._width for q in values))
+        result = {}
+        get = result.get
         power_cache: dict[tuple[int, int], MultiPoly] = {}
-        for exponents, coeff in self.terms.items():
+        for exponents, coeff in terms.items():
             term = MultiPoly.constant(ring[0], coeff, ring[1])
             for j, e in enumerate(exponents):
                 if e:
                     if (j, e) not in power_cache:
                         power_cache[j, e] = values[j] ** e
                     term = term * power_cache[j, e]
-            result = result + term
-        return result
+            for key, c in term._at(width).items():
+                c = get(key, 0) + c
+                if c:
+                    result[key] = c
+                else:
+                    del result[key]
+        return MultiPoly._make(*ring, result, width, bound)
 
     def remap(self, num_vars: int, index_map: dict[int, int],
               num_complex: int = 0) -> "MultiPoly":

@@ -17,13 +17,9 @@ from __future__ import annotations
 
 import random
 
+from exact_oracle import bilinear_dot
 from morphlift.calculus import PolyMatrix, complex_gradient, jacobian
-from morphlift.exact import (
-    ExactMatrix,
-    GaussianRational,
-    bilinear_dot,
-    make_scalar,
-)
+from morphlift.exact import ExactMatrix, GaussianRational, make_scalar
 from morphlift.kaehler import (
     INCONCLUSIVE,
     NOT_KAEHLER,

@@ -1,15 +1,32 @@
-"""Test oracle for exact rank: ``ExactMatrix.rank`` as it was when it ran
-Bareiss elimination on ``Fraction`` and ``GaussianRational`` objects, before
-the kernel moved to Gaussian integers held as pairs of plain ints.
+"""Test oracles for exact linear algebra.
 
-The body is the old method's body, so the differential tests in
+``rank`` is ``ExactMatrix.rank`` as it was when it ran Bareiss elimination
+on ``Fraction`` and ``GaussianRational`` objects, before the kernel moved to
+Gaussian integers held as pairs of plain ints.  ``bilinear_dot`` is the
+complex-bilinear product that ``kaehler`` took on gradients before it
+tested isotropy on the real Jacobian rows.
+
+The bodies are the old functions' bodies, so the differential tests in
 ``test_exact.py`` compare the integer kernel with the elimination it
-replaced.  This function is not part of the package.
+replaced.  These functions are not part of the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
+
+from morphlift.exact import DimensionMismatch, Scalar
+
+
+def bilinear_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
+    """The complex-bilinear product sum(u_i * v_i); no conjugation."""
+    if len(u) != len(v):
+        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
+    total: Scalar = 0
+    for a, b in zip(u, v):
+        total = total + a * b
+    return total
 
 
 def rank(matrix) -> int:

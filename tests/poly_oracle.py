@@ -2,13 +2,15 @@
 they were when its terms were a dict keyed by exponent tuples, before packed
 keys became the only store.
 
-Each function takes and returns plain term dicts (exponent tuple ->
-coefficient).  The bodies are the old methods' bodies, so a result has the
-terms, the dict order and the coefficient types the old store produced, and
-the differential tests in ``test_poly.py`` compare the packed store with
-them, beside ``reference_product``.  ``product`` keeps the old one-term
-shortcut, so that it takes the old product's paths too.  These functions
-are not part of the package.
+Each function but ``packed_compose`` takes and returns plain term dicts
+(exponent tuple -> coefficient).  The bodies are the old methods' bodies, so
+a result has the terms, the dict order and the coefficient types the old
+store produced, and the differential tests in ``test_poly.py`` compare the
+packed store with them, beside ``reference_product``.  ``product`` keeps
+the old one-term shortcut, so that it takes the old product's paths too.
+``packed_compose`` is ``MultiPoly.compose`` of the packed store as it was
+before it summed into one store; it takes and returns ``MultiPoly``
+objects.  These functions are not part of the package.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from morphlift.exact import (
     real_part,
     render_scalar,
 )
-from morphlift.poly import default_names
+from morphlift.poly import MultiPoly, default_names
 
 
 def canonicalize(terms: dict) -> dict:
@@ -148,6 +150,26 @@ def compose(terms: dict, values: list, num_vars: int) -> dict:
                 power_cache[key] = power(values[j], num_vars, e)
             term = product(term, power_cache[key])
         result = combine(result, term, add)
+    return result
+
+
+def packed_compose(q: MultiPoly, values: list) -> MultiPoly:
+    """``MultiPoly.compose`` on the packed store as it was before it summed
+    the expanded monomials into one store: each monomial is added to the
+    result with ``+``, which copies the result every time."""
+    if not values:
+        return q
+    ring = (values[0].num_vars, values[0].num_complex)
+    result = MultiPoly.zero(*ring)
+    power_cache: dict = {}
+    for exponents, coeff in q.terms.items():
+        term = MultiPoly.constant(ring[0], coeff, ring[1])
+        for j, e in enumerate(exponents):
+            if e:
+                if (j, e) not in power_cache:
+                    power_cache[j, e] = values[j] ** e
+                term = term * power_cache[j, e]
+        result = result + term
     return result
 
 

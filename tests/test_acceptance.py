@@ -21,6 +21,7 @@ from genmaps import (
     random_real_map,
 )
 from calculus_oracle import antiholomorphic_jacobian
+from exact_oracle import bilinear_dot
 from morphlift.analysis import (
     hessian_conditions,
     hwc_certificate,
@@ -34,7 +35,6 @@ from morphlift.catalog import (
     KAEHLER_REPAIR_POINT,
 )
 from morphlift.cli import cli_main
-from morphlift.exact import bilinear_dot
 from morphlift.kaehler import NOT_KAEHLER, search_points, span_report
 from morphlift.lift import (
     MixedPartialObstruction,

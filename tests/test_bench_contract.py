@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from morphlift import cli, mapfile, poly
+from morphlift import cli, kaehler, mapfile, poly
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -71,3 +71,20 @@ def test_traced_pass_runs_and_counts(tracer_module):
     assert counters["cli.bytes_out"] > 0
     assert tracer.calls["poly.accumulate_product"] == 3
     assert tracer.calls["poly.poly_dot"] == 1
+
+
+def test_traced_span_report_counts_exact_rank(tracer_module):
+    # the Kaehler span's ranks stay in the exact layer that the tracer times
+    phi = mapfile.parse_map("map f: R^4 -> R^2 { f1 = x1*x3 - x2*x4; "
+                            "f2 = x1*x4 + x2*x3; }")
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        report = kaehler.span_report(phi, [(1, 2), (3, -1)])
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert tracer.calls["kaehler.span_report"] == 1
+    assert tracer.calls["exact.ExactMatrix.rank"] == len(report.gradients) + 1
+    assert tracer.counters["exact.rank_cells"] > 0

@@ -12,14 +12,19 @@ from hypothesis import given, settings, strategies as st
 
 import calculus_oracle
 import poly_oracle
-from genmaps import random_harmonic_map, random_quadratic_map, random_real_map
+from genmaps import (
+    random_complex_map,
+    random_harmonic_map,
+    random_quadratic_map,
+    random_real_map,
+)
 from morphlift.calculus import PolyMatrix, jacobian, jacobian_at
 from morphlift.catalog import KAEHLER_POINTS, KAEHLER_REPAIR_POINT, entry_ids, lookup
 from morphlift.exact import DimensionMismatch, GaussianRational
 from morphlift.kaehler import search_points, span_report
 from morphlift.lift import complete_lift_real
 from morphlift.mapfile import parse_map, parse_poly
-from morphlift.maps import RealPolyMap, ShapeError, real_form
+from morphlift.maps import RealPolyMap, ShapeError, real_form, real_identification
 from morphlift.poly import ConsistencyError, MultiPoly
 
 I = GaussianRational(0, 1)
@@ -57,6 +62,13 @@ def _catalog_maps():
 
 
 CATALOG = list(_catalog_maps())
+# The coordinates of search_points' alphabet.
+ALPHABET = calculus_oracle._ALPHABET
+
+
+@pytest.fixture(scope="module")
+def rung_r32(phi_r16_real):
+    return complete_lift_real(phi_r16_real)
 
 
 @pytest.mark.parametrize("entry_id,phi", CATALOG, ids=[e for e, _ in CATALOG])
@@ -243,8 +255,63 @@ def test_search_points_needs_two_components():
         search_points(parse_map("map f: R^2 -> R^1 { f1 = x1; }"), 10, 0)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_span_report_at_alphabet_points_on_both_rungs_matches_the_oracle(
+        phi_r16_real, rung_r32, seed):
+    # the point sets of the benchmark's kaehler workload: m + 1 points
+    rng = random.Random(seed)
+    for phi in (phi_r16_real, rung_r32):
+        m = phi.domain_dim // 2
+        points = _points(rng, m, m + 1, ALPHABET)
+        assert _report_fields(span_report(phi, points)) == \
+            _report_fields(calculus_oracle.span_report(phi, points))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_span_report_on_fraction_coefficients_matches_the_oracle(seed):
+    rng = random.Random(seed)
+    m = rng.randint(1, 3)
+    maps = [random_real_map(rng, 2 * m, 2), random_harmonic_map(rng, 2 * m, 2),
+            real_identification(random_complex_map(rng, m, 1))]
+    maps.append(RealPolyMap(2 * m, 2, [c.scale(Fraction(1, 7))
+                                       for c in maps[-1].components]))
+    assert any(type(c) is Fraction for phi in maps
+               for component in phi.components
+               for c in component.terms.values())
+    for phi in maps:
+        # Fraction and Gaussian coordinates with Fraction parts
+        points = _points(rng, m, rng.randint(1, 2 * m + 1))
+        assert _report_fields(span_report(phi, points)) == \
+            _report_fields(calculus_oracle.span_report(phi, points))
+        assert _report_fields(search_points(phi, 30, seed)) == \
+            _report_fields(calculus_oracle.search_points(phi, 30, seed))
+
+
+def test_span_report_where_a_gradient_is_zero_matches_the_oracle(phi_r16_real):
+    zw = parse_map("map f: R^4 -> R^2 { f1 = x1*x3 - x2*x4; "
+                   "f2 = x1*x4 + x2*x3; }")
+    for phi, points in ((zw, [(0, 0), (1, I), (0, 0), (Fraction(1, 2), -I)]),
+                        (phi_r16_real, [(0,) * 8, (1,) * 8, (0,) * 8])):
+        report = span_report(phi, points)
+        assert report.gradients[0] == (0,) * phi.domain_dim
+        assert report.jacobian_ranks[0] == 0
+        assert _report_fields(report) == \
+            _report_fields(calculus_oracle.span_report(phi, points))
+
+
+def test_span_reports_on_maps_in_turn_match_the_oracle(phi_r16_real):
+    # each map reads its own plan, also between calls on other maps of the
+    # same shape
+    rng = random.Random(7)
+    maps = [phi for _, phi in SPAN_MAPS] + [phi_r16_real]
+    for phi in maps + maps[::-1]:
+        points = _points(rng, phi.domain_dim // 2, 3)
+        assert _report_fields(span_report(phi, points)) == \
+            _report_fields(calculus_oracle.span_report(phi, points))
+
+
 # ---------------------------------------------------------------------------
-# Work counts: no Jacobian polynomial, and one decoding of the terms per call
+# Work counts: no Jacobian polynomial, and one decoding of the terms per map
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -261,13 +328,40 @@ def work(monkeypatch):
     return calls
 
 
-def test_span_report_builds_no_partial_and_decodes_once_per_call(phi_r16_real, work):
-    span_report(phi_r16_real, KAEHLER_POINTS)
+def _fresh(phi):
+    """A map equal to phi that no call has read yet."""
+    return RealPolyMap(phi.domain_dim, phi.codomain_dim, phi.components)
+
+
+def test_span_report_builds_no_partial_and_decodes_once_per_map(phi_r16_real, work):
+    phi = _fresh(phi_r16_real)
+    span_report(phi, KAEHLER_POINTS)
     assert work == {"partial": 0, "sparse_terms": 2}
-    span_report(phi_r16_real, KAEHLER_POINTS)
+    span_report(phi, KAEHLER_POINTS)
+    assert work == {"partial": 0, "sparse_terms": 2}
+    twin = _fresh(phi)
+    span_report(twin, KAEHLER_POINTS)
     assert work == {"partial": 0, "sparse_terms": 4}
 
 
-def test_search_points_builds_no_partial_and_decodes_once_per_call(phi_r16_real, work):
-    search_points(phi_r16_real, 500, 0)
+def test_search_points_builds_no_partial_and_decodes_once_per_map(phi_r16_real, work):
+    phi = _fresh(phi_r16_real)
+    search_points(phi, 500, 0)
     assert work == {"partial": 0, "sparse_terms": 2}
+    search_points(phi, 500, 1)
+    span_report(phi, KAEHLER_POINTS)
+    assert work == {"partial": 0, "sparse_terms": 2}
+    twin = _fresh(phi)
+    search_points(twin, 500, 0)
+    assert work == {"partial": 0, "sparse_terms": 4}
+
+
+def test_a_kept_plan_leaves_the_map_as_it_was(phi_r16_real):
+    phi = _fresh(phi_r16_real)
+    before = (repr(phi), hash(phi))
+    list(jacobian_at(phi, [(1,) * 16]))
+    twin = _fresh(phi)
+    assert phi == twin and twin == phi
+    assert (repr(phi), hash(phi)) == before == (repr(twin), hash(twin))
+    with pytest.raises(AttributeError):
+        phi._jacobian = None

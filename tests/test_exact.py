@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import exact_oracle
+from exact_oracle import bilinear_dot
 from morphlift.calculus import complex_gradient
 from morphlift.exact import (
     DimensionMismatch,
     ExactMatrix,
     GaussianRational,
-    bilinear_dot,
     make_scalar,
     render_scalar,
 )

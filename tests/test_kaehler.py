@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from calculus_oracle import matrix_evaluate
+from exact_oracle import bilinear_dot
 from morphlift.calculus import complex_gradient, jacobian
 from morphlift.catalog import (
     EXPECTED_GRADIENTS,
@@ -14,7 +15,6 @@ from morphlift.exact import (
     DimensionMismatch,
     ExactMatrix,
     GaussianRational,
-    bilinear_dot,
     conjugate,
 )
 from morphlift.kaehler import (

@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import poly_oracle as oracle
-from genmaps import random_complex_poly, random_real_poly
+from genmaps import random_complex_map, random_complex_poly, random_real_poly
+from morphlift.catalog import entry_ids, lookup
 from morphlift.exact import (
     DimensionMismatch,
     GaussianRational,
     conjugate,
     make_scalar_like,
 )
-from morphlift.mapfile import parse_poly
+from morphlift.mapfile import parse_map, parse_poly
+from morphlift.maps import ComplexPolyMap, real_identification
 from morphlift.poly import (
     ConsistencyError,
     MultiPoly,
@@ -510,6 +512,60 @@ def test_compose_matches_the_tuple_oracle(data):
     expected = oracle.compose(dict(q.terms), [dict(v.terms) for v in values],
                               ring[0])
     assert typed(q.compose(values).terms) == typed(expected)
+
+
+@given(st.data())
+def test_compose_matches_its_old_packed_body(data):
+    # values of every field width; the sum keeps the old order and types
+    ring = data.draw(st.sampled_from(RINGS[1:]))
+    outer, q = draw_ring_and_poly(data, RINGS[1:], exponents=st.integers(0, 2),
+                                  max_size=4)
+    values = [data.draw(polys_in(ring, max_size=3)) for _ in range(outer[0])]
+    composed = q.compose(values)
+    assert typed(composed.terms) == typed(oracle.packed_compose(q, values).terms)
+    assert (1 << 8 * composed._width) > composed._bound >= max(
+        map(max, composed.terms), default=0)
+
+
+def test_compose_puts_a_term_that_cancels_and_returns_last():
+    # x1 + x2 + x3 at (y1 + y2, -y1, y1): y1 cancels, then comes back
+    q = p("x1 + x2 + x3", 3)
+    values = [p("x1 + x2", 2), p("-x1", 2), p("x1", 2)]
+    composed = q.compose(values)
+    assert typed(composed.terms) == [((0, 1), 1, int), ((1, 0), 1, int)]
+    assert typed(composed.terms) == typed(oracle.packed_compose(q, values).terms)
+
+
+def _identified_both_ways(monkeypatch, phi):
+    """real_identification(phi), and the same with the old compose."""
+    new = real_identification(phi)
+    with monkeypatch.context() as patch:
+        patch.setattr(MultiPoly, "compose", oracle.packed_compose)
+        old = real_identification(phi)
+    return new, old
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_real_identification_of_seeded_maps_matches_the_old_compose(
+        monkeypatch, seed):
+    rng = random.Random(seed)
+    phi = random_complex_map(rng, rng.randint(1, 3), rng.randint(1, 2),
+                             max_degree=rng.randint(2, 5))
+    new, old = _identified_both_ways(monkeypatch, phi)
+    assert [typed(c.terms) for c in new.components] == \
+        [typed(c.terms) for c in old.components]
+
+
+def test_real_identification_of_catalog_maps_matches_the_old_compose(
+        monkeypatch):
+    complex_maps = [phi for phi in (parse_map(lookup(e).definition)
+                                    for e in entry_ids())
+                    if isinstance(phi, ComplexPolyMap)]
+    assert complex_maps
+    for phi in complex_maps:
+        new, old = _identified_both_ways(monkeypatch, phi)
+        assert [typed(c.terms) for c in new.components] == \
+            [typed(c.terms) for c in old.components]
 
 
 @given(st.data())
