@@ -480,8 +480,14 @@ def lower_to_poly(node: Expr, num_vars: int, num_complex: int = 0) -> MultiPoly:
 def accumulate_term(terms: dict, exponents: tuple, coeff, sign: int) -> None:
     """Add ``coeff`` to ``terms[exponents]``, or subtract it when ``sign`` is
     negative, as adding the summands' polynomials one by one would: a term
-    that cancels is dropped, and if it comes back it goes last."""
-    value = terms.get(exponents, 0)
+    that cancels is dropped, and if it comes back it goes last.  An absent
+    term takes ``coeff`` or ``-coeff`` as it is, which is what adding it to
+    0 gives."""
+    value = terms.get(exponents)
+    if value is None:
+        if coeff:
+            terms[exponents] = coeff if sign > 0 else -coeff
+        return
     value = value + coeff if sign > 0 else value - coeff
     if value:
         terms[exponents] = value

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .calculus import jacobian
 from .exact import DimensionMismatch
 from .maps import ComplexPolyMap, PolyMap, RealPolyMap, ShapeError
-from .poly import MultiPoly, poly_dot, render
+from .poly import MultiPoly, render
 
 
 @dataclass(frozen=True)
@@ -55,24 +54,11 @@ Obstruction = NotPartialLinear | MixedPartialObstruction
 
 
 def _complete_lift(phi: PolyMap, fiber: str) -> PolyMap:
-    """sum_j remap(d phi^k / d v_j) * w_j over the m base variables v_j.
-
-    The lift lives on twice the domain dimension, so each block of phi's ring
-    (the z and the zb variables of a complex ring) doubles in width: old
-    variable j keeps its offset in its block, and the fiber variable w_j sits
-    at index m + j of the first block."""
+    """sum_j (d phi^k / d v_j) * w_j over the m base variables v_j, one
+    component at a time (:meth:`MultiPoly.complete_lift`), on twice the
+    domain dimension, with the fiber variables named ``fiber``1..m."""
     m = phi.domain_dim
-    num_vars, num_complex = phi.ring(2 * m)
-    index_map = {j: 2 * m * (j // m) + j % m for j in range(phi.ring(m)[0])}
-    # a fiber variable is built once, and only for a nonzero partial: each
-    # one is keyed over all 2m variables, so m of them would cost O(m^2)
-    fiber_variable = cache(lambda j: MultiPoly.variable(num_vars, m + j, num_complex))
-    components = []
-    for comp in phi.components:
-        pairs = [(p.remap(num_vars, index_map, num_complex), fiber_variable(j))
-                 for j, p in enumerate(map(comp.partial, range(m))) if p]
-        components.append(poly_dot(*zip(*pairs)) if pairs
-                          else MultiPoly.zero(num_vars, num_complex))
+    components = [comp.complete_lift() for comp in phi.components]
     names = phi.names()[:m] + tuple(f"{fiber}{j + 1}" for j in range(m))
     if len(set(names)) != len(names):
         names = None  # repeated lifting: fall back to canonical names

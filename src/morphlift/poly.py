@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
-from itertools import repeat, takewhile
+from itertools import compress, repeat, takewhile
 from operator import add, sub
 
 from .exact import (
@@ -315,6 +315,40 @@ class MultiPoly:
                 terms[key - unit] = e * coeff
         return self._with(terms)
 
+    def complete_lift(self) -> "MultiPoly":
+        """sum_j (d self / d v_j) * w_j over the base variables v_1..v_m,
+        which are all the variables of a real ring and z_1..z_m of a complex
+        one.  The result lives in the ring with each block twice as wide: old
+        variable j keeps its offset in its block (zb_j moves from m + j to
+        2m + j), and w_j sits at m + j.
+
+        No two (term, j) pairs meet, so there is nothing to accumulate: each
+        term c*v^e with e_j > 0 becomes e_j*c at the key of v^e / v_j * w_j,
+        j-major and then in term order.  The width grows as a product's does
+        when the bound, one more than this one, outgrows it."""
+        m = self.num_complex or self.num_vars
+        bound = self._bound + 1
+        width = max(_field_width(bound), self._width)
+        bits = 8 * width
+        mask = (1 << bits) - 1
+        items = self._at(width).items()
+        if self.num_complex:
+            half = bits * m
+            low = (1 << half) - 1
+            items = [((key & low) | (key >> half << 2 * half), coeff)
+                     for key, coeff in items]
+        terms = {}
+        for shift in range(0, bits * m, bits):
+            step = (1 << (shift + bits * m)) - (1 << shift)   # v_j -> w_j
+            for key, coeff in items:
+                e = (key >> shift) & mask
+                if e:
+                    terms[key + step] = e * coeff
+        if not terms:
+            width, bound = 1, 0
+        return MultiPoly._make(2 * self.num_vars, 2 * self.num_complex, terms,
+                               width, bound)
+
     def conjugate_poly(self) -> "MultiPoly":
         """Swap each z_k with zb_k and conjugate every coefficient."""
         if self.num_complex == 0:
@@ -506,23 +540,53 @@ def _render_coefficient(coeff: Scalar, has_vars: bool) -> tuple[str, str]:
 
 def _graded(p: MultiPoly) -> list:
     """(total degree, exponents, coefficient) for each term of ``p``, in
-    graded-lex order, highest first."""
-    terms = p.terms
+    graded-lex order, highest first.  With one-byte fields the exponents are
+    the key's bytes, which compare as the exponent tuples do (x1 first);
+    wider fields give the tuples themselves."""
+    if p._width == 1:
+        exponents = list(map(int.to_bytes, p._terms, repeat(p.num_vars),
+                             repeat("little")))
+    else:
+        exponents = list(p.terms)
     # (degree, exponents) is unique per term, so no coefficient is compared
-    return sorted(zip(map(sum, terms), terms, terms.values()), reverse=True)
+    return sorted(zip(map(sum, exponents), exponents, p._terms.values()),
+                  reverse=True)
+
+
+class _PowerText(dict):
+    """``(name, e)`` -> the text of the factor name^e, made on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, factor):
+        name, e = factor
+        text = self[factor] = name if e == 1 else f"{name}^{e}"
+        return text
 
 
 def _pieces(graded: list, names):
     """The text of each term of a nonzero polynomial, given its
     :func:`_graded` terms, each after the first with the `` + `` or `` - ``
     that joins it to the one before.  A term is rendered only when it is
-    read."""
+    read.  A rational coefficient is written from its numerator and
+    denominator; a Gaussian one goes through :func:`_render_coefficient`."""
+    factor_text = _PowerText().__getitem__
     joined = False
     for _, exponents, coeff in graded:
-        factors = [names[j] if e == 1 else f"{names[j]}^{e}"
-                   for j, e in enumerate(exponents) if e]
-        sign, body = _render_coefficient(coeff, bool(factors))
-        body += "*".join(factors)
+        factors = "*".join(map(factor_text, zip(compress(names, exponents),
+                                                compress(exponents, exponents))))
+        kind = type(coeff)
+        if kind is int or kind is Fraction:
+            numerator, denominator = coeff.numerator, coeff.denominator
+            sign = "-" if numerator < 0 else "+"
+            body = str(-numerator if numerator < 0 else numerator)
+            if denominator != 1:
+                body = f"{body}/{denominator}"
+            if factors:
+                body = factors if body == "1" else f"{body}*{factors}"
+        else:
+            sign, body = _render_coefficient(coeff, bool(factors))
+            body += factors
         if joined:
             yield f" {sign} {body}"
         else:

@@ -1,22 +1,25 @@
 """Test oracle for complete lifts: ``complete_lift_real`` and
 ``complete_lift_complex`` as they were when each ran its own loop, adding
-one product ``remap(d phi^k / d v_j) * w_j`` at a time, and ``anti_lift``
-as it was when it added one single-term polynomial at a time into each
-entry of the coefficient matrix.
+one product ``remap(d phi^k / d v_j) * w_j`` at a time;
+``packed_complete_lift``, the shared lift kernel as it was when it took each
+partial, remapped it and summed its products with the fiber variables through
+``poly_dot``; and ``anti_lift`` as it was when it added one single-term
+polynomial at a time into each entry of the coefficient matrix.
 
 The bodies are the old functions' bodies, so the differential tests in
-``test_lift.py`` compare the shared lift kernel and the anti-lift with the
-code they replaced.  These functions are not part of the package.
+``test_lift.py`` compare the one-pass lift and the anti-lift with the code
+they replaced.  These functions are not part of the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from morphlift.exact import DimensionMismatch
 from morphlift.lift import MixedPartialObstruction, NotPartialLinear
 from morphlift.maps import ComplexPolyMap, RealPolyMap
-from morphlift.poly import MultiPoly
+from morphlift.poly import MultiPoly, poly_dot
 
 
 def complete_lift_real(phi: RealPolyMap) -> RealPolyMap:
@@ -62,6 +65,24 @@ def complete_lift_complex(phi: ComplexPolyMap) -> ComplexPolyMap:
     if len(set(names)) != len(names):
         names = None  # repeated lifting: fall back to canonical z-names
     return ComplexPolyMap(2 * m, phi.codomain_dim, components, names)
+
+
+def packed_complete_lift(phi, fiber: str):
+    """The real (fiber ``"y"``) or complex (fiber ``"w"``) complete lift."""
+    m = phi.domain_dim
+    num_vars, num_complex = phi.ring(2 * m)
+    index_map = {j: 2 * m * (j // m) + j % m for j in range(phi.ring(m)[0])}
+    fiber_variable = cache(lambda j: MultiPoly.variable(num_vars, m + j, num_complex))
+    components = []
+    for comp in phi.components:
+        pairs = [(p.remap(num_vars, index_map, num_complex), fiber_variable(j))
+                 for j, p in enumerate(map(comp.partial, range(m))) if p]
+        components.append(poly_dot(*zip(*pairs)) if pairs
+                          else MultiPoly.zero(num_vars, num_complex))
+    names = phi.names()[:m] + tuple(f"{fiber}{j + 1}" for j in range(m))
+    if len(set(names)) != len(names):
+        names = None  # repeated lifting: fall back to canonical names
+    return type(phi)(2 * m, phi.codomain_dim, components, names)
 
 
 def anti_lift(Phi, split):

@@ -10,12 +10,16 @@ packed store with them, beside ``reference_product``.  ``product`` keeps
 the old one-term shortcut, so that it takes the old product's paths too.
 ``packed_compose`` is ``MultiPoly.compose`` of the packed store as it was
 before it summed into one store; it takes and returns ``MultiPoly``
-objects.  These functions are not part of the package.
+objects.  ``packed_render`` is ``render`` of the packed store as it was
+before it sorted and formatted from the key bytes: it unpacks every term to
+its exponent tuple and formats every coefficient through
+``_render_coefficient``.  These functions are not part of the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import takewhile
 from operator import add
 
 from morphlift.exact import (
@@ -215,3 +219,39 @@ def render(terms: dict, num_vars: int, num_complex: int = 0, names=None) -> str:
     for sign, body in pieces[1:]:
         out.append(f" {sign} {body}")
     return "".join(out)
+
+
+def _packed_graded(p: MultiPoly) -> list:
+    terms = p.terms
+    return sorted(zip(map(sum, terms), terms, terms.values()), reverse=True)
+
+
+def _packed_pieces(graded: list, names):
+    joined = False
+    for _, exponents, coeff in graded:
+        factors = [names[j] if e == 1 else f"{names[j]}^{e}"
+                   for j, e in enumerate(exponents) if e]
+        sign, body = _render_coefficient(coeff, bool(factors))
+        body += "*".join(factors)
+        if joined:
+            yield f" {sign} {body}"
+        else:
+            yield body if sign == "+" else f"-{body}"
+            joined = True
+
+
+def packed_render(p: MultiPoly, names=None) -> str:
+    if names is None:
+        names = default_names(p.num_vars, p.num_complex)
+    if not p:
+        return "0"
+    return "".join(_packed_pieces(_packed_graded(p), names))
+
+
+def packed_render_leading(p: MultiPoly) -> tuple[int, str]:
+    if not p:
+        return 0, "0"
+    graded = _packed_graded(p)
+    pieces = _packed_pieces(graded, default_names(p.num_vars, p.num_complex))
+    return graded[0][0], "".join(
+        takewhile(lambda piece: not piece.startswith(" + "), pieces))

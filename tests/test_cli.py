@@ -668,3 +668,23 @@ def test_parser_is_built_on_first_use_not_at_import():
     child = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                            env=env, timeout=60)
     assert child.stdout.decode().split() == ["0", "1"]
+
+
+def test_package_runs_as_a_module(tmp_path):
+    src = str(Path(morphlift.__file__).parent.parent)
+    env = {**os.environ, "COLUMNS": "80",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "morphlift", *argv],
+                              cwd=tmp_path, capture_output=True, env=env,
+                              timeout=60)
+
+    helped = run("--help")
+    assert helped.returncode == 0 and helped.stderr == b""
+    assert helped.stdout.decode().startswith("usage: morphlift ")
+    missing = run("lift", "--real", "missing.map")
+    assert (missing.returncode, missing.stdout) == (2, b"")
+    lines = missing.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "missing.map" in lines[0] and "Traceback" not in missing.stderr.decode()

@@ -31,6 +31,16 @@ INPUTS = {
     "fiber.map": "map f: R^4 -> R^1 { f1 = x1*x3^2; }\n",
     "odd.map": "map f: R^3 -> R^1 { f1 = x1*x3 + x2; }\n",
     "bad.map": "map f: R^2 -> R^1 { f1 = x1 +; }\n",
+    # exponents past one byte: the lift's fields are two bytes wide
+    "wide.map": ("map f: R^2 -> R^2 {\n"
+                 "    f1 = x1^300*x2 - 3/2*x2^2 + 7;\n"
+                 "    f2 = x1^255 + 2/3*x1*x2^256 + x1^256*x2 - x2;\n"
+                 "}\n"),
+    # Fraction and Gaussian coefficients, some of whose partials are integral
+    "gaussian.map": ("map f: C^2 -> C^2 {\n"
+                     "    f1 = (1/2 - 3*i)*z1^2*z2 + 2/3*conj(z1)*z2 - i*z2^3 + 5/4;\n"
+                     "    f2 = 3/4*z1*conj(z2)^2 + (2 + i/3)*z2^2 + 1/3*z2^3 - 1/6*z1;\n"
+                     "}\n"),
     # canonical text, as render_map_source writes it
     "canonical.map": ("map g: R^6 -> R^2 {\n"
                       "    g1 = -3/2*x1^2*x4 + 5*x2*x3*x6 - x5^3 + 2/3*x1*x6 - 7;\n"
@@ -63,6 +73,8 @@ CASES = [
     ("lift-smooth", ["lift", "--real", "stereo.map"], 0),
     ("lift-real-canonical", ["lift", "--real", "canonical.map"], 0),
     ("lift-real-handwritten", ["lift", "--real", "handwritten.map"], 0),
+    ("lift-real-wide", ["lift", "--real", "wide.map"], 0),
+    ("lift-complex-gaussian", ["lift", "--complex", "gaussian.map"], 0),
     ("check-default", ["check", "quaternion.map"], 0),
     ("check-hessian-fails", ["check", "hessian.map", "--hessian-conditions"], 0),
     ("check-orthmult-blocks", ["check", "quaternion.map",

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -15,10 +16,11 @@ from genmaps import (
     random_symmetric_matrices,
 )
 import lift_oracle
+import poly_oracle
 from calculus_oracle import antiholomorphic_jacobian
 from morphlift.calculus import laplacian
 from morphlift.catalog import entry_ids, lookup
-from morphlift.exact import DimensionMismatch
+from morphlift.exact import DimensionMismatch, GaussianRational
 from morphlift.lift import (
     MixedPartialObstruction,
     NotPartialLinear,
@@ -359,7 +361,28 @@ def _assert_same_lift(phi):
         assert (p.num_vars, p.num_complex) == (q.num_vars, q.num_complex)
     assert new.var_names == old.var_names
     assert new.names() == old.names()
+    _assert_same_as_the_poly_dot_lift(phi, new)
     return new
+
+
+def _assert_same_as_the_poly_dot_lift(phi, new):
+    """The one-pass lift ``new`` of phi equals the lift that summed the
+    remapped partials' products with the fiber variables through
+    ``poly_dot``: the same terms in dict order with the same coefficient
+    types, width and exponent bound, equal and of equal hash, and rendered
+    to the same bytes as the old ``render`` gives."""
+    fiber = "w" if isinstance(phi, ComplexPolyMap) else "y"
+    old = lift_oracle.packed_complete_lift(phi, fiber)
+    assert new == old and hash(new) == hash(old)
+    names = old.names()
+    for p, q in zip(new.components, old.components, strict=True):
+        assert [(e, c, type(c)) for e, c in p.terms.items()] == \
+            [(e, c, type(c)) for e, c in q.terms.items()]
+        assert (p.num_vars, p.num_complex) == (q.num_vars, q.num_complex)
+        assert (p._width, p._bound) == (q._width, q._bound)
+        assert p == q and hash(p) == hash(q)
+        assert render(p, names) == poly_oracle.packed_render(q, names)
+        assert render(p) == poly_oracle.packed_render(q)
 
 
 @given(st.integers(0, 10**6))
@@ -403,6 +426,75 @@ def test_lift_kernel_matches_the_old_loops_on_the_ladder(phi_r16, phi_r16_real):
     r32 = _assert_same_lift(phi_r16_real)
     r64 = _assert_same_lift(r32)
     assert [len(c.terms) for c in r64.components] == [1472, 1472]
+
+
+def _integral_fraction_map(rng, m, n):
+    """Fraction coefficients c = k/d on monomials whose exponents are d or 2d,
+    so that some e*c of the lift are integral and some are not."""
+    components = []
+    for _ in range(n):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            d = rng.choice((2, 3))
+            exponents = [0] * m
+            for j in rng.sample(range(m), rng.randint(1, m)):
+                exponents[j] = rng.choice((1, d, 2 * d))
+            terms[tuple(exponents)] = Fraction(rng.choice((1, -1, 5, -7)), d)
+        components.append(MultiPoly(m, terms))
+    return RealPolyMap(m, n, components)
+
+
+def test_lift_kernel_demotes_integral_fractions_as_the_old_loops_did():
+    rng = random.Random(18)
+    demoted = kept = 0
+    for _ in range(40):
+        phi = _integral_fraction_map(rng, rng.randint(1, 4), rng.randint(1, 3))
+        for c in _assert_same_lift(phi).components:
+            demoted += sum(type(v) is int for v in c.terms.values())
+            kept += sum(type(v) is Fraction for v in c.terms.values())
+    assert demoted and kept
+
+
+@pytest.mark.parametrize("exponent", [254, 255, 256, 300, 65535, 65536])
+def test_lift_kernel_widens_the_fields_as_the_old_loops_did(exponent):
+    # 255 + 1 and 65535 + 1 outgrow the operand's field: the lift widens
+    real = RealPolyMap(3, 2, [
+        parse_poly(f"x1^{exponent}*x2 - 3/2*x2^2*x3 + 7*x3 + 1", 3),
+        parse_poly(f"x2^{exponent} + x1*x2*x3^{exponent}", 3)])
+    lifted = _assert_same_lift(real)
+    assert lifted.components[0]._width == ((exponent + 1).bit_length() + 7) // 8
+    half = GaussianRational(Fraction(1, 2), -2)
+    complex_map = ComplexPolyMap(2, 2, [
+        MultiPoly(4, {(exponent, 1, 0, 2): half, (0, 0, exponent, 1): 3,
+                      (1, 1, 1, 1): Fraction(-5, 3), (0, 0, 0, 0): 1}, 2),
+        MultiPoly(4, {(0, 2, exponent, 0): GaussianRational(0, 1),
+                      (2, 0, 0, 0): 1}, 2)])
+    # the real identification refuses degrees past 1000, so no round trip
+    _assert_same_as_the_poly_dot_lift(complex_map, complete_lift_complex(complex_map))
+
+
+def test_lift_kernel_matches_the_old_loops_on_constants_and_zero_partials():
+    real = RealPolyMap(3, 4, [parse_poly("5", 3), MultiPoly.zero(3),
+                              parse_poly("x1^2 - 1/3", 3),
+                              parse_poly("x3^4*x1 + x3", 3)])
+    lifted = _assert_same_lift(real)
+    assert lifted.components[:2] == (MultiPoly.zero(6),) * 2
+    complex_map = ComplexPolyMap(2, 3, [
+        MultiPoly.constant(4, GaussianRational(1, 1), 2),
+        parse_map("map f: C^2 -> C^1 { f1 = conj(z1)*conj(z2) + 2; }").components[0],
+        parse_map("map f: C^2 -> C^1 { f1 = z2^3*conj(z1) - i*z2; }").components[0]])
+    lifted = _assert_same_lift(complex_map)
+    # a partial in zb only: the holomorphic lift of a function of zb is zero
+    assert lifted.components[:2] == (MultiPoly.zero(8, 4),) * 2
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_lift_kernel_matches_the_old_loops_on_maps_of_one_variable(seed):
+    rng = random.Random(seed)
+    _assert_same_lift(random_real_map(rng, 1, rng.randint(1, 3), max_degree=5))
+    _assert_same_lift(random_complex_map(rng, 1, rng.randint(1, 2)))
+    _assert_same_lift(_integral_fraction_map(rng, 1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import poly_oracle as oracle
-from genmaps import random_complex_map, random_complex_poly, random_real_poly
+from genmaps import (
+    random_complex_map,
+    random_complex_poly,
+    random_harmonic_map,
+    random_real_map,
+    random_real_poly,
+)
 from morphlift.catalog import entry_ids, lookup
 from morphlift.exact import (
     DimensionMismatch,
@@ -16,13 +22,15 @@ from morphlift.exact import (
     make_scalar_like,
 )
 from morphlift.mapfile import parse_map, parse_poly
-from morphlift.maps import ComplexPolyMap, real_identification
+from morphlift.lift import complete_lift_complex, complete_lift_real
+from morphlift.maps import ComplexPolyMap, RealPolyMap, real_identification
 from morphlift.poly import (
     ConsistencyError,
     MultiPoly,
     accumulate_product,
     poly_dot,
     render,
+    render_leading,
 )
 
 I = GaussianRational(0, 1)
@@ -575,6 +583,79 @@ def test_render_matches_the_tuple_oracle(data):
     terms = dict(q.terms)
     assert render(q) == oracle.render(terms, num_vars, num_complex)
     assert render(q, names) == oracle.render(terms, num_vars, num_complex, names)
+
+
+# ---------------------------------------------------------------------------
+# render from the key bytes against the render that unpacked every term
+# ---------------------------------------------------------------------------
+
+def assert_renders_as_before(q, names=None):
+    """render and render_leading of q give the old packed render's bytes."""
+    assert render(q, names) == oracle.packed_render(q, names)
+    assert render_leading(q) == oracle.packed_render_leading(q)
+    assert render_leading(q)[1] == render(q).split(" + ")[0]
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_render_matches_its_old_packed_body(data):
+    (num_vars, _), q = draw_ring_and_poly(data, max_size=8)
+    assert_renders_as_before(q)
+    assert_renders_as_before(q, tuple(f"v{j}" for j in range(num_vars)))
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_render_orders_wide_fields_from_x1_first(width):
+    # within a field the low byte comes first in the key's bytes, so a sort
+    # on those bytes would put x1*x2^e before x1^e*x2
+    e = 256 ** (width - 1)
+    q = p(f"4*x2^{e + 1} - 3*x1*x2^{e} + 2*x1^{e}*x2 + x1^{e + 1}", 2)
+    assert q._width == width
+    assert render(q) == f"x1^{e + 1} + 2*x1^{e}*x2 - 3*x1*x2^{e} + 4*x2^{e + 1}"
+    assert_renders_as_before(q)
+
+
+def test_render_matches_its_old_packed_body_on_maps_and_their_lifts(
+        phi_r16, phi_r16_real):
+    maps = [parse_map(lookup(e).definition) for e in entry_ids()]
+    maps = [phi for phi in maps if isinstance(phi, (RealPolyMap, ComplexPolyMap))]
+    rng = random.Random(18)
+    maps += [random_real_map(rng, rng.randint(1, 6), 2, max_degree=4)
+             for _ in range(20)]
+    maps += [random_harmonic_map(rng, 3, 2) for _ in range(5)]
+    maps += [random_complex_map(rng, rng.randint(1, 3), 2) for _ in range(15)]
+    maps += [phi_r16, phi_r16_real, complete_lift_real(phi_r16_real)]
+    for phi in maps:
+        lifts = [complete_lift_real(phi) if isinstance(phi, RealPolyMap)
+                 else complete_lift_complex(phi)]
+        if isinstance(phi, ComplexPolyMap) and max(
+                map(len, (c.terms for c in phi.components))) < 200:
+            lifts.append(complete_lift_real(real_identification(phi)))
+        for each in (phi, *lifts):
+            for q in each.components:
+                assert_renders_as_before(q)
+                assert_renders_as_before(q, each.names())
+
+
+def test_render_of_rational_coefficients_reads_numerator_and_denominator():
+    q = MultiPoly(2, {(1, 0): Fraction(-7, 3), (0, 1): Fraction(1, 1),
+                      (0, 0): Fraction(-1, 1), (2, 0): -1, (0, 2): 12,
+                      (1, 1): Fraction(5, 4)})
+    assert render(q) == "-x1^2 + 5/4*x1*x2 + 12*x2^2 - 7/3*x1 + x2 - 1"
+    assert render(MultiPoly.constant(2, Fraction(-3, 8))) == "-3/8"
+    assert render(MultiPoly.constant(2, 1)) == "1"
+    assert_renders_as_before(q)
+
+
+def test_render_of_gaussian_coefficients_is_unchanged():
+    half = Fraction(1, 2)
+    q = MultiPoly(4, {(1, 0, 0, 0): GaussianRational(half, -3),
+                      (0, 1, 0, 0): GaussianRational(0, -1),
+                      (0, 0, 1, 0): GaussianRational(0, Fraction(2, 3)),
+                      (0, 0, 0, 1): GaussianRational(-2, 1),
+                      (0, 0, 0, 0): GaussianRational(0, 1)}, 2)
+    assert render(q) == "(1/2-3*i)*z1 - i*z2 + 2/3*i*zb1 + (-2+i)*zb2 + i"
+    assert_renders_as_before(q)
 
 
 @given(st.data())
