@@ -39,7 +39,6 @@ from .numeric import (
     numeric_complete_lift,
     sample_points,
 )
-from .calculus import jacobian
 from .poly import ConsistencyError, render
 
 SCHEMA_VERSION = 1
@@ -215,10 +214,9 @@ def _cmd_lift(args) -> Report:
         lifted = complete_lift_real(base)
         names = lifted.names()
         title, space = "real complete lift", "R"
-        matrix = jacobian(base)
         base_names = base.names()
-        rows = [[render(matrix[i, j], base_names) for j in range(matrix.cols)]
-                for i in range(matrix.rows)]
+        rows = [[render(entry, base_names) for entry in c.fiber_coefficients()]
+                for c in lifted.components]
         payload = {
             "kind": "real",
             "codomain_dim": lifted.codomain_dim,

@@ -20,6 +20,13 @@ Complex polynomial rings carry formal conjugate variables: a ring with
 holomorphic variable z_{j+1} and variable ``k + j`` is its conjugate partner
 zb_{j+1}.  Formal (Wirtinger) partials treat all 2k variables as independent,
 so :meth:`MultiPoly.partial` is the same operation for real and complex kinds.
+
+Every sum follows one rule: a term whose running sum reaches 0 is deleted
+from the store at once, and if a later summand brings it back it goes last.
+No zero ever sits in a store while it accumulates, so a product whose terms
+mostly cancel holds only the terms still alive.  Values, coefficient types
+and rendered text do not depend on the rule; the dict order of a term that
+cancels and comes back does.
 """
 
 from __future__ import annotations
@@ -72,13 +79,18 @@ def _from_tuples(terms: dict, num_vars: int) -> tuple[dict, int, int]:
 
 
 def _canonicalize(terms: dict) -> dict:
-    """Drop zero coefficients and demote integral Fractions, in place."""
-    for key in [k for k, c in terms.items() if not c or type(c) is Fraction]:
+    """Drop zero coefficients and demote integral Fractions, in place.  A
+    Fraction is read by its denominator, not its truth, so a non-integral
+    one costs no ``Fraction.__bool__`` call."""
+    for key in [k for k, c in terms.items()
+                if (c.denominator == 1 if type(c) is Fraction else not c)]:
         coeff = terms[key]
-        if not coeff:
+        if type(coeff) is Fraction:
+            coeff = coeff.numerator
+        if coeff:
+            terms[key] = coeff
+        else:
             del terms[key]
-        elif coeff.denominator == 1:
-            terms[key] = coeff.numerator
     return terms
 
 
@@ -243,7 +255,10 @@ class MultiPoly:
     # -- ring operations --------------------------------------------------------
 
     def _combine(self, other, op):
-        """self op other, for op in {add, sub}, applied term by term."""
+        """self op other, for op in {add, sub}, applied term by term.  A term
+        that cancels is deleted at once; each key of ``other`` is visited
+        only once, so none comes back and the order is self's, then other's
+        new terms."""
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = MultiPoly.constant(self.num_vars, other, self.num_complex)
         if not isinstance(other, MultiPoly):
@@ -253,7 +268,11 @@ class MultiPoly:
         terms = dict(self._at(width))
         get = terms.get
         for key, coeff in other._at(width).items():
-            terms[key] = op(get(key, 0), coeff)
+            c = op(get(key, 0), coeff)
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
         return MultiPoly._make(self.num_vars, self.num_complex, terms, width,
                                max(self._bound, other._bound))
 
@@ -349,6 +368,29 @@ class MultiPoly:
         return MultiPoly._make(2 * self.num_vars, 2 * self.num_complex, terms,
                                width, bound)
 
+    def fiber_coefficients(self) -> list["MultiPoly"]:
+        """M_1..M_m with self = sum_j M_j(x) * y_j, for a polynomial of a real
+        ring on x_1..x_m, y_1..y_m that is linear in the fiber block y, such
+        as a real :meth:`complete_lift`, where M_j = d phi / d x_j.  Entry j
+        takes the terms whose fiber factor is y_j, with y_j removed, in term
+        order.  Raises ValueError on a term of fiber degree other than 1."""
+        m, odd = divmod(self.num_vars, 2)
+        if odd or self.num_complex:
+            raise DimensionMismatch("fiber coefficients need a real ring on "
+                                    "an even number of variables")
+        bits = 8 * self._width
+        half = bits * m
+        low = (1 << half) - 1
+        entries: list[dict] = [{} for _ in range(m)]
+        for key, coeff in self._terms.items():
+            fiber = key >> half
+            j, offset = divmod(fiber.bit_length() - 1, bits)
+            if offset or fiber != 1 << (bits * j):
+                raise ValueError("a term's fiber degree is not 1")
+            entries[j][key & low] = coeff
+        return [MultiPoly._make(m, 0, terms, self._width, self._bound)
+                for terms in entries]
+
     def conjugate_poly(self) -> "MultiPoly":
         """Swap each z_k with zb_k and conjugate every coefficient."""
         if self.num_complex == 0:
@@ -401,8 +443,8 @@ class MultiPoly:
         """Substitute values[j] for variable j, for every variable at once.
 
         The expanded monomials are summed into one store, at the widest
-        width any of them takes, as adding them one by one would: a term
-        that cancels is dropped, and if it comes back it goes last."""
+        width any of them takes, under the module's rule: a term that
+        cancels is dropped at once, and if it comes back it goes last."""
         if len(values) != self.num_vars:
             raise DimensionMismatch(
                 f"need {self.num_vars} substitution values, got {len(values)}")
@@ -477,7 +519,12 @@ def accumulate_product(accumulator: dict, p: MultiPoly, q: MultiPoly, *,
     """accumulator += p*q over packed keys with ``width``-byte fields (hot
     path for Gram matrices and polynomial matrix products).  The caller picks
     a width that holds every exponent sum, the same for every product that
-    goes into one accumulator."""
+    goes into one accumulator.
+
+    A key whose running sum reaches 0 is deleted at once, so the accumulator
+    never holds a zero and its size stays that of the terms still alive.
+    No product ``cp*cq`` of two nonzero coefficients is 0, so a sum reaches
+    0 only at a key that is present."""
     if (p._bound + q._bound) >> (8 * width):
         raise OverflowError(f"exponent sums of p*q overflow {width}-byte fields")
     get = accumulator.get
@@ -485,7 +532,11 @@ def accumulate_product(accumulator: dict, p: MultiPoly, q: MultiPoly, *,
     for kp, cp in p._at(width).items():
         for kq, cq in q_items:
             key = kp + kq
-            accumulator[key] = get(key, 0) + cp * cq
+            c = get(key, 0) + cp * cq
+            if c:
+                accumulator[key] = c
+            else:
+                del accumulator[key]
 
 
 def poly_dot(left: list[MultiPoly], right: list[MultiPoly]) -> MultiPoly:

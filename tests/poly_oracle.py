@@ -2,18 +2,25 @@
 they were when its terms were a dict keyed by exponent tuples, before packed
 keys became the only store.
 
-Each function but ``packed_compose`` takes and returns plain term dicts
-(exponent tuple -> coefficient).  The bodies are the old methods' bodies, so
-a result has the terms, the dict order and the coefficient types the old
-store produced, and the differential tests in ``test_poly.py`` compare the
-packed store with them, beside ``reference_product``.  ``product`` keeps
-the old one-term shortcut, so that it takes the old product's paths too.
-``packed_compose`` is ``MultiPoly.compose`` of the packed store as it was
-before it summed into one store; it takes and returns ``MultiPoly``
-objects.  ``packed_render`` is ``render`` of the packed store as it was
-before it sorted and formatted from the key bytes: it unpacks every term to
-its exponent tuple and formats every coefficient through
-``_render_coefficient``.  These functions are not part of the package.
+Each function but ``packed_compose`` and ``packed_accumulate_product``
+takes and returns plain term dicts (exponent tuple -> coefficient).  The
+bodies are the old methods' bodies, so a result has the terms, the dict
+order and the coefficient types the old store produced, and the
+differential tests in ``test_poly.py`` compare the packed store with them,
+beside ``reference_product``.  The exception is the accumulation of
+products: ``sum_of_products``, and ``product`` through it, delete a term as
+soon as its running sum reaches 0, as the packed accumulator now does, so a
+term that cancels and comes back goes last.  ``product`` keeps the old
+one-term shortcut, so that it takes the old product's paths too.
+``packed_accumulate_product`` is ``poly.accumulate_product`` as it was
+before it deleted cancelled terms: it stores every zero sum and leaves the
+zeros for the caller to drop.  ``packed_compose`` is ``MultiPoly.compose``
+of the packed store as it was before it summed into one store; it takes and
+returns ``MultiPoly`` objects.  ``packed_render`` is ``render`` of the
+packed store as it was before it sorted and formatted from the key bytes: it
+unpacks every term to its exponent tuple and formats every coefficient
+through ``_render_coefficient``.  These functions are not part of the
+package.
 """
 
 from __future__ import annotations
@@ -72,12 +79,36 @@ def product(left: dict, right: dict) -> dict:
         return _monomial_product(left, right)
     if len(right) == 1:
         return _monomial_product(right, left)
+    return sum_of_products([(left, right)])
+
+
+def sum_of_products(pairs) -> dict:
+    """The sum of left*right over the pairs of term dicts, in one
+    accumulator that deletes a term as soon as its running sum is 0."""
     accumulator: dict = {}
-    for ea, ca in left.items():
-        for eb, cb in right.items():
-            key = tuple(map(add, ea, eb))
-            accumulator[key] = accumulator.get(key, 0) + ca * cb
+    for left, right in pairs:
+        for ea, ca in left.items():
+            for eb, cb in right.items():
+                key = tuple(map(add, ea, eb))
+                c = accumulator.get(key, 0) + ca * cb
+                if c:
+                    accumulator[key] = c
+                else:
+                    del accumulator[key]
     return canonicalize(accumulator)
+
+
+def packed_accumulate_product(accumulator: dict, p: MultiPoly, q: MultiPoly, *,
+                              width: int) -> None:
+    """accumulator += p*q over packed keys, storing every sum, 0 included."""
+    if (p._bound + q._bound) >> (8 * width):
+        raise OverflowError(f"exponent sums of p*q overflow {width}-byte fields")
+    get = accumulator.get
+    q_items = q._at(width).items()
+    for kp, cp in p._at(width).items():
+        for kq, cq in q_items:
+            key = kp + kq
+            accumulator[key] = get(key, 0) + cp * cq
 
 
 def _monomial_product(monomial: dict, terms: dict) -> dict:

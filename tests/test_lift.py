@@ -18,7 +18,7 @@ from genmaps import (
 import lift_oracle
 import poly_oracle
 from calculus_oracle import antiholomorphic_jacobian
-from morphlift.calculus import laplacian
+from morphlift.calculus import jacobian, laplacian
 from morphlift.catalog import entry_ids, lookup
 from morphlift.exact import DimensionMismatch, GaussianRational
 from morphlift.lift import (
@@ -85,6 +85,35 @@ def test_lift_fiber_partials_recover_base_jacobian():
         for j in range(3):
             expected = comp.partial(j).remap(6, embed)
             assert lift.components[k].partial(3 + j) == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fiber_coefficients_of_a_lift_are_the_base_jacobian(seed):
+    rng = random.Random(seed)
+    m = rng.randint(1, 6)
+    phi = random_real_map(rng, m, 2)
+    if seed % 2:    # exponents past one byte: the lift keeps two-byte fields
+        wide = MultiPoly(m, {(300,) * m: Fraction(1, 3), (0,) * m: 1})
+        phi = RealPolyMap(m, 2, [c * wide for c in phi.components])
+    jac = jacobian(phi)
+    for k, comp in enumerate(complete_lift_real(phi).components):
+        row = comp.fiber_coefficients()
+        assert row == [jac[k, j] for j in range(m)]
+        assert [list(map(type, e.terms.values())) for e in row] == \
+            [list(map(type, jac[k, j].terms.values())) for j in range(m)]
+
+
+def test_fiber_coefficients_need_fiber_degree_one_in_an_even_real_ring():
+    x1, y1 = MultiPoly.variable(4, 0), MultiPoly.variable(4, 2)
+    y2 = MultiPoly.variable(4, 3)
+    assert (3 * x1 * x1 * y2 - y1).fiber_coefficients() == [
+        MultiPoly.constant(2, -1), parse_poly("3*x1^2", 2)]
+    for bad in (x1, y1 * y2, y2 * y2, x1 * y1 + 1):
+        with pytest.raises(ValueError, match="fiber degree"):
+            bad.fiber_coefficients()
+    for ring in ((3, 0), (4, 2)):
+        with pytest.raises(DimensionMismatch):
+            MultiPoly.variable(*ring[:1], 0, ring[1]).fiber_coefficients()
 
 
 def test_wide_domain_lift_builds_only_the_fiber_variables_it_uses():

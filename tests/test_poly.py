@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from operator import add, sub
@@ -14,6 +15,7 @@ from genmaps import (
     random_real_map,
     random_real_poly,
 )
+from morphlift.calculus import jacobian
 from morphlift.catalog import entry_ids, lookup
 from morphlift.exact import (
     DimensionMismatch,
@@ -27,6 +29,7 @@ from morphlift.maps import ComplexPolyMap, RealPolyMap, real_identification
 from morphlift.poly import (
     ConsistencyError,
     MultiPoly,
+    _canonicalize,
     accumulate_product,
     poly_dot,
     render,
@@ -398,6 +401,83 @@ def test_accumulate_product_rejects_fields_too_narrow():
 
 
 # ---------------------------------------------------------------------------
+# The accumulator drops each cancelled term as it goes
+# ---------------------------------------------------------------------------
+
+@given(st.data())
+def test_accumulate_product_matches_its_old_body_without_the_zeros(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    width = data.draw(st.integers(1, 3))
+    # every exponent sum fits the drawn width
+    exponents = st.one_of(small_exponents,
+                          st.integers(0, (1 << (8 * width - 1)) - 1))
+    pairs = [(data.draw(polys_in(ring, exponents)),
+              data.draw(polys_in(ring, exponents)))
+             for _ in range(data.draw(st.integers(1, 3)))]
+    if data.draw(st.booleans()):
+        p, q = pairs[0]
+        pairs.append((p, -q))           # a product that cancels term by term
+    new, old = {}, {}
+    for p, q in pairs:
+        accumulate_product(new, p, q, width=width)
+        oracle.packed_accumulate_product(old, p, q, width=width)
+        assert all(new.values())        # no zero is ever held
+        assert {k: c for k, c in old.items() if c} == new
+    canonical = _canonicalize(dict(new))
+    assert list(canonical) == list(new)     # no zero left to drop
+    assert {k: (c, type(c)) for k, c in canonical.items()} == \
+        {k: (c, type(c)) for k, c in _canonicalize(old).items()}
+
+
+def test_poly_dot_puts_a_term_that_cancels_and_returns_last():
+    # x1*x2 cancels inside (x1 + x2)*(x1 - x2), then x1*x2 brings it back
+    dot = poly_dot([p("x1 + x2", 2), p("x1", 2)], [p("x1 - x2", 2), p("x2", 2)])
+    assert typed(dot.terms) == [((2, 0), 1, int), ((0, 2), -1, int),
+                                ((1, 1), 1, int)]
+    assert typed(dot.terms) == typed(oracle.sum_of_products(
+        [({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}),
+         ({(1, 0): 1}, {(0, 1): 1})]))
+
+
+def test_a_power_puts_a_term_that_cancels_and_returns_last():
+    # in (1 + x1 - x1^2)^2 the x1^2 sum runs -1, 0, -1
+    square = p("1 + x1 - x1^2", 1) ** 2
+    assert typed(square.terms) == [((0,), 1, int), ((1,), 2, int),
+                                   ((3,), -2, int), ((2,), -1, int),
+                                   ((4,), 1, int)]
+
+
+def test_canonicalize_reads_no_truth_of_a_nonintegral_fraction(monkeypatch):
+    calls = []
+    truth = Fraction.__bool__
+    monkeypatch.setattr(Fraction, "__bool__",
+                        lambda self: calls.append(self) or truth(self))
+    terms = {1: Fraction(1, 2), 2: Fraction(-7, 3), 3: Fraction(5, 4)}
+    assert _canonicalize(dict(terms)) == terms
+    q = MultiPoly(2, {(1, 0): Fraction(1, 2), (0, 2): Fraction(-7, 3)})
+    q.partial(1)
+    assert calls == []
+    # integral and zero Fractions are still demoted and dropped
+    assert typed(_canonicalize({1: Fraction(4, 2), 2: Fraction(0), 3: 0})) == \
+        [(1, 2, int)]
+
+
+def test_r32_gram_entry_peak_memory_stays_within_the_live_terms():
+    # the Gram entry (1, 2) of the ladder's R^32 rung: 4896 terms survive
+    rung = complete_lift_real(real_identification(
+        parse_map(lookup("ex3.7-R16-to-C").definition)))
+    rows = [list(row) for row in jacobian(rung).entries]
+    tracemalloc.start()
+    try:
+        entry = poly_dot(rows[0], rows[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(entry.terms) == 4896
+    assert peak < 2 * 2**20, f"peak {peak} bytes"
+
+
+# ---------------------------------------------------------------------------
 # Packed store against the tuple-keyed oracles
 # ---------------------------------------------------------------------------
 
@@ -447,7 +527,7 @@ def test_ring_operations_match_the_tuple_oracle(data):
     assert typed(a.scale(factor).terms) == typed(oracle.scale(ta, factor))
     assert typed((a * b).terms) == typed(oracle.product(ta, tb))
     assert typed(poly_dot([a, b], [b, a]).terms) == typed(
-        oracle.combine(oracle.product(ta, tb), oracle.product(tb, ta), add))
+        oracle.sum_of_products([(ta, tb), (tb, ta)]))
 
 
 @given(st.data())
