@@ -7,7 +7,7 @@ analysis module an exact, decidable polynomial identity.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, compress
 
 from .exact import DimensionMismatch, I, make_scalar_like
 from .maps import RealPolyMap, ShapeError
@@ -69,37 +69,60 @@ def jacobian(phi: RealPolyMap) -> PolyMatrix:
                        for c in phi.components])
 
 
-def _jacobian_plan(phi: RealPolyMap) -> tuple[list, list]:
-    """The contributions of phi's terms to its Jacobian, and the (variable,
-    exponent) pair of each power they read.
+def _jacobian_plan(phi: RealPolyMap):
+    """The Jacobian of phi as a sum of monomials, grouped for evaluation.
 
     Term c*x^e of component k contributes c*e_j*x^(e - u_j) to entry (k, j)
-    for each variable x_j it contains.  A contribution is (slot, coefficient,
-    support, factors): the entry's index in the row-major matrix, c*e_j, a
-    mask with bit i set for each variable x_i of x^(e - u_j), and the
-    indices of the powers whose product is x^(e - u_j)."""
+    for each variable x_j it contains.  Equal monomials x^(e - u_j) are
+    merged, so the plan is (base, monomials, masks, pairs):
+
+    - base: the row-major entries' constant parts, from terms linear in
+      one variable;
+    - monomials: for each other monomial, the indices of the powers whose
+      product it is, as the first and a tuple of the rest, and its uses, a
+      tuple of (slot, c*e_j) with slot the entry's index in the row-major
+      matrix;
+    - masks: for each variable x_j, an int with bit i set when monomial i
+      contains x_j;
+    - pairs: the (variable, exponent) pair of each power."""
     n = phi.domain_dim
-    plan = []
+    base = [0] * (phi.codomain_dim * n)
+    found = {}          # factors -> uses
     index = {}          # e*n + j -> index of the power x_j^e
     for k, component in enumerate(phi.components):
+        row = k * n
         for fields, coeff in component.sparse_terms():
             if not fields:
                 continue        # a constant term contributes nothing
-            powers = []
-            support = 0
-            for j, e in fields:
-                powers.append(index.setdefault(e * n + j, len(index)))
-                support |= 1 << j
+            powers = [index.setdefault(e * n + j, len(index)) for j, e in fields]
+            last = len(fields) - 1
             # combinations() leaves out the last field first
-            for (j, e), factors in zip(reversed(fields),
-                                       combinations(powers, len(powers) - 1)):
+            for t, factors in zip(range(last, -1, -1),
+                                  combinations(powers, last)):
+                j, e = fields[t]
                 if e == 1:
-                    plan.append((k * n + j, coeff, support ^ (1 << j), factors))
+                    use = (row + j, coeff)
                 else:
                     lower = index.setdefault((e - 1) * n + j, len(index))
-                    plan.append((k * n + j, make_scalar_like(coeff * e), support,
-                                 factors + (lower,)))
-    return plan, [divmod(code, n)[::-1] for code in index]
+                    factors = factors[:t] + (lower,) + factors[t:]
+                    use = (row + j, make_scalar_like(coeff * e))
+                if factors:
+                    found.setdefault(factors, []).append(use)
+                else:   # a term c*x_j of component k: one per entry
+                    base[row + j] = coeff
+    variable = [code % n for code in index]
+    masks = [0] * n
+    for i, factors in enumerate(found):
+        bit = 1 << i
+        for f in factors:
+            masks[variable[f]] |= bit
+    monomials = [(factors[0], factors[1:], tuple(uses))
+                 for factors, uses in found.items()]
+    return base, monomials, masks, [divmod(code, n)[::-1] for code in index]
+
+
+# Turns the text of a bit string into bytes 0 and 1 that compress() reads.
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def jacobian_at(phi: RealPolyMap, points):
@@ -107,35 +130,35 @@ def jacobian_at(phi: RealPolyMap, points):
     straight from the terms of phi: no partial is built.
 
     The terms are decoded once per map, before the first point is read, and
-    the plan is kept on the map for later calls.  At each point, one mask
-    of the variables whose value is 0 skips every contribution that meets
-    one before any product, and each power of a coordinate is computed
-    once."""
+    the plan is kept on the map for later calls.  At each point, the masks
+    of the variables whose value is 0 are joined, and only the monomials
+    outside them are visited: each one's product of powers is formed once
+    and added, times its coefficient, into every entry that uses it."""
     n = phi.domain_dim
     try:
-        plan, pairs = phi._jacobian
+        plan = phi._jacobian
     except AttributeError:
-        plan, pairs = _jacobian_plan(phi)
-        object.__setattr__(phi, "_jacobian", (plan, pairs))
+        plan = _jacobian_plan(phi)
+        object.__setattr__(phi, "_jacobian", plan)
+    base, monomials, masks, pairs = plan
+    full = (1 << len(monomials)) - 1
     for point in points:
         if len(point) != n:
             raise DimensionMismatch(f"point length {len(point)} != arity {n}")
-        zeros = 0
-        for j, x in enumerate(point):
+        dead = 0
+        for mask, x in zip(masks, point):
             if x == 0:
-                zeros |= 1 << j
-        powers = [None] * len(pairs)
-        values = [0] * (phi.codomain_dim * n)
-        for slot, value, support, factors in plan:
-            if support & zeros:
-                continue
-            for f in factors:
-                power = powers[f]
-                if power is None:
-                    j, e = pairs[f]
-                    power = powers[f] = point[j] ** e
-                value = value * power
-            values[slot] += value
+                dead |= mask
+        # every power: those of zero coordinates cost nothing and are not read
+        powers = [point[j] ** e for j, e in pairs]
+        values = base.copy()
+        alive = bin(full & ~dead)[:1:-1].encode().translate(_BITS)
+        for first, rest, uses in compress(monomials, alive):
+            value = powers[first]
+            for f in rest:
+                value *= powers[f]
+            for slot, c in uses:
+                values[slot] += c * value
         values = [v if type(v) is int else make_scalar_like(v) for v in values]
         yield [values[k * n:(k + 1) * n] for k in range(phi.codomain_dim)]
 

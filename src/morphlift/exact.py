@@ -294,21 +294,26 @@ class ExactMatrix:
             active[0], active[index] = active[index], active[0]
             top_re, top_im = active[0]
             p, q = top_re[0], top_im[0]
-            norm = r * r + s * s
+            # Each new cell is ((p + q*i) * cell - (h + k*i) * top cell)
+            # over the previous pivot r + s*i.  Over a non-real pivot that
+            # is the numerator times r - s*i, over the norm r^2 + s^2, so
+            # r - s*i joins both multipliers here, once per pivot and row.
+            if s:
+                a, b = p * r + q * s, q * r - p * s
+                divisor = r * r + s * s
+            else:
+                a, b = p, q
+                divisor = r
             rows = []
             for re, im in active[1:]:
-                # (p + q*i) * row - (h + k*i) * top, from the next column on
                 h, k = re[0], im[0]
+                if s:
+                    h, k = h * r + k * s, k * r - h * s
                 parts = list(zip(re, im, top_re, top_im))[1:]
-                new_re = [p * x - q * y - h * u + k * v for x, y, u, v in parts]
-                new_im = [p * y + q * x - h * v - k * u for x, y, u, v in parts]
-                if s == 0:
-                    rows.append(([a // r for a in new_re], [b // r for b in new_im]))
-                else:           # times the conjugate r - s*i, over the norm
-                    rows.append(([(a * r + b * s) // norm
-                                  for a, b in zip(new_re, new_im)],
-                                 [(b * r - a * s) // norm
-                                  for a, b in zip(new_re, new_im)]))
+                rows.append(([(a * x - b * y - h * u + k * v) // divisor
+                              for x, y, u, v in parts],
+                             [(a * y + b * x - h * v - k * u) // divisor
+                              for x, y, u, v in parts]))
             active = rows
             r, s = p, q
             rank += 1
@@ -322,7 +327,7 @@ def _gaussian_integer_row(row) -> tuple[list, list]:
     denominators, as two lists of ints."""
     re = [x.re if type(x) is GaussianRational else x for x in row]
     im = [x.im if type(x) is GaussianRational else 0 for x in row]
-    if any(type(v) is not int for v in re + im):
+    if not {int}.issuperset(map(type, re + im)):
         scale = lcm(*(v.denominator for v in re + im))
         re = [(v * scale).numerator for v in re]
         im = [(v * scale).numerator for v in im]

@@ -126,15 +126,14 @@ def anti_lift(Phi: RealPolyMap) -> RealPolyMap | Obstruction:
     # stage (a): extract M(x) with Phi^i = sum_j M[i][j](x) * y_j
     coefficient_rows: list[list[MultiPoly]] = []
     for index, comp in enumerate(Phi.components, start=1):
-        entries: list[dict] = [{} for _ in range(m)]
-        for exponents, coeff in comp.terms.items():
-            fiber = exponents[m:]
-            fiber_degree = sum(fiber)
-            if fiber_degree != 1:
-                return NotPartialLinear(index, exponents, fiber_degree)
-            # distinct monomials of Phi give distinct (j, base exponents)
-            entries[fiber.index(1)][exponents[:m]] = coeff
-        coefficient_rows.append([MultiPoly(m, terms) for terms in entries])
+        try:
+            coefficient_rows.append(comp.fiber_coefficients())
+        except ValueError:
+            for exponents in comp.terms:
+                fiber_degree = sum(exponents[m:])
+                if fiber_degree != 1:
+                    return NotPartialLinear(index, exponents, fiber_degree)
+            raise
 
     # stage (b): integrability dM_ij/dx_k == dM_ik/dx_j
     for index, row in enumerate(coefficient_rows, start=1):

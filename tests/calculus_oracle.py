@@ -3,23 +3,35 @@
 built the Jacobian (or the complex gradient) as polynomials and evaluated
 each entry at each point.  Also ``antiholomorphic_jacobian``, the whole
 matrix of partials by the zb variables, which ``analysis.is_holomorphic``
-built before it took each partial only when `_decide` read it.
+built before it took each partial only when `_decide` read it.  And
+``jacobian_at`` as it was when its plan was a flat list of contributions,
+one per term and variable, each skipped at a point by a mask test of its
+own and each forming its product of powers anew.
 
 The bodies are the old functions' bodies, so the differential tests in
 ``test_calculus_differential.py`` compare ``calculus.jacobian_at``, which
 reads the values straight from the map's terms, with the code it replaced.
 The old matrix evaluation shared one table of zero fields and powers among
 the entries at a point; that table only saved work, so each entry here is
-evaluated on its own.  These functions are not part of the package.
+evaluated on its own.  The old ``jacobian_at`` kept its plan on the map;
+here it builds the plan on every call and keeps nothing.  These functions
+are not part of the package.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from exact_oracle import bilinear_dot
 from morphlift.calculus import PolyMatrix, complex_gradient, jacobian
-from morphlift.exact import ExactMatrix, GaussianRational, make_scalar
+from morphlift.exact import (
+    DimensionMismatch,
+    ExactMatrix,
+    GaussianRational,
+    make_scalar,
+    make_scalar_like,
+)
 from morphlift.kaehler import (
     INCONCLUSIVE,
     NOT_KAEHLER,
@@ -39,6 +51,70 @@ def antiholomorphic_jacobian(phi: ComplexPolyMap) -> PolyMatrix:
 def matrix_evaluate(matrix: PolyMatrix, point) -> list:
     """Evaluate every entry; returns a list of lists of scalars."""
     return [[p.evaluate(point) for p in row] for row in matrix.entries]
+
+
+def _jacobian_plan(phi: RealPolyMap) -> tuple[list, list]:
+    """The contributions of phi's terms to its Jacobian, and the (variable,
+    exponent) pair of each power they read.
+
+    Term c*x^e of component k contributes c*e_j*x^(e - u_j) to entry (k, j)
+    for each variable x_j it contains.  A contribution is (slot, coefficient,
+    support, factors): the entry's index in the row-major matrix, c*e_j, a
+    mask with bit i set for each variable x_i of x^(e - u_j), and the
+    indices of the powers whose product is x^(e - u_j)."""
+    n = phi.domain_dim
+    plan = []
+    index = {}          # e*n + j -> index of the power x_j^e
+    for k, component in enumerate(phi.components):
+        for fields, coeff in component.sparse_terms():
+            if not fields:
+                continue        # a constant term contributes nothing
+            powers = []
+            support = 0
+            for j, e in fields:
+                powers.append(index.setdefault(e * n + j, len(index)))
+                support |= 1 << j
+            # combinations() leaves out the last field first
+            for (j, e), factors in zip(reversed(fields),
+                                       combinations(powers, len(powers) - 1)):
+                if e == 1:
+                    plan.append((k * n + j, coeff, support ^ (1 << j), factors))
+                else:
+                    lower = index.setdefault((e - 1) * n + j, len(index))
+                    plan.append((k * n + j, make_scalar_like(coeff * e), support,
+                                 factors + (lower,)))
+    return plan, [divmod(code, n)[::-1] for code in index]
+
+
+def jacobian_at(phi: RealPolyMap, points):
+    """The value rows of phi's Jacobian at each of the points in turn.
+
+    At each point, one mask of the variables whose value is 0 skips every
+    contribution that meets one before any product, and each power of a
+    coordinate is computed once."""
+    n = phi.domain_dim
+    plan, pairs = _jacobian_plan(phi)
+    for point in points:
+        if len(point) != n:
+            raise DimensionMismatch(f"point length {len(point)} != arity {n}")
+        zeros = 0
+        for j, x in enumerate(point):
+            if x == 0:
+                zeros |= 1 << j
+        powers = [None] * len(pairs)
+        values = [0] * (phi.codomain_dim * n)
+        for slot, value, support, factors in plan:
+            if support & zeros:
+                continue
+            for f in factors:
+                power = powers[f]
+                if power is None:
+                    j, e = pairs[f]
+                    power = powers[f] = point[j] ** e
+                value = value * power
+            values[slot] += value
+        values = [v if type(v) is int else make_scalar_like(v) for v in values]
+        yield [values[k * n:(k + 1) * n] for k in range(phi.codomain_dim)]
 
 
 def span_report(Phi: RealPolyMap, points) -> KaehlerReport:

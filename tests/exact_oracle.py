@@ -2,9 +2,13 @@
 
 ``rank`` is ``ExactMatrix.rank`` as it was when it ran Bareiss elimination
 on ``Fraction`` and ``GaussianRational`` objects, before the kernel moved to
-Gaussian integers held as pairs of plain ints.  ``bilinear_dot`` is the
-complex-bilinear product that ``kaehler`` took on gradients before it
-tested isotropy on the real Jacobian rows.
+Gaussian integers held as pairs of plain ints.  ``gaussian_integer_rank`` is
+the Z[i] kernel as it was before the conjugate of a non-real previous pivot
+moved into the row multipliers: it formed each new cell's numerator first
+and then multiplied it by the conjugate and divided by the norm; it scales
+rows to Gaussian integers with the package's own ``_gaussian_integer_row``.
+``bilinear_dot`` is the complex-bilinear product that ``kaehler`` took on
+gradients before it tested isotropy on the real Jacobian rows.
 
 The bodies are the old functions' bodies, so the differential tests in
 ``test_exact.py`` compare the integer kernel with the elimination it
@@ -16,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from morphlift.exact import DimensionMismatch, Scalar
+from morphlift.exact import DimensionMismatch, Scalar, _gaussian_integer_row
 
 
 def bilinear_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
@@ -61,5 +65,46 @@ def rank(matrix) -> int:
         prev = pivot
         rank += 1
         if rank == n_rows:
+            break
+    return rank
+
+
+def gaussian_integer_rank(matrix) -> int:
+    """Rank by fraction-free (Bareiss) elimination over Z[i], first-nonzero
+    pivots, on rows scaled to Gaussian integers."""
+    # Each row still to be eliminated is a pair (real parts, imaginary
+    # parts) of int lists that starts at the current column.
+    active = [_gaussian_integer_row(row) for row in matrix.entries]
+    rank = 0
+    r, s = 1, 0             # the previous pivot r + s*i
+    for _ in range(matrix.cols):
+        for index, (re, im) in enumerate(active):
+            if re[0] or im[0]:
+                break
+        else:
+            active = [(re[1:], im[1:]) for re, im in active]
+            continue
+        active[0], active[index] = active[index], active[0]
+        top_re, top_im = active[0]
+        p, q = top_re[0], top_im[0]
+        norm = r * r + s * s
+        rows = []
+        for re, im in active[1:]:
+            # (p + q*i) * row - (h + k*i) * top, from the next column on
+            h, k = re[0], im[0]
+            parts = list(zip(re, im, top_re, top_im))[1:]
+            new_re = [p * x - q * y - h * u + k * v for x, y, u, v in parts]
+            new_im = [p * y + q * x - h * v - k * u for x, y, u, v in parts]
+            if s == 0:
+                rows.append(([a // r for a in new_re], [b // r for b in new_im]))
+            else:           # times the conjugate r - s*i, over the norm
+                rows.append(([(a * r + b * s) // norm
+                              for a, b in zip(new_re, new_im)],
+                             [(b * r - a * s) // norm
+                              for a, b in zip(new_re, new_im)]))
+        active = rows
+        r, s = p, q
+        rank += 1
+        if not active:
             break
     return rank

@@ -4,8 +4,11 @@ the old evaluation of the Jacobian polynomials in ``calculus_oracle``, and
 ``span_report`` and ``search_points`` must report what their old bodies
 report, on every input."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,15 +16,17 @@ from hypothesis import given, settings, strategies as st
 import calculus_oracle
 import poly_oracle
 from genmaps import (
+    monomials,
     random_complex_map,
     random_harmonic_map,
     random_quadratic_map,
     random_real_map,
 )
+from morphlift import calculus
 from morphlift.calculus import PolyMatrix, jacobian, jacobian_at
 from morphlift.catalog import KAEHLER_POINTS, KAEHLER_REPAIR_POINT, entry_ids, lookup
 from morphlift.exact import DimensionMismatch, GaussianRational
-from morphlift.kaehler import search_points, span_report
+from morphlift.kaehler import complex_point_to_real, search_points, span_report
 from morphlift.lift import complete_lift_real
 from morphlift.mapfile import parse_map, parse_poly
 from morphlift.maps import RealPolyMap, ShapeError, real_form, real_identification
@@ -365,3 +370,166 @@ def test_a_kept_plan_leaves_the_map_as_it_was(phi_r16_real):
     assert (repr(phi), hash(phi)) == before == (repr(twin), hash(twin))
     with pytest.raises(AttributeError):
         phi._jacobian = None
+
+
+# ---------------------------------------------------------------------------
+# The plan grouped by monomial against the flat plan of contributions
+# ---------------------------------------------------------------------------
+
+NONZERO = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), I, -I,
+           GaussianRational(1, -1), GaussianRational(Fraction(-2, 3), 3))
+POINT_KINDS = (
+    (0,),                                                   # every one 0
+    NONZERO,                                                # none 0
+    (0, 1, -1, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)),
+    (0, 1, I, -I, GaussianRational(1, -1),
+     GaussianRational(Fraction(1, 2), Fraction(-2, 3))),
+    VALUES,
+)
+
+
+def _dense_map():
+    """Two components over every monomial of degree 1 to 4 in 7 variables:
+    84 distinct Jacobian monomials of degree 3, more than one machine word
+    of mask bits, and constant entries from the linear terms."""
+    rng = random.Random(84)
+    components = []
+    for _ in range(2):
+        terms = {e: rng.choice((1, -2, 3, Fraction(1, 3), Fraction(-5, 2)))
+                 for degree in range(1, 5) for e in monomials(7, degree)}
+        components.append(MultiPoly(7, terms))
+    return RealPolyMap(7, 2, components)
+
+
+def _constant_entry_map():
+    # d f1/d x1 = 3 and d f2/d x2 = -2/3 everywhere; the constants drop out
+    return parse_map("map f: R^3 -> R^2 { f1 = 3*x1 - x2*x3 + 1/2; "
+                     "f2 = x1 - 2/3*x2 + x3^2 - 7; }")
+
+
+R16 = dict(CATALOG)["ex3.7-R16-to-C"]
+PLAN_MAPS = ([phi for _, phi in CATALOG]
+             + [R16, complete_lift_real(R16), _dense_map(), _constant_entry_map()])
+
+
+def _genmaps_map(seed):
+    rng = random.Random(seed)
+    kind = seed % 3
+    if kind == 0:
+        return random_real_map(rng, rng.randint(1, 5), rng.randint(1, 3))
+    if kind == 1:
+        return random_harmonic_map(rng, rng.randint(2, 4), rng.randint(1, 3))
+    return random_quadratic_map(rng, rng.randint(1, 5), rng.randint(1, 3))
+
+
+def _assert_same_as_the_flat_plan(phi, points):
+    got = list(jacobian_at(phi, points))
+    want = list(calculus_oracle.jacobian_at(phi, points))
+    assert [_typed(rows) for rows in got] == [_typed(rows) for rows in want]
+
+
+@st.composite
+def maps_and_points(draw):
+    if draw(st.booleans()):
+        phi = draw(st.sampled_from(PLAN_MAPS))
+    else:
+        phi = _genmaps_map(draw(st.integers(0, 10**6)))
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        values = st.sampled_from(draw(st.sampled_from(POINT_KINDS)))
+        points.append(tuple(draw(values) for _ in range(phi.domain_dim)))
+    return phi, points
+
+
+@settings(deadline=None, max_examples=150)
+@given(maps_and_points())
+def test_jacobian_at_matches_the_flat_plan(case):
+    _assert_same_as_the_flat_plan(*case)
+
+
+@pytest.mark.parametrize("phi", PLAN_MAPS[-4:],
+                         ids=["r16", "r32", "dense", "constant-entries"])
+def test_every_point_kind_matches_the_flat_plan(phi):
+    rng = random.Random(phi.domain_dim)
+    for values in POINT_KINDS:
+        _assert_same_as_the_flat_plan(phi, _points(rng, phi.domain_dim, 3, values))
+
+
+def test_the_dense_map_needs_more_than_a_word_of_mask_bits():
+    phi = _fresh(_dense_map())
+    list(jacobian_at(phi, []))
+    base, monomials_, masks, _ = phi._jacobian
+    assert len(monomials_) == 84 + 28 + 7    # degrees 3, 2 and 1
+    assert max(masks).bit_length() > 64
+
+
+def test_constant_entries_hold_at_every_point():
+    phi = _constant_entry_map()
+    assert list(jacobian_at(phi, [(0, 0, 0), (1, 2, I)])) == [
+        [[3, 0, 0], [1, Fraction(-2, 3), 0]],
+        [[3, -I, -2], [1, Fraction(-2, 3), 2 * I]],
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The kept plan's size, and the monomials a point visits
+# ---------------------------------------------------------------------------
+
+def _traced_size(build, phi):
+    """The bytes that build(phi) allocates and keeps.  A full collection
+    before and after empties the free lists, which tracemalloc would
+    otherwise count as held or, when reused, miss."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        plan = build(phi)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_kept_plan_of_the_r32_rung_stays_small(rung_r32):
+    # About 450 KiB against 510 KiB for the flat plan of contributions: the
+    # plan grouped by monomial may take at most 10 % more than the flat one.
+    grouped = _traced_size(calculus._jacobian_plan, rung_r32)
+    flat = _traced_size(calculus_oracle._jacobian_plan, rung_r32)
+    assert grouped < 560 * 1024
+    assert grouped < 1.1 * flat
+
+
+def _jacobian_monomials(phi):
+    """The distinct nonconstant monomials x^(e - u_j) of phi's Jacobian,
+    as exponent tuples, from the tuple view of the terms."""
+    found = set()
+    for component in phi.components:
+        for exponents in component.terms:
+            for j, e in enumerate(exponents):
+                if e:
+                    lower = exponents[:j] + (e - 1,) + exponents[j + 1:]
+                    if any(lower):
+                        found.add(lower)
+    return found
+
+
+def test_a_point_visits_only_the_monomials_clear_of_its_zeros(
+        phi_r16_real, monkeypatch):
+    visited = []
+
+    def counting_compress(data, selectors):
+        for item in compress(data, selectors):
+            visited[-1] += 1
+            yield item
+
+    monkeypatch.setattr(calculus, "compress", counting_compress)
+    monos = _jacobian_monomials(phi_r16_real)
+    phi = _fresh(phi_r16_real)
+    points = [complex_point_to_real(p) for p in KAEHLER_POINTS]
+    values = jacobian_at(phi, points)
+    for point in points:
+        visited.append(0)
+        next(values)
+        zeros = [j for j, x in enumerate(point) if x == 0]
+        clear = sum(1 for mono in monos if not any(mono[j] for j in zeros))
+        assert visited[-1] == clear
+    assert max(visited) < len(monos)

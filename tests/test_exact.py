@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import exact_oracle
 from exact_oracle import bilinear_dot
@@ -298,7 +298,8 @@ def swapped_complex_pivots(draw):
 
 def _assert_rank_matches_oracle(rows):
     matrix = ExactMatrix(rows)
-    assert matrix.rank() == exact_oracle.rank(matrix)
+    assert (matrix.rank() == exact_oracle.gaussian_integer_rank(matrix)
+            == exact_oracle.rank(matrix))
 
 
 @settings(deadline=None)
@@ -319,7 +320,8 @@ def test_complex_pivot_after_row_swap():
     rows = [[0, 1, 2, 3], [GaussianRational(1, 1), 2, I, 0],
             [1, GaussianRational(0, -1), 5, Fraction(1, 3)],
             [GaussianRational(2, 2), 4, 2 * I, 0]]
-    assert ExactMatrix(rows).rank() == exact_oracle.rank(ExactMatrix(rows)) == 3
+    _assert_rank_matches_oracle(rows)
+    assert ExactMatrix(rows).rank() == 3
 
 
 def test_rank_of_r32_kaehler_gradient_sets(phi_r16_real):
@@ -332,3 +334,98 @@ def test_rank_of_r32_kaehler_gradient_sets(phi_r16_real):
         _assert_rank_matches_oracle(
             [tuple(g.evaluate(complex_point_to_real(p)) for g in gradient)
              for p in points])
+
+
+# ---------------------------------------------------------------------------
+# Conjugates folded into the multipliers, against the two-pass Z[i] kernel
+# ---------------------------------------------------------------------------
+
+def _bareiss_pivots(rows) -> list:
+    """The pivots of fraction-free elimination with the row swaps of
+    ``ExactMatrix.rank``, as Gaussian rationals.  Scaling a row by a
+    positive integer scales the later pivots by positive integers, so
+    whether a pivot is real does not depend on the scaling."""
+    work = [list(row) for row in rows]
+    pivots = []
+    prev = Fraction(1)
+    for col in range(len(work[0]) if work else 0):
+        index = next((i for i, row in enumerate(work) if row[col] != 0), None)
+        if index is None:
+            continue
+        work[0], work[index] = work[index], work[0]
+        top, pivot = work[0], work[0][col]
+        work = [[(pivot * x - row[col] * u) / prev for x, u in zip(row, top)]
+                for row in work[1:]]
+        pivots.append(pivot)
+        prev = Fraction(pivot) if type(pivot) is int else pivot
+    return pivots
+
+
+def _non_real_run(rows) -> int:
+    """The most pivots in a row that have a nonzero imaginary part."""
+    longest = run = 0
+    for pivot in _bareiss_pivots(rows):
+        run = run + 1 if isinstance(pivot, GaussianRational) else 0
+        longest = max(longest, run)
+    return longest
+
+
+@st.composite
+def non_real_pivot_runs(draw):
+    """Matrices of Gaussian integers and Gaussian rationals, most with runs
+    of non-real pivots; some rows repeat or are 0 so the rank falls short."""
+    rows, cols = draw(st.integers(3, 10)), draw(st.integers(3, 14))
+    non_real = st.builds(GaussianRational, st.integers(-4, 4),
+                         st.integers(1, 4) | st.integers(-4, -1))
+    entries = st.one_of(non_real, gaussian_integers, st.integers(-3, 3),
+                        st.builds(GaussianRational, wide_rationals, st.just(1)))
+    matrix = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=2)):
+        matrix.append(list(matrix[i]))
+    if draw(st.booleans()):
+        matrix[draw(st.integers(0, rows - 1))] = [0] * cols
+    return draw(st.permutations(matrix))
+
+
+@settings(deadline=None)
+@given(non_real_pivot_runs())
+def test_rank_through_runs_of_non_real_pivots_matches_both_oracles(rows):
+    assume(_non_real_run(rows) >= 2)
+    _assert_rank_matches_oracle(rows)
+
+
+@st.composite
+def echelon_products(draw):
+    """L * B for Gaussian B in echelon form, row t of B 0 in its first t
+    columns: rows of L that leave out the first rows of B give rows of the
+    product that are 0 where the first pivots sit, and more rows than B
+    has make them dependent."""
+    inner, cols = draw(st.integers(2, 5)), draw(st.integers(2, 12))
+    entries = st.one_of(gaussian_integers, st.builds(
+        GaussianRational, st.integers(-4, 4), st.integers(1, 4)))
+    basis = [[0] * min(t, cols) + [draw(entries) for _ in range(cols - t)]
+             for t in range(inner)]
+    left = []
+    for _ in range(draw(st.integers(inner, inner + 6))):
+        skip = draw(st.integers(0, inner - 1))
+        left.append([0] * skip + [draw(entries) for _ in range(inner - skip)])
+    return _product(draw(st.permutations(left)), basis)
+
+
+@settings(deadline=None)
+@given(echelon_products())
+def test_rank_of_rows_that_are_0_under_the_pivot_matches_both_oracles(rows):
+    _assert_rank_matches_oracle(rows)
+
+
+def test_three_non_real_pivots_in_a_row():
+    rows = [[GaussianRational(1, 1), 2, I, 0, 1],
+            [GaussianRational(0, 2), GaussianRational(1, -1), 3, I, 0],
+            [1, I, GaussianRational(2, 1), 4, GaussianRational(0, -1)],
+            [GaussianRational(1, 2), 0, I, GaussianRational(3, -1), 2],
+            # the sum of rows 1 and 3: the rank stays 4
+            [GaussianRational(2, 1), GaussianRational(2, 1),
+             GaussianRational(2, 2), 4, GaussianRational(1, -1)]]
+    assert _non_real_run(rows) >= 3
+    _assert_rank_matches_oracle(rows)
+    assert ExactMatrix(rows).rank() == 4
