@@ -7,18 +7,22 @@ exactly to :class:`~morphlift.poly.MultiPoly`.
 Floats come from one evaluator.  :func:`compile_tape` interns the nodes of
 the trees a caller needs, so structurally equal subtrees share one slot, and
 lists the slots in the order a recursive evaluator would visit them;
-:meth:`Tape.run` computes each slot once per point in a flat loop and yields
-each output as soon as it is done.  :func:`eval_float` is a tape of one
-output.  Differentiation, evaluation and rendering walk the trees with
-explicit stacks, so a sum thousands of terms deep needs no recursion.
+:meth:`Tape.run` evaluates a sequence of points at once: each slot holds a
+column of values, one per point, filled by one ``map`` per instruction, and
+each output's column is yielded as soon as it is done.  A column that is
+no output's is dropped after its last read.  :func:`eval_float` is a tape
+of one output run at one point.  Differentiation, evaluation and rendering
+walk the trees with explicit stacks, so a sum thousands of terms deep needs
+no recursion.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterator, Sequence, Union
 
 from .exact import (
@@ -284,11 +288,14 @@ def _derive(node: Expr, d: list, index: int) -> Expr:
 # Floating-point evaluation on a tape
 # ---------------------------------------------------------------------------
 
-# Tape instructions are (op, a, b) triples; slot i holds instruction i's value.
-(_CONST, _VAR, _ADD, _SUB, _MUL, _DIV, _POW, _SQRT, _CONJ, _NEG, _NONZERO,
+# Tape instructions are (op, a, b, dead) tuples; slot i holds instruction i's
+# column, and ``dead`` lists the slots whose last read is instruction i.  The
+# binary operations come first, so one comparison tells them apart.
+(_ADD, _SUB, _MUL, _DIV, _POW, _SQRT, _CONJ, _NEG, _NONZERO, _VAR, _CONST,
  _CONVERT) = range(12)
 _BINARY_OPS = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
 _UNARY_OPS = {Sqrt: _SQRT, Conj: _CONJ, Neg: _NEG}
+_BINARY_MAPS = (operator.add, operator.sub, operator.mul, operator.truediv)
 _EXPAND, _EMIT, _CHECK = range(3)
 
 
@@ -304,53 +311,57 @@ class Tape:
     def __init__(self, segments: list):
         self.segments = segments
 
-    def run(self, point: Sequence[Union[float, complex]]) -> Iterator[complex]:
-        """Yield each output's value at ``point``, in order, as soon as its
-        slots are done; a caller that stops early evaluates nothing of the
-        later outputs.  Raises :class:`EvalDomainError` where the recursive
-        reading of the trees would: at the first failing node, or at a root
-        that is not finite."""
-        values: list = []
-        push = values.append
-        isfinite = math.isfinite
+    def run(self, points: Sequence[Sequence[Union[float, complex]]]
+            ) -> Iterator[list]:
+        """Yield each output's column, its values at ``points`` in order, as
+        soon as its slots are done; a caller that stops early evaluates
+        nothing of the later outputs.  Each instruction fills its slot's
+        column with one ``map`` over the columns it reads, and a column
+        that is no output's is dropped after its last read.
+
+        Raises :class:`EvalDomainError` at the first instruction that fails
+        at some point, or at a root that is not finite at some point.  At
+        one point that is where the recursive reading of the trees would
+        raise; at several, a caller that needs the first error in point
+        order runs the points one at a time."""
+        count = len(points)
+        columns: list = []
+        push = columns.append
         for code, root in self.segments:
-            for op, a, b in code:
-                if op == _MUL:
-                    push(values[a] * values[b])
-                elif op == _ADD:
-                    push(values[a] + values[b])
+            for op, a, b, dead in code:
+                if op <= _DIV:
+                    push(list(map(_BINARY_MAPS[op], columns[a], columns[b])))
                 elif op == _VAR:
-                    push(complex(point[a]))
+                    push(list(map(complex, map(operator.itemgetter(a), points))))
                 elif op == _CONST:
-                    push(a)
-                elif op == _SUB:
-                    push(values[a] - values[b])
+                    push([a] * count)
                 elif op == _POW:
-                    base = values[a]
-                    if b < 0 and base == 0:
+                    column = columns[a]
+                    if b < 0 and 0 in column:
                         raise EvalDomainError("zero raised to a negative power")
-                    push(base ** b)
+                    push(list(map(pow, column, repeat(b))))
                 elif op == _NONZERO:
-                    if values[a] == 0:
+                    if 0 in columns[a]:
                         raise EvalDomainError("division by zero")
                     push(None)
-                elif op == _DIV:
-                    push(values[a] / values[b])
                 elif op == _NEG:
-                    push(-values[a])
+                    push(list(map(operator.neg, columns[a])))
                 elif op == _SQRT:
-                    value = values[a]
-                    if value.imag == 0 and value.real < 0:
-                        raise EvalDomainError("square root of a negative real")
-                    push(cmath.sqrt(value))
+                    column = columns[a]
+                    for value in column:
+                        if value.imag == 0 and value.real < 0:
+                            raise EvalDomainError("square root of a negative real")
+                    push(list(map(cmath.sqrt, column)))
                 elif op == _CONJ:
-                    push(values[a].conjugate())
+                    push(list(map(complex.conjugate, columns[a])))
                 else:   # _CONVERT: a constant no float can hold raises here
-                    push(to_complex(a))
-            value = values[root]
-            if not (isfinite(value.real) and isfinite(value.imag)):
+                    push([to_complex(a)] * count)
+                for slot in dead:
+                    columns[slot] = None
+            column = columns[root]
+            if not all(map(cmath.isfinite, column)):
                 raise EvalDomainError("evaluation produced a non-finite value")
-            yield value
+            yield column
 
 
 def compile_tape(outputs: Sequence[Expr]) -> Tape:
@@ -364,10 +375,13 @@ def compile_tape(outputs: Sequence[Expr]) -> Tape:
     evaluates its denominator, checks it is nonzero, then its numerator.  A
     slot already on the tape is not evaluated again, so each distinct node
     costs one step per point (the tape of Griewank & Walther, *Evaluating
-    Derivatives*, 2008) and the walk needs no recursion.
+    Derivatives*, 2008) and the walk needs no recursion.  Each slot's last
+    read, by an instruction or as an output, is recorded, so that a run
+    drops every column but the outputs' once nothing reads it again.
     """
     slots: dict = {}        # (op, a, b) with exact payloads -> slot
     slot_of: dict = {}      # id(node) -> slot; the outputs keep ids alive
+    last: dict = {}         # slot -> the dead list of its last reader so far
     segments = []
     for root in outputs:
         code = []
@@ -386,42 +400,52 @@ def compile_tape(outputs: Sequence[Expr]) -> Tape:
                                  for child in reversed(_children(node)))
                 continue
             if action == _CHECK:
-                key = instruction = (_NONZERO, slot_of[id(node)], None)
+                key = (_NONZERO, slot_of[id(node)], None)
             else:
-                key, instruction = _instruction(node, slot_of)
+                key = _instruction(node, slot_of)
             slot = slots.get(key)
             if slot is None:
                 slot = slots[key] = len(slots)
-                code.append(instruction)
+                op, a, b = key
+                dead: list = []
+                if op <= _DIV:
+                    last[a] = last[b] = dead
+                elif op <= _NONZERO:
+                    last[a] = dead
+                elif op == _CONST:
+                    try:
+                        a = to_complex(a)
+                    except OverflowError:
+                        op = _CONVERT
+                code.append((op, a, b, dead))
             if action == _EMIT:
                 slot_of[id(node)] = slot
-        segments.append((code, slot_of[id(root)]))
+        root_slot = slot_of[id(root)]
+        segments.append((code, root_slot))
+        last[root_slot] = []    # yielded here: no earlier reader may drop it
+    for slot, dead in last.items():
+        dead.append(slot)
     return Tape(segments)
 
 
 def _instruction(node: Expr, slot_of: dict) -> tuple:
-    """(interning key, instruction) of a node whose children have slots."""
+    """The interning key of a node whose children have slots: (op, a, b)
+    with exact payloads."""
     kind = type(node)
     if kind is Const:
-        key = (_CONST, node.value, None)
-        try:
-            return key, (_CONST, to_complex(node.value), None)
-        except OverflowError:
-            return key, (_CONVERT, node.value, None)
+        return (_CONST, node.value, None)
     if kind is Var:
-        key = (_VAR, node.index, None)
-    elif kind is Pow:
-        key = (_POW, slot_of[id(node.base)], node.exponent)
-    elif kind in _BINARY_OPS:
-        key = (_BINARY_OPS[kind], slot_of[id(node.left)], slot_of[id(node.right)])
-    else:
-        key = (_UNARY_OPS[kind], slot_of[id(node.arg)], None)
-    return key, key
+        return (_VAR, node.index, None)
+    if kind is Pow:
+        return (_POW, slot_of[id(node.base)], node.exponent)
+    if kind in _BINARY_OPS:
+        return (_BINARY_OPS[kind], slot_of[id(node.left)], slot_of[id(node.right)])
+    return (_UNARY_OPS[kind], slot_of[id(node.arg)], None)
 
 
 def eval_float(node: Expr, point: Sequence[Union[float, complex]]) -> complex:
-    (value,) = compile_tape((node,)).run(point)
-    return value
+    (column,) = compile_tape((node,)).run((point,))
+    return column[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,20 @@ finite difference cross-checks every first derivative once per run.  Results
 are falsification/confirmation evidence, not proofs, and reports say so.
 
 A check compiles the guards and the derivatives it needs into one
-:class:`~morphlift.expr.Tape` and runs it once per point, so each distinct
-node is evaluated once per point.  The values, and every error, are those of
-evaluating the trees one by one.  No points is an error, not a pass.
+:class:`~morphlift.expr.Tape` and runs it once over all its points, so each
+distinct node is evaluated once per point, a column at a time.  The values,
+and every error, are those of evaluating the trees one by one, point by
+point: when the run over all points raises, or a guard fails, the points are
+evaluated again one at a time in that order, which raises the first error.
+Finite differences and guarded sampling run their points in blocks the same
+way.  No points is an error, not a pass.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .expr import (
     EvalDomainError,
@@ -70,14 +75,67 @@ def numeric_complete_lift(phi: SmoothMap) -> SmoothMap:
     return SmoothMap(2 * m, tuple(components), phi.guards, names)
 
 
-def _finite_difference(tape: Tape, point, j, step=1e-6):
-    forward = list(point)
-    backward = list(point)
-    forward[j] += step
-    backward[j] -= step
-    (up,) = tape.run(forward)
-    (down,) = tape.run(backward)
-    return (up - down) / (2 * step)
+def _values_at(tape: Tape, point) -> Iterator[complex]:
+    """The tape's output values at one point, in order, each evaluated when
+    it is taken."""
+    return (column[0] for column in tape.run((point,)))
+
+
+def _finite_differences(tape: Tape, point, m: int, step=1e-6
+                        ) -> Iterator[complex]:
+    """Central differences of the one-output ``tape`` at ``point`` along
+    x_1 .. x_m, in order.  The 2m shifted points run in one call; if that
+    raises, they run one at a time, each difference when it is taken, so
+    the error is the one that taking them one at a time meets."""
+    shifted = []
+    for j in range(m):
+        forward = list(point)
+        backward = list(point)
+        forward[j] += step
+        backward[j] -= step
+        shifted += (forward, backward)
+    try:
+        (column,) = tape.run(shifted)
+    except ArithmeticError:
+        column = None
+    for j in range(m):
+        if column is None:
+            (up,) = _values_at(tape, shifted[2 * j])
+            (down,) = _values_at(tape, shifted[2 * j + 1])
+        else:
+            up, down = column[2 * j], column[2 * j + 1]
+        yield (up - down) / (2 * step)
+
+
+def _cross_check(phi: SmoothMap, point, symbolic_values: Iterator) -> None:
+    """Compare every symbolic first derivative at ``point``, taken in order
+    from ``symbolic_values``, with a central finite difference."""
+    m = phi.domain_dim
+    for k, comp in enumerate(phi.components):
+        numeric_values = _finite_differences(compile_tape((comp,)), point, m)
+        for j in range(m):
+            symbolic = next(symbolic_values)
+            numeric = next(numeric_values)
+            scale = max(1.0, abs(symbolic))
+            if abs(symbolic - numeric) > 1e-4 * scale:
+                raise InternalConsistencyError(
+                    f"d(component {k + 1})/dx{j + 1}: symbolic "
+                    f"{symbolic:.6g} vs finite difference {numeric:.6g}")
+
+
+def _raise_in_point_order(phi: SmoothMap, points: list, tape: Tape,
+                          first: list) -> None:
+    """Evaluate as the check does one point at a time, and raise its first
+    error: point 0's guards, the cross-check at point 0, then each point's
+    guards before its derivatives.  ``tape`` is the check's tape, whose
+    outputs start with the guards.  No residual is computed."""
+    phi.check_guard_values(_values_at(tape, points[0]))
+    _cross_check(phi, points[0], _values_at(compile_tape(first), points[0]))
+    for point in points:
+        values = _values_at(tape, point)
+        phi.check_guard_values(values)
+        for _ in values:
+            pass
 
 
 def numeric_check(phi: SmoothMap, points, tolerance: float) -> ResidualReport:
@@ -88,9 +146,12 @@ def numeric_check(phi: SmoothMap, points, tolerance: float) -> ResidualReport:
     then measures the distance of G from that multiple of the identity.
 
     One tape holds the guards, then the second and the first derivatives,
-    and runs once per point.  Each guard's sign is checked before any node
-    of a later output is evaluated, so every error is the one that
-    evaluating the trees one by one, in that order, would raise.
+    and runs once over all points.  Its guard columns are checked before
+    any derivative is evaluated, and the cross-check of the first
+    derivatives reads point 0 of their columns.  If the run raises or a
+    guard is not positive somewhere, the points are evaluated one at a time
+    in the order of a point-by-point check, so the error raised is the one
+    that evaluating the trees one by one, point by point, would raise.
     """
     points = [tuple(p) for p in points]
     if not points:
@@ -100,35 +161,33 @@ def numeric_check(phi: SmoothMap, points, tolerance: float) -> ResidualReport:
     first = [derivative(c, j) for c in phi.components for j in range(m)]
     second = [derivative(first[k * m + j], j) for k in range(n) for j in range(m)]
     tape = compile_tape([*phi.guards, *second, *first])
-
-    # cross-check every symbolic first derivative at the first point
-    p0 = points[0]
-    phi.check_guard_values(compile_tape(phi.guards).run(p0))
-    symbolic_values = compile_tape(first).run(p0)
-    for k, comp in enumerate(phi.components):
-        comp_tape = compile_tape((comp,))
-        for j in range(m):
-            symbolic = next(symbolic_values)
-            numeric = _finite_difference(comp_tape, p0, j)
-            scale = max(1.0, abs(symbolic))
-            if abs(symbolic - numeric) > 1e-4 * scale:
-                raise InternalConsistencyError(
-                    f"d(component {k + 1})/dx{j + 1}: symbolic "
-                    f"{symbolic:.6g} vs finite difference {numeric:.6g}")
+    try:
+        columns = tape.run(points)
+        for _ in phi.guards:
+            if any(value.real <= 0 for value in next(columns)):
+                # the replay raises the error that comes first in point order
+                raise EvalDomainError("guard violated at sample point")
+        columns = list(columns)
+    except ArithmeticError:
+        _raise_in_point_order(phi, points, tape, first)
+        raise
+    laplacian_blocks = [columns[k * m:(k + 1) * m] for k in range(n)]
+    jacobian_blocks = [columns[(n + k) * m:(n + k + 1) * m] for k in range(n)]
+    _cross_check(phi, points[0],
+                 (column[0] for block in jacobian_blocks for column in block))
 
     laplacian_max = [0.0] * n
     conformality_max = 0.0
     witness = None
-    for point in points:
-        values = tape.run(point)
-        phi.check_guard_values(values)
-        for k in range(n):
-            residual = abs(sum(next(values).real for _ in range(m)))
+    for index, point in enumerate(points):
+        for k, block in enumerate(laplacian_blocks):
+            residual = abs(sum(column[index].real for column in block))
             if residual > laplacian_max[k]:
                 laplacian_max[k] = residual
             if residual > tolerance and witness is None:
                 witness = point
-        jac = [[next(values).real for _ in range(m)] for _ in range(n)]
+        jac = [[column[index].real for column in block]
+               for block in jacobian_blocks]
         g = [[sum(jac[k][i] * jac[l][i] for i in range(m)) for l in range(n)]
              for k in range(n)]
         dilation = sum(g[k][k] for k in range(n)) / n
@@ -163,12 +222,24 @@ def sample_points(phi: SmoothMap, count: int, seed: int) -> list[tuple]:
             raise SamplingError(
                 f"rejected {attempts} of {attempts + len(points)} draws; "
                 "the guards exclude almost all of the sampling box")
-        attempts += 1
-        point = tuple(rng.uniform(lo, hi) for _ in dims)
+        # no more draws than are still needed and allowed, so that drawing
+        # one point at a time would make and test every draw of the block
+        size = min(count - len(points), limit - attempts)
+        draws = [tuple(rng.uniform(lo, hi) for _ in dims) for _ in range(size)]
+        attempts += size
         try:
-            guard_values = [value.real for value in guard_tape.run(point)]
-        except EvalDomainError:
-            continue
-        if all(value >= GUARD_MARGIN for value in guard_values):
-            points.append(point)
+            points += _kept(guard_tape, draws)
+        except ArithmeticError:     # draw by draw, so errors come in draw order
+            for draw in draws:
+                try:
+                    points += _kept(guard_tape, [draw])
+                except EvalDomainError:
+                    pass
     return points
+
+
+def _kept(guard_tape: Tape, draws: list) -> list:
+    """The draws at which every guard value reaches ``GUARD_MARGIN``."""
+    columns = list(guard_tape.run(draws))
+    return [draw for i, draw in enumerate(draws)
+            if all(column[i].real >= GUARD_MARGIN for column in columns)]

@@ -3,7 +3,9 @@ compiled tape against recursive evaluation (one output and several), the
 iterative derivative and renderer against the recursive ones, and
 ``numeric_check`` reports against the one-tree-at-a-time check."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,7 @@ from morphlift.mapfile import parse_map
 from morphlift.maps import real_identification
 from morphlift.numeric import (
     GUARD_MARGIN,
+    InternalConsistencyError,
     numeric_check,
     numeric_complete_lift,
     sample_points,
@@ -59,6 +62,7 @@ coordinates = st.one_of(
                      1e200, -1e200, 1e-200, 1e155, complex(0.0, 1.0)]),
     st.floats(-4.0, 4.0))
 points = st.lists(coordinates, min_size=NUM_VARS, max_size=NUM_VARS)
+batches = st.lists(points, min_size=1, max_size=40)
 
 
 def _size(node) -> int:
@@ -124,6 +128,11 @@ def _oracle_values(outputs, point):
     return [oracle.eval_float(node, point) for node in outputs]
 
 
+def _at(tape, point):
+    """The tape's output values at one point, each evaluated when taken."""
+    return (column[0] for column in tape.run([point]))
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -141,7 +150,7 @@ def test_single_output_matches_recursive_evaluation(pool, point):
 def test_several_outputs_match_recursive_evaluation_in_order(pool, data, point):
     outputs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
     tape = compile_tape(outputs)
-    assert _outcome(lambda: list(tape.run(point))) \
+    assert _outcome(lambda: list(_at(tape, point))) \
         == _outcome(lambda: _oracle_values(outputs, point))
 
 
@@ -151,9 +160,49 @@ def test_a_tape_stops_where_its_caller_stops(pool, data, point):
     # outputs after the first value the caller takes are not evaluated
     outputs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
     tail = Div(Const(1), Sub(Var(0), Var(0)))       # always divides by zero
-    values = compile_tape([*outputs, tail]).run(point)
+    values = _at(compile_tape([*outputs, tail]), point)
     expected = _outcome(lambda: _oracle_values(outputs, point))
     assert _outcome(lambda: [next(values) for _ in outputs]) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(dags(), st.data(), batches)
+def test_columns_match_recursive_evaluation_point_by_point(pool, data, batch):
+    outputs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    tape = compile_tape(outputs)
+    in_point_order = _outcome(lambda: [_oracle_values(outputs, point)
+                                       for point in batch])
+    try:
+        columns = list(tape.run(batch))
+    except (ArithmeticError, IndexError):
+        # the run over all points raises one point's own first error ...
+        assert _outcome(lambda: list(tape.run(batch))) in {
+            _outcome(lambda: _oracle_values(outputs, point)) for point in batch}
+        # ... and a replay one point at a time the first in point order
+        assert in_point_order[0] == "raises"
+        assert _outcome(lambda: [list(_at(tape, point)) for point in batch]) \
+            == in_point_order
+    else:
+        assert in_point_order[0] == "value"
+        assert repr(columns) == repr([[oracle.eval_float(node, point)
+                                       for point in batch] for node in outputs])
+
+
+def test_a_column_run_fails_at_its_first_failing_instruction():
+    # the first point fails in the second output, the second point in the
+    # first: over both points the division fails first, point by point the
+    # square root does
+    outputs = [Div(Const(1), Var(0)), Sqrt(Var(1))]
+    batch = [[1.0, -1.0], [0.0, 1.0]]
+    tape = compile_tape(outputs)
+    with pytest.raises(EvalDomainError, match="^division by zero$"):
+        list(tape.run(batch))
+    for replay in (lambda point: list(_at(tape, point)),
+                   lambda point: _oracle_values(outputs, point)):
+        with pytest.raises(EvalDomainError,
+                           match="^square root of a negative real$"):
+            for point in batch:
+                replay(point)
 
 
 @pytest.mark.parametrize("outputs, point, message", [
@@ -172,14 +221,14 @@ def test_a_tape_stops_where_its_caller_stops(pool, data, point):
 ])
 def test_errors_come_in_evaluation_order(outputs, point, message):
     with pytest.raises(EvalDomainError, match=f"^{message}$"):
-        list(compile_tape(outputs).run(point))
+        list(_at(compile_tape(outputs), point))
     with pytest.raises(EvalDomainError, match=f"^{message}$"):
         _oracle_values(outputs, point)
 
 
 def test_an_infinite_intermediate_with_a_finite_root_is_not_an_error():
     x = Var(0)
-    (value,) = compile_tape([Div(Const(1), Mul(x, x))]).run([1e200])
+    (value,) = _at(compile_tape([Div(Const(1), Mul(x, x))]), [1e200])
     assert value == 0j == oracle.eval_float(Div(Const(1), Mul(x, x)), [1e200])
 
 
@@ -206,7 +255,7 @@ def test_stereographic_values_match_at_sampled_points(stereographic, catalog_map
                  for j in range(phi.domain_dim))]
     tape = compile_tape(outputs)
     for point in sample_points(phi, 100, seed=7):
-        assert repr(list(tape.run(point))) == repr(_oracle_values(outputs, point))
+        assert repr(list(_at(tape, point))) == repr(_oracle_values(outputs, point))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +284,7 @@ def test_deep_sum_differentiates_and_renders_without_recursion():
     for _ in range(20000):
         total = Add(total, Mul(Var(0), Var(1)))
     assert render_expr(derivative(total, 1), NAMES).count("x1") == 20000
-    (value,) = compile_tape([total]).run([2.0, 3.0])
+    (value,) = _at(compile_tape([total]), [2.0, 3.0])
     assert value == 2.0 + 20000 * 6.0
 
 
@@ -287,6 +336,13 @@ def test_numeric_check_report_matches_the_recursive_check(name):
     ([(1.0, 1.0), (-0.0, 1.0)], "guard x1 violated at sample point"),
     # the guard holds, the second derivative divides by zero
     ([(1.0, 1.0), (1.0, 0.0)], "division by zero"),
+    # at the first point x1^2 is subnormal: the first derivative -x2/x1^2
+    # overflows in the cross-check, while the second derivative, earlier on
+    # the check's tape, divides by x1^4, which is 0
+    ([(1e-160, 1.0)], "evaluation produced a non-finite value"),
+    # the second point's second derivative divides by zero before the third
+    # point's guard is checked
+    ([(1.0, 1.0), (1.0, 0.0), (0.0, 1.0)], "division by zero"),
 ])
 def test_numeric_check_errors_match_the_recursive_check(points, message):
     phi = parse_map("map f: R^2 -> R^1 { f1 = x2/x1 + 1/x2; guard x1; }")
@@ -294,6 +350,33 @@ def test_numeric_check_errors_match_the_recursive_check(points, message):
         numeric_check(phi, points, 1e-8)
     with pytest.raises(EvalDomainError, match=f"^{message}$"):
         oracle.numeric_check(phi, points, 1e-8)
+
+
+def test_a_cross_check_mismatch_comes_before_a_later_difference_fails():
+    # at (1e-7, 1e-6) the difference along x1 steps over the pole of x2/x1
+    # and disagrees with -x2/x1^2; the one along x2 would divide by zero
+    phi = parse_map("map f: R^2 -> R^1 { f1 = x2/x1 + 1/x2; guard x1; }")
+    message = r"^d\(component 1\)/dx1: symbolic -1e\+08\+0j vs finite difference"
+    for check in (numeric_check, oracle.numeric_check):
+        with pytest.raises(InternalConsistencyError, match=message):
+            check(phi, [(1e-7, 1e-6)], 1e-8)
+
+
+def test_numeric_check_holds_only_live_columns(stereographic):
+    # On the lift (592 slots, 25 outputs) at most 64 columns of 100 values
+    # are live at once.  The traced peak of the check was 350 KiB when the
+    # tape ran one point at a time and is 544 KiB over columns; keeping
+    # every column would add about 2.3 MiB.
+    lift = numeric_complete_lift(stereographic)
+    points = sample_points(lift, 100, seed=7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        numeric_check(lift, points, 1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 700 * 1024
 
 
 def test_sampled_points_come_from_one_guard_tape(stereographic):
