@@ -39,7 +39,7 @@ from .numeric import (
     numeric_complete_lift,
     sample_points,
 )
-from .poly import ConsistencyError, render
+from .poly import render
 
 SCHEMA_VERSION = 1
 
@@ -478,7 +478,7 @@ def cli_main(argv=None, out=None) -> int:
     try:
         report = _HANDLERS[args.command](args)
     except (CliError, MapSyntaxError, catalog_module.UnknownEntry,
-            DimensionMismatch, ShapeError, ConsistencyError, SamplingError,
+            DimensionMismatch, ShapeError, SamplingError,
             InternalConsistencyError, EvalDomainError, NotPolynomial,
             IntegerTooLong, OverflowError, RecursionError) as error:
         print(f"error: {error}", file=sys.stderr)

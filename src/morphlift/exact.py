@@ -7,11 +7,14 @@ denominator 1 becomes an int, a Gaussian rational with zero imaginary part
 becomes its real part.  This keeps structural equality meaningful and makes
 the common all-integer case fast.
 
-:meth:`ExactMatrix.rank` builds no scalar objects.  It scales each row by the
-lcm of its denominators, which leaves the rank over Q(i) unchanged, and runs
-fraction-free Bareiss elimination (E. Bareiss, Math. Comp. 22, 1968) over the
-Gaussian integers Z[i], each entry a pair of plain ints (real, imaginary).
-Every division by the previous pivot is exact in Z[i].
+Every rank goes through one kernel, :class:`Echelon`: fraction-free Bareiss
+elimination (E. Bareiss, Math. Comp. 22, 1968) over the Gaussian integers
+Z[i], a row at a time.  :meth:`ExactMatrix.rank` feeds it a matrix's rows,
+and ``kaehler.search_points`` keeps one across its candidate gradients, so
+each candidate is reduced once.  It builds no scalar objects: it scales each
+row by the lcm of its denominators, which leaves the rank over Q(i)
+unchanged, holds each entry as a pair of plain ints (real, imaginary), and
+every division by the previous pivot is exact in Z[i].
 """
 
 from __future__ import annotations
@@ -259,67 +262,62 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
-    def __getitem__(self, index):
-        i, j = index
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
     def __repr__(self):
         body = "; ".join(", ".join(render_scalar(x) for x in row)
                          for row in self.entries)
         return f"ExactMatrix[{self.rows}x{self.cols}]({body})"
 
     def rank(self) -> int:
-        """Rank by fraction-free (Bareiss) elimination over Z[i], first-nonzero
-        pivots, on rows scaled to Gaussian integers."""
-        # Each row still to be eliminated is a pair (real parts, imaginary
-        # parts) of int lists that starts at the current column.
-        active = [_gaussian_integer_row(row) for row in self.entries]
-        rank = 0
+        """Rank over Q(i): the rows go one by one into a fresh :class:`Echelon`."""
+        return sum(map(Echelon().add, self.entries))
+
+
+class Echelon:
+    """Fraction-free (Bareiss) echelon over Z[i], built a row at a time.
+
+    A pivot row is kept as it was reduced, with its pivot (its first nonzero
+    cell) taken out.  Each step deletes the pivot's position, whose cell is 0
+    from then on, so a row reduced through k pivot rows has k cells fewer and
+    lines up with pivot row k + 1.  Every cell is a minor of the rows kept so
+    far (Sylvester's identity), so each division by the previous pivot is
+    exact.
+    """
+
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        # (position, pivot p + q*i, multipliers a + b*i and divisor, the rest
+        # of the row as real parts and imaginary parts), in the order kept
+        self.pivots = []
+
+    def add(self, row) -> bool:
+        """Reduce a row, a sequence of scalars, through the pivot rows and
+        keep a nonzero remainder as the next one; whether it was kept."""
+        re, im = _gaussian_integer_row(row)
         r, s = 1, 0             # the previous pivot r + s*i
-        for _ in range(self.cols):
-            for index, (re, im) in enumerate(active):
-                if re[0] or im[0]:
-                    break
-            else:
-                active = [(re[1:], im[1:]) for re, im in active]
-                continue
-            active[0], active[index] = active[index], active[0]
-            top_re, top_im = active[0]
-            p, q = top_re[0], top_im[0]
+        for j, p, q, a, b, divisor, top_re, top_im in self.pivots:
             # Each new cell is ((p + q*i) * cell - (h + k*i) * top cell)
-            # over the previous pivot r + s*i.  Over a non-real pivot that
-            # is the numerator times r - s*i, over the norm r^2 + s^2, so
-            # r - s*i joins both multipliers here, once per pivot and row.
+            # over r + s*i.  Over a non-real r + s*i that is the numerator
+            # times r - s*i, over the norm r^2 + s^2, so r - s*i joins both
+            # multipliers: a + b*i once per pivot, h + k*i here.
+            h, k = re.pop(j), im.pop(j)
             if s:
-                a, b = p * r + q * s, q * r - p * s
-                divisor = r * r + s * s
-            else:
-                a, b = p, q
-                divisor = r
-            rows = []
-            for re, im in active[1:]:
-                h, k = re[0], im[0]
-                if s:
-                    h, k = h * r + k * s, k * r - h * s
-                parts = list(zip(re, im, top_re, top_im))[1:]
-                rows.append(([(a * x - b * y - h * u + k * v) // divisor
-                              for x, y, u, v in parts],
-                             [(a * y + b * x - h * v - k * u) // divisor
-                              for x, y, u, v in parts]))
-            active = rows
+                h, k = h * r + k * s, k * r - h * s
+            re, im = ([(a * x - b * y - h * u + k * v) // divisor
+                       for x, y, u, v in zip(re, im, top_re, top_im)],
+                      [(a * y + b * x - h * v - k * u) // divisor
+                       for x, y, u, v in zip(re, im, top_re, top_im)])
             r, s = p, q
-            rank += 1
-            if not active:
-                break
-        return rank
+        for j, (p, q) in enumerate(zip(re, im)):
+            if p or q:
+                del re[j], im[j]
+                if s:
+                    a, b, divisor = p * r + q * s, q * r - p * s, r * r + s * s
+                else:
+                    a, b, divisor = p, q, r
+                self.pivots.append((j, p, q, a, b, divisor, re, im))
+                return True
+        return False
 
 
 def _gaussian_integer_row(row) -> tuple[list, list]:

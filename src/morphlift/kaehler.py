@@ -19,6 +19,7 @@ from operator import mul
 
 from .calculus import jacobian_at
 from .exact import (
+    Echelon,
     ExactMatrix,
     GaussianRational,
     Scalar,
@@ -65,18 +66,7 @@ def span_report(Phi: RealPolyMap, points) -> KaehlerReport:
     u + i*v and the Jacobian rank there."""
     _check_two_components(Phi)
     points = tuple(points)
-    rows = jacobian_at(Phi, map(complex_point_to_real, points))
-    return _report(Phi, points, list(rows))
-
-
-def _check_two_components(Phi: RealPolyMap) -> None:
-    if Phi.codomain_dim != 2:
-        raise ShapeError(
-            f"complex gradient needs a two-component map, got {Phi.codomain_dim}")
-
-
-def _report(Phi: RealPolyMap, points: tuple, rows: list) -> KaehlerReport:
-    """The report on the points, given the real Jacobian's rows at each."""
+    rows = list(jacobian_at(Phi, map(complex_point_to_real, points)))
     m = Phi.domain_dim // 2
     gradients = tuple(tuple(map(make_scalar, u, v)) for u, v in rows)
     jacobian_ranks = tuple(ExactMatrix(uv).rank() for uv in rows)
@@ -92,6 +82,12 @@ def _report(Phi: RealPolyMap, points: tuple, rows: list) -> KaehlerReport:
                  "subspace (isotropic or not) contains every gradient",)
     return KaehlerReport(points, gradients, rank, isotropy_ok, pairwise,
                          verdict, jacobian_ranks, notes)
+
+
+def _check_two_components(Phi: RealPolyMap) -> None:
+    if Phi.codomain_dim != 2:
+        raise ShapeError(
+            f"complex gradient needs a two-component map, got {Phi.codomain_dim}")
 
 
 def _dot(x, y):
@@ -117,28 +113,19 @@ def search_points(Phi: RealPolyMap, budget: int, seed: int) -> KaehlerReport:
     """Greedy deterministic search for points whose gradients overflow the
     rank bound.  Samples small Gaussian-integer coordinates, keeps a point
     iff it increases the span rank, stops at rank > m or budget exhaustion.
-    Points are drawn one at a time, as the search reads them."""
+    Points are drawn one at a time, as the search reads them, and each
+    gradient is reduced once, through the echelon of the kept ones."""
     _check_two_components(Phi)
     rng = random.Random(seed)
     m = Phi.domain_dim // 2
     drawn, again = tee(tuple(rng.choice(_ALPHABET) for _ in range(m))
                        for _ in range(budget))
+    echelon = Echelon()
     kept_points = []
-    kept_rows = []
-    kept_gradients: list[tuple] = []
-    rank = 0
     for point, rows in zip(drawn,
                            jacobian_at(Phi, map(complex_point_to_real, again))):
-        gradient = tuple(map(make_scalar, *rows))
-        if all(value == 0 for value in gradient):
-            continue
-        candidate = ExactMatrix(kept_gradients + [gradient])
-        new_rank = candidate.rank()
-        if new_rank > rank:
+        if echelon.add(tuple(map(make_scalar, *rows))):
             kept_points.append(point)
-            kept_rows.append(rows)
-            kept_gradients.append(gradient)
-            rank = new_rank
-        if rank > m:
-            break
-    return _report(Phi, tuple(kept_points), kept_rows)
+            if len(kept_points) > m:
+                break
+    return span_report(Phi, kept_points)

@@ -7,6 +7,10 @@ the Z[i] kernel as it was before the conjugate of a non-real previous pivot
 moved into the row multipliers: it formed each new cell's numerator first
 and then multiplied it by the conjugate and divided by the norm; it scales
 rows to Gaussian integers with the package's own ``_gaussian_integer_row``.
+``column_sweep_rank`` is the Z[i] kernel with the conjugate folded in, as it
+was before ``exact.Echelon`` took the rows one at a time: it swept the whole
+matrix a column at a time, taking the first row nonzero in the column as
+the pivot row.
 ``bilinear_dot`` is the complex-bilinear product that ``kaehler`` took on
 gradients before it tested isotropy on the real Jacobian rows.
 
@@ -102,6 +106,52 @@ def gaussian_integer_rank(matrix) -> int:
                               for a, b in zip(new_re, new_im)],
                              [(b * r - a * s) // norm
                               for a, b in zip(new_re, new_im)]))
+        active = rows
+        r, s = p, q
+        rank += 1
+        if not active:
+            break
+    return rank
+
+
+def column_sweep_rank(matrix) -> int:
+    """Rank by fraction-free (Bareiss) elimination over Z[i], first-nonzero
+    pivots, on rows scaled to Gaussian integers."""
+    # Each row still to be eliminated is a pair (real parts, imaginary
+    # parts) of int lists that starts at the current column.
+    active = [_gaussian_integer_row(row) for row in matrix.entries]
+    rank = 0
+    r, s = 1, 0             # the previous pivot r + s*i
+    for _ in range(matrix.cols):
+        for index, (re, im) in enumerate(active):
+            if re[0] or im[0]:
+                break
+        else:
+            active = [(re[1:], im[1:]) for re, im in active]
+            continue
+        active[0], active[index] = active[index], active[0]
+        top_re, top_im = active[0]
+        p, q = top_re[0], top_im[0]
+        # Each new cell is ((p + q*i) * cell - (h + k*i) * top cell)
+        # over the previous pivot r + s*i.  Over a non-real pivot that
+        # is the numerator times r - s*i, over the norm r^2 + s^2, so
+        # r - s*i joins both multipliers here, once per pivot and row.
+        if s:
+            a, b = p * r + q * s, q * r - p * s
+            divisor = r * r + s * s
+        else:
+            a, b = p, q
+            divisor = r
+        rows = []
+        for re, im in active[1:]:
+            h, k = re[0], im[0]
+            if s:
+                h, k = h * r + k * s, k * r - h * s
+            parts = list(zip(re, im, top_re, top_im))[1:]
+            rows.append(([(a * x - b * y - h * u + k * v) // divisor
+                          for x, y, u, v in parts],
+                         [(a * y + b * x - h * v - k * u) // divisor
+                          for x, y, u, v in parts]))
         active = rows
         r, s = p, q
         rank += 1

@@ -10,6 +10,7 @@ from exact_oracle import bilinear_dot
 from morphlift.calculus import complex_gradient
 from morphlift.exact import (
     DimensionMismatch,
+    Echelon,
     ExactMatrix,
     GaussianRational,
     make_scalar,
@@ -125,20 +126,21 @@ def test_rank_identity():
     assert ExactMatrix([[int(i == j) for j in range(8)] for i in range(8)]).rank() == 8
 
 
+def _determinant(rows):
+    """By cofactor expansion along the first row."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+        term = rows[0][j] * _determinant(minor)
+        total = total + (term if j % 2 == 0 else -term)
+    return total
+
+
 def _minor_rank(matrix: ExactMatrix) -> int:
     """Independent rank oracle: largest k with a nonzero k x k minor."""
-
-    def determinant(rows):
-        n = len(rows)
-        if n == 1:
-            return rows[0][0]
-        total = 0
-        for j in range(n):
-            minor = [row[:j] + row[j + 1:] for row in rows[1:]]
-            term = rows[0][j] * determinant(minor)
-            total = total + (term if j % 2 == 0 else -term)
-        return total
-
     best = 0
     entries = [list(row) for row in matrix.entries]
     for k in range(1, min(matrix.rows, matrix.cols) + 1):
@@ -146,7 +148,7 @@ def _minor_rank(matrix: ExactMatrix) -> int:
         for row_idx in itertools.combinations(range(matrix.rows), k):
             for col_idx in itertools.combinations(range(matrix.cols), k):
                 sub = [[entries[i][j] for j in col_idx] for i in row_idx]
-                if determinant(sub) != 0:
+                if _determinant(sub) != 0:
                     found = True
                     break
             if found:
@@ -299,7 +301,7 @@ def swapped_complex_pivots(draw):
 def _assert_rank_matches_oracle(rows):
     matrix = ExactMatrix(rows)
     assert (matrix.rank() == exact_oracle.gaussian_integer_rank(matrix)
-            == exact_oracle.rank(matrix))
+            == exact_oracle.rank(matrix) == exact_oracle.column_sweep_rank(matrix))
 
 
 @settings(deadline=None)
@@ -342,7 +344,7 @@ def test_rank_of_r32_kaehler_gradient_sets(phi_r16_real):
 
 def _bareiss_pivots(rows) -> list:
     """The pivots of fraction-free elimination with the row swaps of
-    ``ExactMatrix.rank``, as Gaussian rationals.  Scaling a row by a
+    ``exact_oracle.column_sweep_rank``, as Gaussian rationals.  Scaling a row by a
     positive integer scales the later pivots by positive integers, so
     whether a pivot is real does not depend on the scaling."""
     work = [list(row) for row in rows]
@@ -429,3 +431,104 @@ def test_three_non_real_pivots_in_a_row():
     assert _non_real_run(rows) >= 3
     _assert_rank_matches_oracle(rows)
     assert ExactMatrix(rows).rank() == 4
+
+
+# ---------------------------------------------------------------------------
+# The echelon a row at a time, against the oracles on every prefix
+# ---------------------------------------------------------------------------
+
+def _assert_every_prefix_matches_the_oracles(rows) -> Echelon:
+    echelon = Echelon()
+    rank = 0
+    for count, row in enumerate(rows, 1):
+        rank += echelon.add(row)
+        prefix = ExactMatrix(rows[:count])
+        assert len(echelon.pivots) == rank
+        assert (rank == exact_oracle.rank(prefix)
+                == exact_oracle.gaussian_integer_rank(prefix)
+                == exact_oracle.column_sweep_rank(prefix))
+    return echelon
+
+
+def _pivot_columns(echelon, width) -> list:
+    """The column of each pivot: each step deletes the pivot's position."""
+    columns = list(range(width))
+    return [columns.pop(j) for j, *_ in echelon.pivots]
+
+
+@st.composite
+def leftward_pivots(draw):
+    """Gaussian-integer rows with fewer leading zeros the later they come,
+    and sums of two of them: a remainder's first nonzero cell mostly lies
+    left of the earlier pivots, and the sums make the rank fall short."""
+    cols = draw(st.integers(2, 7))
+    zeros = draw(st.lists(st.integers(0, cols - 1), min_size=2, max_size=7))
+    rows = [[0] * z + [draw(gaussian_integers) for _ in range(cols - z)]
+            for z in sorted(zeros, reverse=True)]
+    pairs = st.tuples(st.integers(0, len(rows) - 1), st.integers(0, len(rows) - 1))
+    for i, j in draw(st.lists(pairs, max_size=2)):
+        rows.append([x + y for x, y in zip(rows[i], rows[j])])
+    return rows
+
+
+@settings(deadline=None)
+@given(rank_matrices())
+def test_echelon_prefixes_match_the_oracles(rows):
+    _assert_every_prefix_matches_the_oracles(rows)
+
+
+@settings(deadline=None)
+@given(non_real_pivot_runs())
+def test_echelon_prefixes_through_runs_of_non_real_pivots_match_the_oracles(rows):
+    echelon = _assert_every_prefix_matches_the_oracles(rows)
+    # scaling a row by a positive integer keeps each pivot real or not
+    run = longest = 0
+    for _, _, q, *_ in echelon.pivots:
+        run = run + 1 if q else 0
+        longest = max(longest, run)
+    assume(longest >= 2)
+
+
+@settings(deadline=None)
+@given(echelon_products())
+def test_echelon_prefixes_of_rows_0_under_earlier_pivots_match_the_oracles(rows):
+    _assert_every_prefix_matches_the_oracles(rows)
+
+
+@settings(deadline=None)
+@given(leftward_pivots())
+def test_echelon_prefixes_with_pivots_left_of_earlier_ones_match_the_oracles(rows):
+    echelon = _assert_every_prefix_matches_the_oracles(rows)
+    columns = _pivot_columns(echelon, len(rows[0]))
+    assume(any(b < a for a, b in zip(columns, columns[1:])))
+
+
+@settings(deadline=None)
+@given(st.one_of(leftward_pivots(), echelon_products().filter(
+    lambda rows: len(rows[0]) <= 7)))
+def test_each_pivot_is_the_minor_of_the_rows_kept_and_their_pivot_columns(rows):
+    # Sylvester's identity: after k - 1 steps every cell is the k x k minor
+    # of the first k kept rows, in the pivot columns and its own column
+    echelon = Echelon()
+    kept = [row for row in rows if echelon.add(row)]
+    columns = _pivot_columns(echelon, len(rows[0]))
+    for k, (_, p, q, *_) in enumerate(echelon.pivots, 1):
+        minor = [[row[c] for c in columns[:k]] for row in kept[:k]]
+        assert make_scalar(p, q) == _determinant(minor)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(gaussian_integers, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_last_pivot_of_a_square_matrix_is_its_determinant(rows):
+    # with every leading principal minor nonzero each row is kept with its
+    # pivot on the diagonal, so the last pivot is the determinant; a kernel
+    # that stops dividing by the previous pivot still gets every rank right
+    assume(all(_determinant([row[:k] for row in rows[:k]]) != 0
+               for k in range(1, len(rows) + 1)))
+    echelon = Echelon()
+    assert [echelon.add(row) for row in rows] == [True] * len(rows)
+    j, p, q, *_, rest_re, rest_im = echelon.pivots[-1]
+    assert (j, rest_re, rest_im) == (0, [], [])
+    assert make_scalar(p, q) == _determinant(rows)
+

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,7 @@ from morphlift.kaehler import (
     search_points,
     span_report,
 )
+from morphlift.lift import complete_lift_real
 from morphlift.mapfile import parse_map
 from morphlift.maps import RealPolyMap, ShapeError, real_identification
 from morphlift.poly import MultiPoly
@@ -202,6 +204,26 @@ def test_search_certifies_phi_r16(phi_r16_real):
     assert report.verdict == NOT_KAEHLER
     assert report.rank == 9
     assert report.isotropy_ok
+
+
+def test_search_ranks_only_the_report_on_the_kept_points(phi_r16_real, monkeypatch):
+    # each candidate is reduced once, through one echelon, and builds no
+    # matrix; every rank is span_report's, one per point and one of the span
+    callers = []
+    rank = ExactMatrix.rank
+
+    def counted(matrix):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name == "<genexpr>":
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return rank(matrix)
+
+    monkeypatch.setattr(ExactMatrix, "rank", counted)
+    report = search_points(complete_lift_real(phi_r16_real), budget=500, seed=0)
+    assert report.verdict == NOT_KAEHLER
+    assert callers == ["span_report"] * (len(report.sample_points) + 1)
+    assert len(callers) == 18
 
 
 def test_search_is_deterministic(phi_r16_real):
