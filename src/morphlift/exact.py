@@ -7,14 +7,19 @@ denominator 1 becomes an int, a Gaussian rational with zero imaginary part
 becomes its real part.  This keeps structural equality meaningful and makes
 the common all-integer case fast.
 
-Every rank goes through one kernel, :class:`Echelon`: fraction-free Bareiss
-elimination (E. Bareiss, Math. Comp. 22, 1968) over the Gaussian integers
-Z[i], a row at a time.  :meth:`ExactMatrix.rank` feeds it a matrix's rows,
-and ``kaehler.search_points`` keeps one across its candidate gradients, so
-each candidate is reduced once.  It builds no scalar objects: it scales each
-row by the lcm of its denominators, which leaves the rank over Q(i)
-unchanged, holds each entry as a pair of plain ints (real, imaginary), and
-every division by the previous pivot is exact in Z[i].
+A rank is decided in two steps, neither of which samples.  Each row is
+scaled by the lcm of its denominators, which leaves the rank over Q(i)
+unchanged, and held as two lists of plain ints: its real and its imaginary
+parts.  :meth:`ExactMatrix.rank` first ranks the rows' image in F_p, for a
+prime p = 1 (mod 4) in which i maps to a square root of -1.  That map
+Z[i] -> F_p is a ring homomorphism, so a minor that is nonzero mod p is
+nonzero in Z[i]: the rank mod p is a lower bound, and when it is
+min(rows, cols) it is the rank.  Every other matrix goes to
+:class:`Echelon`, fraction-free Bareiss elimination (E. Bareiss, Math.
+Comp. 22, 1968) over the Gaussian integers Z[i], a row at a time, in which
+every division by the previous pivot is exact; it alone can show that a
+rank falls short.  ``kaehler.search_points`` keeps one echelon across its
+candidate gradients, so each candidate is reduced once.
 """
 
 from __future__ import annotations
@@ -268,8 +273,45 @@ class ExactMatrix:
         return f"ExactMatrix[{self.rows}x{self.cols}]({body})"
 
     def rank(self) -> int:
-        """Rank over Q(i): the rows go one by one into a fresh :class:`Echelon`."""
-        return sum(map(Echelon().add, self.entries))
+        """Rank over Q(i): the rank mod p when that is min(rows, cols),
+        else what a fresh :class:`Echelon` makes of the rows."""
+        rows = [_gaussian_integer_row(*_parts(row)) for row in self.entries]
+        full = min(self.rows, self.cols)
+        if _rank_mod_p(rows) == full:
+            return full
+        echelon = Echelon()
+        return sum(echelon.add(re, im) for re, im in rows)
+
+
+# A prime p = 1 (mod 4) below 2^30, and a square root of -1 mod p: the image
+# of i under Z[i] -> F_p.
+_PRIME = 1073741789
+_IOTA = 933053945
+
+
+def _rank_mod_p(rows) -> int:
+    """The rank in F_p of rows of Gaussian integers, given as pairs (real
+    parts, imaginary parts), each a + b*i mapped to a + b*_IOTA.
+
+    Each pivot row is kept reduced mod p and scaled so that its pivot is 1,
+    with the pivot's position deleted, as :class:`Echelon` keeps its rows.
+    A row being reduced is taken mod p when it comes in and then only where
+    a cell is read; a step changes each cell by less than p^2."""
+    pivots = []
+    for re, im in rows:
+        row = [(x + _IOTA * y) % _PRIME for x, y in zip(re, im)]
+        for j, top in pivots:
+            h = row.pop(j) % _PRIME
+            if h:
+                row = [x - h * t for x, t in zip(row, top)]
+        for j, x in enumerate(row):
+            x %= _PRIME
+            if x:
+                del row[j]
+                inverse = pow(x, -1, _PRIME)
+                pivots.append((j, [t * inverse % _PRIME for t in row]))
+                break
+    return len(pivots)
 
 
 class Echelon:
@@ -290,10 +332,11 @@ class Echelon:
         # of the row as real parts and imaginary parts), in the order kept
         self.pivots = []
 
-    def add(self, row) -> bool:
-        """Reduce a row, a sequence of scalars, through the pivot rows and
-        keep a nonzero remainder as the next one; whether it was kept."""
-        re, im = _gaussian_integer_row(row)
+    def add(self, re, im) -> bool:
+        """Reduce a row, given as its real parts and its imaginary parts
+        (ints or Fractions), through the pivot rows and keep a nonzero
+        remainder as the next one; whether it was kept."""
+        re, im = _gaussian_integer_row(re, im)
         r, s = 1, 0             # the previous pivot r + s*i
         for j, p, q, a, b, divisor, top_re, top_im in self.pivots:
             # Each new cell is ((p + q*i) * cell - (h + k*i) * top cell)
@@ -320,11 +363,17 @@ class Echelon:
         return False
 
 
-def _gaussian_integer_row(row) -> tuple[list, list]:
-    """The real and imaginary parts of a row, times the lcm of their
-    denominators, as two lists of ints."""
-    re = [x.re if type(x) is GaussianRational else x for x in row]
-    im = [x.im if type(x) is GaussianRational else 0 for x in row]
+def _parts(row) -> tuple[list, list]:
+    """The real parts and the imaginary parts of a row of scalars."""
+    row = tuple(row)
+    return ([x.re if type(x) is GaussianRational else x for x in row],
+            [x.im if type(x) is GaussianRational else 0 for x in row])
+
+
+def _gaussian_integer_row(re, im) -> tuple[list, list]:
+    """A row's real parts and imaginary parts, times the lcm of their
+    denominators, as two new lists of ints."""
+    re, im = list(re), list(im)
     if not {int}.issuperset(map(type, re + im)):
         scale = lcm(*(v.denominator for v in re + im))
         re = [(v * scale).numerator for v in re]

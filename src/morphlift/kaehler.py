@@ -63,15 +63,19 @@ def span_report(Phi: RealPolyMap, points) -> KaehlerReport:
     that no m-dimensional isotropic subspace contains them all.
 
     The real Jacobian's rows u, v at a point give both the complex gradient
-    u + i*v and the Jacobian rank there."""
+    u + i*v and, through the Gram matrix of u and v, the Jacobian rank
+    there: rank(A) = rank(A A^T) for a real matrix A.  The gradient is
+    isotropic when u.u = v.v and u.v = 0."""
     _check_two_components(Phi)
     points = tuple(points)
     rows = list(jacobian_at(Phi, map(complex_point_to_real, points)))
     m = Phi.domain_dim // 2
     gradients = tuple(tuple(map(make_scalar, u, v)) for u, v in rows)
-    jacobian_ranks = tuple(ExactMatrix(uv).rank() for uv in rows)
+    grams = [(_dot(u, u), _dot(u, v), _dot(v, v)) for u, v in rows]
+    jacobian_ranks = tuple(ExactMatrix(((uu, uv), (uv, vv))).rank()
+                           for uu, uv, vv in grams)
     rank = ExactMatrix(gradients).rank()
-    isotropy_ok = all(_orthogonal(uv, uv) for uv in rows)
+    isotropy_ok = all(uu == vv and uv == 0 for uu, uv, vv in grams)
     pairwise = all(_orthogonal(rows[a], rows[b])
                    for a in range(len(rows))
                    for b in range(a + 1, len(rows)))
@@ -124,7 +128,7 @@ def search_points(Phi: RealPolyMap, budget: int, seed: int) -> KaehlerReport:
     kept_points = []
     for point, rows in zip(drawn,
                            jacobian_at(Phi, map(complex_point_to_real, again))):
-        if echelon.add(tuple(map(make_scalar, *rows))):
+        if echelon.add(*rows):
             kept_points.append(point)
             if len(kept_points) > m:
                 break

@@ -5,8 +5,10 @@ on ``Fraction`` and ``GaussianRational`` objects, before the kernel moved to
 Gaussian integers held as pairs of plain ints.  ``gaussian_integer_rank`` is
 the Z[i] kernel as it was before the conjugate of a non-real previous pivot
 moved into the row multipliers: it formed each new cell's numerator first
-and then multiplied it by the conjugate and divided by the norm; it scales
-rows to Gaussian integers with the package's own ``_gaussian_integer_row``.
+and then multiplied it by the conjugate and divided by the norm.  Both Z[i]
+kernels scale rows to Gaussian integers with ``gaussian_integer_row``, the
+package's own scaling as it was before ``exact`` split a row into its real
+and imaginary parts once, for the rank mod p and ``Echelon`` to share.
 ``column_sweep_rank`` is the Z[i] kernel with the conjugate folded in, as it
 was before ``exact.Echelon`` took the rows one at a time: it swept the whole
 matrix a column at a time, taking the first row nonzero in the column as
@@ -22,9 +24,10 @@ replaced.  These functions are not part of the package.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
-from morphlift.exact import DimensionMismatch, Scalar, _gaussian_integer_row
+from morphlift.exact import DimensionMismatch, GaussianRational, Scalar
 
 
 def bilinear_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
@@ -35,6 +38,18 @@ def bilinear_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
     for a, b in zip(u, v):
         total = total + a * b
     return total
+
+
+def gaussian_integer_row(row) -> tuple[list, list]:
+    """The real and imaginary parts of a row, times the lcm of their
+    denominators, as two lists of ints."""
+    re = [x.re if type(x) is GaussianRational else x for x in row]
+    im = [x.im if type(x) is GaussianRational else 0 for x in row]
+    if not {int}.issuperset(map(type, re + im)):
+        scale = lcm(*(v.denominator for v in re + im))
+        re = [(v * scale).numerator for v in re]
+        im = [(v * scale).numerator for v in im]
+    return re, im
 
 
 def rank(matrix) -> int:
@@ -78,7 +93,7 @@ def gaussian_integer_rank(matrix) -> int:
     pivots, on rows scaled to Gaussian integers."""
     # Each row still to be eliminated is a pair (real parts, imaginary
     # parts) of int lists that starts at the current column.
-    active = [_gaussian_integer_row(row) for row in matrix.entries]
+    active = [gaussian_integer_row(row) for row in matrix.entries]
     rank = 0
     r, s = 1, 0             # the previous pivot r + s*i
     for _ in range(matrix.cols):
@@ -119,7 +134,7 @@ def column_sweep_rank(matrix) -> int:
     pivots, on rows scaled to Gaussian integers."""
     # Each row still to be eliminated is a pair (real parts, imaginary
     # parts) of int lists that starts at the current column.
-    active = [_gaussian_integer_row(row) for row in matrix.entries]
+    active = [gaussian_integer_row(row) for row in matrix.entries]
     rank = 0
     r, s = 1, 0             # the previous pivot r + s*i
     for _ in range(matrix.cols):

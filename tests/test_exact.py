@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import exact_oracle
+from morphlift import exact
 from exact_oracle import bilinear_dot
 from morphlift.calculus import complex_gradient
 from morphlift.exact import (
@@ -13,6 +15,7 @@ from morphlift.exact import (
     Echelon,
     ExactMatrix,
     GaussianRational,
+    _parts,
     make_scalar,
     render_scalar,
 )
@@ -441,7 +444,7 @@ def _assert_every_prefix_matches_the_oracles(rows) -> Echelon:
     echelon = Echelon()
     rank = 0
     for count, row in enumerate(rows, 1):
-        rank += echelon.add(row)
+        rank += echelon.add(*_parts(row))
         prefix = ExactMatrix(rows[:count])
         assert len(echelon.pivots) == rank
         assert (rank == exact_oracle.rank(prefix)
@@ -510,7 +513,7 @@ def test_each_pivot_is_the_minor_of_the_rows_kept_and_their_pivot_columns(rows):
     # Sylvester's identity: after k - 1 steps every cell is the k x k minor
     # of the first k kept rows, in the pivot columns and its own column
     echelon = Echelon()
-    kept = [row for row in rows if echelon.add(row)]
+    kept = [row for row in rows if echelon.add(*_parts(row))]
     columns = _pivot_columns(echelon, len(rows[0]))
     for k, (_, p, q, *_) in enumerate(echelon.pivots, 1):
         minor = [[row[c] for c in columns[:k]] for row in kept[:k]]
@@ -527,8 +530,68 @@ def test_last_pivot_of_a_square_matrix_is_its_determinant(rows):
     assume(all(_determinant([row[:k] for row in rows[:k]]) != 0
                for k in range(1, len(rows) + 1)))
     echelon = Echelon()
-    assert [echelon.add(row) for row in rows] == [True] * len(rows)
+    assert [echelon.add(*_parts(row)) for row in rows] == [True] * len(rows)
     j, p, q, *_, rest_re, rest_im = echelon.pivots[-1]
     assert (j, rest_re, rest_im) == (0, [], [])
     assert make_scalar(p, q) == _determinant(rows)
 
+
+# ---------------------------------------------------------------------------
+# The rank mod p: a lower bound that decides only full rank
+# ---------------------------------------------------------------------------
+
+P, IOTA = exact._PRIME, exact._IOTA
+
+
+def _modular_rank(rows) -> int:
+    return exact._rank_mod_p([exact._gaussian_integer_row(*_parts(row))
+                              for row in rows])
+
+
+def test_the_prime_is_1_mod_4_and_iota_squares_to_minus_1():
+    assert P < 2 ** 30 and P % 4 == 1
+    assert all(P % d for d in range(2, math.isqrt(P) + 1))
+    assert IOTA * IOTA % P == P - 1
+
+
+@pytest.mark.parametrize("rows", [
+    [[P]],
+    [[1, 0], [0, P]],
+    [[GaussianRational(-IOTA, 1)]],                             # i - iota
+    [[1, 2], [3, 6 + GaussianRational(P, P)]],                  # det p*(1 + i)
+    [[Fraction(1, P), 1], [1, 2 * P]],                          # det 1
+    [[Fraction(1, P), Fraction(1, 3 * P)], [3, GaussianRational(1, P)]],  # det i
+    [[GaussianRational(Fraction(1, P), Fraction(1, P)), 1, I],
+     [GaussianRational(Fraction(1, 2 * P), Fraction(1, 2 * P)), 1, 1]],
+], ids=["p", "diag(1,p)", "i-iota", "det p(1+i)", "denominator p",
+        "denominators p, 3p", "gaussian denominator p"])
+def test_full_rank_matrices_deficient_mod_p_keep_their_exact_rank(rows):
+    matrix = ExactMatrix(rows)
+    full = min(matrix.rows, matrix.cols)
+    assert _modular_rank(rows) < full
+    assert exact_oracle.rank(matrix) == full
+    assert matrix.rank() == full
+
+
+def test_rank_1_over_q_i_is_found_exactly():
+    rows = [[1, I], [I, -1]]
+    assert _modular_rank(rows) == 1
+    assert ExactMatrix(rows).rank() == exact_oracle.rank(ExactMatrix(rows)) == 1
+
+
+@settings(deadline=None)
+@given(rank_matrices())
+def test_the_rank_mod_p_never_exceeds_the_rank(rows):
+    assert _modular_rank(rows) <= exact_oracle.column_sweep_rank(ExactMatrix(rows))
+
+
+@settings(deadline=None)
+@given(st.one_of(non_real_pivot_runs(), echelon_products()))
+def test_rows_given_as_iterators_rank_as_rows_given_as_tuples(rows):
+    from_tuples, from_iterators = Echelon(), Echelon()
+    for row in rows:
+        re, im = map(tuple, _parts(row))
+        assert from_tuples.add(re, im) == from_iterators.add(iter(re),
+                                                            (x for x in im))
+    assert ExactMatrix(iter(row) for row in rows).rank() == ExactMatrix(rows).rank()
+    assert Echelon().add((x for x in (1, 2, 3)), iter((0, 0, 0)))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import exact_oracle
 from calculus_oracle import matrix_evaluate
 from exact_oracle import bilinear_dot
 from morphlift.calculus import complex_gradient, jacobian
@@ -14,6 +15,7 @@ from morphlift.catalog import (
 )
 from morphlift.exact import (
     DimensionMismatch,
+    Echelon,
     ExactMatrix,
     GaussianRational,
     conjugate,
@@ -120,19 +122,40 @@ def test_holomorphic_map_gradients_stay_low_rank():
     assert report.verdict == INCONCLUSIVE
 
 
+def _assert_jacobian_ranks_match_oracle(phi, points, report):
+    assert report.jacobian_ranks == tuple(
+        exact_oracle.rank(ExactMatrix(
+            matrix_evaluate(jacobian(phi), complex_point_to_real(p))))
+        for p in points)
+
+
 def test_span_report_gradients_and_ranks_match_oracles():
     phi = real_identification(parse_map("map f: C^2 -> C^1 { f1 = z1*conj(z2)^2; }"))
     rng = random.Random(5)
     alphabet = (0, 1, -1, I, Fraction(1, 2), GaussianRational(Fraction(-2, 3), 3))
     points = [tuple(rng.choice(alphabet) for _ in range(2)) for _ in range(12)]
+    # every partial of z1*conj(z2)^2 vanishes where z2 = 0
+    points += [(1, 0), (0, 0), (GaussianRational(Fraction(1, 3), 2), 0)]
     report = span_report(phi, points)
     gradient = complex_gradient(phi)
     assert report.gradients == tuple(
         tuple(g.evaluate(complex_point_to_real(p)) for g in gradient)
         for p in points)
-    assert report.jacobian_ranks == tuple(
-        ExactMatrix(matrix_evaluate(jacobian(phi), complex_point_to_real(p))).rank()
-        for p in points)
+    _assert_jacobian_ranks_match_oracle(phi, points, report)
+    assert report.jacobian_ranks[-3:] == (0, 0, 0)
+    assert 2 in report.jacobian_ranks
+
+
+def test_jacobian_ranks_of_parallel_and_vanishing_rows_match_oracle():
+    # the second component is 3 times the first, so the two real Jacobian
+    # rows are parallel: rank 1 where they are nonzero, 0 where both vanish
+    phi = parse_map("map f: R^4 -> R^2 { f1 = x1*x3 + x2^2 + x4^3; "
+                    "f2 = 3*x1*x3 + 3*x2^2 + 3*x4^3; }")
+    points = [(1, 0), (0, I), (GaussianRational(1, 2), Fraction(1, 3)),
+              (GaussianRational(0, 4), Fraction(1, 4)), (0, 0), (-1, I)]
+    report = span_report(phi, points)
+    _assert_jacobian_ranks_match_oracle(phi, points, report)
+    assert report.jacobian_ranks == (1, 1, 1, 1, 0, 1)
 
 
 def test_span_report_needs_two_components():
@@ -224,6 +247,37 @@ def test_search_ranks_only_the_report_on_the_kept_points(phi_r16_real, monkeypat
     assert report.verdict == NOT_KAEHLER
     assert callers == ["span_report"] * (len(report.sample_points) + 1)
     assert len(callers) == 18
+
+
+def test_only_rank_deficient_spans_and_gram_matrices_reach_the_echelon(
+        phi_r16_real, monkeypatch):
+    # the rank mod p decides every matrix of full rank; only the rows of a
+    # gradient set of rank at most m, and of a Gram matrix of rank below 2,
+    # go on to the exact echelon
+    rows_added = []
+    add = Echelon.add
+
+    def counted(echelon, *parts):
+        rows_added.append(parts)
+        return add(echelon, *parts)
+
+    monkeypatch.setattr(Echelon, "add", counted)
+    m = phi_r16_real.domain_dim // 2
+    alphabet = (0, 1, -1, I, -I, GaussianRational(1, -1))
+    rng = random.Random(1)
+    sets = 24
+    full = deficient_points = expected = 0
+    for _ in range(sets):
+        points = [tuple(rng.choice(alphabet) for _ in range(m)) for _ in range(m + 1)]
+        report = span_report(phi_r16_real, points)
+        assert report.rank == exact_oracle.rank(ExactMatrix(report.gradients))
+        full += report.rank == m + 1
+        deficient = sum(rank < 2 for rank in report.jacobian_ranks)
+        deficient_points += deficient
+        expected += (m + 1) * (report.rank < m + 1) + 2 * deficient
+    assert len(rows_added) == expected
+    assert full > sets // 2 and deficient_points < sets * (m + 1) // 4
+    assert len(rows_added) < sets * (m + 1) // 2
 
 
 def test_search_is_deterministic(phi_r16_real):
