@@ -7,7 +7,7 @@ analysis module an exact, decidable polynomial identity.
 
 from __future__ import annotations
 
-from itertools import combinations, compress
+from itertools import compress
 
 from .exact import DimensionMismatch, I, make_scalar_like
 from .maps import RealPolyMap, ShapeError
@@ -70,46 +70,31 @@ def jacobian(phi: RealPolyMap) -> PolyMatrix:
 
 
 def _jacobian_plan(phi: RealPolyMap):
-    """The Jacobian of phi as a sum of monomials, grouped for evaluation.
+    """The entries of ``jacobian(phi)`` as a sum of monomials, grouped for
+    evaluation, so each monomial is formed once per point.  The plan is
+    (base, monomials, masks, pairs):
 
-    Term c*x^e of component k contributes c*e_j*x^(e - u_j) to entry (k, j)
-    for each variable x_j it contains.  Equal monomials x^(e - u_j) are
-    merged, so the plan is (base, monomials, masks, pairs):
-
-    - base: the row-major entries' constant parts, from terms linear in
-      one variable;
-    - monomials: for each other monomial, the indices of the powers whose
-      product it is, as the first and a tuple of the rest, and its uses, a
-      tuple of (slot, c*e_j) with slot the entry's index in the row-major
-      matrix;
+    - base: the row-major entries' constant terms;
+    - monomials: for each other monomial of an entry, the indices of the
+      powers whose product it is, as the first and a tuple of the rest, and
+      its uses, a tuple of (slot, coefficient) with slot the entry's index
+      in the row-major matrix;
     - masks: for each variable x_j, an int with bit i set when monomial i
       contains x_j;
     - pairs: the (variable, exponent) pair of each power."""
     n = phi.domain_dim
-    base = [0] * (phi.codomain_dim * n)
+    entries = [p for row in jacobian(phi).entries for p in row]
+    base = [0] * len(entries)
     found = {}          # factors -> uses
     index = {}          # e*n + j -> index of the power x_j^e
-    for k, component in enumerate(phi.components):
-        row = k * n
-        for fields, coeff in component.sparse_terms():
-            if not fields:
-                continue        # a constant term contributes nothing
-            powers = [index.setdefault(e * n + j, len(index)) for j, e in fields]
-            last = len(fields) - 1
-            # combinations() leaves out the last field first
-            for t, factors in zip(range(last, -1, -1),
-                                  combinations(powers, last)):
-                j, e = fields[t]
-                if e == 1:
-                    use = (row + j, coeff)
-                else:
-                    lower = index.setdefault((e - 1) * n + j, len(index))
-                    factors = factors[:t] + (lower,) + factors[t:]
-                    use = (row + j, make_scalar_like(coeff * e))
-                if factors:
-                    found.setdefault(factors, []).append(use)
-                else:   # a term c*x_j of component k: one per entry
-                    base[row + j] = coeff
+    for slot, entry in enumerate(entries):
+        for fields, coeff in entry.sparse_terms():
+            if fields:
+                factors = tuple(index.setdefault(e * n + j, len(index))
+                                for j, e in fields)
+                found.setdefault(factors, []).append((slot, coeff))
+            else:
+                base[slot] = coeff
     variable = [code % n for code in index]
     masks = [0] * n
     for i, factors in enumerate(found):
@@ -126,11 +111,11 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def jacobian_at(phi: RealPolyMap, points):
-    """The value rows of phi's Jacobian at each of the points in turn, read
-    straight from the terms of phi: no partial is built.
+    """The value rows of phi's Jacobian at each of the points in turn.
 
-    The terms are decoded once per map, before the first point is read, and
-    the plan is kept on the map for later calls.  At each point, the masks
+    ``jacobian(phi)`` is built and its entries' terms decoded into a plan
+    once per map object, before the first point is read, and the plan is
+    kept on the map for later calls.  At each point, the masks
     of the variables whose value is 0 are joined, and only the monomials
     outside them are visited: each one's product of powers is formed once
     and added, times its coefficient, into every entry that uses it."""

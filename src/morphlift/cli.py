@@ -89,8 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="file with one complex point per line")
     source.add_argument("--search", action="store_true",
                         help="greedy deterministic point search")
-    kaehler.add_argument("--budget", type=int, default=500)
-    kaehler.add_argument("--seed", type=int, default=0)
+    kaehler.add_argument("--budget", type=int, default=None,
+                         help="points the search draws (default: 500)")
+    kaehler.add_argument("--seed", type=int, default=None,
+                         help="seed of the search (default: 0)")
 
     numeric = commands.add_parser("numeric-check",
                                   help="sampled float verification for smooth maps")
@@ -336,8 +338,12 @@ def _kaehler_input(parsed, notes: list) -> RealPolyMap:
 
 
 def _cmd_kaehler(args) -> Report:
-    if args.search and args.budget < 1:
-        raise CliError(f"--budget must be at least 1, got {args.budget}")
+    for flag in ("budget", "seed"):
+        if getattr(args, flag) is not None and not args.search:
+            raise CliError(f"--{flag} needs --search")
+    budget = 500 if args.budget is None else args.budget
+    if args.search and budget < 1:
+        raise CliError(f"--budget must be at least 1, got {budget}")
     parsed = _load_map(args.file)
     notes: list[str] = []
     real_map = _kaehler_input(parsed, notes)
@@ -350,7 +356,7 @@ def _cmd_kaehler(args) -> Report:
             raise CliError(f"cannot read {args.points}: {error}") from error
         report = span_report(real_map, points)
     else:
-        report = search_points(real_map, args.budget, args.seed)
+        report = search_points(real_map, budget, args.seed or 0)
     payload = {
         "m": m,
         "points": [[render_scalar(x) for x in p] for p in report.sample_points],

@@ -23,6 +23,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from math import gcd
 from typing import Iterator, Sequence, Union
 
 from .exact import (
@@ -49,6 +50,22 @@ class NotPolynomial(ValueError):
 
 class EvalDomainError(ArithmeticError):
     """Square root of a negative real, division by zero, or non-finite value."""
+
+
+# Bounds on a literal power, checked before a constant is raised to it or a
+# polynomial is expanded to it: the coefficients' bits and the term count.
+MAX_POWER_BITS = 1 << 16
+MAX_POWER_TERMS = 2000
+
+
+class PowerTooLarge(ValueError):
+    """A literal power whose result would pass MAX_POWER_BITS or
+    MAX_POWER_TERMS; ``node`` is the ``Pow`` node being expanded, or None
+    for a constant that was to be folded."""
+
+    def __init__(self, message: str, node: "Expr" = None):
+        self.node = node
+        super().__init__(message)
 
 
 class Expr:
@@ -197,12 +214,48 @@ def neg(arg: Expr) -> Expr:
 def power(base: Expr, exponent: int) -> Expr:
     value = _const_value(base)
     if value is not None and exponent >= 0:
+        _check_power_bits(_power_bits(value, exponent))
         return Const(value ** exponent)
     if exponent == 1:
         return base
     if exponent == 0:
         return ONE
     return Pow(base, exponent)
+
+
+def _power_bits(value: Scalar, exponent: int) -> int:
+    """About the bits of the numerator or the denominator of value ** exponent,
+    whichever is larger, rounded down: exponent * log2 of the larger of
+    |a + b*i| and d, where value = (a + b*i) / d.  Units cost none."""
+    re, im = Fraction(real_part(value)), Fraction(imag_part(value))
+    d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+    norm = (re * d) ** 2 + (im * d) ** 2
+    return exponent * max(norm.numerator.bit_length() - 1,
+                          2 * d.bit_length() - 2) // 2
+
+
+def _check_power_bits(bits: int, node: Expr = None) -> None:
+    if bits > MAX_POWER_BITS:
+        raise PowerTooLarge(f"power too large: its coefficients would take "
+                            f"more than {MAX_POWER_BITS} bits", node)
+
+
+def _check_power(node: Pow, base: MultiPoly) -> None:
+    """Refuse to expand ``base ** node.exponent`` when the result would
+    have more than MAX_POWER_TERMS terms, C(t + e - 1, t - 1) for t terms,
+    or coefficients of more than MAX_POWER_BITS bits: the largest
+    coefficient's power times t^e, which bounds the multinomials."""
+    e = node.exponent
+    t = len(base.terms)
+    n, k = t + e - 1, min(t - 1, e)
+    count = 1
+    for i in range(1, k + 1):   # C(n - k + i, i) grows with i
+        count = count * (n - k + i) // i
+        if count > MAX_POWER_TERMS:
+            raise PowerTooLarge(f"power too large: its expansion would have "
+                                f"more than {MAX_POWER_TERMS} terms", node)
+    _check_power_bits(max((_power_bits(c, e) for c in base.terms.values()),
+                          default=0) + e * (t.bit_length() - 1), node)
 
 
 def conj_node(arg: Expr) -> Expr:
@@ -560,7 +613,9 @@ def _lower_summand(node: Expr, num_vars: int, num_complex: int) -> MultiPoly:
     if isinstance(node, Pow):
         if node.exponent < 0:
             raise NotPolynomial(node)
-        return lower_to_poly(node.base, num_vars, num_complex) ** node.exponent
+        base = lower_to_poly(node.base, num_vars, num_complex)
+        _check_power(node, base)
+        return base ** node.exponent
     if isinstance(node, Conj):
         if num_complex == 0:
             raise NotPolynomial(node)

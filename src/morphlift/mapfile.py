@@ -51,6 +51,8 @@ from .expr import (
     Conj,
     Const,
     Expr,
+    Pow,
+    PowerTooLarge,
     SmoothMap,
     Sqrt,
     Var,
@@ -133,6 +135,7 @@ class _Parser:
         self.pos = 0
         self.env = env
         self.is_complex = is_complex
+        self.carets = {}        # Pow node -> its "^" token
 
     # -- token plumbing ------------------------------------------------------
 
@@ -144,9 +147,11 @@ class _Parser:
         self.pos += 1
         return token
 
-    def error(self, message: str, token: tuple = None):
+    def error(self, message: str, token: tuple = None) -> MapSyntaxError:
+        """The error at ``token``, or at the next token, for the caller to
+        raise."""
         token = token or self.peek()
-        raise _syntax_error(message, self.source, token[2])
+        return _syntax_error(message, self.source, token[2])
 
     def expect(self, kind: str, text: str = None) -> tuple:
         token = self.peek()
@@ -167,6 +172,14 @@ class _Parser:
     def at_symbol(self, text: str) -> bool:
         # no ident, number or end token has a symbol's text
         return self.tokens[self.pos][1] == text
+
+    def lower(self, node: Expr, num_vars: int, num_complex: int) -> MultiPoly:
+        """``lower_to_poly``, with a power too large to expand reported at
+        its "^"."""
+        try:
+            return lower_to_poly(node, num_vars, num_complex)
+        except PowerTooLarge as error:
+            raise self.error(str(error), self.carets.get(error.node)) from None
 
     # -- grammar ------------------------------------------------------------
 
@@ -199,8 +212,14 @@ class _Parser:
     def parse_power(self) -> Expr:
         base = self.parse_atom()
         if self.at_symbol("^"):
-            self.advance()
-            return power(base, self.number())
+            caret = self.advance()
+            try:
+                node = power(base, self.number())
+            except PowerTooLarge as error:
+                raise self.error(str(error), caret) from None
+            if type(node) is Pow:
+                self.carets[node] = caret
+            return node
         return base
 
     def parse_atom(self) -> Expr:
@@ -330,7 +349,7 @@ def parse_map(source: str):
             "non-polynomial complex maps are not supported; only real "
             "maps may use sqrt, division or guards", name_token)
     if all_poly:
-        polys = [lower_to_poly(c, num_vars, num_complex) for c in ordered]
+        polys = [parser.lower(c, num_vars, num_complex) for c in ordered]
         return kind(domain_dim, codomain_dim, tuple(polys))
     return SmoothMap(domain_dim, tuple(ordered), tuple(guards))
 
@@ -356,7 +375,7 @@ def parse_poly(source: str, num_vars: int, num_complex: int = 0,
     parser = _Parser(source, env, is_complex=num_complex > 0)
     node = parser.parse_expr()
     parser.expect("end")
-    return lower_to_poly(node, num_vars, num_complex)
+    return parser.lower(node, num_vars, num_complex)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +491,7 @@ def parse_gaussian(source: str) -> Scalar:
     node = parser.parse_expr()
     parser.expect("end")
     try:
-        constant = lower_to_poly(node, 0, 0)
+        constant = parser.lower(node, 0, 0)
     except NotPolynomial as error:
         raise MapSyntaxError(f"not an exact literal: {error}", 1, 1) from error
     if constant.is_zero:

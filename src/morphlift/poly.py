@@ -403,12 +403,9 @@ class MultiPoly:
     # -- evaluation / substitution -------------------------------------------------
 
     def evaluate(self, point) -> Scalar:
-        """Exact evaluation.  For complex rings the point must be
-        conjugation-consistent: value(zb_k) == conj(value(z_k)).
-
-        A mask of the fields of the variables whose value is 0 skips every
-        term that meets one, and each power ``point[j] ** e`` is computed
-        once, keyed by its packed field value ``e << shift``."""
+        """Exact evaluation, the sum of c * prod point[j] ** e over the
+        terms.  For complex rings the point must be conjugation-consistent:
+        value(zb_k) == conj(value(z_k))."""
         if len(point) != self.num_vars:
             raise DimensionMismatch(
                 f"point length {len(point)} != arity {self.num_vars}")
@@ -418,25 +415,11 @@ class MultiPoly:
                 if point[k + j] != conjugate(point[j]):
                     raise ConsistencyError(
                         f"value for zb{j + 1} is not the conjugate of z{j + 1}")
-        bits = 8 * self._width
-        mask = (1 << bits) - 1
-        zeros = sum(mask << (bits * j) for j, x in enumerate(point) if x == 0)
-        powers = {}
         total: Scalar = 0
-        for key, coeff in self._terms.items():
-            if key & zeros:
-                continue
-            value = coeff
-            while key:      # one factor per variable that occurs, in order
-                shift = (key & -key).bit_length() - 1
-                field = key & (mask << (shift - shift % bits))
-                power = powers.get(field)
-                if power is None:
-                    j = shift // bits
-                    power = powers[field] = point[j] ** (field >> (bits * j))
-                value = value * power
-                key -= field
-            total = total + value
+        for fields, coeff in self.sparse_terms():
+            for j, e in fields:
+                coeff = coeff * point[j] ** e
+            total = total + coeff
         return make_scalar_like(total) if not isinstance(total, int) else total
 
     def compose(self, values: list["MultiPoly"]) -> "MultiPoly":

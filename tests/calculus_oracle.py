@@ -6,11 +6,15 @@ matrix of partials by the zb variables, which ``analysis.is_holomorphic``
 built before it took each partial only when `_decide` read it.  And
 ``jacobian_at`` as it was when its plan was a flat list of contributions,
 one per term and variable, each skipped at a point by a mask test of its
-own and each forming its product of powers anew.
+own and each forming its product of powers anew.  And
+``grouped_jacobian_plan``, the plan grouped by monomial as it was when it
+derived every partial of every term by hand instead of reading
+``jacobian(phi)``.
 
 The bodies are the old functions' bodies, so the differential tests in
 ``test_calculus_differential.py`` compare ``calculus.jacobian_at``, which
-reads the values straight from the map's terms, with the code it replaced.
+reads the values from a plan built once per map from ``jacobian(phi)``, and
+that plan, with the code they replaced.
 The old matrix evaluation shared one table of zero fields and powers among
 the entries at a point; that table only saved work, so each entry here is
 evaluated on its own.  The old ``jacobian_at`` kept its plan on the map;
@@ -84,6 +88,58 @@ def _jacobian_plan(phi: RealPolyMap) -> tuple[list, list]:
                     plan.append((k * n + j, make_scalar_like(coeff * e), support,
                                  factors + (lower,)))
     return plan, [divmod(code, n)[::-1] for code in index]
+
+
+def grouped_jacobian_plan(phi: RealPolyMap):
+    """The Jacobian of phi as a sum of monomials, grouped for evaluation.
+
+    Term c*x^e of component k contributes c*e_j*x^(e - u_j) to entry (k, j)
+    for each variable x_j it contains.  Equal monomials x^(e - u_j) are
+    merged, so the plan is (base, monomials, masks, pairs):
+
+    - base: the row-major entries' constant parts, from terms linear in
+      one variable;
+    - monomials: for each other monomial, the indices of the powers whose
+      product it is, as the first and a tuple of the rest, and its uses, a
+      tuple of (slot, c*e_j) with slot the entry's index in the row-major
+      matrix;
+    - masks: for each variable x_j, an int with bit i set when monomial i
+      contains x_j;
+    - pairs: the (variable, exponent) pair of each power."""
+    n = phi.domain_dim
+    base = [0] * (phi.codomain_dim * n)
+    found = {}          # factors -> uses
+    index = {}          # e*n + j -> index of the power x_j^e
+    for k, component in enumerate(phi.components):
+        row = k * n
+        for fields, coeff in component.sparse_terms():
+            if not fields:
+                continue        # a constant term contributes nothing
+            powers = [index.setdefault(e * n + j, len(index)) for j, e in fields]
+            last = len(fields) - 1
+            # combinations() leaves out the last field first
+            for t, factors in zip(range(last, -1, -1),
+                                  combinations(powers, last)):
+                j, e = fields[t]
+                if e == 1:
+                    use = (row + j, coeff)
+                else:
+                    lower = index.setdefault((e - 1) * n + j, len(index))
+                    factors = factors[:t] + (lower,) + factors[t:]
+                    use = (row + j, make_scalar_like(coeff * e))
+                if factors:
+                    found.setdefault(factors, []).append(use)
+                else:   # a term c*x_j of component k: one per entry
+                    base[row + j] = coeff
+    variable = [code % n for code in index]
+    masks = [0] * n
+    for i, factors in enumerate(found):
+        bit = 1 << i
+        for f in factors:
+            masks[variable[f]] |= bit
+    monomials = [(factors[0], factors[1:], tuple(uses))
+                 for factors, uses in found.items()]
+    return base, monomials, masks, [divmod(code, n)[::-1] for code in index]
 
 
 def jacobian_at(phi: RealPolyMap, points):

@@ -1,12 +1,14 @@
-"""``calculus.jacobian_at`` reads a map's Jacobian at points straight from
-the map's terms.  Its value rows, with their Python types, must be those of
-the old evaluation of the Jacobian polynomials in ``calculus_oracle``, and
-``span_report`` and ``search_points`` must report what their old bodies
-report, on every input."""
+"""``calculus.jacobian_at`` reads a map's Jacobian at points from a plan it
+builds once per map from ``jacobian(phi)``.  Its value rows, with their
+Python types, must be those of the old evaluation of the Jacobian
+polynomials in ``calculus_oracle``, its plan must hold what the old
+derivation by hand grouped, and ``span_report`` and ``search_points`` must
+report what their old bodies report, on every input."""
 
 import gc
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import compress
 
@@ -316,7 +318,7 @@ def test_span_reports_on_maps_in_turn_match_the_oracle(phi_r16_real):
 
 
 # ---------------------------------------------------------------------------
-# Work counts: no Jacobian polynomial, and one decoding of the terms per map
+# Work counts: one Jacobian, and one decoding of its entries, per map object
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
@@ -338,27 +340,33 @@ def _fresh(phi):
     return RealPolyMap(phi.domain_dim, phi.codomain_dim, phi.components)
 
 
-def test_span_report_builds_no_partial_and_decodes_once_per_map(phi_r16_real, work):
+# The R^16 map has 2 components in 16 variables: its Jacobian has 32
+# entries, each one partial, whose terms are decoded once each.
+ONE_JACOBIAN = {"partial": 32, "sparse_terms": 32}
+TWO_JACOBIANS = {"partial": 64, "sparse_terms": 64}
+
+
+def test_span_report_builds_the_jacobian_once_per_map(phi_r16_real, work):
     phi = _fresh(phi_r16_real)
     span_report(phi, KAEHLER_POINTS)
-    assert work == {"partial": 0, "sparse_terms": 2}
+    assert work == ONE_JACOBIAN
     span_report(phi, KAEHLER_POINTS)
-    assert work == {"partial": 0, "sparse_terms": 2}
+    assert work == ONE_JACOBIAN
     twin = _fresh(phi)
     span_report(twin, KAEHLER_POINTS)
-    assert work == {"partial": 0, "sparse_terms": 4}
+    assert work == TWO_JACOBIANS
 
 
-def test_search_points_builds_no_partial_and_decodes_once_per_map(phi_r16_real, work):
+def test_search_points_builds_the_jacobian_once_per_map(phi_r16_real, work):
     phi = _fresh(phi_r16_real)
     search_points(phi, 500, 0)
-    assert work == {"partial": 0, "sparse_terms": 2}
+    assert work == ONE_JACOBIAN
     search_points(phi, 500, 1)
     span_report(phi, KAEHLER_POINTS)
-    assert work == {"partial": 0, "sparse_terms": 2}
+    assert work == ONE_JACOBIAN
     twin = _fresh(phi)
     search_points(twin, 500, 0)
-    assert work == {"partial": 0, "sparse_terms": 4}
+    assert work == TWO_JACOBIANS
 
 
 def test_a_kept_plan_leaves_the_map_as_it_was(phi_r16_real):
@@ -453,6 +461,29 @@ def test_every_point_kind_matches_the_flat_plan(phi):
     rng = random.Random(phi.domain_dim)
     for values in POINT_KINDS:
         _assert_same_as_the_flat_plan(phi, _points(rng, phi.domain_dim, 3, values))
+
+
+def _plan_by_fields(plan):
+    """A plan's base, and its monomials keyed by their (variable, exponent)
+    fields, each with the multiset of its typed uses.  Each monomial's bit
+    must be set in the masks of its variables and no others."""
+    base, monomials_, masks, pairs = plan
+    by_fields = {}
+    for i, (first, rest, uses) in enumerate(monomials_):
+        fields = tuple(pairs[f] for f in (first, *rest))
+        assert {j for j, mask in enumerate(masks) if mask >> i & 1} == \
+            {j for j, _ in fields}
+        assert fields not in by_fields
+        by_fields[fields] = Counter((slot, c, type(c)) for slot, c in uses)
+    return base, by_fields
+
+
+@pytest.mark.parametrize("phi", PLAN_MAPS + [_genmaps_map(seed) for seed in range(30)])
+def test_the_plan_from_the_jacobian_matches_the_grouped_derivation(phi):
+    new = calculus._jacobian_plan(phi)
+    old = calculus_oracle.grouped_jacobian_plan(phi)
+    assert _plan_by_fields(new) == _plan_by_fields(old)
+    assert len(new[3]) <= len(old[3])
 
 
 def test_the_dense_map_needs_more_than_a_word_of_mask_bits():

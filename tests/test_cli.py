@@ -12,8 +12,9 @@ import pytest
 import morphlift
 from morphlift.catalog import lookup, registry
 from morphlift.cli import cli_main
+from morphlift.expr import MAX_POWER_BITS, MAX_POWER_TERMS
 from morphlift.lift import complete_lift_real
-from morphlift.mapfile import parse_map, parse_poly, render_map_source
+from morphlift.mapfile import MapSyntaxError, parse_map, parse_poly, render_map_source
 from morphlift.maps import MAX_PAIR_DEGREE, ShapeError, real_identification
 
 QUATERNION_SRC = """map q: C^4 -> C^2 {
@@ -235,6 +236,27 @@ def test_kaehler_search_certifies(phi_file):
     assert code == 0
     assert payload["verdict"] == "not_kaehler_certified"
     assert payload["rank"] == 9
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("flags,message", [
+    (["--budget", "-5", "--seed", "3"], "error: --budget needs --search\n"),
+    (["--budget", "500"], "error: --budget needs --search\n"),
+    (["--seed", "0"], "error: --seed needs --search\n"),
+], ids=["both", "budget", "seed"])
+def test_kaehler_search_flags_need_search(phi_file, tmp_path, capsys, json_flag,
+                                          flags, message):
+    pts = tmp_path / "points.txt"
+    pts.write_text("0, 0, 1, 0, 1, 0, 0, 1\n")
+    code, text = run_cli([*json_flag, "kaehler", phi_file, "--points", str(pts),
+                          *flags])
+    assert (code, text) == (2, "")
+    assert capsys.readouterr().err == message
+
+
+def test_kaehler_search_defaults_to_budget_500_and_seed_0(phi_file):
+    assert run_cli(["kaehler", phi_file, "--search"]) == \
+        run_cli(["kaehler", phi_file, "--search", "--budget", "500", "--seed", "0"])
 
 
 def test_kaehler_gradient_scalars_round_trip(phi_file, tmp_path):
@@ -541,6 +563,48 @@ def test_integer_too_long_to_print_exits_2(tmp_path, capsys, argv, source):
     assert capsys.readouterr().err == (
         f"error: the output holds an integer of more than "
         f"{sys.get_int_max_str_digits()} digits, too long to print\n")
+
+
+BITS = f"coefficients would take more than {MAX_POWER_BITS} bits"
+TERMS = f"expansion would have more than {MAX_POWER_TERMS} terms"
+
+
+@pytest.mark.parametrize("argv", [["check"], ["--json", "check"], ["lift", "--real"],
+                                  ["--json", "lift", "--real"]],
+                         ids=["check", "check-json", "lift", "lift-json"])
+@pytest.mark.parametrize("power,limit", [
+    (f"2^{NINES}*x1", BITS),
+    (f"3^{NINES}*x1", BITS),
+    (f"(1/2)^{NINES}*x1", BITS),
+    (f"(2*x1)^{NINES}", BITS),
+    (f"(x1+x2)^{NINES}", TERMS),
+], ids=["two", "three", "half", "monomial", "binomial"])
+def test_literal_power_past_its_limit_exits_2(tmp_path, capsys, argv, power, limit):
+    # the size of the power is estimated before it is folded or expanded
+    source = f"map f: R^2 -> R^1 {{ f1 = {power}; }}"
+    path = tmp_path / "power.map"
+    path.write_text(source)
+    code, text = run_cli([*argv, str(path)])
+    assert (code, text) == (2, "")
+    column = source.index("^", source.index("f1")) + 1
+    assert capsys.readouterr().err == (
+        f"error: 1:{column}: power too large: its {limit}\n")
+
+
+def test_literal_powers_up_to_their_limits_parse():
+    # the estimate gives 2^e e bits
+    assert parse_poly(f"2^{MAX_POWER_BITS}*x1", 1).terms[(1,)] == 2 ** MAX_POWER_BITS
+    with pytest.raises(MapSyntaxError, match=f"1:2: power too large: its {BITS}"):
+        parse_poly(f"2^{MAX_POWER_BITS + 1}*x1", 1)
+    # 1953 and 2016 terms
+    assert len(parse_poly("(x1 + x2 - x3)^61", 3).terms) == 1953
+    with pytest.raises(MapSyntaxError, match=f"1:15: power too large: its {TERMS}"):
+        parse_poly("(x1 + x2 - x3)^62", 3)
+    # units cost no bits, and one term expands to one term
+    assert parse_poly(f"(-x1*x2)^{NINES}", 2) == parse_poly(f"-x1^{NINES}*x2^{NINES}", 2)
+    # a power in a binding is reported at its "^"
+    with pytest.raises(MapSyntaxError, match=f"2:14: power too large: its {TERMS}"):
+        parse_map(f"map f: R^2 -> R^1 {{\n  a = (x1+x2)^{NINES};\n  f1 = a*x1; }}")
 
 
 @pytest.mark.parametrize("argv", [["antilift"], ["--json", "antilift"]],
