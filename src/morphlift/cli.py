@@ -39,7 +39,7 @@ from .numeric import (
     numeric_complete_lift,
     sample_points,
 )
-from .poly import render
+from .poly import render, render_fibered
 
 SCHEMA_VERSION = 1
 
@@ -217,13 +217,14 @@ def _cmd_lift(args) -> Report:
         names = lifted.names()
         title, space = "real complete lift", "R"
         base_names = base.names()
-        rows = [[render(entry, base_names) for entry in c.fiber_coefficients()]
-                for c in lifted.components]
+        rendered = [render_fibered(c, names, base_names)
+                    for c in lifted.components]
+        rows = [row for _, row in rendered]
         payload = {
             "kind": "real",
             "codomain_dim": lifted.codomain_dim,
             "variables": names,
-            "components": [render(c, names) for c in lifted.components],
+            "components": [text for text, _ in rendered],
             "coefficient_matrix": rows,
             "notes": notes,
         }

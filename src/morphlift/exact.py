@@ -152,7 +152,8 @@ class GaussianRational:
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
+            if k > 1:
+                base = base * base
             k >>= 1
         return result
 

@@ -60,21 +60,28 @@ def complex_point_to_real(point) -> tuple:
 
 def span_report(Phi: RealPolyMap, points) -> KaehlerReport:
     """Evaluate gradients at the given complex points and certify (or not)
-    that no m-dimensional isotropic subspace contains them all.
-
-    The real Jacobian's rows u, v at a point give both the complex gradient
-    u + i*v and, through the Gram matrix of u and v, the Jacobian rank
-    there: rank(A) = rank(A A^T) for a real matrix A.  The gradient is
-    isotropic when u.u = v.v and u.v = 0."""
+    that no m-dimensional isotropic subspace contains them all."""
     _check_two_components(Phi)
     points = tuple(points)
-    rows = list(jacobian_at(Phi, map(complex_point_to_real, points)))
+    return _report(Phi, points,
+                   list(jacobian_at(Phi, map(complex_point_to_real, points))))
+
+
+def _report(Phi: RealPolyMap, points: tuple, rows: list,
+            rank: int | None = None) -> KaehlerReport:
+    """The report on ``points``, given the real Jacobian rows (u, v) at each
+    and the rank of their gradients' span when the caller knows it; else
+    :meth:`ExactMatrix.rank` finds it.
+
+    The rows give both the complex gradient u + i*v and, through the Gram
+    matrix of u and v, the Jacobian rank there: rank(A) = rank(A A^T) for a
+    real matrix A.  The gradient is isotropic when u.u = v.v and u.v = 0."""
     m = Phi.domain_dim // 2
     gradients = tuple(tuple(map(make_scalar, u, v)) for u, v in rows)
     grams = [(_dot(u, u), _dot(u, v), _dot(v, v)) for u, v in rows]
-    jacobian_ranks = tuple(ExactMatrix(((uu, uv), (uv, vv))).rank()
-                           for uu, uv, vv in grams)
-    rank = ExactMatrix(gradients).rank()
+    jacobian_ranks = tuple(_gram_rank(*gram) for gram in grams)
+    if rank is None:
+        rank = ExactMatrix(gradients).rank()
     isotropy_ok = all(uu == vv and uv == 0 for uu, uv, vv in grams)
     pairwise = all(_orthogonal(rows[a], rows[b])
                    for a in range(len(rows))
@@ -86,6 +93,15 @@ def span_report(Phi: RealPolyMap, points) -> KaehlerReport:
                  "subspace (isotropic or not) contains every gradient",)
     return KaehlerReport(points, gradients, rank, isotropy_ok, pairwise,
                          verdict, jacobian_ranks, notes)
+
+
+def _gram_rank(uu, uv, vv) -> int:
+    """The rank of the Gram matrix [[u.u, u.v], [u.v, v.v]] of two real
+    vectors: 0 when both vanish, 2 when its determinant is not 0, else 1,
+    since (u.v)^2 <= u.u * v.v (Cauchy-Schwarz)."""
+    if uu == vv == 0:
+        return 0
+    return 2 if uu * vv != uv * uv else 1
 
 
 def _check_two_components(Phi: RealPolyMap) -> None:
@@ -118,18 +134,22 @@ def search_points(Phi: RealPolyMap, budget: int, seed: int) -> KaehlerReport:
     rank bound.  Samples small Gaussian-integer coordinates, keeps a point
     iff it increases the span rank, stops at rank > m or budget exhaustion.
     Points are drawn one at a time, as the search reads them, and each
-    gradient is reduced once, through the echelon of the kept ones."""
+    gradient is reduced once, through the echelon of the kept ones.  The
+    report reads the kept points' rows as they were evaluated, and its rank
+    is the number of kept points: each was kept because its gradient is
+    independent of those before it, over Q(i) exactly."""
     _check_two_components(Phi)
     rng = random.Random(seed)
     m = Phi.domain_dim // 2
     drawn, again = tee(tuple(rng.choice(_ALPHABET) for _ in range(m))
                        for _ in range(budget))
     echelon = Echelon()
-    kept_points = []
+    kept_points, kept_rows = [], []
     for point, rows in zip(drawn,
                            jacobian_at(Phi, map(complex_point_to_real, again))):
         if echelon.add(*rows):
             kept_points.append(point)
+            kept_rows.append(rows)
             if len(kept_points) > m:
                 break
-    return span_report(Phi, kept_points)
+    return _report(Phi, tuple(kept_points), kept_rows, len(kept_points))

@@ -307,6 +307,15 @@ class MultiPoly:
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers take natural exponents")
+        if len(self._terms) == 1:
+            # (c*x^a)^n = c^n * x^(n*a): at a width that holds n times the
+            # bound, n times the key multiplies each field with no carry
+            bound = self._bound * exponent
+            width = max(_field_width(bound), self._width)
+            ((key, coeff),) = self._at(width).items()
+            return MultiPoly._make(self.num_vars, self.num_complex,
+                                   {key * exponent: coeff ** exponent},
+                                   width, bound)
         result = MultiPoly.constant(self.num_vars, 1, self.num_complex)
         base = self
         k = exponent
@@ -598,29 +607,37 @@ class _PowerText(dict):
         return text
 
 
+def _signed_body(coeff: Scalar, factors: str) -> tuple[str, str]:
+    """The sign of the term coeff * ``factors`` and the rest of its text:
+    the coefficient's magnitude, then ``*`` and the factors, where a
+    magnitude of 1 before factors is left out.  A rational coefficient is
+    written from its numerator and denominator; a Gaussian one goes through
+    :func:`_render_coefficient`."""
+    kind = type(coeff)
+    if kind is int or kind is Fraction:
+        numerator, denominator = coeff.numerator, coeff.denominator
+        sign = "-" if numerator < 0 else "+"
+        body = str(-numerator if numerator < 0 else numerator)
+        if denominator != 1:
+            body = f"{body}/{denominator}"
+        if factors:
+            body = factors if body == "1" else f"{body}*{factors}"
+        return sign, body
+    sign, body = _render_coefficient(coeff, bool(factors))
+    return sign, body + factors
+
+
 def _pieces(graded: list, names):
     """The text of each term of a nonzero polynomial, given its
     :func:`_graded` terms, each after the first with the `` + `` or `` - ``
     that joins it to the one before.  A term is rendered only when it is
-    read.  A rational coefficient is written from its numerator and
-    denominator; a Gaussian one goes through :func:`_render_coefficient`."""
+    read."""
     factor_text = _PowerText().__getitem__
     joined = False
     for _, exponents, coeff in graded:
-        factors = "*".join(map(factor_text, zip(compress(names, exponents),
-                                                compress(exponents, exponents))))
-        kind = type(coeff)
-        if kind is int or kind is Fraction:
-            numerator, denominator = coeff.numerator, coeff.denominator
-            sign = "-" if numerator < 0 else "+"
-            body = str(-numerator if numerator < 0 else numerator)
-            if denominator != 1:
-                body = f"{body}/{denominator}"
-            if factors:
-                body = factors if body == "1" else f"{body}*{factors}"
-        else:
-            sign, body = _render_coefficient(coeff, bool(factors))
-            body += factors
+        sign, body = _signed_body(coeff, "*".join(map(
+            factor_text, zip(compress(names, exponents),
+                             compress(exponents, exponents)))))
         if joined:
             yield f" {sign} {body}"
         else:
@@ -651,3 +668,68 @@ def render_leading(p: MultiPoly) -> tuple[int, str]:
     pieces = _pieces(graded, default_names(p.num_vars, p.num_complex))
     return graded[0][0], "".join(
         takewhile(lambda piece: not piece.startswith(" + "), pieces))
+
+
+def _sum_text(pieces: list) -> str:
+    """The text of a sum from its pieces, each `` + term`` or `` - term``,
+    in order: the first loses its joint but keeps a minus.  ``0`` for none."""
+    if not pieces:
+        return "0"
+    first = pieces[0]
+    pieces[0] = first[3:] if first[1] == "+" else f"-{first[3:]}"
+    return "".join(pieces)
+
+
+def render_fibered(p: MultiPoly, names, base_names) -> tuple[str, list[str]]:
+    """``render(p, names)`` and the text of each fiber coefficient M_j of
+    ``p`` (:meth:`MultiPoly.fiber_coefficients`) in ``base_names``, from
+    one sort of p's terms.
+
+    Each term c*x^a*y_j writes its x factors and its coefficient once; they
+    make M_j's piece, and p's piece appends ``*y_j``.  M_j's terms come in
+    p's graded order, which is M_j's own: for a fixed j, (|a| + 1, a, e_j)
+    and (|a|, a) sort alike.  The x factors are written a second time, in
+    ``base_names``, only when those differ from ``names[:m]``, as they do
+    when a lift falls back to canonical names.  Raises ValueError on a term
+    of fiber degree other than 1, and IntegerTooLong where render does."""
+    m, odd = divmod(p.num_vars, 2)
+    if odd or p.num_complex:
+        raise DimensionMismatch("fiber coefficients need a real ring on "
+                                "an even number of variables")
+    x_names, fiber_names = names[:m], names[m:]
+    shared = tuple(x_names) == tuple(base_names)
+    factor_text = _PowerText().__getitem__
+    units: dict = {}        # the fiber exponents of y_j -> j, as they are met
+    # p's pieces are joined 64 at a time, so that few are alive at once
+    pieces: list[str] = []
+    chunks: list[str] = []
+    entries: list[list[str]] = [[] for _ in range(m)]
+    try:
+        for _, exponents, coeff in _graded(p):
+            fiber = exponents[m:]
+            j = units.get(fiber)
+            if j is None:
+                if sum(fiber) != 1:
+                    break
+                j = units[fiber] = fiber.index(1)
+            # zip stops when the m x names run out, before any fiber exponent
+            sign, body = _signed_body(coeff, "*".join(map(
+                factor_text, zip(compress(x_names, exponents),
+                                 compress(exponents, exponents)))))
+            y = fiber_names[j]
+            pieces.append(f" {sign} {y}" if body == "1" else f" {sign} {body}*{y}")
+            if len(pieces) == 64:
+                chunks.append("".join(pieces))
+                pieces.clear()
+            if not shared:
+                body = _signed_body(coeff, "*".join(map(
+                    factor_text, zip(compress(base_names, exponents),
+                                     compress(exponents, exponents)))))[1]
+            entries[j].append(f" {sign} {body}")
+        else:
+            if pieces:
+                chunks.append("".join(pieces))
+            return _sum_text(chunks), [_sum_text(entry) for entry in entries]
+    except ValueError as error:
+        raise IntegerTooLong() from error
+    raise ValueError("a term's fiber degree is not 1")

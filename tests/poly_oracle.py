@@ -19,8 +19,12 @@ of the packed store as it was before it summed into one store; it takes and
 returns ``MultiPoly`` objects.  ``packed_render`` is ``render`` of the
 packed store as it was before it sorted and formatted from the key bytes: it
 unpacks every term to its exponent tuple and formats every coefficient
-through ``_render_coefficient``.  These functions are not part of the
-package.
+through ``_render_coefficient``.  ``squared_power`` is
+``MultiPoly.__pow__`` as it was before a one-term base took its own path: it
+squares every base through products.  ``fibered_render`` is how ``lift
+--real`` wrote a lift's component and its coefficient matrix row before
+``render_fibered``: ``render`` of the component, then ``render`` of each of
+its ``fiber_coefficients``.  These functions are not part of the package.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from morphlift.exact import (
     real_part,
     render_scalar,
 )
-from morphlift.poly import MultiPoly, default_names
+from morphlift.poly import MultiPoly, default_names, render as package_render
 
 
 def canonicalize(terms: dict) -> dict:
@@ -286,3 +290,20 @@ def packed_render_leading(p: MultiPoly) -> tuple[int, str]:
     pieces = _packed_pieces(graded, default_names(p.num_vars, p.num_complex))
     return graded[0][0], "".join(
         takewhile(lambda piece: not piece.startswith(" + "), pieces))
+
+
+def squared_power(a: MultiPoly, exponent: int) -> MultiPoly:
+    result = MultiPoly.constant(a.num_vars, 1, a.num_complex)
+    base = a
+    k = exponent
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return result
+
+
+def fibered_render(p: MultiPoly, names, base_names) -> tuple[str, list[str]]:
+    return (package_render(p, names),
+            [package_render(entry, base_names) for entry in p.fiber_coefficients()])

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import morphlift
+from morphlift import poly
 from morphlift.catalog import lookup, registry
 from morphlift.cli import cli_main
 from morphlift.expr import MAX_POWER_BITS, MAX_POWER_TERMS
@@ -59,6 +60,30 @@ def test_lift_real_prints_coefficient_matrix(quaternion_file):
     assert code == 0
     assert "[x5, -x6, -x7, -x8, x1, -x2, -x3, -x4]" in text
     assert "[x8, x7, -x6, x5, x4, -x3, x2, x1]" in text
+
+
+def test_lift_real_sorts_each_component_once_and_splits_none(
+        quaternion_file, monkeypatch):
+    # the components and the coefficient matrix are written from one
+    # graded pass over each lifted component
+    graded, split = [], []
+    sort, fiber_coefficients = poly._graded, poly.MultiPoly.fiber_coefficients
+
+    def counted_sort(p):
+        graded.append(p)
+        return sort(p)
+
+    def counted_split(p):
+        split.append(p)
+        return fiber_coefficients(p)
+
+    monkeypatch.setattr(poly, "_graded", counted_sort)
+    monkeypatch.setattr(poly.MultiPoly, "fiber_coefficients", counted_split)
+    code, text = run_cli(["lift", "--real", quaternion_file])
+    assert code == 0 and "coefficient matrix M(x)" in text
+    lifted = complete_lift_real(real_identification(parse_map(QUATERNION_SRC)))
+    assert graded == list(lifted.components) and len(graded) == 4
+    assert split == []
 
 
 def test_lift_complex(quaternion_file):
@@ -605,6 +630,28 @@ def test_literal_powers_up_to_their_limits_parse():
     # a power in a binding is reported at its "^"
     with pytest.raises(MapSyntaxError, match=f"2:14: power too large: its {TERMS}"):
         parse_map(f"map f: R^2 -> R^1 {{\n  a = (x1+x2)^{NINES};\n  f1 = a*x1; }}")
+
+
+@pytest.mark.parametrize("exponent", ["0", "1", "7", "300", NINES],
+                         ids=["0", "1", "7", "300", "nines"])
+def test_a_one_term_power_is_its_monomial_and_forms_no_product(
+        tmp_path, capsys, monkeypatch, exponent):
+    # (x1*x2)^N raises the term's exponents; x1^N*x2^N is the same monomial
+    power, monomial = f"(x1*x2)^{exponent}", f"x1^{exponent}*x2^{exponent}"
+    products = []
+    sum_of_products = poly._sum_of_products
+    monkeypatch.setattr(poly, "_sum_of_products",
+                        lambda pairs: products.append(pairs) or sum_of_products(pairs))
+    assert parse_poly(power, 2) == parse_poly(monomial, 2)
+    assert products == []
+    outputs = []
+    for body in (power, monomial):
+        path = tmp_path / "power.map"
+        path.write_text(f"map f: R^2 -> R^1 {{ f1 = {body}; }}")
+        for argv in (["check"], ["--json", "check"]):
+            outputs.append((*run_cli([*argv, str(path)]), capsys.readouterr().err))
+    assert outputs[:2] == outputs[2:]
+    assert [code for code, _, _ in outputs] == [2 if exponent == NINES else 0] * 4
 
 
 @pytest.mark.parametrize("argv", [["antilift"], ["--json", "antilift"]],

@@ -35,6 +35,15 @@ def test_field_arithmetic_examples():
     assert GaussianRational(1, 1) * GaussianRational(1, -1) == 2
 
 
+@given(gaussians, st.integers(0, 40))
+def test_gaussian_power_is_repeated_multiplication(base, exponent):
+    expected = 1
+    for _ in range(exponent):
+        expected = expected * base
+    power = base ** exponent
+    assert power == expected and type(power) is type(expected)
+
+
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         GaussianRational(1, 2) / GaussianRational(0, 0)

@@ -1,5 +1,5 @@
+import dataclasses
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +7,8 @@ import pytest
 import exact_oracle
 from calculus_oracle import matrix_evaluate
 from exact_oracle import bilinear_dot
-from morphlift.calculus import complex_gradient, jacobian
+from morphlift import kaehler
+from morphlift.calculus import complex_gradient, jacobian, jacobian_at
 from morphlift.catalog import (
     EXPECTED_GRADIENTS,
     KAEHLER_POINTS,
@@ -23,6 +24,7 @@ from morphlift.exact import (
 from morphlift.kaehler import (
     INCONCLUSIVE,
     NOT_KAEHLER,
+    KaehlerReport,
     complex_point_to_real,
     search_points,
     span_report,
@@ -33,6 +35,11 @@ from morphlift.maps import RealPolyMap, ShapeError, real_identification
 from morphlift.poly import MultiPoly
 
 I = GaussianRational(0, 1)
+
+
+@pytest.fixture(scope="module")
+def phi_r32_real(phi_r16_real):
+    return complete_lift_real(phi_r16_real)
 
 
 def _gradients(phi, points) -> tuple:
@@ -158,6 +165,27 @@ def test_jacobian_ranks_of_parallel_and_vanishing_rows_match_oracle():
     assert report.jacobian_ranks == (1, 1, 1, 1, 0, 1)
 
 
+def test_jacobian_ranks_match_oracle_at_seeded_points():
+    # maps whose Jacobian has rank 2, 1 or 0 at some of the points: generic,
+    # parallel rows, and partials that vanish together
+    maps = [
+        "map f: R^4 -> R^2 { f1 = x1*x3 - x2^2 + 2*x4; f2 = x1^2*x4 + x3; }",
+        "map f: R^4 -> R^2 { f1 = x1*x3 + x2^2; f2 = -2*x1*x3 - 2*x2^2; }",
+        "map f: R^4 -> R^2 { f1 = x1^2*x2 + x3*x4^2; f2 = x1*x2^2 - x3^2*x4; }",
+    ]
+    alphabet = (0, 0, 1, -1, I, -I, Fraction(1, 2), GaussianRational(Fraction(2, 3), -1))
+    seen = set()
+    for seed in range(6):
+        rng = random.Random(seed)
+        for source in maps:
+            phi = parse_map(source)
+            points = [tuple(rng.choice(alphabet) for _ in range(2)) for _ in range(10)]
+            report = span_report(phi, points)
+            _assert_jacobian_ranks_match_oracle(phi, points, report)
+            seen.update(report.jacobian_ranks)
+    assert seen == {0, 1, 2}
+
+
 def test_span_report_needs_two_components():
     phi = parse_map("map f: R^2 -> R^3 { f1 = x1; f2 = x2; f3 = x1*x2; }")
     with pytest.raises(ShapeError):
@@ -229,31 +257,64 @@ def test_search_certifies_phi_r16(phi_r16_real):
     assert report.isotropy_ok
 
 
-def test_search_ranks_only_the_report_on_the_kept_points(phi_r16_real, monkeypatch):
-    # each candidate is reduced once, through one echelon, and builds no
-    # matrix; every rank is span_report's, one per point and one of the span
-    callers = []
-    rank = ExactMatrix.rank
+def test_search_evaluates_each_drawn_point_once_and_ranks_no_matrix(
+        phi_r32_real, monkeypatch):
+    # each candidate is evaluated once and reduced once, through one
+    # echelon; the report reads the kept points' rows, and its rank is the
+    # number of kept points, so no matrix is ranked
+    calls, evaluated, ranked = [], [], []
 
-    def counted(matrix):
-        frame = sys._getframe(1)
-        while frame.f_code.co_name == "<genexpr>":
-            frame = frame.f_back
-        callers.append(frame.f_code.co_name)
-        return rank(matrix)
+    def counted(phi, points):
+        calls.append(phi)
+        return jacobian_at(phi, (evaluated.append(p) or p for p in points))
 
-    monkeypatch.setattr(ExactMatrix, "rank", counted)
-    report = search_points(complete_lift_real(phi_r16_real), budget=500, seed=0)
+    monkeypatch.setattr(kaehler, "jacobian_at", counted)
+    monkeypatch.setattr(ExactMatrix, "rank", ranked.append)
+    Phi = phi_r32_real
+    report = search_points(Phi, budget=500, seed=0)
     assert report.verdict == NOT_KAEHLER
-    assert callers == ["span_report"] * (len(report.sample_points) + 1)
-    assert len(callers) == 18
+    assert ranked == [] and calls == [Phi]
+    m = Phi.domain_dim // 2
+    rng = random.Random(0)
+    drawn = [complex_point_to_real(tuple(rng.choice(kaehler._ALPHABET)
+                                         for _ in range(m)))
+             for _ in range(500)]
+    assert evaluated == drawn[:len(evaluated)]
+    # the search stops at the point that takes the rank past m
+    assert evaluated[-1] == complex_point_to_real(report.sample_points[-1])
+    assert report.rank == len(report.sample_points) == m + 1 == 17
 
 
-def test_only_rank_deficient_spans_and_gram_matrices_reach_the_echelon(
-        phi_r16_real, monkeypatch):
+def _reports_equal(Phi, report):
+    again = span_report(Phi, report.sample_points)
+    for field in dataclasses.fields(KaehlerReport):
+        assert getattr(report, field.name) == getattr(again, field.name), field.name
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_search_report_equals_span_report_on_its_points(phi_r16_real, phi_r32_real,
+                                                       seed):
+    for Phi in (phi_r16_real, phi_r32_real):
+        report = search_points(Phi, budget=500, seed=seed)
+        assert report.verdict == NOT_KAEHLER
+        _reports_equal(Phi, report)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_search_report_on_coordinate_and_constant_maps(seed):
+    coordinate = real_identification(parse_map("map f: C^2 -> C^1 { f1 = z1; }"))
+    constant = RealPolyMap(4, 2, [MultiPoly.constant(4, 2),
+                                  MultiPoly.constant(4, 0)])
+    for Phi, rank in ((coordinate, 1), (constant, 0)):
+        report = search_points(Phi, budget=100, seed=seed)
+        assert (report.rank, report.verdict) == (rank, INCONCLUSIVE)
+        _reports_equal(Phi, report)
+
+
+def test_only_rank_deficient_spans_reach_the_echelon(phi_r16_real, monkeypatch):
     # the rank mod p decides every matrix of full rank; only the rows of a
-    # gradient set of rank at most m, and of a Gram matrix of rank below 2,
-    # go on to the exact echelon
+    # gradient set of rank at most m go on to the exact echelon, and a
+    # Gram matrix is ranked by its entries, without one
     rows_added = []
     add = Echelon.add
 
@@ -271,12 +332,12 @@ def test_only_rank_deficient_spans_and_gram_matrices_reach_the_echelon(
         points = [tuple(rng.choice(alphabet) for _ in range(m)) for _ in range(m + 1)]
         report = span_report(phi_r16_real, points)
         assert report.rank == exact_oracle.rank(ExactMatrix(report.gradients))
+        _assert_jacobian_ranks_match_oracle(phi_r16_real, points, report)
         full += report.rank == m + 1
-        deficient = sum(rank < 2 for rank in report.jacobian_ranks)
-        deficient_points += deficient
-        expected += (m + 1) * (report.rank < m + 1) + 2 * deficient
+        deficient_points += sum(rank < 2 for rank in report.jacobian_ranks)
+        expected += (m + 1) * (report.rank < m + 1)
     assert len(rows_added) == expected
-    assert full > sets // 2 and deficient_points < sets * (m + 1) // 4
+    assert full > sets // 2 and 0 < deficient_points < sets * (m + 1) // 4
     assert len(rows_added) < sets * (m + 1) // 2
 
 

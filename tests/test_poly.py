@@ -359,6 +359,34 @@ def test_power_matches_reference(data):
     assert a ** exponent == reference_power(a, exponent)
 
 
+ONE_TERM_COEFFICIENTS = (1, -1, 3, -2, Fraction(-2, 3), Fraction(5, 4), I, -I,
+                         GaussianRational(1, -1), GaussianRational(Fraction(1, 2), 2))
+
+
+@pytest.mark.parametrize("coeff", ONE_TERM_COEFFICIENTS, ids=str)
+def test_one_term_power_matches_repeated_squaring(coeff):
+    # exponents 0..300, on fields one and two bytes wide
+    for ring, exponents in (((3, 0), (2, 0, 1)), ((4, 2), (1, 0, 0, 3)),
+                            ((2, 0), (0, 0)), ((1, 0), (200,))):
+        a = MultiPoly(ring[0], {exponents: coeff}, ring[1])
+        for exponent in range(301):
+            power = a ** exponent
+            expected = oracle.squared_power(a, exponent)
+            assert power == expected
+            assert typed(power.terms) == typed(expected.terms)
+
+
+@given(st.data())
+def test_one_term_power_matches_repeated_squaring_on_random_terms(data):
+    ring = data.draw(st.sampled_from(RINGS))
+    a = data.draw(polys_in(ring, max_size=1))
+    exponent = data.draw(st.integers(0, 300))
+    power = a ** exponent
+    expected = oracle.squared_power(a, exponent)
+    assert power == expected
+    assert typed(power.terms) == typed(expected.terms)
+
+
 @given(st.data())
 def test_compose_matches_reference(data):
     ring = data.draw(st.sampled_from(RINGS[1:]))
