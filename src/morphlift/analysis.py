@@ -162,11 +162,14 @@ def hessian_conditions(phi: RealPolyMap) -> CheckReport:
         for (a, ha), (b, hb) in combinations(enumerate(hessians), 2)]
 
     def cells():
-        # the squares, then the anticommutators, each cell in row-major order
+        # the squares, then the anticommutators, each cell in row-major
+        # order.  Both identities are symmetric matrices, and cell (j, i)
+        # comes before cell (i, j) for j < i, so the first nonzero cell lies
+        # on or above the diagonal and only those cells are visited.
         for kind, k, l, left, right, top, bottom in products:
             for i in range(phi.domain_dim):
                 stacked_row = left(i) + right(i)
-                for j in range(phi.domain_dim):
+                for j in range(i, phi.domain_dim):
                     yield (kind, k, l, (i + 1, j + 1),
                            poly_dot(stacked_row, top(j) + bottom(j)))
 

@@ -65,8 +65,7 @@ class PolyMatrix:
 
 def jacobian(phi: RealPolyMap) -> PolyMatrix:
     """Entry (i, j) is the partial of component i by variable j."""
-    return PolyMatrix([[c.partial(j) for j in range(phi.domain_dim)]
-                       for c in phi.components])
+    return PolyMatrix([c.gradient() for c in phi.components])
 
 
 def _jacobian_plan(phi: RealPolyMap):
@@ -153,7 +152,7 @@ class Hessian:
 
     Entry (i, j) is the partial by variable j of the partial by variable i.
     Row i is built the first time it is read, and kept, so a check that
-    reads a few rows costs O(m) second partials instead of m^2.  Entry
+    reads a few rows costs a few gradient passes instead of m.  Entry
     (j, i) equals entry (i, j) term for term, in the same order and with the
     same coefficient types, so row j serves as column j, and a row reuses
     the entries of the rows already built."""
@@ -174,10 +173,10 @@ class Hessian:
         must not change it."""
         row = self._rows.get(i)
         if row is None:
-            built = self._rows
-            row = built[i] = [built[j][i] if j in built
-                              else self._firsts[i].partial(j)
-                              for j in range(self.cols)]
+            row = self._firsts[i].gradient()
+            for j, built in self._rows.items():
+                row[j] = built[i]
+            self._rows[i] = row
         return row
 
     def is_zero(self) -> bool:
@@ -187,16 +186,13 @@ class Hessian:
 def hessian(p: MultiPoly) -> Hessian:
     if p.num_complex:
         raise DimensionMismatch("hessian is defined for real variable kinds")
-    return Hessian([p.partial(i) for i in range(p.num_vars)])
+    return Hessian(p.gradient())
 
 
 def laplacian(p: MultiPoly) -> MultiPoly:
     if p.num_complex:
         raise DimensionMismatch("laplacian is defined for real variable kinds")
-    total = MultiPoly.zero(p.num_vars)
-    for i in range(p.num_vars):
-        total = total + p.partial(i).partial(i)
-    return total
+    return p.laplacian()
 
 
 def complex_gradient(phi: RealPolyMap) -> list[MultiPoly]:

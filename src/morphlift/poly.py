@@ -81,7 +81,11 @@ def _from_tuples(terms: dict, num_vars: int) -> tuple[dict, int, int]:
 def _canonicalize(terms: dict) -> dict:
     """Drop zero coefficients and demote integral Fractions, in place.  A
     Fraction is read by its denominator, not its truth, so a non-integral
-    one costs no ``Fraction.__bool__`` call."""
+    one costs no ``Fraction.__bool__`` call.  A store of ``int``s with no
+    zero, found by C-level scans, has nothing to change."""
+    values = terms.values()
+    if set(map(type, values)) <= {int} and 0 not in values:
+        return terms
     for key in [k for k, c in terms.items()
                 if (c.denominator == 1 if type(c) is Fraction else not c)]:
         coeff = terms[key]
@@ -92,6 +96,28 @@ def _canonicalize(terms: dict) -> dict:
         else:
             del terms[key]
     return terms
+
+
+def _nonzero_fields(keys, num_vars: int, width: int):
+    """For each packed key in turn, (exponents, variables): the variables
+    whose field is nonzero, in increasing order, and a table in which
+    ``exponents[j]`` is the exponent of each.  One-byte fields are the
+    key's bytes, which compress() sifts; wider fields are found lowest
+    first by the key's lowest set bit."""
+    if width == 1:
+        positions = range(num_vars)
+        for raw in map(int.to_bytes, keys, repeat(num_vars), repeat("little")):
+            yield raw, compress(positions, raw)
+        return
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    for key in keys:
+        fields = {}
+        while key:
+            j = ((key & -key).bit_length() - 1) // bits
+            e = fields[j] = (key >> (bits * j)) & mask
+            key -= e << (bits * j)
+        yield fields, fields
 
 
 def _check_ring_shape(num_vars: int, num_complex: int) -> None:
@@ -343,6 +369,50 @@ class MultiPoly:
                 terms[key - unit] = e * coeff
         return self._with(terms)
 
+    def gradient(self) -> list["MultiPoly"]:
+        """``[self.partial(j) for j in range(num_vars)]`` from one pass over
+        the terms: a term c*v^e puts e_j*c at the key of v^e / v_j into
+        partial j for each variable v_j it contains, in term order."""
+        units = [1 << (8 * self._width * j) for j in range(self.num_vars)]
+        parts = [{} for _ in units]
+        decoded = _nonzero_fields(self._terms, self.num_vars, self._width)
+        for (key, coeff), (exponents, variables) in zip(self._terms.items(),
+                                                        decoded):
+            for j in variables:
+                parts[j][key - units[j]] = exponents[j] * coeff
+        return [self._with(terms) for terms in parts]
+
+    def laplacian(self) -> "MultiPoly":
+        """The sum of the second partials by each variable in turn, from one
+        pass over the terms.  A term c*v^e with e_j > 1 puts e_j(e_j - 1)*c
+        at the key of v^e / v_j^2 into bucket j, in term order, and the
+        buckets are summed j-major into one store under the module's rule,
+        as adding the second partials one after another would.  Only the
+        terms with an exponent above 1 are decoded: their keys meet the
+        bits above each field's lowest."""
+        bits = 8 * self._width
+        twos = [2 << (bits * j) for j in range(self.num_vars)]
+        high = ((1 << bits) - 2) * sum(twos) // 2
+        squared = {key: c for key, c in self._terms.items() if key & high}
+        buckets = [[] for _ in twos]
+        decoded = _nonzero_fields(squared, self.num_vars, self._width)
+        for (key, coeff), (exponents, variables) in zip(squared.items(),
+                                                        decoded):
+            for j in variables:
+                e = exponents[j]
+                if e > 1:
+                    buckets[j].append((key - twos[j], e * (e - 1) * coeff))
+        terms = {}
+        get = terms.get
+        for bucket in buckets:
+            for key, c in bucket:
+                c = get(key, 0) + c
+                if c:
+                    terms[key] = c
+                else:
+                    del terms[key]
+        return self._with(terms)
+
     def complete_lift(self) -> "MultiPoly":
         """sum_j (d self / d v_j) * w_j over the base variables v_1..v_m,
         which are all the variables of a real ring and z_1..z_m of a complex
@@ -490,16 +560,9 @@ class MultiPoly:
         """Each term as (fields, coefficient), where ``fields`` lists
         (variable, exponent) for each variable that occurs, in order of
         variable: :attr:`terms` without the zero exponents."""
-        bits = 8 * self._width
-        mask = (1 << bits) - 1
-        for key, coeff in self._terms.items():
-            fields = []
-            while key:
-                j = ((key & -key).bit_length() - 1) // bits
-                e = (key >> (bits * j)) & mask
-                key -= e << (bits * j)
-                fields.append((j, e))
-            yield fields, coeff
+        decoded = _nonzero_fields(self._terms, self.num_vars, self._width)
+        for (exponents, variables), coeff in zip(decoded, self._terms.values()):
+            yield [(j, exponents[j]) for j in variables], coeff
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,12 @@ one per term and variable, each skipped at a point by a mask test of its
 own and each forming its product of powers anew.  And
 ``grouped_jacobian_plan``, the plan grouped by monomial as it was when it
 derived every partial of every term by hand instead of reading
-``jacobian(phi)``.
+``jacobian(phi)``.  And ``jacobian_by_partials``, ``hessian_by_partials``
+(with its ``PartialHessian``) and ``laplacian_by_partials``, as they were
+when they took each derivative with its own ``MultiPoly.partial`` and the
+Laplacian added the second partials one after another, before
+``MultiPoly.gradient`` and ``MultiPoly.laplacian`` took them all from one
+pass over the terms.
 
 The bodies are the old functions' bodies, so the differential tests in
 ``test_calculus_differential.py`` compare ``calculus.jacobian_at``, which
@@ -43,6 +48,54 @@ from morphlift.kaehler import (
     complex_point_to_real,
 )
 from morphlift.maps import ComplexPolyMap, RealPolyMap, ShapeError
+from morphlift.poly import MultiPoly
+
+
+def jacobian_by_partials(phi: RealPolyMap) -> PolyMatrix:
+    """Entry (i, j) is the partial of component i by variable j."""
+    return PolyMatrix([[c.partial(j) for j in range(phi.domain_dim)]
+                       for c in phi.components])
+
+
+class PartialHessian:
+    """The matrix of second partials of one polynomial, built a row at a
+    time: row i is built the first time it is read, and reuses the entries
+    of the rows already built, as entry (j, i) equals entry (i, j)."""
+
+    __slots__ = ("rows", "cols", "_firsts", "_rows")
+
+    def __init__(self, firsts: list[MultiPoly]):
+        self.rows = self.cols = len(firsts)
+        self._firsts = firsts
+        self._rows = {}
+
+    def __getitem__(self, index) -> MultiPoly:
+        i, j = index
+        return self.row(i)[j]
+
+    def row(self, i: int) -> list[MultiPoly]:
+        row = self._rows.get(i)
+        if row is None:
+            built = self._rows
+            row = built[i] = [built[j][i] if j in built
+                              else self._firsts[i].partial(j)
+                              for j in range(self.cols)]
+        return row
+
+
+def hessian_by_partials(p: MultiPoly) -> PartialHessian:
+    if p.num_complex:
+        raise DimensionMismatch("hessian is defined for real variable kinds")
+    return PartialHessian([p.partial(i) for i in range(p.num_vars)])
+
+
+def laplacian_by_partials(p: MultiPoly) -> MultiPoly:
+    if p.num_complex:
+        raise DimensionMismatch("laplacian is defined for real variable kinds")
+    total = MultiPoly.zero(p.num_vars)
+    for i in range(p.num_vars):
+        total = total + p.partial(i).partial(i)
+    return total
 
 
 def antiholomorphic_jacobian(phi: ComplexPolyMap) -> PolyMatrix:

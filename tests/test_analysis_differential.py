@@ -118,15 +118,18 @@ def poly_dot_calls(monkeypatch):
 
 
 @pytest.fixture
-def partial_calls(monkeypatch):
-    calls = []
-    real = MultiPoly.partial
+def derivative_calls(monkeypatch):
+    """The number of calls of each differentiating method of MultiPoly:
+    ``gradient`` takes every first partial of a polynomial in one pass."""
+    calls = {"partial": 0, "gradient": 0}
+    for name in calls:
+        real = getattr(MultiPoly, name)
 
-    def counting(self, index):
-        calls.append(index)
-        return real(self, index)
+        def counting(self, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
 
-    monkeypatch.setattr(MultiPoly, "partial", counting)
+        monkeypatch.setattr(MultiPoly, name, counting)
     return calls
 
 
@@ -157,14 +160,31 @@ def test_diagonal_refutation_builds_the_dilation_once(poly_dot_calls):
     assert len(dilations) == 1 and len(poly_dot_calls) == 6
 
 
+@pytest.mark.parametrize("source", [
+    "map p: R^4 -> R^2 { p1 = x1; p2 = x2; }",
+    "map h: R^4 -> R^3 { h1 = x1^2 + x2^2 - x3^2 - x4^2; "
+    "h2 = 2*x1*x3 - 2*x2*x4; h3 = 2*x1*x4 + 2*x2*x3; }",
+], ids=["projection", "hopf"])
+def test_passing_hessian_conditions_visit_the_upper_triangle(source,
+                                                             poly_dot_calls):
+    # both identities are symmetric matrices, so a pass reads each cell
+    # (i, j) with j >= i once: m(m+1)/2 dot products per identity
+    phi = parse_map(source)
+    m, n = phi.domain_dim, phi.codomain_dim
+    assert hessian_conditions(phi).verdict
+    identities = (n - 1) + n * (n - 1) // 2
+    assert len(poly_dot_calls) == identities * m * (m + 1) // 2
+
+
 def test_r32_rung_hessian_conditions_build_o_m_second_partials(phi_r16_real,
-                                                               partial_calls):
+                                                               derivative_calls):
     rung = complete_lift_real(phi_r16_real)
     m, n = rung.domain_dim, rung.codomain_dim
-    partial_calls.clear()
+    derivative_calls.update(partial=0, gradient=0)
     report = hessian_conditions(rung)
     assert report.violation.entry == (1, 1)
-    # n*m first partials, then row 1 of H_1 and of H_2; column 1 of each is
-    # its row 1, as the Hessian is symmetric
-    assert len(partial_calls) == n * m + 2 * m
-    assert len(partial_calls) < m * m
+    # one gradient pass per component for its n*m first partials, then one
+    # for row 1 of H_1 and one for row 1 of H_2, its m second partials;
+    # column 1 of each is its row 1, as the Hessian is symmetric
+    assert derivative_calls == {"partial": 0, "gradient": n + 2}
+    assert n + 2 < m

@@ -323,7 +323,7 @@ def test_span_reports_on_maps_in_turn_match_the_oracle(phi_r16_real):
 
 @pytest.fixture
 def work(monkeypatch):
-    calls = {"partial": 0, "sparse_terms": 0}
+    calls = {"partial": 0, "gradient": 0, "sparse_terms": 0}
     for name in calls:
         real = getattr(MultiPoly, name)
 
@@ -340,10 +340,11 @@ def _fresh(phi):
     return RealPolyMap(phi.domain_dim, phi.codomain_dim, phi.components)
 
 
-# The R^16 map has 2 components in 16 variables: its Jacobian has 32
-# entries, each one partial, whose terms are decoded once each.
-ONE_JACOBIAN = {"partial": 32, "sparse_terms": 32}
-TWO_JACOBIANS = {"partial": 64, "sparse_terms": 64}
+# The R^16 map has 2 components in 16 variables: its Jacobian is one
+# gradient pass per component, and its 32 entries' terms are decoded once
+# each.
+ONE_JACOBIAN = {"partial": 0, "gradient": 2, "sparse_terms": 32}
+TWO_JACOBIANS = {"partial": 0, "gradient": 4, "sparse_terms": 64}
 
 
 def test_span_report_builds_the_jacobian_once_per_map(phi_r16_real, work):
