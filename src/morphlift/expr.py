@@ -37,7 +37,7 @@ from .exact import (
     render_scalar,
     to_complex,
 )
-from .poly import MultiPoly, _check_ring_shape, default_names
+from .poly import MultiPoly, _check_ring_shape, accumulate_terms, default_names
 
 
 class NotPolynomial(ValueError):
@@ -515,11 +515,11 @@ def lower_to_poly(node: Expr, num_vars: int, num_complex: int = 0) -> MultiPoly:
 
     The parser builds a sum of n terms as a left-leaning spine of ``Add``,
     ``Sub`` and ``Neg`` nodes n deep.  That spine is walked with a list and a
-    sign, not by recursion, and every summand goes into one term dict, so a
-    sum lowers in time linear in its size.  A summand that is a product of
-    constants, variables and natural powers of variables becomes its
-    (exponents, coefficient) pair directly; any other summand goes through
-    the ring operations.  The result, and the order of its terms, is that of
+    sign, not by recursion, and the summands' terms are summed into one term
+    dict by :func:`~morphlift.poly.accumulate_terms`, so a sum lowers in time
+    linear in its size.  A summand that is a product of constants, variables
+    and natural powers of variables becomes its (exponents, coefficient)
+    pair directly; any other summand goes through the ring operations.  The result, and the order of its terms, is that of
     adding and subtracting the summands' polynomials one by one.
     """
     _check_ring_shape(num_vars, num_complex)
@@ -540,36 +540,18 @@ def lower_to_poly(node: Expr, num_vars: int, num_complex: int = 0) -> MultiPoly:
             break
         node = node.left
 
-    terms: dict = {}
+    pairs = []      # (exponents, signed coefficient), in summand order
     for node, sign in reversed(summands):
         while type(node) is Neg:
             node, sign = node.arg, -sign
         term = _monomial(node, num_vars)
         if term is None:
-            items = _lower_summand(node, num_vars, num_complex).terms.items()
+            poly = _lower_summand(node, num_vars, num_complex)
+            pairs.extend((poly if sign > 0 else -poly).terms.items())
         else:
-            items = (term,)
-        for exponents, coeff in items:
-            accumulate_term(terms, exponents, coeff, sign)
-    return MultiPoly._trusted(num_vars, terms, num_complex)
-
-
-def accumulate_term(terms: dict, exponents: tuple, coeff, sign: int) -> None:
-    """Add ``coeff`` to ``terms[exponents]``, or subtract it when ``sign`` is
-    negative, as adding the summands' polynomials one by one would: a term
-    that cancels is dropped, and if it comes back it goes last.  An absent
-    term takes ``coeff`` or ``-coeff`` as it is, which is what adding it to
-    0 gives."""
-    value = terms.get(exponents)
-    if value is None:
-        if coeff:
-            terms[exponents] = coeff if sign > 0 else -coeff
-        return
-    value = value + coeff if sign > 0 else value - coeff
-    if value:
-        terms[exponents] = value
-    else:
-        terms.pop(exponents, None)
+            exponents, coeff = term
+            pairs.append((exponents, coeff if sign > 0 else -coeff))
+    return MultiPoly._trusted(num_vars, accumulate_terms({}, pairs), num_complex)
 
 
 def _monomial(node: Expr, num_vars: int):

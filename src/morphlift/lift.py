@@ -93,12 +93,12 @@ def block_jacobian_check(phi: RealPolyMap) -> bool:
     left = jacobian(complete_lift_real(phi))
 
     base_jac = jacobian(phi)
-    to_y = {j: m + j for j in range(m)}    # substitute x -> y block
-    to_x = {j: j for j in range(m)}
+    pad = (0,) * m
     for i in range(phi.codomain_dim):
         for j in range(m):
-            jac_at_y = base_jac[i, j].remap(2 * m, to_y)
-            jac_at_x = base_jac[i, j].remap(2 * m, to_x)
+            terms = base_jac[i, j].terms.items()
+            jac_at_y = MultiPoly(2 * m, {pad + e: c for e, c in terms})
+            jac_at_x = MultiPoly(2 * m, {e + pad: c for e, c in terms})
             if left[i, j] != jac_at_y:
                 return False
             if left[i, m + j] != jac_at_x:
@@ -126,14 +126,13 @@ def anti_lift(Phi: RealPolyMap) -> RealPolyMap | Obstruction:
     # stage (a): extract M(x) with Phi^i = sum_j M[i][j](x) * y_j
     coefficient_rows: list[list[MultiPoly]] = []
     for index, comp in enumerate(Phi.components, start=1):
-        try:
-            coefficient_rows.append(comp.fiber_coefficients())
-        except ValueError:
-            for exponents in comp.terms:
-                fiber_degree = sum(exponents[m:])
-                if fiber_degree != 1:
-                    return NotPartialLinear(index, exponents, fiber_degree)
-            raise
+        entries: list[dict] = [{} for _ in range(m)]
+        for exponents, coeff in comp.terms.items():
+            fiber = exponents[m:]
+            if sum(fiber) != 1:
+                return NotPartialLinear(index, exponents, sum(fiber))
+            entries[fiber.index(1)][exponents[:m]] = coeff
+        coefficient_rows.append([MultiPoly(m, terms) for terms in entries])
 
     # stage (b): integrability dM_ij/dx_k == dM_ik/dx_j
     for index, row in enumerate(coefficient_rows, start=1):

@@ -23,18 +23,20 @@ so :meth:`MultiPoly.partial` is the same operation for real and complex kinds.
 
 Every sum follows one rule: a term whose running sum reaches 0 is deleted
 from the store at once, and if a later summand brings it back it goes last.
-No zero ever sits in a store while it accumulates, so a product whose terms
-mostly cancel holds only the terms still alive.  Values, coefficient types
-and rendered text do not depend on the rule; the dict order of a term that
-cancels and comes back does.
+:func:`accumulate_terms` is where the rule is written; sums, differences,
+the Laplacian, substitution and the front end's lowering all go through
+it, and only the inner loop of :func:`accumulate_product`, which runs once
+per pair of terms, has it inlined.  No zero ever sits in a store while it
+accumulates, so a product whose terms mostly cancel holds only the terms
+still alive.  Values, coefficient types and rendered text do not depend on
+the rule; the dict order of a term that cancels and comes back does.
 """
 
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
-from itertools import compress, repeat, takewhile
-from operator import add, sub
+from itertools import chain, compress, repeat, takewhile
 
 from .exact import (
     DimensionMismatch,
@@ -118,6 +120,22 @@ def _nonzero_fields(keys, num_vars: int, width: int):
             e = fields[j] = (key >> (bits * j)) & mask
             key -= e << (bits * j)
         yield fields, fields
+
+
+def accumulate_terms(store: dict, items) -> dict:
+    """Add each (key, coefficient) of ``items`` into ``store``, in order, and
+    return ``store``: an absent key takes the coefficient as it is, a present
+    one the sum, and a sum of 0 deletes the key.  A 0 summand at an absent
+    key leaves nothing."""
+    get = store.get
+    for key, coeff in items:
+        total = get(key)
+        total = coeff if total is None else total + coeff
+        if total:
+            store[key] = total
+        else:
+            store.pop(key, None)
+    return store
 
 
 def _check_ring_shape(num_vars: int, num_complex: int) -> None:
@@ -234,10 +252,6 @@ class MultiPoly:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, num_vars: int, num_complex: int = 0) -> "MultiPoly":
-        return cls(num_vars, {}, num_complex)
-
-    @classmethod
     def constant(cls, num_vars: int, value: Scalar, num_complex: int = 0) -> "MultiPoly":
         return cls(num_vars, {(0,) * num_vars: value}, num_complex)
 
@@ -280,30 +294,18 @@ class MultiPoly:
 
     # -- ring operations --------------------------------------------------------
 
-    def _combine(self, other, op):
-        """self op other, for op in {add, sub}, applied term by term.  A term
-        that cancels is deleted at once; each key of ``other`` is visited
-        only once, so none comes back and the order is self's, then other's
-        new terms."""
+    def __add__(self, other):
+        """The terms of self, then other's new ones; each key of ``other``
+        is visited once, so none that cancels comes back."""
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = MultiPoly.constant(self.num_vars, other, self.num_complex)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_ring(other)
         width = max(self._width, other._width)
-        terms = dict(self._at(width))
-        get = terms.get
-        for key, coeff in other._at(width).items():
-            c = op(get(key, 0), coeff)
-            if c:
-                terms[key] = c
-            else:
-                del terms[key]
+        terms = accumulate_terms(dict(self._at(width)), other._at(width).items())
         return MultiPoly._make(self.num_vars, self.num_complex, terms, width,
                                max(self._bound, other._bound))
-
-    def __add__(self, other):
-        return self._combine(other, add)
 
     __radd__ = __add__
 
@@ -311,7 +313,9 @@ class MultiPoly:
         return self._with({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        return self._combine(other, sub)
+        if isinstance(other, (int, Fraction, GaussianRational, MultiPoly)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
@@ -402,16 +406,7 @@ class MultiPoly:
                 e = exponents[j]
                 if e > 1:
                     buckets[j].append((key - twos[j], e * (e - 1) * coeff))
-        terms = {}
-        get = terms.get
-        for bucket in buckets:
-            for key, c in bucket:
-                c = get(key, 0) + c
-                if c:
-                    terms[key] = c
-                else:
-                    del terms[key]
-        return self._with(terms)
+        return self._with(accumulate_terms({}, chain.from_iterable(buckets)))
 
     def complete_lift(self) -> "MultiPoly":
         """sum_j (d self / d v_j) * w_j over the base variables v_1..v_m,
@@ -446,29 +441,6 @@ class MultiPoly:
             width, bound = 1, 0
         return MultiPoly._make(2 * self.num_vars, 2 * self.num_complex, terms,
                                width, bound)
-
-    def fiber_coefficients(self) -> list["MultiPoly"]:
-        """M_1..M_m with self = sum_j M_j(x) * y_j, for a polynomial of a real
-        ring on x_1..x_m, y_1..y_m that is linear in the fiber block y, such
-        as a real :meth:`complete_lift`, where M_j = d phi / d x_j.  Entry j
-        takes the terms whose fiber factor is y_j, with y_j removed, in term
-        order.  Raises ValueError on a term of fiber degree other than 1."""
-        m, odd = divmod(self.num_vars, 2)
-        if odd or self.num_complex:
-            raise DimensionMismatch("fiber coefficients need a real ring on "
-                                    "an even number of variables")
-        bits = 8 * self._width
-        half = bits * m
-        low = (1 << half) - 1
-        entries: list[dict] = [{} for _ in range(m)]
-        for key, coeff in self._terms.items():
-            fiber = key >> half
-            j, offset = divmod(fiber.bit_length() - 1, bits)
-            if offset or fiber != 1 << (bits * j):
-                raise ValueError("a term's fiber degree is not 1")
-            entries[j][key & low] = coeff
-        return [MultiPoly._make(m, 0, terms, self._width, self._bound)
-                for terms in entries]
 
     def conjugate_poly(self) -> "MultiPoly":
         """Swap each z_k with zb_k and conjugate every coefficient."""
@@ -521,7 +493,6 @@ class MultiPoly:
                      for exponents in terms), default=0)
         width = max(_field_width(bound), *(q._width for q in values))
         result = {}
-        get = result.get
         power_cache: dict[tuple[int, int], MultiPoly] = {}
         for exponents, coeff in terms.items():
             term = MultiPoly.constant(ring[0], coeff, ring[1])
@@ -530,29 +501,8 @@ class MultiPoly:
                     if (j, e) not in power_cache:
                         power_cache[j, e] = values[j] ** e
                     term = term * power_cache[j, e]
-            for key, c in term._at(width).items():
-                c = get(key, 0) + c
-                if c:
-                    result[key] = c
-                else:
-                    del result[key]
+            accumulate_terms(result, term._at(width).items())
         return MultiPoly._make(*ring, result, width, bound)
-
-    def remap(self, num_vars: int, index_map: dict[int, int],
-              num_complex: int = 0) -> "MultiPoly":
-        """Embed into a larger ring, sending old variable j to index_map[j]."""
-        _check_ring_shape(num_vars, num_complex)
-        bits = 8 * self._width
-        mask = (1 << bits) - 1
-        moves = [(bits * j, bits * index_map[j]) for j in range(self.num_vars)]
-        terms = {}
-        for key, coeff in self._terms.items():
-            moved = 0
-            for old, new in moves:
-                moved |= ((key >> old) & mask) << new
-            terms[moved] = coeff
-        return MultiPoly._make(num_vars, num_complex, terms, self._width,
-                               self._bound)
 
     # -- inspection -------------------------------------------------------------
 
@@ -584,6 +534,7 @@ def accumulate_product(accumulator: dict, p: MultiPoly, q: MultiPoly, *,
         raise OverflowError(f"exponent sums of p*q overflow {width}-byte fields")
     get = accumulator.get
     q_items = q._at(width).items()
+    # accumulate_terms inlined: a helper call per term pair costs too much here
     for kp, cp in p._at(width).items():
         for kq, cq in q_items:
             key = kp + kq
@@ -745,8 +696,8 @@ def _sum_text(pieces: list) -> str:
 
 def render_fibered(p: MultiPoly, names, base_names) -> tuple[str, list[str]]:
     """``render(p, names)`` and the text of each fiber coefficient M_j of
-    ``p`` (:meth:`MultiPoly.fiber_coefficients`) in ``base_names``, from
-    one sort of p's terms.
+    ``p = sum_j M_j(x) * y_j`` in ``base_names``, from one sort of p's
+    terms.
 
     Each term c*x^a*y_j writes its x factors and its coefficient once; they
     make M_j's piece, and p's piece appends ``*y_j``.  M_j's terms come in

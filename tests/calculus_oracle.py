@@ -92,7 +92,7 @@ def hessian_by_partials(p: MultiPoly) -> PartialHessian:
 def laplacian_by_partials(p: MultiPoly) -> MultiPoly:
     if p.num_complex:
         raise DimensionMismatch("laplacian is defined for real variable kinds")
-    total = MultiPoly.zero(p.num_vars)
+    total = MultiPoly(p.num_vars, {})
     for i in range(p.num_vars):
         total = total + p.partial(i).partial(i)
     return total

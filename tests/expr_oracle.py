@@ -7,8 +7,14 @@ The bodies are the old functions' bodies, so the differential tests in
 iterative renderer with the code they replaced.  Two helpers serve the
 tests as well: ``same_tree``, the structural comparison that the nodes,
 which compare by identity, do not offer, and ``poly_to_expr``, which
-writes a polynomial as a tree.  These functions are not part of the
-package.
+writes a polynomial as a tree.
+
+``lower_to_poly`` and ``accumulate_term`` are the exact lowering as it was
+when it summed each summand's terms into one dict by hand, one term at a
+time with its sign, before ``poly.accumulate_terms`` applied the sum rule
+for every store.  The differential tests in ``test_sum_rule.py`` compare the
+lowering and the reader of canonical text with them.  These functions are
+not part of the package.
 """
 
 from __future__ import annotations
@@ -34,6 +40,9 @@ from morphlift.expr import (
     Var,
     ONE,
     ZERO,
+    _check_ring_shape,
+    _lower_summand,
+    _monomial,
     add,
     conj_node,
     div,
@@ -43,6 +52,7 @@ from morphlift.expr import (
     sub,
 )
 from morphlift.numeric import InternalConsistencyError, ResidualReport
+from morphlift.poly import MultiPoly
 
 
 # ---------------------------------------------------------------------------
@@ -288,3 +298,56 @@ def numeric_check(phi, points, tolerance: float) -> ResidualReport:
     verdict = witness is None
     return ResidualReport(tuple(points), tuple(laplacian_max),
                           conformality_max, tolerance, verdict, witness)
+
+
+# ---------------------------------------------------------------------------
+# Exact lowering
+# ---------------------------------------------------------------------------
+
+def lower_to_poly(node, num_vars: int, num_complex: int = 0) -> MultiPoly:
+    _check_ring_shape(num_vars, num_complex)
+    summands = []   # (node, sign), right to left
+    sign = 1
+    while True:
+        kind = type(node)
+        if kind is Add:
+            summands.append((node.right, sign))
+        elif kind is Sub:
+            summands.append((node.right, -sign))
+        elif kind is Neg:
+            sign = -sign
+            node = node.arg
+            continue
+        else:
+            summands.append((node, sign))
+            break
+        node = node.left
+
+    terms: dict = {}
+    for node, sign in reversed(summands):
+        while type(node) is Neg:
+            node, sign = node.arg, -sign
+        term = _monomial(node, num_vars)
+        if term is None:
+            items = _lower_summand(node, num_vars, num_complex).terms.items()
+        else:
+            items = (term,)
+        for exponents, coeff in items:
+            accumulate_term(terms, exponents, coeff, sign)
+    return MultiPoly._trusted(num_vars, terms, num_complex)
+
+
+def accumulate_term(terms: dict, exponents: tuple, coeff, sign: int) -> None:
+    """Add ``coeff`` to ``terms[exponents]``, or subtract it when ``sign`` is
+    negative: a term that cancels is dropped, and if it comes back it goes
+    last.  An absent term takes ``coeff`` or ``-coeff`` as it is."""
+    value = terms.get(exponents)
+    if value is None:
+        if coeff:
+            terms[exponents] = coeff if sign > 0 else -coeff
+        return
+    value = value + coeff if sign > 0 else value - coeff
+    if value:
+        terms[exponents] = value
+    else:
+        terms.pop(exponents, None)

@@ -32,7 +32,7 @@ def _laplacian_matrix(num_vars: int, degree: int):
     rows = [[0] * len(sources) for _ in targets]
     for col, source in enumerate(sources):
         poly = MultiPoly(num_vars, {source: 1})
-        lap = MultiPoly.zero(num_vars)
+        lap = MultiPoly(num_vars, {})
         for j in range(num_vars):
             lap = lap + poly.partial(j).partial(j)
         for exponents, coeff in lap.terms.items():
@@ -102,7 +102,7 @@ def random_harmonic_map(rng: random.Random, num_vars: int, codomain: int,
     elements (hence harmonic by linearity)."""
     components = []
     for _ in range(codomain):
-        total = MultiPoly.zero(num_vars)
+        total = MultiPoly(num_vars, {})
         for degree in range(1, max_degree + 1):
             basis = harmonic_basis(num_vars, degree)
             for _ in range(rng.randint(0, 2)):

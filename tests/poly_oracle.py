@@ -24,7 +24,19 @@ through ``_render_coefficient``.  ``squared_power`` is
 squares every base through products.  ``fibered_render`` is how ``lift
 --real`` wrote a lift's component and its coefficient matrix row before
 ``render_fibered``: ``render`` of the component, then ``render`` of each of
-its ``fiber_coefficients``.  These functions are not part of the package.
+its fiber coefficients.
+
+Six functions keep packed-store bodies that the package no longer has.
+``packed_combine`` is ``MultiPoly.__add__`` and ``__sub__`` as they were
+when both went through one term loop with ``op`` in {add, sub};
+``packed_laplacian`` and ``store_compose`` are ``MultiPoly.laplacian`` and
+``MultiPoly.compose`` as they were when each wrote its own running sum.
+Those three are the sum rule written out by hand, before
+``poly.accumulate_terms`` was its one home.  ``packed_remap`` and
+``packed_fiber_coefficients`` are the methods ``MultiPoly.remap`` and
+``MultiPoly.fiber_coefficients``, which moved packed keys between rings;
+their results keep the width and exponent bound of the polynomial they came
+from.  These functions are not part of the package.
 """
 
 from __future__ import annotations
@@ -34,13 +46,22 @@ from itertools import takewhile
 from operator import add
 
 from morphlift.exact import (
+    DimensionMismatch,
+    GaussianRational,
     conjugate,
     imag_part,
     make_scalar_like,
     real_part,
     render_scalar,
 )
-from morphlift.poly import MultiPoly, default_names, render as package_render
+from morphlift.poly import (
+    MultiPoly,
+    _check_ring_shape,
+    _field_width,
+    _nonzero_fields,
+    default_names,
+    render as package_render,
+)
 
 
 def canonicalize(terms: dict) -> dict:
@@ -199,7 +220,7 @@ def packed_compose(q: MultiPoly, values: list) -> MultiPoly:
     if not values:
         return q
     ring = (values[0].num_vars, values[0].num_complex)
-    result = MultiPoly.zero(*ring)
+    result = MultiPoly(ring[0], {}, ring[1])
     power_cache: dict = {}
     for exponents, coeff in q.terms.items():
         term = MultiPoly.constant(ring[0], coeff, ring[1])
@@ -306,4 +327,120 @@ def squared_power(a: MultiPoly, exponent: int) -> MultiPoly:
 
 def fibered_render(p: MultiPoly, names, base_names) -> tuple[str, list[str]]:
     return (package_render(p, names),
-            [package_render(entry, base_names) for entry in p.fiber_coefficients()])
+            [package_render(entry, base_names)
+             for entry in packed_fiber_coefficients(p)])
+
+
+def packed_combine(a: MultiPoly, b, op) -> MultiPoly:
+    """a op b, for op in {add, sub}, applied term by term.  A term that
+    cancels is deleted at once; each key of ``b`` is visited only once, so
+    none comes back and the order is a's, then b's new terms."""
+    if isinstance(b, (int, Fraction, GaussianRational)):
+        b = MultiPoly.constant(a.num_vars, b, a.num_complex)
+    a._check_ring(b)
+    width = max(a._width, b._width)
+    terms = dict(a._at(width))
+    get = terms.get
+    for key, coeff in b._at(width).items():
+        c = op(get(key, 0), coeff)
+        if c:
+            terms[key] = c
+        else:
+            del terms[key]
+    return MultiPoly._make(a.num_vars, a.num_complex, terms, width,
+                           max(a._bound, b._bound))
+
+
+def packed_laplacian(p: MultiPoly) -> MultiPoly:
+    """The sum of the second partials, its buckets summed j-major by hand."""
+    bits = 8 * p._width
+    twos = [2 << (bits * j) for j in range(p.num_vars)]
+    high = ((1 << bits) - 2) * sum(twos) // 2
+    squared = {key: c for key, c in p._terms.items() if key & high}
+    buckets = [[] for _ in twos]
+    decoded = _nonzero_fields(squared, p.num_vars, p._width)
+    for (key, coeff), (exponents, variables) in zip(squared.items(), decoded):
+        for j in variables:
+            e = exponents[j]
+            if e > 1:
+                buckets[j].append((key - twos[j], e * (e - 1) * coeff))
+    terms = {}
+    get = terms.get
+    for bucket in buckets:
+        for key, c in bucket:
+            c = get(key, 0) + c
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
+    return p._with(terms)
+
+
+def store_compose(q: MultiPoly, values: list) -> MultiPoly:
+    """``MultiPoly.compose`` with its expanded monomials summed into one
+    store by hand, at the widest width any of them takes."""
+    if len(values) != q.num_vars:
+        raise DimensionMismatch(
+            f"need {q.num_vars} substitution values, got {len(values)}")
+    if not values:
+        return q
+    ring = (values[0].num_vars, values[0].num_complex)
+    terms = q.terms
+    bound = max((sum(e * v._bound for e, v in zip(exponents, values))
+                 for exponents in terms), default=0)
+    width = max(_field_width(bound), *(v._width for v in values))
+    result = {}
+    get = result.get
+    power_cache: dict = {}
+    for exponents, coeff in terms.items():
+        term = MultiPoly.constant(ring[0], coeff, ring[1])
+        for j, e in enumerate(exponents):
+            if e:
+                if (j, e) not in power_cache:
+                    power_cache[j, e] = values[j] ** e
+                term = term * power_cache[j, e]
+        for key, c in term._at(width).items():
+            c = get(key, 0) + c
+            if c:
+                result[key] = c
+            else:
+                del result[key]
+    return MultiPoly._make(*ring, result, width, bound)
+
+
+def packed_remap(p: MultiPoly, num_vars: int, index_map: dict,
+                 num_complex: int = 0) -> MultiPoly:
+    """Embed into a larger ring, sending old variable j to index_map[j]."""
+    _check_ring_shape(num_vars, num_complex)
+    bits = 8 * p._width
+    mask = (1 << bits) - 1
+    moves = [(bits * j, bits * index_map[j]) for j in range(p.num_vars)]
+    terms = {}
+    for key, coeff in p._terms.items():
+        moved = 0
+        for old, new in moves:
+            moved |= ((key >> old) & mask) << new
+        terms[moved] = coeff
+    return MultiPoly._make(num_vars, num_complex, terms, p._width, p._bound)
+
+
+def packed_fiber_coefficients(p: MultiPoly) -> list:
+    """M_1..M_m with p = sum_j M_j(x) * y_j, for a polynomial of a real ring
+    on x_1..x_m, y_1..y_m that is linear in y.  Raises ValueError on a term
+    of fiber degree other than 1."""
+    m, odd = divmod(p.num_vars, 2)
+    if odd or p.num_complex:
+        raise DimensionMismatch("fiber coefficients need a real ring on "
+                                "an even number of variables")
+    bits = 8 * p._width
+    half = bits * m
+    low = (1 << half) - 1
+    entries: list[dict] = [{} for _ in range(m)]
+    for key, coeff in p._terms.items():
+        fiber = key >> half
+        j, offset = divmod(fiber.bit_length() - 1, bits)
+        if offset or fiber != 1 << (bits * j):
+            raise ValueError("a term's fiber degree is not 1")
+        entries[j][key & low] = coeff
+    return [MultiPoly._make(m, 0, terms, p._width, p._bound)
+            for terms in entries]

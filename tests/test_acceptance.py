@@ -22,6 +22,7 @@ from genmaps import (
 )
 from calculus_oracle import antiholomorphic_jacobian
 from exact_oracle import bilinear_dot
+from poly_oracle import packed_remap
 from morphlift.analysis import (
     hessian_conditions,
     hwc_certificate,
@@ -104,7 +105,7 @@ def test_criterion_02_q_r_is_harmonic_morphism(quaternion_real, q_r_lift):
         base = hwc_certificate(quaternion_real).dilation
         x_embed = {j: j for j in range(8)}
         y_embed = {j: 8 + j for j in range(8)}
-        oracle = base.remap(16, x_embed) + base.remap(16, y_embed)
+        oracle = packed_remap(base, 16, x_embed) + packed_remap(base, 16, y_embed)
     ok = (report.verdict and report.dilation == expected
           and report.dilation == oracle and timer.elapsed < 1.0)
     _report(2, ok, f"harmonic morphism, dilation = sum of 16 squares, "

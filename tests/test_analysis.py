@@ -107,7 +107,7 @@ def test_complex_lift_fails_hwc_with_residual(quaternion):
     j = jacobian(lift)
 
     def gram(k, l):
-        total = MultiPoly.zero(lift.domain_dim)
+        total = MultiPoly(lift.domain_dim, {})
         for a, b in zip(j.entries[k], j.entries[l]):
             total = total + a * b
         return total
@@ -156,7 +156,7 @@ def test_dilation_is_nonnegative_at_rational_points(seed):
 def test_q_r_lift_is_harmonic_morphism(q_r_lift):
     report = is_harmonic_morphism(q_r_lift)
     assert report.verdict
-    expected = MultiPoly.zero(16)
+    expected = MultiPoly(16, {})
     for j in range(16):
         v = MultiPoly.variable(16, j)
         expected = expected + v * v
@@ -172,7 +172,7 @@ def test_dilation_of_composition_factorizes(phi_r16_real, q_r_lift):
     # (dilation of zw evaluated at Q_r) times the dilation of Q_r
     lam_phi = hwc_certificate(phi_r16_real).dilation
     lam_lift = hwc_certificate(q_r_lift).dilation
-    image_norm = MultiPoly.zero(16)
+    image_norm = MultiPoly(16, {})
     for comp in q_r_lift.components:
         image_norm = image_norm + comp * comp
     assert lam_phi == image_norm * lam_lift

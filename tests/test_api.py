@@ -1,12 +1,16 @@
 """The package's public names: ``morphlift.__all__`` lists each exported
 name once, and each one exists, so ``from morphlift import *`` works; and
 each one is used by the package itself, so no export serves the tests
-alone."""
+alone.  The same holds for the public methods and properties of
+``MultiPoly``: each is read as an attribute somewhere in the package, or
+traced by the benchmark."""
 
 import ast
+import types
 from pathlib import Path
 
 import morphlift
+from morphlift.poly import MultiPoly
 
 # Exported although no module of the package reads it: the documented way to
 # read back a polynomial that ``--json`` printed.
@@ -37,3 +41,34 @@ def test_every_exported_name_is_used_by_the_package():
     loaded = _names_loaded_by_the_package()
     unused = {name for name in morphlift.__all__ if name not in loaded}
     assert unused == USED_OUTSIDE_THE_PACKAGE
+
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _traced_names() -> set:
+    """The qualified names in ``perfbench/tracer.py``'s ``LAYERS``, read from
+    the file, as ``test_bench_contract.py`` reads it."""
+    namespace: dict = {}
+    exec(compile(TRACER_PATH.read_text(), str(TRACER_PATH), "exec"), namespace)
+    return {f"{layer}.{name}" for layer, names in namespace["LAYERS"].items()
+            for name in names}
+
+
+def _attributes_loaded_by_the_package() -> set:
+    return {node.attr for path in Path(morphlift.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_method_of_multipoly_is_used_by_the_package():
+    # a method only the tests call is a kernel to delete, or to move into
+    # a test oracle
+    public = {name for name, value in vars(MultiPoly).items()
+              if not name.startswith("_")
+              and isinstance(value, (property, classmethod, staticmethod,
+                                     types.FunctionType))}
+    used = _attributes_loaded_by_the_package() | {
+        name.rpartition(".")[2] for name in _traced_names()
+        if name.startswith("poly.MultiPoly.")}
+    assert public - used == set()

@@ -44,7 +44,7 @@ def test_jacobian_of_quadratic_map_rows():
     j = jacobian(phi)
     for i, a in enumerate(matrices):
         for k in range(3):
-            expected = MultiPoly.zero(3)
+            expected = MultiPoly(3, {})
             for l in range(3):
                 expected = expected + MultiPoly.variable(3, l).scale(2 * a[l][k])
             assert j[i, k] == expected
@@ -65,7 +65,7 @@ def test_hessian_symmetric_and_trace_is_laplacian(seed):
     poly = random_real_poly(random.Random(seed), 3, max_degree=4)
     h = hessian(poly)
     assert all(h[i, j] == h[j, i] for i in range(3) for j in range(3))
-    trace = MultiPoly.zero(3)
+    trace = MultiPoly(3, {})
     for i in range(3):
         trace = trace + h[i, i]
     assert trace == laplacian(poly)

@@ -4,7 +4,7 @@
 
 Map files come from the grammar of ``mapfile`` (nesting depth at most 6,
 exponents at most 3, at most 40 summands in a sum), with junk characters
-spliced in.  A bound on the terms and the degree a subtree can expand to
+spliced in; one header in eight declares a dimension above the bound.  A bound on the terms and the degree a subtree can expand to
 keeps every lift and check small; depth, degree and term-count limits for
 arbitrary input are not part of the CLI yet.
 """
@@ -16,12 +16,17 @@ from math import comb
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from morphlift.cli import cli_main
+from morphlift.mapfile import MAX_DIMENSION
 
 MAX_DEPTH = 6
 MAX_EXPONENT = 3
 MAX_SUMMANDS = 40
 MAX_TERMS = 150      # bound on the terms a subtree expands to
 MAX_DEGREE = 12
+
+# dimensions past the bound, up to one too long for int() to read
+WIDE_DIMENSIONS = st.sampled_from([str(MAX_DIMENSION + 1), "100000", "20000000",
+                                   "9" * 20, "9" * 4301])
 
 JUNK = st.sampled_from(list("?@$!&|~`[]<>%.\"'\\#;{},:=^()*/+-_0x9é")
                        + ["\u00b2", "\u00bd", "\u0661", "\u00a0", "\x00", "\r",
@@ -89,7 +94,10 @@ def map_sources(draw):
         # names and functions the map does not define, or in the wrong kind
         names.extend(["x9", "z1", "zb9", "y1", "i"])
         functions.extend(["conj", "sqrt", "re", "im", "frob"])
-    lines = [f"map f: {kind}^{m} -> {kind}^{n} {{"]
+    dims = [str(m), str(n)]
+    if draw(st.integers(0, 7)) == 0:
+        dims[draw(st.integers(0, 1))] = draw(WIDE_DIMENSIONS)
+    lines = [f"map f: {kind}^{dims[0]} -> {kind}^{dims[1]} {{"]
     if draw(st.booleans()):
         lines.append(f"  t = {draw(expressions(names, functions))[0]};")
         names = [*names, "t"]

@@ -123,9 +123,9 @@ def test_polynomials_with_wide_fields_match_the_oracle(data):
 
 
 @pytest.mark.parametrize("p", [
-    MultiPoly.zero(0),
+    MultiPoly(0, {}),
     MultiPoly.constant(0, 5),
-    MultiPoly.zero(3),
+    MultiPoly(3, {}),
     MultiPoly.constant(3, Fraction(1, 2)),
     MultiPoly(1, {(300,): 1}) - MultiPoly(1, {(300,): 1}),    # 0 at width 2
     MultiPoly(2, {(1, 1): 3, (1, 0): -1}),                  # no square

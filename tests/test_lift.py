@@ -83,37 +83,8 @@ def test_lift_fiber_partials_recover_base_jacobian():
     embed = {j: j for j in range(3)}
     for k, comp in enumerate(phi.components):
         for j in range(3):
-            expected = comp.partial(j).remap(6, embed)
+            expected = poly_oracle.packed_remap(comp.partial(j), 6, embed)
             assert lift.components[k].partial(3 + j) == expected
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_fiber_coefficients_of_a_lift_are_the_base_jacobian(seed):
-    rng = random.Random(seed)
-    m = rng.randint(1, 6)
-    phi = random_real_map(rng, m, 2)
-    if seed % 2:    # exponents past one byte: the lift keeps two-byte fields
-        wide = MultiPoly(m, {(300,) * m: Fraction(1, 3), (0,) * m: 1})
-        phi = RealPolyMap(m, 2, [c * wide for c in phi.components])
-    jac = jacobian(phi)
-    for k, comp in enumerate(complete_lift_real(phi).components):
-        row = comp.fiber_coefficients()
-        assert row == [jac[k, j] for j in range(m)]
-        assert [list(map(type, e.terms.values())) for e in row] == \
-            [list(map(type, jac[k, j].terms.values())) for j in range(m)]
-
-
-def test_fiber_coefficients_need_fiber_degree_one_in_an_even_real_ring():
-    x1, y1 = MultiPoly.variable(4, 0), MultiPoly.variable(4, 2)
-    y2 = MultiPoly.variable(4, 3)
-    assert (3 * x1 * x1 * y2 - y1).fiber_coefficients() == [
-        MultiPoly.constant(2, -1), parse_poly("3*x1^2", 2)]
-    for bad in (x1, y1 * y2, y2 * y2, x1 * y1 + 1):
-        with pytest.raises(ValueError, match="fiber degree"):
-            bad.fiber_coefficients()
-    for ring in ((3, 0), (4, 2)):
-        with pytest.raises(DimensionMismatch):
-            MultiPoly.variable(*ring[:1], 0, ring[1]).fiber_coefficients()
 
 
 def test_wide_domain_lift_builds_only_the_fiber_variables_it_uses():
@@ -179,7 +150,7 @@ def _bilinear_lift(matrices):
     y = [MultiPoly.variable(2 * m, m + j) for j in range(m)]
     components = []
     for a in matrices:
-        total = MultiPoly.zero(2 * m)
+        total = MultiPoly(2 * m, {})
         for j in range(m):
             for k in range(m):
                 total = total + (x[j] * y[k]).scale(2 * a[j][k])
@@ -304,7 +275,7 @@ def test_chain_rule_of_lifts(seed):
     lift_phi = complete_lift_real(phi)
     lift_psi = complete_lift_real(psi)
     embed = {j: j for j in range(2)}
-    values = [c.remap(4, embed) for c in phi.components] + \
+    values = [poly_oracle.packed_remap(c, 4, embed) for c in phi.components] + \
         list(lift_phi.components)
     right_components = [c.compose(values) for c in lift_psi.components]
     assert list(left.components) == right_components
@@ -439,8 +410,8 @@ def test_lift_kernel_matches_the_old_loops_on_named_variables():
     named = ComplexPolyMap(2, 1, zw.components, ("u", "v"))
     assert _assert_same_lift(named).names() == (
         "u", "v", "w1", "w2", "ub", "vb", "wb1", "wb2")
-    constant = RealPolyMap(2, 2, [parse_poly("5", 2), MultiPoly.zero(2)])
-    assert _assert_same_lift(constant).components == (MultiPoly.zero(4),) * 2
+    constant = RealPolyMap(2, 2, [parse_poly("5", 2), MultiPoly(2, {})])
+    assert _assert_same_lift(constant).components == (MultiPoly(4, {}),) * 2
 
 
 def test_lift_kernel_matches_the_old_loops_on_the_catalog():
@@ -503,18 +474,18 @@ def test_lift_kernel_widens_the_fields_as_the_old_loops_did(exponent):
 
 
 def test_lift_kernel_matches_the_old_loops_on_constants_and_zero_partials():
-    real = RealPolyMap(3, 4, [parse_poly("5", 3), MultiPoly.zero(3),
+    real = RealPolyMap(3, 4, [parse_poly("5", 3), MultiPoly(3, {}),
                               parse_poly("x1^2 - 1/3", 3),
                               parse_poly("x3^4*x1 + x3", 3)])
     lifted = _assert_same_lift(real)
-    assert lifted.components[:2] == (MultiPoly.zero(6),) * 2
+    assert lifted.components[:2] == (MultiPoly(6, {}),) * 2
     complex_map = ComplexPolyMap(2, 3, [
         MultiPoly.constant(4, GaussianRational(1, 1), 2),
         parse_map("map f: C^2 -> C^1 { f1 = conj(z1)*conj(z2) + 2; }").components[0],
         parse_map("map f: C^2 -> C^1 { f1 = z2^3*conj(z1) - i*z2; }").components[0]])
     lifted = _assert_same_lift(complex_map)
     # a partial in zb only: the holomorphic lift of a function of zb is zero
-    assert lifted.components[:2] == (MultiPoly.zero(8, 4),) * 2
+    assert lifted.components[:2] == (MultiPoly(8, {}, 4),) * 2
 
 
 @given(st.integers(0, 10**6))
@@ -557,9 +528,9 @@ def _random_fiber_linear_map(rng, m, n):
     identity = {j: j for j in range(m)}
     components = []
     for _ in range(n):
-        total = MultiPoly.zero(2 * m)
+        total = MultiPoly(2 * m, {})
         for j in range(m):
-            entry = random_real_poly(rng, m).remap(2 * m, identity)
+            entry = poly_oracle.packed_remap(random_real_poly(rng, m), 2 * m, identity)
             total = total + entry * MultiPoly.variable(2 * m, m + j)
         components.append(total)
     return RealPolyMap(2 * m, n, components)
@@ -606,3 +577,101 @@ def test_antilift_matches_the_old_loop_on_the_ladder(phi_r16_real):
     r32 = complete_lift_real(phi_r16_real)
     recovered = _assert_same_antilift(r32)
     assert recovered == phi_r16_real
+
+
+# ---------------------------------------------------------------------------
+# The anti-lift and the block-Jacobian check against their packed bodies
+# ---------------------------------------------------------------------------
+
+def _assert_same_as_the_packed_antilift(Phi):
+    """anti_lift and its body that split packed keys with
+    ``fiber_coefficients`` give the same witness, the same obstruction
+    values term by term, or the same base map with the same width and
+    bound; returns the outcome.  An obstruction value's bound is not
+    compared: each entry of M(x) now takes its own bound, where the packed
+    split kept the lifted component's."""
+    new, old = anti_lift(Phi), lift_oracle.packed_anti_lift(Phi)
+    assert type(new) is type(old)
+    assert new == old
+    if isinstance(new, RealPolyMap):
+        for p, q in zip(new.components, old.components, strict=True):
+            assert [(e, c, type(c)) for e, c in p.terms.items()] == \
+                [(e, c, type(c)) for e, c in q.terms.items()]
+            assert (p._width, p._bound) == (q._width, q._bound)
+    elif isinstance(new, MixedPartialObstruction):
+        for p, q in ((new.value_jk, old.value_jk), (new.value_kj, old.value_kj)):
+            assert [(e, c, type(c)) for e, c in p.terms.items()] == \
+                [(e, c, type(c)) for e, c in q.terms.items()]
+    return new
+
+
+def _with_one_term_changed(rng, Phi):
+    """Phi with one term added to one component, or a coefficient changed:
+    the term's fiber degree is 0, 1 or 2, and its x exponents may pass a
+    one-byte field."""
+    m = Phi.domain_dim // 2
+    exponents = [rng.choice((0, 0, 1, 2, 300)) for _ in range(m)]
+    fiber = [0] * m
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        fiber[rng.randrange(m)] += 1
+    components = list(Phi.components)
+    k = rng.randrange(len(components))
+    term = MultiPoly(2 * m, {tuple(exponents + fiber): rng.choice(
+        (1, -2, Fraction(1, 3)))})
+    components[k] = components[k] + term
+    return RealPolyMap(2 * m, Phi.codomain_dim, components)
+
+
+def test_antilift_matches_its_packed_body_on_the_catalog():
+    rng = random.Random(27)
+    for entry_id in entry_ids():
+        phi = parse_map(lookup(entry_id).definition)
+        if isinstance(phi, ComplexPolyMap):
+            phi = real_identification(phi)
+        if not isinstance(phi, RealPolyMap):
+            continue
+        lift = complete_lift_real(phi)
+        assert isinstance(_assert_same_as_the_packed_antilift(lift), RealPolyMap)
+        _assert_same_as_the_packed_antilift(_with_one_term_changed(rng, lift))
+        if phi.domain_dim % 2 == 0:
+            _assert_same_as_the_packed_antilift(phi)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_antilift_matches_its_packed_body_on_seeded_lifts(seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 4), rng.randint(1, 3)
+    maps = [random_real_map(rng, m, n),
+            random_harmonic_map(rng, max(m, 2), n, max_degree=3),
+            random_quadratic_map(rng, m, n),
+            real_identification(random_complex_map(rng, rng.randint(1, 2), n))]
+    for phi in maps:
+        lift = complete_lift_real(phi)
+        assert isinstance(_assert_same_as_the_packed_antilift(lift), RealPolyMap)
+        _assert_same_as_the_packed_antilift(_with_one_term_changed(rng, lift))
+    _assert_same_as_the_packed_antilift(_random_fiber_linear_map(rng, m, n))
+
+
+def test_antilift_witness_is_the_first_term_of_fiber_degree_other_than_1():
+    x1, y1, y2 = (MultiPoly.variable(4, j) for j in (0, 2, 3))
+    # y1*y2 and x1 both fail; y1*y2 comes first in term order
+    Phi = RealPolyMap(4, 2, [x1 * y2, y1 * y2 + x1 * y1 + x1])
+    outcome = _assert_same_as_the_packed_antilift(Phi)
+    assert outcome == NotPartialLinear(2, (0, 0, 1, 1), 2)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_block_jacobian_check_matches_its_packed_body(seed):
+    rng = random.Random(seed)
+    phi = random_quadratic_map(rng, rng.randint(1, 4), rng.randint(1, 3))
+    assert block_jacobian_check(phi) is lift_oracle.packed_block_jacobian_check(phi)
+    cubic = random_real_map(rng, rng.randint(1, 3), 2, max_degree=3)
+    outcomes = []
+    for check in (block_jacobian_check, lift_oracle.packed_block_jacobian_check):
+        try:
+            outcomes.append(check(cubic))
+        except ShapeError as error:
+            outcomes.append(str(error))
+    assert outcomes[0] == outcomes[1]
