@@ -151,14 +151,14 @@ def hessian_conditions(phi: RealPolyMap) -> CheckReport:
     # early entry reads O(m) second partials of the m^2.
     hessians = [hessian(c) for c in phi.components]
     first = hessians[0]
-    negated_row = cache(lambda i: [-p for p in first.row(i)])
+    negated_row = cache(lambda i: [-p for p in first(i)])
     # Row j of a Hessian is also its column j, so cell (i, j) of each
     # identity is one dot product [left | right]_i . [top | bottom]_j:
     # (H_a^2 - H_1^2)[i, j] = [H_a | -H_1]_i . [H_a | H_1]_j and
     # (H_a H_b + H_b H_a)[i, j] = [H_a | H_b]_i . [H_b | H_a]_j.
-    products = [("hessian-square", 1, a + 1, h.row, negated_row, h.row, first.row)
+    products = [("hessian-square", 1, a + 1, h, negated_row, h, first)
                 for a, h in enumerate(hessians) if a] + [
-        ("hessian-anticommute", a + 1, b + 1, ha.row, hb.row, hb.row, ha.row)
+        ("hessian-anticommute", a + 1, b + 1, ha, hb, hb, ha)
         for (a, ha), (b, hb) in combinations(enumerate(hessians), 2)]
 
     def cells():

@@ -147,46 +147,31 @@ def jacobian_at(phi: RealPolyMap, points):
         yield [values[k * n:(k + 1) * n] for k in range(phi.codomain_dim)]
 
 
-class Hessian:
-    """The matrix of second partials of one polynomial, built a row at a time.
-
-    Entry (i, j) is the partial by variable j of the partial by variable i.
-    Row i is built the first time it is read, and kept, so a check that
-    reads a few rows costs a few gradient passes instead of m.  Entry
-    (j, i) equals entry (i, j) term for term, in the same order and with the
-    same coefficient types, so row j serves as column j, and a row reuses
-    the entries of the rows already built."""
-
-    __slots__ = ("rows", "cols", "_firsts", "_rows")
-
-    def __init__(self, firsts: list[MultiPoly]):
-        self.rows = self.cols = len(firsts)
-        self._firsts = firsts
-        self._rows = {}
-
-    def __getitem__(self, index) -> MultiPoly:
-        i, j = index
-        return self.row(i)[j]
-
-    def row(self, i: int) -> list[MultiPoly]:
-        """Row i, also column i, the same list on every call: the caller
-        must not change it."""
-        row = self._rows.get(i)
-        if row is None:
-            row = self._firsts[i].gradient()
-            for j, built in self._rows.items():
-                row[j] = built[i]
-            self._rows[i] = row
-        return row
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero for i in range(self.rows) for p in self.row(i))
-
-
-def hessian(p: MultiPoly) -> Hessian:
+def hessian(p: MultiPoly):
+    """The rows of p's matrix of second partials, as a function: row i,
+    ``hessian(p)(i)``, has as entry j the partial by variable j of the
+    partial by variable i.  Row i is built the first time it is read, by one
+    gradient pass, and kept, so a check that reads a few rows costs a few
+    gradient passes instead of m.  Entry (j, i) equals entry (i, j) term for
+    term, in the same order and with the same coefficient types, so row j
+    serves as column j, and a row reuses the entries of the rows already
+    built.  A row is the same list on every read: the caller must not
+    change it."""
     if p.num_complex:
         raise DimensionMismatch("hessian is defined for real variable kinds")
-    return Hessian(p.gradient())
+    firsts = p.gradient()
+    rows: dict[int, list[MultiPoly]] = {}
+
+    def row(i: int) -> list[MultiPoly]:
+        built = rows.get(i)
+        if built is None:
+            built = firsts[i].gradient()
+            for j, other in rows.items():
+                built[j] = other[i]
+            rows[i] = built
+        return built
+
+    return row
 
 
 def laplacian(p: MultiPoly) -> MultiPoly:

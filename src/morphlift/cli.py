@@ -216,9 +216,7 @@ def _cmd_lift(args) -> Report:
         lifted = complete_lift_real(base)
         names = lifted.names()
         title, space = "real complete lift", "R"
-        base_names = base.names()
-        rendered = [render_fibered(c, names, base_names)
-                    for c in lifted.components]
+        rendered = [render_fibered(c, names) for c in lifted.components]
         rows = [row for _, row in rendered]
         payload = {
             "kind": "real",

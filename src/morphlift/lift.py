@@ -132,7 +132,9 @@ def anti_lift(Phi: RealPolyMap) -> RealPolyMap | Obstruction:
             if sum(fiber) != 1:
                 return NotPartialLinear(index, exponents, sum(fiber))
             entries[fiber.index(1)][exponents[:m]] = coeff
-        coefficient_rows.append([MultiPoly(m, terms) for terms in entries])
+        # the coefficients are a canonical component's, taken as they are
+        coefficient_rows.append([MultiPoly._trusted(m, terms)
+                                 for terms in entries])
 
     # stage (b): integrability dM_ij/dx_k == dM_ik/dx_j
     for index, row in enumerate(coefficient_rows, start=1):

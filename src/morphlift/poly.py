@@ -44,9 +44,7 @@ from .exact import (
     IntegerTooLong,
     Scalar,
     conjugate,
-    imag_part,
     make_scalar_like,
-    real_part,
     render_scalar,
 )
 
@@ -253,15 +251,15 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, num_vars: int, value: Scalar, num_complex: int = 0) -> "MultiPoly":
-        return cls(num_vars, {(0,) * num_vars: value}, num_complex)
+        _check_ring_shape(num_vars, num_complex)
+        return cls._make(num_vars, num_complex, {0: make_scalar_like(value)}, 1, 0)
 
     @classmethod
     def variable(cls, num_vars: int, index: int, num_complex: int = 0) -> "MultiPoly":
         if not 0 <= index < num_vars:
             raise DimensionMismatch(f"variable index {index} out of range")
-        exponents = [0] * num_vars
-        exponents[index] = 1
-        return cls(num_vars, {tuple(exponents): 1}, num_complex)
+        _check_ring_shape(num_vars, num_complex)
+        return cls._make(num_vars, num_complex, {1 << 8 * index: 1}, 1, 1)
 
     # -- basic protocol --------------------------------------------------------
 
@@ -577,24 +575,6 @@ def default_names(num_vars: int, num_complex: int = 0) -> tuple[str, ...]:
     return tuple(f"x{j + 1}" for j in range(num_vars))
 
 
-def _render_coefficient(coeff: Scalar, has_vars: bool) -> tuple[str, str]:
-    """Return (sign, body) where body omits the leading sign."""
-    re, im = real_part(coeff), imag_part(coeff)
-    if im == 0:
-        sign = "-" if re < 0 else "+"
-        magnitude = -re if re < 0 else re
-        if has_vars and magnitude == 1:
-            return sign, ""
-        return sign, f"{magnitude}*" if has_vars else str(magnitude)
-    if re == 0:
-        sign = "-" if im < 0 else "+"
-        magnitude = -im if im < 0 else im
-        body = "i" if magnitude == 1 else f"{magnitude}*i"
-        return sign, f"{body}*" if has_vars else body
-    body = f"({render_scalar(coeff)})"
-    return "+", f"{body}*" if has_vars else body
-
-
 def _graded(p: MultiPoly) -> list:
     """(total degree, exponents, coefficient) for each term of ``p``, in
     graded-lex order, highest first.  With one-byte fields the exponents are
@@ -625,8 +605,10 @@ def _signed_body(coeff: Scalar, factors: str) -> tuple[str, str]:
     """The sign of the term coeff * ``factors`` and the rest of its text:
     the coefficient's magnitude, then ``*`` and the factors, where a
     magnitude of 1 before factors is left out.  A rational coefficient is
-    written from its numerator and denominator; a Gaussian one goes through
-    :func:`_render_coefficient`."""
+    written from its numerator and denominator.  A Gaussian one, whose
+    imaginary part is never 0 in a store, is ``i`` or ``N*i`` with N the
+    imaginary part's magnitude when its real part is 0, and ``(a+b*i)``
+    otherwise."""
     kind = type(coeff)
     if kind is int or kind is Fraction:
         numerator, denominator = coeff.numerator, coeff.denominator
@@ -637,36 +619,43 @@ def _signed_body(coeff: Scalar, factors: str) -> tuple[str, str]:
         if factors:
             body = factors if body == "1" else f"{body}*{factors}"
         return sign, body
-    sign, body = _render_coefficient(coeff, bool(factors))
-    return sign, body + factors
+    if coeff.re:
+        sign, body = "+", f"({render_scalar(coeff)})"
+    else:
+        sign = "-" if coeff.im < 0 else "+"
+        magnitude = abs(coeff.im)
+        body = "i" if magnitude == 1 else f"{magnitude}*i"
+    return sign, f"{body}*{factors}" if factors else body
 
 
 def _pieces(graded: list, names):
-    """The text of each term of a nonzero polynomial, given its
-    :func:`_graded` terms, each after the first with the `` + `` or `` - ``
-    that joins it to the one before.  A term is rendered only when it is
+    """The text of each term, given a polynomial's :func:`_graded` terms,
+    as `` + term`` or `` - term``.  A term is rendered only when it is
     read."""
     factor_text = _PowerText().__getitem__
-    joined = False
     for _, exponents, coeff in graded:
         sign, body = _signed_body(coeff, "*".join(map(
             factor_text, zip(compress(names, exponents),
                              compress(exponents, exponents)))))
-        if joined:
-            yield f" {sign} {body}"
-        else:
-            yield body if sign == "+" else f"-{body}"
-            joined = True
+        yield f" {sign} {body}"
+
+
+def _sum_text(pieces: list) -> str:
+    """The text of a sum from its pieces, each `` + term`` or `` - term``,
+    in order: the first loses its joint but keeps a minus.  ``0`` for none."""
+    if not pieces:
+        return "0"
+    first = pieces[0]
+    pieces[0] = first[3:] if first[1] == "+" else f"-{first[3:]}"
+    return "".join(pieces)
 
 
 def render(p: MultiPoly, names=None) -> str:
     """Canonical text form: graded-lex order, explicit ``*`` and ``^``."""
     if names is None:
         names = default_names(p.num_vars, p.num_complex)
-    if not p:
-        return "0"
     try:
-        return "".join(_pieces(_graded(p), names))
+        return _sum_text(list(_pieces(_graded(p), names)))
     except ValueError as error:
         raise IntegerTooLong() from error
 
@@ -680,38 +669,24 @@ def render_leading(p: MultiPoly) -> tuple[int, str]:
         return 0, "0"
     graded = _graded(p)
     pieces = _pieces(graded, default_names(p.num_vars, p.num_complex))
-    return graded[0][0], "".join(
-        takewhile(lambda piece: not piece.startswith(" + "), pieces))
+    return graded[0][0], _sum_text([next(pieces), *takewhile(
+        lambda piece: piece[1] == "-", pieces)])
 
 
-def _sum_text(pieces: list) -> str:
-    """The text of a sum from its pieces, each `` + term`` or `` - term``,
-    in order: the first loses its joint but keeps a minus.  ``0`` for none."""
-    if not pieces:
-        return "0"
-    first = pieces[0]
-    pieces[0] = first[3:] if first[1] == "+" else f"-{first[3:]}"
-    return "".join(pieces)
-
-
-def render_fibered(p: MultiPoly, names, base_names) -> tuple[str, list[str]]:
+def render_fibered(p: MultiPoly, names) -> tuple[str, list[str]]:
     """``render(p, names)`` and the text of each fiber coefficient M_j of
-    ``p = sum_j M_j(x) * y_j`` in ``base_names``, from one sort of p's
-    terms.
+    ``p = sum_j M_j(x) * y_j`` in ``names[:m]``, from one sort of p's terms.
 
-    Each term c*x^a*y_j writes its x factors and its coefficient once; they
-    make M_j's piece, and p's piece appends ``*y_j``.  M_j's terms come in
-    p's graded order, which is M_j's own: for a fixed j, (|a| + 1, a, e_j)
-    and (|a|, a) sort alike.  The x factors are written a second time, in
-    ``base_names``, only when those differ from ``names[:m]``, as they do
-    when a lift falls back to canonical names.  Raises ValueError on a term
-    of fiber degree other than 1, and IntegerTooLong where render does."""
+    Each term c*x^a*y_j is written once as M_j's piece, and p's piece
+    appends ``*y_j`` to it.  M_j's terms come in p's graded order, which is
+    M_j's own: for a fixed j, (|a| + 1, a, e_j) and (|a|, a) sort alike.
+    Raises ValueError on a term of fiber degree other than 1, and
+    IntegerTooLong where render does."""
     m, odd = divmod(p.num_vars, 2)
     if odd or p.num_complex:
         raise DimensionMismatch("fiber coefficients need a real ring on "
                                 "an even number of variables")
     x_names, fiber_names = names[:m], names[m:]
-    shared = tuple(x_names) == tuple(base_names)
     factor_text = _PowerText().__getitem__
     units: dict = {}        # the fiber exponents of y_j -> j, as they are met
     # p's pieces are joined 64 at a time, so that few are alive at once
@@ -731,15 +706,12 @@ def render_fibered(p: MultiPoly, names, base_names) -> tuple[str, list[str]]:
                 factor_text, zip(compress(x_names, exponents),
                                  compress(exponents, exponents)))))
             y = fiber_names[j]
-            pieces.append(f" {sign} {y}" if body == "1" else f" {sign} {body}*{y}")
+            piece = f" {sign} {body}"
+            pieces.append(f" {sign} {y}" if body == "1" else f"{piece}*{y}")
             if len(pieces) == 64:
                 chunks.append("".join(pieces))
                 pieces.clear()
-            if not shared:
-                body = _signed_body(coeff, "*".join(map(
-                    factor_text, zip(compress(base_names, exponents),
-                                     compress(exponents, exponents)))))[1]
-            entries[j].append(f" {sign} {body}")
+            entries[j].append(piece)
         else:
             if pieces:
                 chunks.append("".join(pieces))

@@ -24,7 +24,8 @@ through ``_render_coefficient``.  ``squared_power`` is
 squares every base through products.  ``fibered_render`` is how ``lift
 --real`` wrote a lift's component and its coefficient matrix row before
 ``render_fibered``: ``render`` of the component, then ``render`` of each of
-its fiber coefficients.
+its fiber coefficients in the first half of the names, both through
+``packed_render``.
 
 Six functions keep packed-store bodies that the package no longer has.
 ``packed_combine`` is ``MultiPoly.__add__`` and ``__sub__`` as they were
@@ -60,7 +61,6 @@ from morphlift.poly import (
     _field_width,
     _nonzero_fields,
     default_names,
-    render as package_render,
 )
 
 
@@ -325,9 +325,10 @@ def squared_power(a: MultiPoly, exponent: int) -> MultiPoly:
     return result
 
 
-def fibered_render(p: MultiPoly, names, base_names) -> tuple[str, list[str]]:
-    return (package_render(p, names),
-            [package_render(entry, base_names)
+def fibered_render(p: MultiPoly, names) -> tuple[str, list[str]]:
+    base_names = names[:p.num_vars // 2]
+    return (packed_render(p, names),
+            [packed_render(entry, base_names)
              for entry in packed_fiber_coefficients(p)])
 
 

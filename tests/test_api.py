@@ -3,7 +3,9 @@ name once, and each one exists, so ``from morphlift import *`` works; and
 each one is used by the package itself, so no export serves the tests
 alone.  The same holds for the public methods and properties of
 ``MultiPoly``: each is read as an attribute somewhere in the package, or
-traced by the benchmark."""
+traced by the benchmark; and for every public module-level function and
+class of the package: each is loaded somewhere in the package outside
+``__init__.py``, or traced by the benchmark."""
 
 import ast
 import types
@@ -72,3 +74,20 @@ def test_every_public_method_of_multipoly_is_used_by_the_package():
         name.rpartition(".")[2] for name in _traced_names()
         if name.startswith("poly.MultiPoly.")}
     assert public - used == set()
+
+
+def test_every_public_function_and_class_is_used_by_the_package():
+    # a definition that only the tests or the exports read is code to
+    # delete, or to move into a test oracle
+    loaded = _names_loaded_by_the_package()
+    traced = _traced_names()
+    unused = set()
+    for path in Path(morphlift.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in loaded
+                    and f"{path.stem}.{node.name}" not in traced):
+                unused.add(f"{path.stem}.{node.name}")
+    assert unused == set()

@@ -51,12 +51,12 @@ def test_jacobian_of_quadratic_map_rows():
 
 
 def test_hessian_examples():
-    assert hessian(parse_poly("x1*x2", 2))[0, 1].evaluate((0, 0)) == 1
+    assert hessian(parse_poly("x1*x2", 2))(0)[1].evaluate((0, 0)) == 1
     h = hessian(parse_poly("x1^2 + x2^2 - x3^2 - x4^2", 4))
-    diag = [h[i, i].evaluate((0,) * 4) for i in range(4)]
+    diag = [h(i)[i].evaluate((0,) * 4) for i in range(4)]
     assert diag == [2, 2, -2, -2]
     degree_one = hessian(parse_poly("3*x1 - x2", 2))
-    assert degree_one.is_zero()
+    assert all(p.is_zero for i in range(2) for p in degree_one(i))
 
 
 @given(st.integers(0, 10**6))
@@ -64,10 +64,10 @@ def test_hessian_examples():
 def test_hessian_symmetric_and_trace_is_laplacian(seed):
     poly = random_real_poly(random.Random(seed), 3, max_degree=4)
     h = hessian(poly)
-    assert all(h[i, j] == h[j, i] for i in range(3) for j in range(3))
+    assert all(h(i)[j] == h(j)[i] for i in range(3) for j in range(3))
     trace = MultiPoly(3, {})
     for i in range(3):
-        trace = trace + h[i, i]
+        trace = trace + h(i)[i]
     assert trace == laplacian(poly)
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -12,9 +13,9 @@ import pytest
 
 import morphlift
 from morphlift import poly
-from morphlift.catalog import lookup, registry
+from morphlift.catalog import entry_ids, lookup, registry
 from morphlift.cli import cli_main
-from morphlift.expr import MAX_POWER_BITS, MAX_POWER_TERMS
+from morphlift.expr import MAX_POWER_BITS, MAX_POWER_TERMS, SmoothMap
 from morphlift.lift import complete_lift_real
 from morphlift.mapfile import (
     MAX_DIMENSION,
@@ -23,7 +24,12 @@ from morphlift.mapfile import (
     parse_poly,
     render_map_source,
 )
-from morphlift.maps import MAX_PAIR_DEGREE, ShapeError, real_identification
+from morphlift.maps import (
+    MAX_PAIR_DEGREE,
+    ShapeError,
+    real_form,
+    real_identification,
+)
 
 QUATERNION_SRC = """map q: C^4 -> C^2 {
     q1 = z1*z3 - z2*conj(z4);
@@ -127,6 +133,40 @@ def test_lift_real_with_exponents_past_one_byte(tmp_path):
         "  [300*x1^299, 1]\n"
         "  [300*x1^299 - 400*x1^199*x2 + 400/3*x1^99*x2^2,"
         " -2*x1^200 + 8/3*x1^100*x2 - 8/9*x2^2]\n")
+
+
+def _lift_maps():
+    """The polynomial catalog maps, as their files hold them, and 20 genmaps
+    maps, as map files that render_map_source writes."""
+    from genmaps import random_complex_map, random_harmonic_map, random_real_map
+
+    sources = [lookup(e).definition for e in entry_ids()
+               if not isinstance(parse_map(lookup(e).definition), SmoothMap)]
+    rng = random.Random(28)
+    maps = [random_real_map(rng, rng.randint(1, 5), rng.randint(1, 3),
+                            max_degree=4) for _ in range(12)]
+    maps += [random_harmonic_map(rng, 3, 2) for _ in range(4)]
+    maps += [random_complex_map(rng, rng.randint(1, 2), 2) for _ in range(4)]
+    return sources + [render_map_source(phi, "g") for phi in maps]
+
+
+def test_lift_real_coefficient_matrix_is_the_jacobian(tmp_path):
+    # the paper's complete lift is Phi = M(x) * y with M = J(phi): each
+    # entry read back in the base's names is d phi_k / d x_j
+    sources = _lift_maps()
+    assert len(sources) >= 29
+    for index, source in enumerate(sources):
+        path = tmp_path / f"map{index}.map"
+        path.write_text(source)
+        code, payload = run_cli_json(["lift", "--real", str(path)])
+        assert code == 0
+        base = real_form(parse_map(source))
+        m = base.domain_dim
+        matrix = payload["coefficient_matrix"]
+        assert len(matrix) == base.codomain_dim
+        for row, component in zip(matrix, base.components):
+            assert [parse_poly(entry, m) for entry in row] == \
+                [component.partial(j) for j in range(m)]
 
 
 # ---------------------------------------------------------------------------

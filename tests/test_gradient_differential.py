@@ -1,7 +1,7 @@
 """``MultiPoly.gradient`` and ``MultiPoly.laplacian`` take every first
 partial, and the Laplacian, from one pass over a polynomial's packed keys.
-``calculus.jacobian``, ``calculus.hessian`` (with ``Hessian.row``) and
-``calculus.laplacian`` are built on them.  Each must give what the old
+``calculus.jacobian``, ``calculus.hessian`` (a function of the row index)
+and ``calculus.laplacian`` are built on them.  Each must give what the old
 bodies in ``calculus_oracle`` give, which took one ``MultiPoly.partial`` per
 derivative: the same terms in the same dict order, with the same
 coefficient types, field width and exponent bound."""
@@ -46,7 +46,7 @@ def _assert_same_derivatives(p, rows=None):
         _packed(calculus_oracle.laplacian_by_partials(p))
     new, old = hessian(p), calculus_oracle.hessian_by_partials(p)
     for i in range(p.num_vars) if rows is None else rows:
-        assert list(map(_packed, new.row(i))) == list(map(_packed, old.row(i)))
+        assert list(map(_packed, new(i))) == list(map(_packed, old.row(i)))
 
 
 def _assert_same_map(phi, rows=None):
@@ -151,11 +151,11 @@ def test_hessian_rows_reuse_the_entries_of_rows_already_built(rungs):
     h = hessian(r32.components[0])
     order = [3, 0, 31, 3, 17]
     for i in order:
-        h.row(i)
+        h(i)
     for i in order:
-        assert h.row(i) is h.row(i)
+        assert h(i) is h(i)
         for j in order:
-            assert h.row(i)[j] is h.row(j)[i]
+            assert h(i)[j] is h(j)[i]
 
 
 def test_sparse_terms_list_the_nonzero_exponents_in_order():
