@@ -147,11 +147,12 @@ def hessian_conditions(phi: RealPolyMap) -> CheckReport:
     """
     notes = ("the lift equivalence is stated under the hypothesis that the "
              "input map is HWC; check it with --hwc",)
-    # Each Hessian and -H_1 form a row on first use, so a certificate at an
-    # early entry reads O(m) second partials of the m^2.
+    # Each Hessian and -H_1 form a sparse row, {t: nonzero entry}, on first
+    # use, so a certificate at an early entry reads O(m) second partials of
+    # the m^2.
     hessians = [hessian(c) for c in phi.components]
     first = hessians[0]
-    negated_row = cache(lambda i: [-p for p in first(i)])
+    negated_row = cache(lambda i: {t: -p for t, p in first(i).items()})
     # Row j of a Hessian is also its column j, so cell (i, j) of each
     # identity is one dot product [left | right]_i . [top | bottom]_j:
     # (H_a^2 - H_1^2)[i, j] = [H_a | -H_1]_i . [H_a | H_1]_j and
@@ -165,13 +166,22 @@ def hessian_conditions(phi: RealPolyMap) -> CheckReport:
         # the squares, then the anticommutators, each cell in row-major
         # order.  Both identities are symmetric matrices, and cell (j, i)
         # comes before cell (i, j) for j < i, so the first nonzero cell lies
-        # on or above the diagonal and only those cells are visited.
+        # on or above the diagonal and only those cells are visited.  A cell
+        # sums only the pairs whose two entries are nonzero, the left half
+        # and then the right, each in increasing t, as a dense dot product
+        # would add them; a cell with no such pair is 0 and is not formed.
         for kind, k, l, left, right, top, bottom in products:
             for i in range(phi.domain_dim):
-                stacked_row = left(i) + right(i)
+                left_row, right_row = left(i), right(i)
                 for j in range(i, phi.domain_dim):
-                    yield (kind, k, l, (i + 1, j + 1),
-                           poly_dot(stacked_row, top(j) + bottom(j)))
+                    top_row, bottom_row = top(j), bottom(j)
+                    pairs = [(p, top_row[t]) for t, p in left_row.items()
+                             if t in top_row]
+                    pairs += [(p, bottom_row[t]) for t, p in right_row.items()
+                              if t in bottom_row]
+                    if pairs:
+                        yield (kind, k, l, (i + 1, j + 1),
+                               poly_dot(*zip(*pairs)))
 
     return _decide("hessian_conditions", cells(), notes)
 

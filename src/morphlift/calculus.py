@@ -149,25 +149,25 @@ def jacobian_at(phi: RealPolyMap, points):
 
 def hessian(p: MultiPoly):
     """The rows of p's matrix of second partials, as a function: row i,
-    ``hessian(p)(i)``, has as entry j the partial by variable j of the
-    partial by variable i.  Row i is built the first time it is read, by one
-    gradient pass, and kept, so a check that reads a few rows costs a few
-    gradient passes instead of m.  Entry (j, i) equals entry (i, j) term for
-    term, in the same order and with the same coefficient types, so row j
-    serves as column j, and a row reuses the entries of the rows already
-    built.  A row is the same list on every read: the caller must not
-    change it."""
+    ``hessian(p)(i)``, is the dict ``{j: d/dx_j d/dx_i p}`` of its nonzero
+    entries, in increasing j; a zero entry has no key.  Row i is built the
+    first time it is read, from one partial and one gradient pass, and kept,
+    so a check that reads a few rows costs a few passes, and no other first
+    partial is taken.  Entry (j, i) equals entry (i, j) term for term, in
+    the same order and with the same coefficient types, so row j serves as
+    column j, and a row reuses the entries of the rows already built.  A row
+    is the same dict on every read: the caller must not change it."""
     if p.num_complex:
         raise DimensionMismatch("hessian is defined for real variable kinds")
-    firsts = p.gradient()
-    rows: dict[int, list[MultiPoly]] = {}
+    rows: dict[int, dict[int, MultiPoly]] = {}
 
-    def row(i: int) -> list[MultiPoly]:
+    def row(i: int) -> dict[int, MultiPoly]:
         built = rows.get(i)
         if built is None:
-            built = firsts[i].gradient()
+            built = {j: q for j, q in enumerate(p.partial(i).gradient()) if q}
             for j, other in rows.items():
-                built[j] = other[i]
+                if j in built:
+                    built[j] = other[i]
             rows[i] = built
         return built
 

@@ -415,26 +415,43 @@ class MultiPoly:
 
         No two (term, j) pairs meet, so there is nothing to accumulate: each
         term c*v^e with e_j > 0 becomes e_j*c at the key of v^e / v_j * w_j,
-        j-major and then in term order.  The width grows as a product's does
-        when the bound, one more than this one, outgrows it."""
+        j-major and then in term order.  Only the nonzero fields are read:
+        with one-byte fields, column j of the keys' bytes sifts the terms
+        that contain v_j; wider fields are decoded once per term into a
+        bucket per j.  The width grows as a product's does when the bound,
+        one more than this one, outgrows it."""
         m = self.num_complex or self.num_vars
         bound = self._bound + 1
         width = max(_field_width(bound), self._width)
         bits = 8 * width
-        mask = (1 << bits) - 1
-        items = self._at(width).items()
+        packed = self._at(width)
+        keys, coeffs = list(packed), list(packed.values())
+        lifted = keys
         if self.num_complex:
             half = bits * m
             low = (1 << half) - 1
-            items = [((key & low) | (key >> half << 2 * half), coeff)
-                     for key, coeff in items]
-        terms = {}
-        for shift in range(0, bits * m, bits):
-            step = (1 << (shift + bits * m)) - (1 << shift)   # v_j -> w_j
-            for key, coeff in items:
-                e = (key >> shift) & mask
-                if e:
+            lifted = [(key & low) | (key >> half << 2 * half) for key in keys]
+        # v_j -> w_j adds (1 << bits*(m + j)) - (1 << bits*j) to a key
+        if width == 1:
+            size = self.num_vars
+            table = b"".join(map(int.to_bytes, keys, repeat(size),
+                                 repeat("little")))
+            terms = {}
+            for j in range(m):
+                column = table[j::size]
+                step = (1 << 8 * (m + j)) - (1 << 8 * j)
+                for key, coeff, e in compress(zip(lifted, coeffs, column),
+                                              column):
                     terms[key + step] = e * coeff
+        else:
+            buckets = [[] for _ in range(m)]
+            decoded = _nonzero_fields(keys, self.num_vars, width)
+            for key, coeff, (exponents, variables) in zip(lifted, coeffs,
+                                                          decoded):
+                for j in takewhile(m.__gt__, variables):
+                    step = (1 << bits * (m + j)) - (1 << bits * j)
+                    buckets[j].append((key + step, exponents[j] * coeff))
+            terms = dict(chain.from_iterable(buckets))
         if not terms:
             width, bound = 1, 0
         return MultiPoly._make(2 * self.num_vars, 2 * self.num_complex, terms,
@@ -650,10 +667,19 @@ def _sum_text(pieces: list) -> str:
     return "".join(pieces)
 
 
+def _check_names(p: MultiPoly, names) -> None:
+    if len(names) < p.num_vars:
+        raise DimensionMismatch(
+            f"{len(names)} names for {p.num_vars} variables")
+
+
 def render(p: MultiPoly, names=None) -> str:
-    """Canonical text form: graded-lex order, explicit ``*`` and ``^``."""
+    """Canonical text form: graded-lex order, explicit ``*`` and ``^``.
+    Raises DimensionMismatch when ``names`` has fewer names than ``p``
+    has variables."""
     if names is None:
         names = default_names(p.num_vars, p.num_complex)
+    _check_names(p, names)
     try:
         return _sum_text(list(_pieces(_graded(p), names)))
     except ValueError as error:
@@ -681,11 +707,12 @@ def render_fibered(p: MultiPoly, names) -> tuple[str, list[str]]:
     appends ``*y_j`` to it.  M_j's terms come in p's graded order, which is
     M_j's own: for a fixed j, (|a| + 1, a, e_j) and (|a|, a) sort alike.
     Raises ValueError on a term of fiber degree other than 1, and
-    IntegerTooLong where render does."""
+    IntegerTooLong and DimensionMismatch where render does."""
     m, odd = divmod(p.num_vars, 2)
     if odd or p.num_complex:
         raise DimensionMismatch("fiber coefficients need a real ring on "
                                 "an even number of variables")
+    _check_names(p, names)
     x_names, fiber_names = names[:m], names[m:]
     factor_text = _PowerText().__getitem__
     units: dict = {}        # the fiber exponents of y_j -> j, as they are met

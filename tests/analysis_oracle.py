@@ -1,7 +1,11 @@
 """Test oracle for the Gram and Hessian checks: ``hwc_certificate`` as it was
-when it built the dilation before deciding any other Gram entry, and
+when it built the dilation before deciding any other Gram entry;
 ``hessian_conditions`` as it was when it built every component's full
-Hessian and negated all of H_1 before deciding any cell.
+Hessian and negated all of H_1 before deciding any cell; and
+``dense_hessian_conditions`` as it was when its Hessian rows were dense
+lists, with ``dense_hessian`` the ``calculus.hessian`` of that time, and
+each cell on and above the diagonal was one dot product over all 2m
+stacked entries, zero or not.
 
 The bodies are the old functions' bodies, so the differential tests in
 ``test_analysis_differential.py`` compare the checks that build only what
@@ -11,7 +15,10 @@ not part of the package.
 
 from __future__ import annotations
 
-from morphlift.analysis import CheckReport, Violation
+from functools import cache
+from itertools import combinations
+
+from morphlift.analysis import CheckReport, Violation, _decide
 from morphlift.calculus import PolyMatrix, jacobian
 from morphlift.maps import RealPolyMap
 from morphlift.poly import MultiPoly, poly_dot
@@ -80,3 +87,41 @@ def hessian_conditions(phi: RealPolyMap) -> CheckReport:
                                             beta + 1, residual,
                                             entry=(i + 1, j + 1)))
     return CheckReport("hessian_conditions", True, notes=notes)
+
+
+def dense_hessian(p: MultiPoly):
+    firsts = p.gradient()
+    rows: dict[int, list[MultiPoly]] = {}
+
+    def row(i: int) -> list[MultiPoly]:
+        built = rows.get(i)
+        if built is None:
+            built = firsts[i].gradient()
+            for j, other in rows.items():
+                built[j] = other[i]
+            rows[i] = built
+        return built
+
+    return row
+
+
+def dense_hessian_conditions(phi: RealPolyMap) -> CheckReport:
+    notes = ("the lift equivalence is stated under the hypothesis that the "
+             "input map is HWC; check it with --hwc",)
+    hessians = [dense_hessian(c) for c in phi.components]
+    first = hessians[0]
+    negated_row = cache(lambda i: [-p for p in first(i)])
+    products = [("hessian-square", 1, a + 1, h, negated_row, h, first)
+                for a, h in enumerate(hessians) if a] + [
+        ("hessian-anticommute", a + 1, b + 1, ha, hb, hb, ha)
+        for (a, ha), (b, hb) in combinations(enumerate(hessians), 2)]
+
+    def cells():
+        for kind, k, l, left, right, top, bottom in products:
+            for i in range(phi.domain_dim):
+                stacked_row = left(i) + right(i)
+                for j in range(i, phi.domain_dim):
+                    yield (kind, k, l, (i + 1, j + 1),
+                           poly_dot(stacked_row, top(j) + bottom(j)))
+
+    return _decide("hessian_conditions", cells(), notes)

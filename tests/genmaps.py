@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 from morphlift.exact import GaussianRational
+from morphlift.lift import complete_lift_real
 from morphlift.maps import ComplexPolyMap, RealPolyMap
 from morphlift.poly import MultiPoly
 
@@ -202,3 +203,34 @@ def random_quadratic_map(rng: random.Random, num_vars: int,
 def random_rational_point(rng: random.Random, length: int) -> tuple:
     return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3))
                  for _ in range(length))
+
+
+def quaternionic_hopf(flip: bool = False) -> RealPolyMap:
+    """The quaternionic Hopf map R^8 -> R^5, phi = (|x|^2 - |y|^2, 2*x*conj(y))
+    for quaternions x = x1 + x2*i + x3*j + x4*k and y = x5 + ... + x8*k,
+    exactly, with integer coefficients.  It is a harmonic morphism whose
+    component Hessians square to 4I and pairwise anticommute.  With
+    ``flip`` the term x1*x6 of the third component changes sign, and the
+    Hessian conditions fail: H_2 H_3 + H_3 H_2 is 8 at cell (1, 2)."""
+    x = [MultiPoly.variable(8, j) for j in range(4)]
+    y = [MultiPoly.variable(8, j) for j in range(4, 8)]
+    a0, a1, a2, a3 = x
+    b0, b1, b2, b3 = y[0], -y[1], -y[2], -y[3]          # conj(y)
+    flipped = -(a0 * b1) if flip else a0 * b1
+    product = [a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+               flipped + a1 * b0 + a2 * b3 - a3 * b2,
+               a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+               a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0]
+    components = [sum((p * p for p in x), MultiPoly(8, {}))
+                  - sum((q * q for q in y), MultiPoly(8, {}))]
+    components += [p.scale(2) for p in product]
+    return RealPolyMap(8, 5, components)
+
+
+def quaternionic_hopf_lifts(flip: bool = False) -> dict:
+    """:func:`quaternionic_hopf` and its iterated complete lifts, keyed by
+    domain dimension: R^8, R^16, R^32 and R^64."""
+    maps = {8: quaternionic_hopf(flip)}
+    for dim in (16, 32, 64):
+        maps[dim] = complete_lift_real(maps[dim // 2])
+    return maps

@@ -27,7 +27,7 @@ squares every base through products.  ``fibered_render`` is how ``lift
 its fiber coefficients in the first half of the names, both through
 ``packed_render``.
 
-Six functions keep packed-store bodies that the package no longer has.
+Seven functions keep packed-store bodies that the package no longer has.
 ``packed_combine`` is ``MultiPoly.__add__`` and ``__sub__`` as they were
 when both went through one term loop with ``op`` in {add, sub};
 ``packed_laplacian`` and ``store_compose`` are ``MultiPoly.laplacian`` and
@@ -37,7 +37,9 @@ Those three are the sum rule written out by hand, before
 ``packed_fiber_coefficients`` are the methods ``MultiPoly.remap`` and
 ``MultiPoly.fiber_coefficients``, which moved packed keys between rings;
 their results keep the width and exponent bound of the polynomial they came
-from.  These functions are not part of the package.
+from.  ``field_scan_complete_lift`` is ``MultiPoly.complete_lift`` as it was
+when it read every field of every term, once per base variable, zero or
+not.  These functions are not part of the package.
 """
 
 from __future__ import annotations
@@ -445,3 +447,28 @@ def packed_fiber_coefficients(p: MultiPoly) -> list:
         entries[j][key & low] = coeff
     return [MultiPoly._make(m, 0, terms, p._width, p._bound)
             for terms in entries]
+
+
+def field_scan_complete_lift(p: MultiPoly) -> MultiPoly:
+    m = p.num_complex or p.num_vars
+    bound = p._bound + 1
+    width = max(_field_width(bound), p._width)
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    items = p._at(width).items()
+    if p.num_complex:
+        half = bits * m
+        low = (1 << half) - 1
+        items = [((key & low) | (key >> half << 2 * half), coeff)
+                 for key, coeff in items]
+    terms = {}
+    for shift in range(0, bits * m, bits):
+        step = (1 << (shift + bits * m)) - (1 << shift)   # v_j -> w_j
+        for key, coeff in items:
+            e = (key >> shift) & mask
+            if e:
+                terms[key + step] = e * coeff
+    if not terms:
+        width, bound = 1, 0
+    return MultiPoly._make(2 * p.num_vars, 2 * p.num_complex, terms,
+                           width, bound)

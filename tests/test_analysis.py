@@ -4,7 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genmaps import random_harmonic_map, random_rational_point
+from genmaps import (
+    quaternionic_hopf,
+    quaternionic_hopf_lifts,
+    random_harmonic_map,
+    random_rational_point,
+)
 from calculus_oracle import antiholomorphic_jacobian
 from morphlift.analysis import (
     hessian_conditions,
@@ -320,6 +325,35 @@ def test_hessian_certificates_on_catalog_maps(entry_id, certificate):
         v = report.violation
         assert (v.kind, (v.component_k, v.component_l), v.entry,
                 render(v.residual)) == certificate
+
+
+@pytest.fixture(scope="module")
+def hopf_lifts():
+    return quaternionic_hopf_lifts()
+
+
+def test_quaternionic_hopf_map_is_a_harmonic_morphism():
+    phi = quaternionic_hopf()
+    report = is_harmonic_morphism(phi)
+    assert report.verdict
+    squares = [MultiPoly.variable(8, j) ** 2 for j in range(8)]
+    assert report.dilation == sum(squares, MultiPoly(8, {})).scale(4)
+
+
+@pytest.mark.parametrize("dim", [8, 16, 32, 64])
+def test_hessian_conditions_pass_on_the_quaternionic_hopf_lifts(hopf_lifts, dim):
+    phi = hopf_lifts[dim]
+    assert (phi.domain_dim, phi.codomain_dim) == (dim, 5)
+    report = hessian_conditions(phi)
+    assert report.verdict and report.violation is None
+    assert report.notes == HESSIAN_NOTE
+
+
+def test_hessian_conditions_fail_on_the_sign_flipped_hopf_map():
+    v = hessian_conditions(quaternionic_hopf(flip=True)).violation
+    assert (v.kind, v.component_k, v.component_l, v.entry) == \
+        ("hessian-anticommute", 2, 3, (1, 2))
+    assert v.residual == MultiPoly.constant(8, 8)
 
 
 def test_hessian_anticommutator_certificate():

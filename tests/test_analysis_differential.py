@@ -8,7 +8,12 @@ import random
 import pytest
 
 import analysis_oracle
-from genmaps import random_harmonic_map, random_quadratic_map, random_real_map
+from genmaps import (
+    quaternionic_hopf_lifts,
+    random_harmonic_map,
+    random_quadratic_map,
+    random_real_map,
+)
 from morphlift import analysis
 from morphlift.analysis import hessian_conditions, hwc_certificate
 from morphlift.catalog import entry_ids, lookup
@@ -18,7 +23,8 @@ from morphlift.maps import RealPolyMap, real_form
 from morphlift.poly import MultiPoly
 
 CHECKS = [(hwc_certificate, analysis_oracle.hwc_certificate),
-          (hessian_conditions, analysis_oracle.hessian_conditions)]
+          (hessian_conditions, analysis_oracle.hessian_conditions),
+          (hessian_conditions, analysis_oracle.dense_hessian_conditions)]
 
 
 def _terms(p):
@@ -36,7 +42,7 @@ def _fields(report):
 
 def _assert_same(phi):
     for check, oracle in CHECKS:
-        assert _fields(check(phi)) == _fields(oracle(phi)), check.__name__
+        assert _fields(check(phi)) == _fields(oracle(phi)), oracle.__name__
 
 
 def _catalog_maps():
@@ -59,6 +65,23 @@ def test_catalog_maps_and_their_lifts_match_the_oracle(entry_id, phi):
 def test_lift_ladder_matches_the_oracle(phi_r16_real):
     _assert_same(phi_r16_real)
     _assert_same(complete_lift_real(phi_r16_real))
+
+
+HOPF = {flip: quaternionic_hopf_lifts(flip) for flip in (False, True)}
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["hopf", "flipped"])
+@pytest.mark.parametrize("dim", [8, 16, 32, 64])
+def test_hopf_lifts_match_the_dense_oracle(flip, dim):
+    # the sparse rows and cells against dense rows over every stacked entry;
+    # the oracle that builds all m^2 cells runs where it takes under a second
+    phi = HOPF[flip][dim]
+    report = hessian_conditions(phi)
+    assert report.verdict is not flip
+    assert _fields(report) == \
+        _fields(analysis_oracle.dense_hessian_conditions(phi))
+    if dim <= 16:
+        assert _fields(report) == _fields(analysis_oracle.hessian_conditions(phi))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -160,20 +183,34 @@ def test_diagonal_refutation_builds_the_dilation_once(poly_dot_calls):
     assert len(dilations) == 1 and len(poly_dot_calls) == 6
 
 
-@pytest.mark.parametrize("source", [
-    "map p: R^4 -> R^2 { p1 = x1; p2 = x2; }",
-    "map h: R^4 -> R^3 { h1 = x1^2 + x2^2 - x3^2 - x4^2; "
-    "h2 = 2*x1*x3 - 2*x2*x4; h3 = 2*x1*x4 + 2*x2*x3; }",
-], ids=["projection", "hopf"])
-def test_passing_hessian_conditions_visit_the_upper_triangle(source,
-                                                             poly_dot_calls):
-    # both identities are symmetric matrices, so a pass reads each cell
-    # (i, j) with j >= i once: m(m+1)/2 dot products per identity
-    phi = parse_map(source)
-    m, n = phi.domain_dim, phi.codomain_dim
+def _cells_with_a_nonzero_pair(phi):
+    """For each identity in the check's order, the cells (i, j) with j >= i
+    of [left | right] . [top | bottom] that have a t at which both stacked
+    entries are nonzero, read from the dense Hessians."""
+    h = [analysis_oracle.hessian(c) for c in phi.components]
+    m = phi.domain_dim
+    identities = [(h[a], h[0], h[a], h[0]) for a in range(1, len(h))]
+    identities += [(h[a], h[b], h[b], h[a])
+                   for a in range(len(h)) for b in range(a + 1, len(h))]
+    return [(i, j) for left, right, top, bottom in identities
+            for i in range(m) for j in range(i, m)
+            if any(left[i, t] and top[t, j] or right[i, t] and bottom[t, j]
+                   for t in range(m))]
+
+
+def test_r32_hopf_lift_forms_only_the_cells_with_a_nonzero_pair(poly_dot_calls):
+    # a passing check forms each cell on or above the diagonal that some
+    # pair of nonzero stacked entries reaches, and no other, each from its
+    # nonzero pairs alone
+    phi = HOPF[False][32]
     assert hessian_conditions(phi).verdict
-    identities = (n - 1) + n * (n - 1) // 2
-    assert len(poly_dot_calls) == identities * m * (m + 1) // 2
+    m = phi.domain_dim
+    expected = _cells_with_a_nonzero_pair(phi)
+    assert len(poly_dot_calls) == len(expected)
+    # of the 14 identities' 7392 cells on or above the diagonal
+    assert (len(expected), 14 * m * (m + 1) // 2) == (288, 7392)
+    assert all(p and q for left, right in poly_dot_calls
+               for p, q in zip(left, right, strict=True))
 
 
 def test_r32_rung_hessian_conditions_build_o_m_second_partials(phi_r16_real,
@@ -183,8 +220,7 @@ def test_r32_rung_hessian_conditions_build_o_m_second_partials(phi_r16_real,
     derivative_calls.update(partial=0, gradient=0)
     report = hessian_conditions(rung)
     assert report.violation.entry == (1, 1)
-    # one gradient pass per component for its n*m first partials, then one
-    # for row 1 of H_1 and one for row 1 of H_2, its m second partials;
-    # column 1 of each is its row 1, as the Hessian is symmetric
-    assert derivative_calls == {"partial": 0, "gradient": n + 2}
-    assert n + 2 < m
+    # row 1 of H_1 and row 1 of H_2, each one partial and one gradient
+    # pass; column 1 of each is its row 1, as the Hessian is symmetric, and
+    # no other first partial is taken
+    assert derivative_calls == {"partial": n, "gradient": n}

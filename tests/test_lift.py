@@ -368,18 +368,24 @@ def _assert_same_lift(phi):
 def _assert_same_as_the_poly_dot_lift(phi, new):
     """The one-pass lift ``new`` of phi equals the lift that summed the
     remapped partials' products with the fiber variables through
-    ``poly_dot``: the same terms in dict order with the same coefficient
+    ``poly_dot``, and each component equals the lift that read every field
+    of every term: the same terms in dict order with the same coefficient
     types, width and exponent bound, equal and of equal hash, and rendered
     to the same bytes as the old ``render`` gives."""
     fiber = "w" if isinstance(phi, ComplexPolyMap) else "y"
     old = lift_oracle.packed_complete_lift(phi, fiber)
     assert new == old and hash(new) == hash(old)
     names = old.names()
-    for p, q in zip(new.components, old.components, strict=True):
+    for p, q, base in zip(new.components, old.components, phi.components,
+                          strict=True):
+        scanned = poly_oracle.field_scan_complete_lift(base)
         assert [(e, c, type(c)) for e, c in p.terms.items()] == \
-            [(e, c, type(c)) for e, c in q.terms.items()]
-        assert (p.num_vars, p.num_complex) == (q.num_vars, q.num_complex)
-        assert (p._width, p._bound) == (q._width, q._bound)
+            [(e, c, type(c)) for e, c in q.terms.items()] == \
+            [(e, c, type(c)) for e, c in scanned.terms.items()]
+        assert (p.num_vars, p.num_complex) == (q.num_vars, q.num_complex) == \
+            (scanned.num_vars, scanned.num_complex)
+        assert (p._width, p._bound) == (q._width, q._bound) == \
+            (scanned._width, scanned._bound)
         assert p == q and hash(p) == hash(q)
         assert render(p, names) == poly_oracle.packed_render(q, names)
         assert render(p) == poly_oracle.packed_render(q)

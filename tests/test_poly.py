@@ -33,6 +33,7 @@ from morphlift.poly import (
     accumulate_product,
     poly_dot,
     render,
+    render_fibered,
     render_leading,
 )
 
@@ -255,6 +256,16 @@ def test_render_complex_coefficients():
 
 def test_render_zero():
     assert render(MultiPoly(3, {})) == "0"
+
+
+def test_render_refuses_fewer_names_than_variables():
+    # the factors of the variables past the last name were dropped: 'a + 3'
+    q = MultiPoly(2, {(1, 1): 1, (0, 2): 3})
+    with pytest.raises(DimensionMismatch):
+        render(q, ("a",))
+    with pytest.raises(DimensionMismatch):
+        render_fibered(MultiPoly(4, {(1, 0, 0, 1): 1}), ("a", "b", "c"))
+    assert render(q, ("a", "b")) == "a*b + 3*b^2"
 
 
 @given(real_polys)
