@@ -105,19 +105,20 @@ def _nonzero_fields(keys, num_vars: int, width: int):
     key's bytes, which compress() sifts; wider fields are found lowest
     first by the key's lowest set bit."""
     if width == 1:
-        positions = range(num_vars)
-        for raw in map(int.to_bytes, keys, repeat(num_vars), repeat("little")):
-            yield raw, compress(positions, raw)
-        return
-    bits = 8 * width
+        raws = list(map(int.to_bytes, keys, repeat(num_vars),
+                        repeat("little")))
+        return zip(raws, map(compress, repeat(range(num_vars)), raws))
+    return map(_wide_fields, keys, repeat(8 * width))
+
+
+def _wide_fields(key: int, bits: int):
     mask = (1 << bits) - 1
-    for key in keys:
-        fields = {}
-        while key:
-            j = ((key & -key).bit_length() - 1) // bits
-            e = fields[j] = (key >> (bits * j)) & mask
-            key -= e << (bits * j)
-        yield fields, fields
+    fields = {}
+    while key:
+        j = ((key & -key).bit_length() - 1) // bits
+        e = fields[j] = (key >> (bits * j)) & mask
+        key -= e << (bits * j)
+    return fields, fields
 
 
 def accumulate_terms(store: dict, items) -> dict:
@@ -416,42 +417,33 @@ class MultiPoly:
         No two (term, j) pairs meet, so there is nothing to accumulate: each
         term c*v^e with e_j > 0 becomes e_j*c at the key of v^e / v_j * w_j,
         j-major and then in term order.  Only the nonzero fields are read:
-        with one-byte fields, column j of the keys' bytes sifts the terms
-        that contain v_j; wider fields are decoded once per term into a
-        bucket per j.  The width grows as a product's does when the bound,
-        one more than this one, outgrows it."""
+        each term is decoded once, and its pieces go into a bucket per j; a
+        coefficient with e_j = 1 is kept as it is.  The width grows as a
+        product's does when the bound, one more than this one, outgrows
+        it."""
         m = self.num_complex or self.num_vars
         bound = self._bound + 1
         width = max(_field_width(bound), self._width)
         bits = 8 * width
         packed = self._at(width)
-        keys, coeffs = list(packed), list(packed.values())
-        lifted = keys
+        base = lifted = packed          # base: the fields of v_1..v_m
         if self.num_complex:
             half = bits * m
             low = (1 << half) - 1
-            lifted = [(key & low) | (key >> half << 2 * half) for key in keys]
-        # v_j -> w_j adds (1 << bits*(m + j)) - (1 << bits*j) to a key
-        if width == 1:
-            size = self.num_vars
-            table = b"".join(map(int.to_bytes, keys, repeat(size),
-                                 repeat("little")))
-            terms = {}
-            for j in range(m):
-                column = table[j::size]
-                step = (1 << 8 * (m + j)) - (1 << 8 * j)
-                for key, coeff, e in compress(zip(lifted, coeffs, column),
-                                              column):
-                    terms[key + step] = e * coeff
-        else:
-            buckets = [[] for _ in range(m)]
-            decoded = _nonzero_fields(keys, self.num_vars, width)
-            for key, coeff, (exponents, variables) in zip(lifted, coeffs,
-                                                          decoded):
-                for j in takewhile(m.__gt__, variables):
-                    step = (1 << bits * (m + j)) - (1 << bits * j)
-                    buckets[j].append((key + step, exponents[j] * coeff))
-            terms = dict(chain.from_iterable(buckets))
+            base = [key & low for key in packed]
+            lifted = [z | (key >> half << 2 * half)
+                      for z, key in zip(base, packed)]
+        # v_j -> w_j adds (1 << bits*(m + j)) - (1 << bits*j) = block << bits*j
+        block = (1 << bits * m) - 1
+        buckets = [[] for _ in range(m)]
+        decoded = _nonzero_fields(base, m, width)
+        for key, coeff, (exponents, variables) in zip(lifted, packed.values(),
+                                                      decoded):
+            for j in variables:
+                e = exponents[j]
+                buckets[j].append((key + (block << bits * j),
+                                   coeff if e == 1 else coeff * e))
+        terms = dict(chain.from_iterable(buckets))
         if not terms:
             width, bound = 1, 0
         return MultiPoly._make(2 * self.num_vars, 2 * self.num_complex, terms,

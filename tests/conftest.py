@@ -1,5 +1,6 @@
 import pytest
 
+from genmaps import quaternionic_hopf_lifts
 from morphlift.catalog import lookup
 from morphlift.lift import complete_lift_real
 from morphlift.mapfile import parse_map
@@ -43,3 +44,16 @@ def phi_r16_real(phi_r16):
 @pytest.fixture(scope="session")
 def stereographic():
     return parse_map(lookup("ex1.4.iv-hyperbolic-stereographic").definition)
+
+
+@pytest.fixture(scope="session")
+def hopf_lifts():
+    """The quaternionic Hopf map R^8 -> R^5 and its complete lifts, keyed by
+    domain dimension: R^8, R^16, R^32 and R^64."""
+    return quaternionic_hopf_lifts()
+
+
+@pytest.fixture(scope="session")
+def flipped_hopf_lifts():
+    """The same with one sign of the Hopf map flipped."""
+    return quaternionic_hopf_lifts(flip=True)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from genmaps import (
     quaternionic_hopf,
-    quaternionic_hopf_lifts,
     random_harmonic_map,
     random_rational_point,
 )
@@ -325,11 +324,6 @@ def test_hessian_certificates_on_catalog_maps(entry_id, certificate):
         v = report.violation
         assert (v.kind, (v.component_k, v.component_l), v.entry,
                 render(v.residual)) == certificate
-
-
-@pytest.fixture(scope="module")
-def hopf_lifts():
-    return quaternionic_hopf_lifts()
 
 
 def test_quaternionic_hopf_map_is_a_harmonic_morphism():
