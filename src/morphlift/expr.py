@@ -282,13 +282,18 @@ def _children(node: Expr) -> tuple:
     raise TypeError(f"unknown node {node!r}")
 
 
-def derivative(node: Expr, index: int) -> Expr:
+def derivative(node: Expr, index: int, memo: dict | None = None) -> Expr:
     """d(node)/dx_index, built with the smart constructors above.
 
     The tree is walked with an explicit stack, so a long sum needs no
     recursion, and a node object reached twice is differentiated once.
+    ``memo`` maps the id of each inner node already differentiated in x_index
+    to its derivative.  A caller may pass one dict to several calls in the
+    same variable, so that a node they share is differentiated once, as long
+    as it keeps every tree it differentiates alive while it holds the dict:
+    the keys are ids.
     """
-    done: dict = {}     # id(inner node) -> its derivative; the tree keeps ids alive
+    done: dict = {} if memo is None else memo   # id(inner node) -> derivative
     results: list = []  # derivatives of the finished operands, the left one first
     pending = [node]
     while pending:

@@ -138,6 +138,24 @@ def _raise_in_point_order(phi: SmoothMap, points: list, tape: Tape,
             pass
 
 
+def _derivatives(phi: SmoothMap) -> tuple[list, list]:
+    """The first derivatives d phi^k / dx_j and the second ones
+    d^2 phi^k / dx_j^2, both k-major, that :func:`numeric_check` reads.
+
+    Each variable has one :func:`derivative` memo, which the first and the
+    second derivatives by it share: a first derivative's tree holds
+    subtrees of its component, which the second derivative then meets
+    again and does not differentiate twice.  The memo is keyed by node
+    ids; the components and the first derivatives keep every node it holds
+    alive."""
+    m = phi.domain_dim
+    memos = [{} for _ in range(m)]
+    first = [derivative(c, j, memos[j]) for c in phi.components for j in range(m)]
+    second = [derivative(first[k * m + j], j, memos[j])
+              for k in range(phi.codomain_dim) for j in range(m)]
+    return first, second
+
+
 def numeric_check(phi: SmoothMap, points, tolerance: float) -> ResidualReport:
     """Sampled residuals of the harmonicity and conformality conditions.
 
@@ -158,8 +176,7 @@ def numeric_check(phi: SmoothMap, points, tolerance: float) -> ResidualReport:
         raise ValueError("numeric_check needs at least one point")
     m = phi.domain_dim
     n = phi.codomain_dim
-    first = [derivative(c, j) for c in phi.components for j in range(m)]
-    second = [derivative(first[k * m + j], j) for k in range(n) for j in range(m)]
+    first, second = _derivatives(phi)
     tape = compile_tape([*phi.guards, *second, *first])
     try:
         columns = tape.run(points)

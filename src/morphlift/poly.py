@@ -25,8 +25,10 @@ Every sum follows one rule: a term whose running sum reaches 0 is deleted
 from the store at once, and if a later summand brings it back it goes last.
 :func:`accumulate_terms` is where the rule is written; sums, differences,
 the Laplacian, substitution and the front end's lowering all go through
-it, and only the inner loop of :func:`accumulate_product`, which runs once
-per pair of terms, has it inlined.  No zero ever sits in a store while it
+it.  Two inner loops have it inlined: :func:`accumulate_product`, which
+runs once per pair of terms, and :func:`_expand_pairs`, the pairwise
+substitution kernel of :func:`real_parts` and :func:`from_real_parts`,
+which runs once per expanded monomial and sums (re, im) pairs of ints.  No zero ever sits in a store while it
 accumulates, so a product whose terms mostly cancel holds only the terms
 still alive.  Values, coefficient types and rendered text do not depend on
 the rule; the dict order of a term that cancels and comes back does.
@@ -37,6 +39,7 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from itertools import chain, compress, repeat, takewhile
+from math import lcm
 
 from .exact import (
     DimensionMismatch,
@@ -44,6 +47,7 @@ from .exact import (
     IntegerTooLong,
     Scalar,
     conjugate,
+    make_scalar,
     make_scalar_like,
     render_scalar,
 )
@@ -571,6 +575,207 @@ def _sum_of_products(pairs: list) -> MultiPoly:
         accumulate_product(accumulator, p, q, width=width)
     p = pairs[0][0]
     return MultiPoly._make(p.num_vars, p.num_complex, accumulator, width, bound)
+
+
+# ---------------------------------------------------------------------------
+# Pairwise substitution: real identification and complexification
+# ---------------------------------------------------------------------------
+
+def _pair_row(a: int, b: int) -> list[int]:
+    """The coefficients c_0 .. c_{a+b} of f = (1 + t)^a (1 - t)^b.  From
+    (1 - t^2) f' = (a - b - (a + b) t) f comes the recurrence
+    (j + 1) c_{j+1} = (a - b) c_j - (a + b - j + 1) c_{j-1}, whose
+    division is exact."""
+    n, d = a + b, a - b
+    row = [1]
+    previous = 0
+    for j in range(n):
+        current = row[-1]
+        row.append((d * current - (n - j + 1) * previous) // (j + 1))
+        previous = current
+    return row
+
+
+class _PairRows(dict):
+    """``(k, a, b)`` -> the expansion of pair k's factor of degree (a, b),
+    made on first use: (key, r, odd) for each nonzero c_j of
+    :func:`_pair_row` in increasing j, meaning r * i^odd times the monomial
+    ``key``, whose field ``low`` holds a + b - j and field ``high`` holds j.
+    The power of i is ``turn(j, b)``; its factor -1 is folded into r, so
+    odd is 0 or 1."""
+
+    __slots__ = ("fields", "turn", "bits", "coefficients")
+
+    def __init__(self, fields, turn, bits: int):
+        self.fields = fields            # k -> (low, high) variable indices
+        self.turn = turn
+        self.bits = bits
+        self.coefficients = {}          # (a, b) -> _pair_row(a, b)
+
+    def __missing__(self, pair):
+        k, a, b = pair
+        coefficients = self.coefficients.get((a, b))
+        if coefficients is None:
+            coefficients = self.coefficients[a, b] = _pair_row(a, b)
+        low, high = (self.bits * f for f in self.fields(k))
+        n = a + b
+        row = self[pair] = []
+        for j, c in enumerate(coefficients):
+            if c:
+                power = self.turn(j, b) % 4
+                row.append(((n - j) << low | j << high,
+                            -c if power & 2 else c, power & 1))
+        return row
+
+
+def _pair_terms(keys, num_vars: int, width: int, slots, parts
+                ) -> tuple[list, int]:
+    """For each packed key in turn, with (re, im) from ``parts``, the
+    term's pairs as (k, a, b) by increasing k and its parts, decoded once;
+    and the largest degree a + b of a pair.  Variable j is the first (side
+    0) or the second (side 1) member of pair k, where ``slots[j] = 2k +
+    side``."""
+    terms = []
+    bound = 0
+    decoded = _nonzero_fields(keys, num_vars, width)
+    for (exponents, variables), (re, im) in zip(decoded, parts):
+        fields = {slots[j]: exponents[j] for j in variables}
+        pairs = [(k, fields.get(2 * k, 0), fields.get(2 * k + 1, 0))
+                 for k in sorted({slot >> 1 for slot in fields})]
+        for _, a, b in pairs:
+            if a + b > bound:
+                bound = a + b
+        terms.append((pairs, re, im))
+    return terms, bound
+
+
+def _integral_parts(parts: list) -> tuple[list, int]:
+    """``parts``, a list of (re, im) of rationals, times the lcm D of their
+    denominators, as ints; and D."""
+    values = list(chain.from_iterable(parts))
+    if set(map(type, values)) <= {int}:
+        return parts, 1
+    scale = lcm(*(value.denominator for value in values))
+    return [((re * scale).numerator if type(re) is Fraction else re * scale,
+             (im * scale).numerator if type(im) is Fraction else im * scale)
+            for re, im in parts], scale
+
+
+def _expand_pairs(terms: list, rows: _PairRows) -> dict:
+    """The sum over ``terms`` of (re + i*im) times the product of the rows
+    of the term's pairs, as packed key -> (real part, imaginary part).
+
+    The pairs of a term act on disjoint fields, so a term expands to the
+    Cartesian product of its rows with no two keys alike: pairs by
+    increasing k, each row in increasing j, the last pair varying fastest.
+    The coefficient is turned and scaled once per entry of the product of
+    the rows before the last, and the last row is read inline.  The
+    expansions go into one store in term order under the module's rule,
+    read on (re, im): a key is deleted once both parts are 0."""
+    store: dict = {}
+    get = store.get
+    for pairs, re, im in terms:
+        prefix = _CONSTANT
+        for pair in pairs[:-1]:
+            # r*i^odd * s*i^t with odd = t = 1 is -r*s
+            prefix = [(key + step, -r * s if odd & t else r * s, odd ^ t)
+                      for key, r, odd in prefix for step, s, t in rows[pair]]
+        last = rows[pairs[-1]] if pairs else _CONSTANT
+        for base, r, odd in prefix:
+            cr, ci = (-r * im, r * re) if odd else (r * re, r * im)
+            # accumulate_terms inlined, on (re, im) pairs
+            for step, s, t in last:
+                key = base + step
+                if t:
+                    x, y = -s * ci, s * cr
+                else:
+                    x, y = s * cr, s * ci
+                old = get(key)
+                if old is not None:
+                    x += old[0]
+                    y += old[1]
+                    if not (x or y):
+                        del store[key]
+                        continue
+                store[key] = (x, y)
+    return store
+
+
+_CONSTANT = ((0, 1, 0),)    # the expansion of no pair: the monomial 1
+
+
+def _quotient(x: int, d: int):
+    return x if d == 1 else Fraction(x, d)
+
+
+def real_parts(p: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """The real and the imaginary part of ``p``, in a ring of m complex
+    pairs, under z_k = x_{2k-1} + i*x_{2k} and zb_k = x_{2k-1} - i*x_{2k}:
+    two polynomials in the 2m real variables.
+
+    Each pair's factor z^a zb^b is (x + iy)^a (x - iy)^b, which is
+    sum_j c_j i^j x^(a+b-j) y^j with c_j the coefficients of (1 + t)^a
+    (1 - t)^b.  Coefficients are carried as integer (re, im) parts over
+    the lcm of their denominators, and one scalar is made per output term.
+    The terms come in the order of :func:`_expand_pairs`: p's terms in
+    order, then pairs by increasing k, then ascending power of y."""
+    m = p.num_complex
+    if p.num_vars != 2 * m:
+        raise DimensionMismatch("real_parts needs a complex ring")
+    slots = [2 * j for j in range(m)] + [2 * j + 1 for j in range(m)]
+    parts, scale = _integral_parts(
+        [(c.re, c.im) if type(c) is GaussianRational else (c, 0)
+         for c in p._terms.values()])
+    terms, bound = _pair_terms(p._terms, p.num_vars, p._width, slots, parts)
+    width = _field_width(bound)
+    rows = _PairRows(lambda k: (2 * k, 2 * k + 1), lambda j, b: j, 8 * width)
+    store = _expand_pairs(terms, rows)
+    if not store:
+        width, bound = 1, 0
+    re = {key: _quotient(x, scale) for key, (x, _) in store.items() if x}
+    im = {key: _quotient(y, scale) for key, (_, y) in store.items() if y}
+    return (MultiPoly._make(p.num_vars, 0, re, width, bound),
+            MultiPoly._make(p.num_vars, 0, im, width, bound))
+
+
+def from_real_parts(u: MultiPoly, v: MultiPoly) -> MultiPoly:
+    """u + i*v, for ``u`` and ``v`` in the same real ring of 2m variables,
+    in the complex ring of m pairs under x_{2k-1} = (z_k + zb_k)/2 and
+    x_{2k} = (z_k - zb_k)/(2i): the inverse of :func:`real_parts`.
+
+    The kernel is that of :func:`real_parts`: x^a y^b is (z + zb)^a
+    (z - zb)^b / (2^(a+b) i^b), which is sum_j c_j i^-b z^(a+b-j) zb^j /
+    2^(a+b).  The input terms are u's, then v's new ones, each with
+    coefficient (u's, v's).  A term of total degree n is carried times
+    2^(N - n), N the largest total degree, so that every output term has
+    the one denominator 2^N; the output terms come in the order of
+    :func:`_expand_pairs`, ascending power of zb within a pair."""
+    u._check_ring(v)
+    m, odd = divmod(u.num_vars, 2)
+    if odd or u.num_complex:
+        raise DimensionMismatch("from_real_parts needs a real ring on an "
+                                "even number of variables")
+    width = max(u._width, v._width)
+    merged = {key: (c, 0) for key, c in u._at(width).items()}
+    for key, c in v._at(width).items():
+        re, _ = merged.get(key, (0, 0))
+        merged[key] = (re, c)
+    parts, scale = _integral_parts(list(merged.values()))
+    terms, bound = _pair_terms(merged, u.num_vars, width, range(u.num_vars),
+                               parts)
+    degrees = [sum(a + b for _, a, b in pairs) for pairs, _, _ in terms]
+    top = max(degrees, default=0)
+    terms = [(pairs, re << top - n, im << top - n)
+             for (pairs, re, im), n in zip(terms, degrees)]
+    width = _field_width(bound)
+    rows = _PairRows(lambda k: (k, m + k), lambda j, b: -b, 8 * width)
+    store = _expand_pairs(terms, rows)
+    if not store:
+        width, bound = 1, 0
+    scale <<= top
+    terms = {key: make_scalar(_quotient(x, scale), _quotient(y, scale))
+             if y else _quotient(x, scale) for key, (x, y) in store.items()}
+    return MultiPoly._make(u.num_vars, m, terms, width, bound)
 
 
 # ---------------------------------------------------------------------------

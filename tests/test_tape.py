@@ -9,9 +9,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import expr_oracle as oracle
+from test_cli_fuzz import expressions
 from morphlift.catalog import lookup
 from morphlift.exact import GaussianRational
 from morphlift.expr import (
@@ -37,6 +38,7 @@ from morphlift.maps import real_identification
 from morphlift.numeric import (
     GUARD_MARGIN,
     InternalConsistencyError,
+    _derivatives,
     numeric_check,
     numeric_complete_lift,
     sample_points,
@@ -377,6 +379,55 @@ def test_numeric_check_holds_only_live_columns(stereographic):
     finally:
         tracemalloc.stop()
     assert peak < 700 * 1024
+
+
+def _unshared_check_tape(phi) -> list:
+    """The segments of numeric_check's tape with a fresh derivative memo
+    per call, as the check built its derivatives before they shared one."""
+    m = phi.domain_dim
+    first = [derivative(c, j) for c in phi.components for j in range(m)]
+    second = [derivative(first[k * m + j], j)
+              for k in range(phi.codomain_dim) for j in range(m)]
+    return compile_tape([*phi.guards, *second, *first]).segments
+
+
+def _check_tape(phi) -> list:
+    first, second = _derivatives(phi)
+    return compile_tape([*phi.guards, *second, *first]).segments
+
+
+@pytest.mark.parametrize("lifted", [False, True], ids=["map", "lift"])
+def test_shared_derivative_memos_leave_the_tape_as_it_was(stereographic,
+                                                          lifted):
+    phi = numeric_complete_lift(stereographic) if lifted else stereographic
+    assert _check_tape(phi) == _unshared_check_tape(phi)
+
+
+@st.composite
+def smooth_map_sources(draw):
+    """A real map file from the grammar of test_cli_fuzz.py, with sqrt and
+    division and no mistakes."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    names = [f"x{j}" for j in range(1, m + 1)]
+    lines = [f"map f: R^{m} -> R^{n} {{"]
+    lines += [f"  f{k} = {draw(expressions(names, ['sqrt']))[0]};"
+              for k in range(1, n + 1)]
+    if draw(st.booleans()):
+        lines.append(f"  guard {draw(expressions(names, ['sqrt']))[0]};")
+    return "\n".join(lines + ["}"])
+
+
+@settings(max_examples=40, deadline=2000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(smooth_map_sources())
+def test_shared_derivative_memos_leave_fuzzed_tapes_as_they_were(source):
+    try:
+        phi = parse_map(source)
+    except ValueError:
+        assume(False)
+    if not isinstance(phi, SmoothMap):
+        phi = _as_smooth(phi)
+    assert _check_tape(phi) == _unshared_check_tape(phi)
 
 
 def test_sampled_points_come_from_one_guard_tape(stereographic):
