@@ -28,10 +28,11 @@ the Laplacian, substitution and the front end's lowering all go through
 it.  Two inner loops have it inlined: :func:`accumulate_product`, which
 runs once per pair of terms, and :func:`_expand_pairs`, the pairwise
 substitution kernel of :func:`real_parts` and :func:`from_real_parts`,
-which runs once per expanded monomial and sums (re, im) pairs of ints.  No zero ever sits in a store while it
-accumulates, so a product whose terms mostly cancel holds only the terms
-still alive.  Values, coefficient types and rendered text do not depend on
-the rule; the dict order of a term that cancels and comes back does.
+which runs once per expanded monomial and sums (re, im) pairs of ints.
+No zero ever sits in a store while it accumulates, so a product whose
+terms mostly cancel holds only the terms still alive.  Values, coefficient
+types and rendered text do not depend on the rule; the dict order of a term
+that cancels and comes back does.
 """
 
 from __future__ import annotations

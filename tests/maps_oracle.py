@@ -79,7 +79,7 @@ def complexify(phi_r: RealPolyMap) -> ComplexPolyMap:
     return ComplexPolyMap(m, n, components)
 
 
-def _double_binomial(a: int, b: int) -> list[int]:
+def double_binomial(a: int, b: int) -> list[int]:
     """The coefficients of (1 + t)^a (1 - t)^b, each a sum over the ways to
     take s factors t from the first and j - s from the second."""
     return [sum(comb(a, s) * comb(b, j - s) * (-1) ** (j - s)
@@ -102,7 +102,7 @@ def _expand(terms, pair_fields, pair_factor, num_vars: int) -> dict:
         for k, a, b in pairs:
             _, _, (low, high) = pair_fields[k]
             rows.append([(low, high, a + b - j, j, c * pair_factor(j, a, b))
-                         for j, c in enumerate(_double_binomial(a, b)) if c])
+                         for j, c in enumerate(double_binomial(a, b)) if c])
         items = []
         for choice in product(*rows):
             out = [0] * num_vars
