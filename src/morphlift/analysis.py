@@ -94,7 +94,8 @@ def hwc_certificate(phi: RealPolyMap) -> CheckReport:
 
     Computes the Gram matrix G = J J^t of Jacobian rows.  The map is HWC iff
     every off-diagonal entry is the zero polynomial and all diagonal entries
-    agree; the common diagonal is the squared dilation.
+    agree; the common diagonal is the squared dilation.  Each diagonal entry
+    |grad phi_k|^2 is a sum of squares, which the kernel forms as such.
     """
     rows = [list(r) for r in jacobian(phi).entries]
     # The dilation is built only once a diagonal entry or a passing verdict

@@ -11,7 +11,7 @@ from itertools import compress
 
 from .exact import DimensionMismatch, I, make_scalar_like
 from .maps import RealPolyMap, ShapeError
-from .poly import MultiPoly, poly_dot
+from .poly import MultiPoly, grouped_terms, poly_dot
 
 
 class PolyMatrix:
@@ -84,24 +84,20 @@ def _jacobian_plan(phi: RealPolyMap):
     n = phi.domain_dim
     entries = [p for row in jacobian(phi).entries for p in row]
     base = [0] * len(entries)
-    found = {}          # factors -> uses
+    monomials = []
     index = {}          # e*n + j -> index of the power x_j^e
-    for slot, entry in enumerate(entries):
-        for fields, coeff in entry.sparse_terms():
-            if fields:
-                factors = tuple(index.setdefault(e * n + j, len(index))
-                                for j, e in fields)
-                found.setdefault(factors, []).append((slot, coeff))
-            else:
-                base[slot] = coeff
-    variable = [code % n for code in index]
     masks = [0] * n
-    for i, factors in enumerate(found):
-        bit = 1 << i
-        for f in factors:
-            masks[variable[f]] |= bit
-    monomials = [(factors[0], factors[1:], tuple(uses))
-                 for factors, uses in found.items()]
+    # a walk over every term meets each power first where a monomial first
+    # appears, so the distinct monomials in that order index the powers alike
+    for fields, uses in grouped_terms(entries):
+        if not fields:
+            for slot, coeff in uses:
+                base[slot] = coeff
+            continue
+        for j, _ in fields:
+            masks[j] |= 1 << len(monomials)
+        first, *rest = (index.setdefault(e * n + j, len(index)) for j, e in fields)
+        monomials.append((first, tuple(rest), tuple(uses)))
     return base, monomials, masks, [divmod(code, n)[::-1] for code in index]
 
 

@@ -62,13 +62,15 @@ class ResidualReport:
 
 
 def numeric_complete_lift(phi: SmoothMap) -> SmoothMap:
-    """Symbolic complete lift: component k becomes sum_j d(phi^k)/dx_j * y_j."""
+    """Symbolic complete lift: component k becomes sum_j d(phi^k)/dx_j * y_j.
+    The components share one :func:`derivative` memo per variable."""
     m = phi.domain_dim
+    memos = [{} for _ in range(m)]
     components = []
     for comp in phi.components:
         total = None
         for j in range(m):
-            term = mul(derivative(comp, j), Var(m + j))
+            term = mul(derivative(comp, j, memos[j]), Var(m + j))
             total = term if total is None else add(total, term)
         components.append(total)
     names = phi.names() + tuple(f"y{j + 1}" for j in range(m))

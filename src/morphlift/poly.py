@@ -25,10 +25,10 @@ Every sum follows one rule: a term whose running sum reaches 0 is deleted
 from the store at once, and if a later summand brings it back it goes last.
 :func:`accumulate_terms` is where the rule is written; sums, differences,
 the Laplacian, substitution and the front end's lowering all go through
-it.  Two inner loops have it inlined: :func:`accumulate_product`, which
-runs once per pair of terms, and :func:`_expand_pairs`, the pairwise
-substitution kernel of :func:`real_parts` and :func:`from_real_parts`,
-which runs once per expanded monomial and sums (re, im) pairs of ints.
+it.  Three inner loops have it inlined: :func:`accumulate_product` and
+:func:`_accumulate_square`, which run once per pair of terms, and
+:func:`_expand_pairs`, the pairwise substitution kernel of :func:`real_parts`
+and :func:`from_real_parts`, which sums (re, im) pairs of ints.
 No zero ever sits in a store while it accumulates, so a product whose
 terms mostly cancel holds only the terms still alive.  Values, coefficient
 types and rendered text do not depend on the rule; the dict order of a term
@@ -479,9 +479,10 @@ class MultiPoly:
                     raise ConsistencyError(
                         f"value for zb{j + 1} is not the conjugate of z{j + 1}")
         total: Scalar = 0
-        for fields, coeff in self.sparse_terms():
-            for j, e in fields:
-                coeff = coeff * point[j] ** e
+        decoded = _nonzero_fields(self._terms, self.num_vars, self._width)
+        for (exponents, variables), coeff in zip(decoded, self._terms.values()):
+            for j in variables:
+                coeff = coeff * point[j] ** exponents[j]
             total = total + coeff
         return make_scalar_like(total) if not isinstance(total, int) else total
 
@@ -515,16 +516,6 @@ class MultiPoly:
                     term = term * power_cache[j, e]
             accumulate_terms(result, term._at(width).items())
         return MultiPoly._make(*ring, result, width, bound)
-
-    # -- inspection -------------------------------------------------------------
-
-    def sparse_terms(self):
-        """Each term as (fields, coefficient), where ``fields`` lists
-        (variable, exponent) for each variable that occurs, in order of
-        variable: :attr:`terms` without the zero exponents."""
-        decoded = _nonzero_fields(self._terms, self.num_vars, self._width)
-        for (exponents, variables), coeff in zip(decoded, self._terms.values()):
-            yield [(j, exponents[j]) for j in variables], coeff
 
 
 # ---------------------------------------------------------------------------
@@ -566,16 +557,62 @@ def poly_dot(left: list[MultiPoly], right: list[MultiPoly]) -> MultiPoly:
     return _sum_of_products(list(zip(left, right)))
 
 
+def _accumulate_square(accumulator: dict, p: MultiPoly, *, width: int) -> None:
+    """accumulator += p*p, with the values and types of
+    :func:`accumulate_product`, from n(n+1)/2 products of p's n terms
+    c_a*x^k_a: row a puts c_a^2 at 2*k_a, then 2*c_a*c_b at k_a + k_b for
+    each b after a.  A key first appears at the same pair a <= b as there,
+    so only a key that cancels and comes back can land elsewhere."""
+    if (2 * p._bound) >> (8 * width):
+        raise OverflowError(f"exponent sums of p*p overflow {width}-byte fields")
+    get = accumulator.get
+    items = list(p._at(width).items())
+    for a, (ka, ca) in enumerate(items, 1):
+        key = ka + ka
+        c = get(key, 0) + ca * ca
+        if c:
+            accumulator[key] = c
+        else:
+            del accumulator[key]
+        twice = ca + ca
+        for kb, cb in items[a:]:
+            key = ka + kb
+            c = get(key, 0) + twice * cb
+            if c:
+                accumulator[key] = c
+            else:
+                del accumulator[key]
+
+
 def _sum_of_products(pairs: list) -> MultiPoly:
     """The sum of p*q over the pairs, in one accumulator at the widest
-    operand width, or wider once the bound on the exponent sums outgrows it."""
+    operand width, or wider once the bound on the exponent sums outgrows it.
+    A pair of one object (p, p) goes through :func:`_accumulate_square`."""
     bound = max(p._bound + q._bound for p, q in pairs)
     width = max(_field_width(bound), *(max(p._width, q._width) for p, q in pairs))
     accumulator: dict = {}
     for p, q in pairs:
-        accumulate_product(accumulator, p, q, width=width)
+        if p is q:
+            _accumulate_square(accumulator, p, width=width)
+        else:
+            accumulate_product(accumulator, p, q, width=width)
     p = pairs[0][0]
     return MultiPoly._make(p.num_vars, p.num_complex, accumulator, width, bound)
+
+
+def grouped_terms(polys: list) -> list:
+    """For each distinct monomial of ``polys``, which share a ring, in order
+    of first appearance: its nonzero (variable, exponent) pairs, decoded
+    once, and its (index of the polynomial, coefficient) uses in order.
+    All are read at the widest width, so equal monomials meet in one key."""
+    width = max((p._width for p in polys), default=1)
+    groups: dict = {}
+    for slot, p in enumerate(polys):
+        for key, coeff in p._at(width).items():
+            groups.setdefault(key, []).append((slot, coeff))
+    decoded = _nonzero_fields(groups, polys[0].num_vars, width) if polys else ()
+    return [([(j, exponents[j]) for j in variables], uses)
+            for (exponents, variables), uses in zip(decoded, groups.values())]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Test oracle for the Gram and Hessian checks: ``hwc_certificate`` as it was
 when it built the dilation before deciding any other Gram entry;
 ``hessian_conditions`` as it was when it built every component's full
-Hessian and negated all of H_1 before deciding any cell; and
+Hessian, with ``hessian`` the symmetric matrix of second partials, and
+negated all of H_1 before deciding any cell; and
 ``dense_hessian_conditions`` as it was when its Hessian rows were dense
 lists, with ``dense_hessian`` the ``calculus.hessian`` of that time, and
 each cell on and above the diagonal was one dot product over all 2m
@@ -25,9 +26,17 @@ from morphlift.poly import MultiPoly, poly_dot
 
 
 def hessian(p: MultiPoly) -> PolyMatrix:
+    """Every second partial; entry (j, i) with j > i is entry (i, j) itself,
+    equal term for term, so that cell (i, i) of H_a^2 multiplies each entry
+    by itself, as ``calculus.hessian``'s rows do, and squares it in the
+    kernel's triangular pass."""
     firsts = [p.partial(i) for i in range(p.num_vars)]
-    return PolyMatrix([[firsts[i].partial(j) for j in range(p.num_vars)]
-                       for i in range(p.num_vars)])
+    entries = [[firsts[i].partial(j) for j in range(p.num_vars)]
+               for i in range(p.num_vars)]
+    for i, row in enumerate(entries):
+        for j in range(i + 1, p.num_vars):
+            entries[j][i] = row[j]
+    return PolyMatrix(entries)
 
 
 def hwc_certificate(phi: RealPolyMap) -> CheckReport:

@@ -14,7 +14,8 @@ derived every partial of every term by hand instead of reading
 when they took each derivative with its own ``MultiPoly.partial`` and the
 Laplacian added the second partials one after another, before
 ``MultiPoly.gradient`` and ``MultiPoly.laplacian`` took them all from one
-pass over the terms.
+pass over the terms.  ``sparse_terms`` is the method ``MultiPoly.sparse_terms``
+that the old plans read.
 
 The bodies are the old functions' bodies, so the differential tests in
 ``test_calculus_differential.py`` compare ``calculus.jacobian_at``, which
@@ -110,6 +111,13 @@ def matrix_evaluate(matrix: PolyMatrix, point) -> list:
     return [[p.evaluate(point) for p in row] for row in matrix.entries]
 
 
+def sparse_terms(p: MultiPoly):
+    """Each term as (fields, coefficient), where ``fields`` lists (variable,
+    exponent) for each variable that occurs, in order of variable."""
+    for exponents, coeff in p.terms.items():
+        yield [(j, e) for j, e in enumerate(exponents) if e], coeff
+
+
 def _jacobian_plan(phi: RealPolyMap) -> tuple[list, list]:
     """The contributions of phi's terms to its Jacobian, and the (variable,
     exponent) pair of each power they read.
@@ -123,7 +131,7 @@ def _jacobian_plan(phi: RealPolyMap) -> tuple[list, list]:
     plan = []
     index = {}          # e*n + j -> index of the power x_j^e
     for k, component in enumerate(phi.components):
-        for fields, coeff in component.sparse_terms():
+        for fields, coeff in sparse_terms(component):
             if not fields:
                 continue        # a constant term contributes nothing
             powers = []
@@ -165,7 +173,7 @@ def grouped_jacobian_plan(phi: RealPolyMap):
     index = {}          # e*n + j -> index of the power x_j^e
     for k, component in enumerate(phi.components):
         row = k * n
-        for fields, coeff in component.sparse_terms():
+        for fields, coeff in sparse_terms(component):
             if not fields:
                 continue        # a constant term contributes nothing
             powers = [index.setdefault(e * n + j, len(index)) for j, e in fields]

@@ -10,8 +10,10 @@ differential tests in ``test_poly.py`` compare the packed store with them,
 beside ``reference_product``.  The exception is the accumulation of
 products: ``sum_of_products``, and ``product`` through it, delete a term as
 soon as its running sum reaches 0, as the packed accumulator now does, so a
-term that cancels and comes back goes last.  ``product`` keeps the old
-one-term shortcut, so that it takes the old product's paths too.
+term that cancels and comes back goes last; and they square a pair of one
+dict in one triangular pass, as the packed kernel now squares a pair of one
+polynomial, so that ``power`` sums in the kernel's order.  ``product`` keeps
+the old one-term shortcut, so that it takes the old product's paths too.
 ``packed_accumulate_product`` is ``poly.accumulate_product`` as it was
 before it deleted cancelled terms: it stores every zero sum and leaves the
 zeros for the caller to drop.  ``packed_compose`` is ``MultiPoly.compose``
@@ -39,7 +41,13 @@ Those three are the sum rule written out by hand, before
 their results keep the width and exponent bound of the polynomial they came
 from.  ``field_scan_complete_lift`` is ``MultiPoly.complete_lift`` as it was
 when it read every field of every term, once per base variable, zero or
-not.  These functions are not part of the package.
+not.  ``product_loop`` is ``poly._sum_of_products`` as it was before it
+squared a pair of one object in a triangular pass: every pair goes through
+the full product loop of ``accumulate_product``.  ``triangular_products``
+writes the square pass out as a stream of (key, coefficient) summands for
+``accumulate_terms``, so its dict order is the sum rule's by definition.
+Both also tell whether some running sum reached 0.  These functions are not
+part of the package.
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ from morphlift.poly import (
     _check_ring_shape,
     _field_width,
     _nonzero_fields,
+    accumulate_terms,
     default_names,
 )
 
@@ -111,17 +120,26 @@ def product(left: dict, right: dict) -> dict:
 
 def sum_of_products(pairs) -> dict:
     """The sum of left*right over the pairs of term dicts, in one
-    accumulator that deletes a term as soon as its running sum is 0."""
+    accumulator that deletes a term as soon as its running sum is 0.  A
+    pair of one dict is squared: term a times itself, then twice term a
+    times each term after it, row by row."""
     accumulator: dict = {}
     for left, right in pairs:
-        for ea, ca in left.items():
-            for eb, cb in right.items():
-                key = tuple(map(add, ea, eb))
-                c = accumulator.get(key, 0) + ca * cb
-                if c:
-                    accumulator[key] = c
-                else:
-                    del accumulator[key]
+        if left is right:
+            items = list(left.items())
+            products = ((ea, eb, ca * cb if a == b else 2 * ca * cb)
+                        for a, (ea, ca) in enumerate(items)
+                        for b, (eb, cb) in enumerate(items[a:], a))
+        else:
+            products = ((ea, eb, ca * cb) for ea, ca in left.items()
+                        for eb, cb in right.items())
+        for ea, eb, product in products:
+            key = tuple(map(add, ea, eb))
+            c = accumulator.get(key, 0) + product
+            if c:
+                accumulator[key] = c
+            else:
+                del accumulator[key]
     return canonicalize(accumulator)
 
 
@@ -136,6 +154,54 @@ def packed_accumulate_product(accumulator: dict, p: MultiPoly, q: MultiPoly, *,
         for kq, cq in q_items:
             key = kp + kq
             accumulator[key] = get(key, 0) + cp * cq
+
+
+def _summed_products(pairs, summands) -> tuple[MultiPoly, bool]:
+    """The ``summands(p, q, width)`` of every pair summed into one packed
+    store under ``accumulate_terms``, at the width ``_sum_of_products``
+    takes, and whether some running sum reached 0 on the way."""
+    bound = max(p._bound + q._bound for p, q in pairs)
+    width = max(_field_width(bound), *(max(p._width, q._width) for p, q in pairs))
+    store: dict = {}
+    cancelled = False
+    for p, q in pairs:
+        for key, coeff in summands(p, q, width):
+            # a nonzero summand leaves its key absent only by a sum of 0
+            accumulate_terms(store, [(key, coeff)])
+            cancelled = cancelled or key not in store
+    p = pairs[0][0]
+    return MultiPoly._make(p.num_vars, p.num_complex, store, width,
+                           bound), cancelled
+
+
+def _full_products(p, q, width):
+    q_items = q._at(width).items()
+    return ((kp + kq, cp * cq) for kp, cp in p._at(width).items()
+            for kq, cq in q_items)
+
+
+def _triangular_products(p, q, width):
+    if p is not q:
+        return _full_products(p, q, width)
+    items = list(p._at(width).items())
+    return ((ka + kb, ca * cb if a == b else 2 * ca * cb)
+            for a, (ka, ca) in enumerate(items)
+            for b, (kb, cb) in enumerate(items) if b >= a)
+
+
+def product_loop(pairs) -> tuple[MultiPoly, bool]:
+    """The sum of p*q over the pairs of ``MultiPoly``, each pair of terms
+    of each pair in turn, row by row, as a square was formed before it took
+    its own pass; and whether some running sum reached 0."""
+    return _summed_products(pairs, _full_products)
+
+
+def triangular_products(pairs) -> tuple[MultiPoly, bool]:
+    """The same sum with each pair (p, p) of one object squared in one
+    triangular pass: row a gives c_a^2 at k_a + k_a, then 2*c_a*c_b at
+    k_a + k_b for each b after a; and whether some running sum reached
+    0."""
+    return _summed_products(pairs, _triangular_products)
 
 
 def _monomial_product(monomial: dict, terms: dict) -> dict:

@@ -24,7 +24,7 @@ from genmaps import (
     random_quadratic_map,
     random_real_map,
 )
-from morphlift import calculus
+from morphlift import calculus, poly
 from morphlift.calculus import PolyMatrix, jacobian, jacobian_at
 from morphlift.catalog import KAEHLER_POINTS, KAEHLER_REPAIR_POINT, entry_ids, lookup
 from morphlift.exact import DimensionMismatch, GaussianRational
@@ -323,8 +323,11 @@ def test_span_reports_on_maps_in_turn_match_the_oracle(phi_r16_real):
 
 @pytest.fixture
 def work(monkeypatch):
-    calls = {"partial": 0, "gradient": 0, "sparse_terms": 0}
-    for name in calls:
+    """Calls of ``partial`` and ``gradient``, and under "decoded" the number
+    of packed keys each pass of the decoder ``poly._nonzero_fields`` reads,
+    in call order."""
+    calls = {"partial": 0, "gradient": 0, "decoded": []}
+    for name in ("partial", "gradient"):
         real = getattr(MultiPoly, name)
 
         def counting(self, *args, _real=real, _name=name):
@@ -332,6 +335,13 @@ def work(monkeypatch):
             return _real(self, *args)
 
         monkeypatch.setattr(MultiPoly, name, counting)
+    decode = poly._nonzero_fields
+
+    def counting_decode(keys, *args):
+        calls["decoded"].append(len(keys))
+        return decode(keys, *args)
+
+    monkeypatch.setattr(poly, "_nonzero_fields", counting_decode)
     return calls
 
 
@@ -340,11 +350,19 @@ def _fresh(phi):
     return RealPolyMap(phi.domain_dim, phi.codomain_dim, phi.components)
 
 
-# The R^16 map has 2 components in 16 variables: its Jacobian is one
-# gradient pass per component, and its 32 entries' terms are decoded once
-# each.
-ONE_JACOBIAN = {"partial": 0, "gradient": 2, "sparse_terms": 32}
-TWO_JACOBIANS = {"partial": 0, "gradient": 4, "sparse_terms": 64}
+# The R^16 map has 2 components of 104 terms in 16 variables: its Jacobian
+# is one gradient pass per component, each decoding the component's terms,
+# and its 32 entries' 768 terms hold 400 distinct monomials, each decoded
+# once for the plan.
+ONE_JACOBIAN = {"partial": 0, "gradient": 2, "decoded": [104, 104, 400]}
+TWO_JACOBIANS = {"partial": 0, "gradient": 4,
+                 "decoded": [104, 104, 400] * 2}
+
+
+def test_the_plan_decodes_each_distinct_monomial_once(phi_r16_real):
+    entries = [q for row in jacobian(phi_r16_real).entries for q in row]
+    assert sum(len(q.terms) for q in entries) == 768
+    assert len({e for q in entries for e in q.terms}) == 400
 
 
 def test_span_report_builds_the_jacobian_once_per_map(phi_r16_real, work):

@@ -26,7 +26,7 @@ from morphlift.exact import GaussianRational
 from morphlift.lift import complete_lift_real
 from morphlift.mapfile import parse_map
 from morphlift.maps import RealPolyMap, real_form, real_identification
-from morphlift.poly import MultiPoly, _canonicalize
+from morphlift.poly import MultiPoly, _canonicalize, grouped_terms
 
 
 def _packed(p):
@@ -161,14 +161,24 @@ def test_hessian_rows_reuse_the_entries_of_rows_already_built(rungs):
     assert sum(j in h(i) for i in order for j in order) > len(order)
 
 
-def test_sparse_terms_list_the_nonzero_exponents_in_order():
+def test_grouped_terms_list_the_nonzero_exponents_in_order():
     rng = random.Random(3)
     for n, top in ((64, 3), (3, 255), (3, 256), (2, 70000)):
         p = MultiPoly(n, {tuple(rng.choice((0, 0, 1, top)) for _ in range(n)):
                           t + 1 for t in range(6)})
-        expected = [([(j, e) for j, e in enumerate(exps) if e], c)
+        expected = [([(j, e) for j, e in enumerate(exps) if e], [(0, c)])
                     for exps, c in p.terms.items()]
-        assert list(p.sparse_terms()) == expected
+        assert grouped_terms([p]) == expected
+        # one-byte fields first: each monomial meets its twin at p's width
+        q = MultiPoly(n, {exps: -1 for exps in p.terms if max(exps) < 256})
+        assert q._width == 1
+        uses = {}
+        for slot, r in enumerate((q, p)):
+            for exps, c in r.terms.items():
+                uses.setdefault(exps, []).append((slot, c))
+        assert grouped_terms([q, p]) == [
+            ([(j, e) for j, e in enumerate(exps) if e], found)
+            for exps, found in uses.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -480,11 +480,14 @@ def test_poly_dot_puts_a_term_that_cancels_and_returns_last():
 
 
 def test_a_power_puts_a_term_that_cancels_and_returns_last():
-    # in (1 + x1 - x1^2)^2 the x1^2 sum runs -1, 0, -1
-    square = p("1 + x1 - x1^2", 1) ** 2
+    # the base is squared in one triangular pass: in
+    # (1 + x1 - x1^2 + x1^3 - x1^4)^2 the x1^4 sum runs -2, 0, 1, and x1^3
+    # cancels for good
+    square = p("1 + x1 - x1^2 + x1^3 - x1^4", 1) ** 2
     assert typed(square.terms) == [((0,), 1, int), ((1,), 2, int),
-                                   ((3,), -2, int), ((2,), -1, int),
-                                   ((4,), 1, int)]
+                                   ((2,), -1, int), ((5,), -4, int),
+                                   ((4,), 1, int), ((6,), 3, int),
+                                   ((7,), -2, int), ((8,), 1, int)]
 
 
 def test_canonicalize_reads_no_truth_of_a_nonintegral_fraction(monkeypatch):

@@ -4,6 +4,7 @@ iterative derivative and renderer against the recursive ones, and
 ``numeric_check`` reports against the one-tree-at-a-time check."""
 
 import gc
+import io
 import random
 import tracemalloc
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import expr_oracle as oracle
 from test_cli_fuzz import expressions
+from morphlift import cli
 from morphlift.catalog import lookup
 from morphlift.exact import GaussianRational
 from morphlift.expr import (
@@ -28,9 +30,12 @@ from morphlift.expr import (
     Sqrt,
     Sub,
     Var,
+    _children,
+    add,
     compile_tape,
     derivative,
     eval_float,
+    mul,
     render_expr,
 )
 from morphlift.mapfile import parse_map
@@ -428,6 +433,79 @@ def test_shared_derivative_memos_leave_fuzzed_tapes_as_they_were(source):
     if not isinstance(phi, SmoothMap):
         phi = _as_smooth(phi)
     assert _check_tape(phi) == _unshared_check_tape(phi)
+
+
+def _unshared_lift(phi) -> SmoothMap:
+    """numeric_complete_lift as it was before its components shared one
+    derivative memo per variable: a fresh memo per derivative."""
+    m = phi.domain_dim
+    components = []
+    for comp in phi.components:
+        total = None
+        for j in range(m):
+            term = mul(derivative(comp, j), Var(m + j))
+            total = term if total is None else add(total, term)
+        components.append(total)
+    names = phi.names() + tuple(f"y{j + 1}" for j in range(m))
+    return SmoothMap(2 * m, tuple(components), phi.guards, names)
+
+
+def _assert_lift_as_it_was(phi) -> None:
+    lift, unshared = numeric_complete_lift(phi), _unshared_lift(phi)
+    assert lift.names() == unshared.names() and lift.guards == unshared.guards
+    assert compile_tape(lift.components).segments == \
+        compile_tape(unshared.components).segments
+    assert _check_tape(lift) == _check_tape(unshared)
+    names = lift.names()
+    assert [render_expr(c, names) for c in lift.components] == \
+        [render_expr(c, names) for c in unshared.components]
+
+
+def _size_of_dag(roots) -> int:
+    """The distinct node objects reachable from ``roots``."""
+    seen = set()
+    pending = list(roots)
+    while pending:
+        node = pending.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            pending.extend(_children(node))
+    return len(seen)
+
+
+def test_the_lift_shares_derivatives_and_keeps_its_tape(stereographic):
+    _assert_lift_as_it_was(stereographic)
+    # both components differentiate the shared denominator once per variable
+    lift, unshared = numeric_complete_lift(stereographic), \
+        _unshared_lift(stereographic)
+    assert _size_of_dag(lift.components) < _size_of_dag(unshared.components)
+
+
+@settings(max_examples=40, deadline=2000,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(smooth_map_sources())
+def test_the_lift_keeps_fuzzed_tapes_as_they_were(source):
+    try:
+        phi = parse_map(source)
+    except ValueError:
+        assume(False)
+    if not isinstance(phi, SmoothMap):
+        phi = _as_smooth(phi)
+    _assert_lift_as_it_was(phi)
+
+
+@pytest.mark.parametrize("json", [False, True], ids=["text", "json"])
+def test_lift_renders_the_same_bytes_with_shared_memos(tmp_path, monkeypatch,
+                                                       json):
+    path = tmp_path / "stereographic.map"
+    path.write_text(lookup("ex1.4.iv-hyperbolic-stereographic").definition)
+    argv = (["--json"] if json else []) + ["lift", "--real", str(path)]
+    shared = io.StringIO()
+    assert cli.cli_main(argv, shared) == 0
+    monkeypatch.setattr(cli, "numeric_complete_lift", _unshared_lift)
+    unshared = io.StringIO()
+    assert cli.cli_main(argv, unshared) == 0
+    assert shared.getvalue().encode() == unshared.getvalue().encode()
 
 
 def test_sampled_points_come_from_one_guard_tape(stereographic):
