@@ -64,8 +64,11 @@ class PolyMatrix:
 
 
 def jacobian(phi: RealPolyMap) -> PolyMatrix:
-    """Entry (i, j) is the partial of component i by variable j."""
-    return PolyMatrix([c.gradient() for c in phi.components])
+    """Entry (i, j) is the partial of component i by variable j, from one
+    ``partials()`` pass per row; a zero keeps the row's width and bound."""
+    rows = [(c.partials(), c._with({})) for c in phi.components]
+    return PolyMatrix([[partials.get(j, zero) for j in range(phi.domain_dim)]
+                       for partials, zero in rows])
 
 
 def _jacobian_plan(phi: RealPolyMap):
@@ -146,13 +149,13 @@ def jacobian_at(phi: RealPolyMap, points):
 def hessian(p: MultiPoly):
     """The rows of p's matrix of second partials, as a function: row i,
     ``hessian(p)(i)``, is the dict ``{j: d/dx_j d/dx_i p}`` of its nonzero
-    entries, in increasing j; a zero entry has no key.  Row i is built the
-    first time it is read, from one partial and one gradient pass, and kept,
-    so a check that reads a few rows costs a few passes, and no other first
-    partial is taken.  Entry (j, i) equals entry (i, j) term for term, in
-    the same order and with the same coefficient types, so row j serves as
-    column j, and a row reuses the entries of the rows already built.  A row
-    is the same dict on every read: the caller must not change it."""
+    entries, in increasing j; a zero entry is neither formed nor keyed.  Row
+    i is built the first time it is read, as ``p.partial(i).partials()``, and
+    kept, so a check that reads a few rows costs a few passes.  Entry (j, i)
+    equals entry (i, j) term for term, in the same order and with the same
+    coefficient types, so row j serves as column j, and a row reuses the
+    entries of the rows already built.  A row is the same dict on every
+    read: the caller must not change it."""
     if p.num_complex:
         raise DimensionMismatch("hessian is defined for real variable kinds")
     rows: dict[int, dict[int, MultiPoly]] = {}
@@ -160,7 +163,7 @@ def hessian(p: MultiPoly):
     def row(i: int) -> dict[int, MultiPoly]:
         built = rows.get(i)
         if built is None:
-            built = {j: q for j, q in enumerate(p.partial(i).gradient()) if q}
+            built = p.partial(i).partials()
             for j, other in rows.items():
                 if j in built:
                     built[j] = other[i]

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
-from .calculus import jacobian
 from .exact import DimensionMismatch
 from .maps import ComplexPolyMap, PolyMap, RealPolyMap, ShapeError
 from .poly import MultiPoly, render
@@ -90,19 +90,16 @@ def block_jacobian_check(phi: RealPolyMap) -> bool:
         if any(sum(exponents) != 2 for exponents in comp.terms):
             raise ShapeError(f"component {index} is not homogeneous of degree 2")
     m = phi.domain_dim
-    left = jacobian(complete_lift_real(phi))
-
-    base_jac = jacobian(phi)
     pad = (0,) * m
-    for i in range(phi.codomain_dim):
-        for j in range(m):
-            terms = base_jac[i, j].terms.items()
-            jac_at_y = MultiPoly(2 * m, {pad + e: c for e, c in terms})
-            jac_at_x = MultiPoly(2 * m, {e + pad: c for e, c in terms})
-            if left[i, j] != jac_at_y:
-                return False
-            if left[i, m + j] != jac_at_x:
-                return False
+    lift = complete_lift_real(phi)
+    for comp, lifted in zip(phi.components, lift.components):
+        expected = {}
+        for j, partial in comp.partials().items():
+            terms = partial.terms.items()
+            expected[j] = MultiPoly(2 * m, {pad + e: c for e, c in terms})
+            expected[m + j] = MultiPoly(2 * m, {e + pad: c for e, c in terms})
+        if lifted.partials() != expected:
+            return False
     return True
 
 
@@ -136,14 +133,13 @@ def anti_lift(Phi: RealPolyMap) -> RealPolyMap | Obstruction:
         coefficient_rows.append([MultiPoly._trusted(m, terms)
                                  for terms in entries])
 
-    # stage (b): integrability dM_ij/dx_k == dM_ik/dx_j
+    # stage (b): integrability dM_ij/dx_k == dM_ik/dx_j; a zero is absent
     for index, row in enumerate(coefficient_rows, start=1):
-        for j in range(m):
-            for k in range(j + 1, m):
-                djk = row[j].partial(k)
-                dkj = row[k].partial(j)
-                if djk != dkj:
-                    return MixedPartialObstruction(index, j + 1, k + 1, djk, dkj)
+        partials = [entry.partials() for entry in row]
+        for j, k in combinations(range(m), 2):
+            if partials[j].get(k) != partials[k].get(j):
+                return MixedPartialObstruction(
+                    index, j + 1, k + 1, row[j].partial(k), row[k].partial(j))
 
     # stage (c): phi^i(x) = sum_j integral_0^1 M_ij(t x) x_j dt, exactly
     components = []

@@ -179,7 +179,7 @@ class _TermView(Mapping):
     def __getitem__(self, exponents):
         poly = self._poly
         if (not isinstance(exponents, tuple) or len(exponents) != poly.num_vars
-                or min(exponents, default=0) < 0
+                or not all(isinstance(e, int) and e >= 0 for e in exponents)
                 or max(exponents, default=0) >> (8 * poly._width)):
             raise KeyError(exponents)
         (key,) = _encode((exponents,), poly._width)
@@ -377,10 +377,11 @@ class MultiPoly:
                 terms[key - unit] = e * coeff
         return self._with(terms)
 
-    def gradient(self) -> list["MultiPoly"]:
-        """``[self.partial(j) for j in range(num_vars)]`` from one pass over
-        the terms: a term c*v^e puts e_j*c at the key of v^e / v_j into
-        partial j for each variable v_j it contains, in term order."""
+    def partials(self) -> dict[int, "MultiPoly"]:
+        """``{j: self.partial(j)}`` for the nonzero partials only, in
+        increasing j, from one pass over the terms: a term c*v^e puts e_j*c
+        at the key of v^e / v_j into partial j for each variable v_j it
+        contains, in term order."""
         units = [1 << (8 * self._width * j) for j in range(self.num_vars)]
         parts = [{} for _ in units]
         decoded = _nonzero_fields(self._terms, self.num_vars, self._width)
@@ -388,7 +389,7 @@ class MultiPoly:
                                                         decoded):
             for j in variables:
                 parts[j][key - units[j]] = exponents[j] * coeff
-        return [self._with(terms) for terms in parts]
+        return {j: self._with(terms) for j, terms in enumerate(parts) if terms}
 
     def laplacian(self) -> "MultiPoly":
         """The sum of the second partials by each variable in turn, from one

@@ -4,7 +4,8 @@ when it built the dilation before deciding any other Gram entry;
 Hessian, with ``hessian`` the symmetric matrix of second partials, and
 negated all of H_1 before deciding any cell; and
 ``dense_hessian_conditions`` as it was when its Hessian rows were dense
-lists, with ``dense_hessian`` the ``calculus.hessian`` of that time, and
+lists, with ``dense_hessian`` the ``calculus.hessian`` of that time (its
+rows from ``calculus_oracle.gradient``, every second partial zero or not), and
 each cell on and above the diagonal was one dot product over all 2m
 stacked entries, zero or not.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations
 
+import calculus_oracle
 from morphlift.analysis import CheckReport, Violation, _decide
 from morphlift.calculus import PolyMatrix, jacobian
 from morphlift.maps import RealPolyMap
@@ -99,13 +101,13 @@ def hessian_conditions(phi: RealPolyMap) -> CheckReport:
 
 
 def dense_hessian(p: MultiPoly):
-    firsts = p.gradient()
+    firsts = calculus_oracle.gradient(p)
     rows: dict[int, list[MultiPoly]] = {}
 
     def row(i: int) -> list[MultiPoly]:
         built = rows.get(i)
         if built is None:
-            built = firsts[i].gradient()
+            built = calculus_oracle.gradient(firsts[i])
             for j, other in rows.items():
                 built[j] = other[i]
             rows[i] = built

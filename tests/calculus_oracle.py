@@ -14,8 +14,10 @@ derived every partial of every term by hand instead of reading
 when they took each derivative with its own ``MultiPoly.partial`` and the
 Laplacian added the second partials one after another, before
 ``MultiPoly.gradient`` and ``MultiPoly.laplacian`` took them all from one
-pass over the terms.  ``sparse_terms`` is the method ``MultiPoly.sparse_terms``
-that the old plans read.
+pass over the terms.  ``gradient`` is the method ``MultiPoly.gradient``,
+which formed every first partial, zero or not, before ``MultiPoly.partials``
+formed only the nonzero ones.  ``sparse_terms`` is the method
+``MultiPoly.sparse_terms`` that the old plans read.
 
 The bodies are the old functions' bodies, so the differential tests in
 ``test_calculus_differential.py`` compare ``calculus.jacobian_at``, which
@@ -49,13 +51,26 @@ from morphlift.kaehler import (
     complex_point_to_real,
 )
 from morphlift.maps import ComplexPolyMap, RealPolyMap, ShapeError
-from morphlift.poly import MultiPoly
+from morphlift.poly import MultiPoly, _nonzero_fields
 
 
 def jacobian_by_partials(phi: RealPolyMap) -> PolyMatrix:
     """Entry (i, j) is the partial of component i by variable j."""
     return PolyMatrix([[c.partial(j) for j in range(phi.domain_dim)]
                        for c in phi.components])
+
+
+def gradient(p: MultiPoly) -> list[MultiPoly]:
+    """``[p.partial(j) for j in range(num_vars)]`` from one pass over the
+    terms: a term c*v^e puts e_j*c at the key of v^e / v_j into partial j
+    for each variable v_j it contains, in term order."""
+    units = [1 << (8 * p._width * j) for j in range(p.num_vars)]
+    parts = [{} for _ in units]
+    decoded = _nonzero_fields(p._terms, p.num_vars, p._width)
+    for (key, coeff), (exponents, variables) in zip(p._terms.items(), decoded):
+        for j in variables:
+            parts[j][key - units[j]] = exponents[j] * coeff
+    return [p._with(terms) for terms in parts]
 
 
 class PartialHessian:

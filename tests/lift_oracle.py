@@ -9,6 +9,9 @@ polynomial at a time into each entry of the coefficient matrix; and
 ``block_jacobian_check`` as they were when they split and embedded packed
 keys through ``MultiPoly.fiber_coefficients`` and ``MultiPoly.remap``,
 which ``poly_oracle`` keeps.  Every remap here is ``poly_oracle``'s.
+``anti_lift_by_partials`` is ``anti_lift`` as it was when its integrability
+stage took two single ``MultiPoly.partial`` scans per pair of entries of
+M(x), before it compared one ``MultiPoly.partials`` dict per entry.
 
 The bodies are the old functions' bodies, so the differential tests in
 ``test_lift.py`` compare the one-pass lift and the anti-lift with the code
@@ -181,6 +184,47 @@ def packed_anti_lift(Phi: RealPolyMap):
                 if fiber_degree != 1:
                     return NotPartialLinear(index, exponents, fiber_degree)
             raise
+
+    # stage (b): integrability dM_ij/dx_k == dM_ik/dx_j
+    for index, row in enumerate(coefficient_rows, start=1):
+        for j in range(m):
+            for k in range(j + 1, m):
+                djk = row[j].partial(k)
+                dkj = row[k].partial(j)
+                if djk != dkj:
+                    return MixedPartialObstruction(index, j + 1, k + 1, djk, dkj)
+
+    # stage (c): phi^i(x) = sum_j integral_0^1 M_ij(t x) x_j dt, exactly
+    components = []
+    for row in coefficient_rows:
+        terms: dict = {}
+        for j in range(m):
+            for exponents, coeff in row[j].terms.items():
+                # x^a integrates along t x to x^(a + e_j) / (|a| + 1)
+                key = exponents[:j] + (exponents[j] + 1,) + exponents[j + 1:]
+                terms[key] = terms.get(key, 0) + Fraction(coeff, sum(key))
+        components.append(MultiPoly(m, terms))
+    return RealPolyMap(m, Phi.codomain_dim, components)
+
+
+def anti_lift_by_partials(Phi: RealPolyMap):
+    m, odd = divmod(Phi.domain_dim, 2)
+    if odd:
+        raise DimensionMismatch(f"a complete lift has an even number of "
+                                f"variables; this map has {Phi.domain_dim}")
+
+    # stage (a): extract M(x) with Phi^i = sum_j M[i][j](x) * y_j
+    coefficient_rows: list[list[MultiPoly]] = []
+    for index, comp in enumerate(Phi.components, start=1):
+        entries: list[dict] = [{} for _ in range(m)]
+        for exponents, coeff in comp.terms.items():
+            fiber = exponents[m:]
+            if sum(fiber) != 1:
+                return NotPartialLinear(index, exponents, sum(fiber))
+            entries[fiber.index(1)][exponents[:m]] = coeff
+        # the coefficients are a canonical component's, taken as they are
+        coefficient_rows.append([MultiPoly._trusted(m, terms)
+                                 for terms in entries])
 
     # stage (b): integrability dM_ij/dx_k == dM_ik/dx_j
     for index, row in enumerate(coefficient_rows, start=1):

@@ -8,6 +8,7 @@ import random
 import pytest
 
 import analysis_oracle
+import calculus_oracle
 from genmaps import (
     random_harmonic_map,
     random_quadratic_map,
@@ -15,6 +16,7 @@ from genmaps import (
 )
 from morphlift import analysis
 from morphlift.analysis import hessian_conditions, hwc_certificate
+from morphlift.calculus import hessian
 from morphlift.catalog import entry_ids, lookup
 from morphlift.lift import complete_lift_real
 from morphlift.mapfile import parse_map
@@ -142,8 +144,9 @@ def poly_dot_calls(monkeypatch):
 @pytest.fixture
 def derivative_calls(monkeypatch):
     """The number of calls of each differentiating method of MultiPoly:
-    ``gradient`` takes every first partial of a polynomial in one pass."""
-    calls = {"partial": 0, "gradient": 0}
+    ``partials`` takes every nonzero first partial of a polynomial in one
+    pass."""
+    calls = {"partial": 0, "partials": 0}
     for name in calls:
         real = getattr(MultiPoly, name)
 
@@ -217,10 +220,38 @@ def test_r32_rung_hessian_conditions_build_o_m_second_partials(phi_r16_real,
                                                                derivative_calls):
     rung = complete_lift_real(phi_r16_real)
     m, n = rung.domain_dim, rung.codomain_dim
-    derivative_calls.update(partial=0, gradient=0)
+    derivative_calls.update(partial=0, partials=0)
     report = hessian_conditions(rung)
     assert report.violation.entry == (1, 1)
-    # row 1 of H_1 and row 1 of H_2, each one partial and one gradient
+    # row 1 of H_1 and row 1 of H_2, each one partial and one partials()
     # pass; column 1 of each is its row 1, as the Hessian is symmetric, and
     # no other first partial is taken
-    assert derivative_calls == {"partial": n, "gradient": n}
+    assert derivative_calls == {"partial": n, "partials": n}
+
+
+def test_r64_hopf_lift_forms_no_zero_partial(hopf_lifts, monkeypatch):
+    # a passing check reads every Hessian row of every component: each row
+    # is one first partial and the nonzero second partials, and no zero
+    # one; the only other polynomials formed are H_1's entries, negated
+    phi = hopf_lifts[64]
+    m = phi.domain_dim
+    dense = [calculus_oracle.hessian_by_partials(c) for c in phi.components]
+    nonzero = [sum(map(bool, h.row(i))) for h in dense for i in range(m)]
+    formed = []
+    real = MultiPoly._with
+
+    def counting(self, terms):
+        formed.append(len(terms))
+        return real(self, terms)
+
+    monkeypatch.setattr(MultiPoly, "_with", counting)
+    assert hessian_conditions(phi).verdict
+    assert formed.count(0) == 0
+    assert len(formed) == len(nonzero) + sum(nonzero) + sum(nonzero[:m]) == 704
+    # the dense rows formed 20,160 zero second partials here
+    assert len(nonzero) * m - sum(nonzero) == 20160
+    # entry (j, i) is entry (i, j) itself: a row reuses the rows built before
+    for c in phi.components:
+        h = hessian(c)
+        rows = [h(i) for i in range(m)]
+        assert all(rows[j][i] is q for i in range(m) for j, q in rows[i].items())

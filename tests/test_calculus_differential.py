@@ -323,11 +323,11 @@ def test_span_reports_on_maps_in_turn_match_the_oracle(phi_r16_real):
 
 @pytest.fixture
 def work(monkeypatch):
-    """Calls of ``partial`` and ``gradient``, and under "decoded" the number
+    """Calls of ``partial`` and ``partials``, and under "decoded" the number
     of packed keys each pass of the decoder ``poly._nonzero_fields`` reads,
     in call order."""
-    calls = {"partial": 0, "gradient": 0, "decoded": []}
-    for name in ("partial", "gradient"):
+    calls = {"partial": 0, "partials": 0, "decoded": []}
+    for name in ("partial", "partials"):
         real = getattr(MultiPoly, name)
 
         def counting(self, *args, _real=real, _name=name):
@@ -351,11 +351,11 @@ def _fresh(phi):
 
 
 # The R^16 map has 2 components of 104 terms in 16 variables: its Jacobian
-# is one gradient pass per component, each decoding the component's terms,
+# is one partials() pass per component, each decoding the component's terms,
 # and its 32 entries' 768 terms hold 400 distinct monomials, each decoded
 # once for the plan.
-ONE_JACOBIAN = {"partial": 0, "gradient": 2, "decoded": [104, 104, 400]}
-TWO_JACOBIANS = {"partial": 0, "gradient": 4,
+ONE_JACOBIAN = {"partial": 0, "partials": 2, "decoded": [104, 104, 400]}
+TWO_JACOBIANS = {"partial": 0, "partials": 4,
                  "decoded": [104, 104, 400] * 2}
 
 

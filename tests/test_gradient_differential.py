@@ -1,16 +1,16 @@
-"""``MultiPoly.gradient`` and ``MultiPoly.laplacian`` take every first
-partial, and the Laplacian, from one pass over a polynomial's packed keys.
-``calculus.jacobian``, ``calculus.hessian`` (a function of the row index)
-and ``calculus.laplacian`` are built on them.  Each must give what the old
-bodies in ``calculus_oracle`` give, which took one ``MultiPoly.partial`` per
-derivative: the same terms in the same dict order, with the same
-coefficient types, field width and exponent bound."""
+"""``MultiPoly.partials`` and ``MultiPoly.laplacian`` take every nonzero
+first partial, and the Laplacian, from one pass over a polynomial's packed
+keys.  ``calculus.jacobian``, ``calculus.hessian`` (a function of the row
+index) and ``calculus.laplacian`` are built on them.  Each must give what
+the old bodies in ``calculus_oracle`` give, which took one
+``MultiPoly.partial`` per derivative: the same terms in the same dict order,
+with the same coefficient types, field width and exponent bound."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import calculus_oracle
 import poly_oracle
@@ -36,12 +36,21 @@ def _packed(p):
             [(key, c, type(c)) for key, c in p._terms.items()])
 
 
+def _assert_same_partials(p):
+    """partials() against the nonzero ``partial(j)`` in increasing j, and
+    against the nonzero entries of the dense one-pass oracle."""
+    new = [(j, _packed(q)) for j, q in p.partials().items()]
+    assert new == [(j, _packed(p.partial(j))) for j in range(p.num_vars)
+                   if p.partial(j)]
+    assert new == [(j, _packed(q))
+                   for j, q in enumerate(calculus_oracle.gradient(p)) if q]
+
+
 def _assert_same_derivatives(p, rows=None):
-    """gradient, Hessian rows (all, or ``rows`` in that order) and
+    """partials, Hessian rows (all, or ``rows`` in that order) and
     Laplacian of a real polynomial against the one-partial-at-a-time
     bodies."""
-    assert list(map(_packed, p.gradient())) == \
-        [_packed(p.partial(j)) for j in range(p.num_vars)]
+    _assert_same_partials(p)
     assert _packed(laplacian(p)) == \
         _packed(calculus_oracle.laplacian_by_partials(p))
     new, old = hessian(p), calculus_oracle.hessian_by_partials(p)
@@ -122,6 +131,29 @@ def test_polynomials_with_wide_fields_match_the_oracle(data):
         p = p - MultiPoly(n, dict(list(terms.items())[:2]))   # wider, fewer terms
     rows = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) if n else []
     _assert_same_derivatives(p, rows)
+
+
+# Rings as (num_vars, num_complex), real and complex, and exponents that
+# need fields of one, two and three bytes.
+RINGS = ((0, 0), (1, 0), (2, 0), (3, 0), (2, 1), (4, 2))
+field_exponents = st.one_of(
+    st.integers(0, 3),
+    st.sampled_from((255, 256, 65535, 65536, 2**24 - 1)))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_partials_match_the_nonzero_single_partials(data):
+    n, k = data.draw(st.sampled_from(RINGS))
+    terms = data.draw(st.dictionaries(st.tuples(*[field_exponents] * n),
+                                      coefficients, max_size=6))
+    p = MultiPoly(n, terms, k)
+    if data.draw(st.booleans()):
+        p = p - MultiPoly(n, dict(list(terms.items())[:2]), k)  # wider, fewer
+    _assert_same_partials(p)
+    # only the nonzero partials are keyed, so a variable is a key iff it occurs
+    assert list(p.partials()) == [j for j in range(n)
+                                  if any(e[j] for e in p.terms)]
 
 
 @pytest.mark.parametrize("p", [

@@ -681,3 +681,94 @@ def test_block_jacobian_check_matches_its_packed_body(seed):
         except ShapeError as error:
             outcomes.append(str(error))
     assert outcomes[0] == outcomes[1]
+
+
+# ---------------------------------------------------------------------------
+# The anti-lift against its body that took two single partials per pair
+# ---------------------------------------------------------------------------
+
+def _assert_same_as_the_antilift_by_partials(Phi):
+    """anti_lift, which compares one ``partials()`` dict per entry of M(x),
+    and its body that took two single partials per pair of entries give the
+    same outcome: the same witness, whose values, or the same base map,
+    whose components, hold the same terms in dict order with the same
+    coefficient types, width and bound; returns the outcome."""
+    new, old = anti_lift(Phi), lift_oracle.anti_lift_by_partials(Phi)
+    assert type(new) is type(old)
+    assert new == old
+    if isinstance(new, RealPolyMap):
+        polys = list(zip(new.components, old.components, strict=True))
+    elif isinstance(new, MixedPartialObstruction):
+        polys = [(new.value_jk, old.value_jk), (new.value_kj, old.value_kj)]
+        assert new.describe() == old.describe()
+    else:
+        polys = []
+    for p, q in polys:
+        assert [(e, c, type(c)) for e, c in p.terms.items()] == \
+            [(e, c, type(c)) for e, c in q.terms.items()]
+        assert (p._width, p._bound) == (q._width, q._bound)
+    return new
+
+
+def _with_one_coefficient_changed(rng, Phi):
+    """Phi with the coefficient of one term of one component moved by 1,
+    -2 or 1/3: every fiber degree stays 1 unless the term cancels."""
+    components = list(Phi.components)
+    k = rng.choice([i for i, c in enumerate(components) if c])
+    exponents = rng.choice(list(components[k].terms))
+    delta = rng.choice((1, -2, Fraction(1, 3)))
+    components[k] = components[k] + MultiPoly(Phi.domain_dim, {exponents: delta})
+    return RealPolyMap(Phi.domain_dim, Phi.codomain_dim, components)
+
+
+def test_antilift_matches_its_body_by_partials_on_the_catalog():
+    rng = random.Random(32)
+    for entry_id in entry_ids():
+        phi = real_form(parse_map(lookup(entry_id).definition))
+        if not isinstance(phi, RealPolyMap):
+            continue
+        if phi.domain_dim % 2 == 0:
+            _assert_same_as_the_antilift_by_partials(phi)
+        lift = complete_lift_real(phi)
+        assert isinstance(_assert_same_as_the_antilift_by_partials(lift),
+                          RealPolyMap)
+        if any(lift.components):
+            _assert_same_as_the_antilift_by_partials(
+                _with_one_coefficient_changed(rng, lift))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_antilift_matches_its_body_by_partials_on_seeded_lifts(seed):
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 4), rng.randint(1, 3)
+    maps = [random_real_map(rng, m, n),
+            random_harmonic_map(rng, max(m, 2), n, max_degree=3),
+            random_quadratic_map(rng, m, n),
+            real_identification(random_complex_map(rng, rng.randint(1, 2), n))]
+    for phi in maps:
+        lift = complete_lift_real(phi)
+        assert isinstance(_assert_same_as_the_antilift_by_partials(lift),
+                          RealPolyMap)
+        if any(lift.components):
+            _assert_same_as_the_antilift_by_partials(
+                _with_one_coefficient_changed(rng, lift))
+    _assert_same_as_the_antilift_by_partials(_random_fiber_linear_map(rng, m, n))
+
+
+@pytest.mark.parametrize("Phi,witness", [
+    # M = (x2, 0): d M_11 / d x2 = 1 against d M_12 / d x1 = 0
+    (parse_map("map f: R^4 -> R^1 { f1 = x2*x3; }"), (1, 1, 2, "1", "0")),
+    # M = (0, x1): the first of the two mixed partials is the 0
+    (parse_map("map f: R^4 -> R^1 { f1 = x1*x4; }"), (1, 1, 2, "0", "1")),
+    (parse_map("map f: R^4 -> R^2 { f1 = x1*x3 + x2*x4; f2 = x1^2*x4; }"),
+     (2, 1, 2, "0", "2*x1")),
+    (real_form(parse_map(lookup("ex3.5-antilift-obstruction").definition)),
+     (2, 3, 4, "-1", "1")),
+], ids=["second-is-0", "first-is-0", "second-row", "ex3.5"])
+def test_antilift_mixed_partial_witnesses(Phi, witness):
+    outcome = _assert_same_as_the_antilift_by_partials(Phi)
+    assert isinstance(outcome, MixedPartialObstruction)
+    assert (outcome.component, outcome.var_j, outcome.var_k,
+            render(outcome.value_jk), render(outcome.value_kj)) == witness
+    assert f"= {witness[3]} differs" in outcome.describe()

@@ -556,6 +556,19 @@ def test_term_view_reads_what_the_constructor_was_given(data):
             q.terms[key]
 
 
+@pytest.mark.parametrize("key", [(1.5, 0), ("a", 0), (0, 1.0), (0.0, 0),
+                                 (Fraction(1), 0), (None, 0), (0, 2**70 + 0.5)])
+def test_term_view_reads_a_key_with_an_entry_that_is_not_an_int_as_absent(key):
+    for q in (MultiPoly(2, {(1, 0): 3, (0, 1): 2, (0, 0): 1}),
+              MultiPoly(2, {(300, 0): 1, (0, 0): 1})):       # two-byte fields
+        assert key not in q.terms
+        assert q.terms.get(key) is None and q.terms.get(key, "absent") == "absent"
+        with pytest.raises(KeyError):
+            q.terms[key]
+        # a bool is an int, as the tuple (True, 0) equals (1, 0)
+        assert ((True, False) in q.terms) is ((1, 0) in q.terms)
+
+
 @given(st.data())
 def test_ring_operations_match_the_tuple_oracle(data):
     ring, a = draw_ring_and_poly(data)

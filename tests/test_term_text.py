@@ -160,7 +160,7 @@ def test_no_operation_stores_a_gaussian_with_imaginary_part_0(
     results = [a, b, a + b, a - b, b - a, a * b, a * a_bar, a + a_bar,
                a - a_bar, a.scale(factor), a * factor, a + factor,
                a ** power, (a + a_bar) ** power, a.partial(variable),
-               *a.gradient(), *(a * a_bar).gradient(), a_bar,
+               *a.partials().values(), *(a * a_bar).partials().values(), a_bar,
                a.compose([b, a, b.conjugate_poly(), a_bar]),
                a_bar.compose([a, b, a_bar, b.conjugate_poly()]),
                a.complete_lift(), (a * a_bar).complete_lift(),
