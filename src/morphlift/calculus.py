@@ -183,9 +183,12 @@ def complex_gradient(phi: RealPolyMap) -> list[MultiPoly]:
     """For a map to R^2 read as one complex component u + i*v, the vector of
     partials (du/dx_j + i * dv/dx_j), Gaussian-rational coefficients over the
     real variables."""
-    if phi.codomain_dim != 2:
-        raise ShapeError(
-            f"complex gradient needs a two-component map, got {phi.codomain_dim}")
+    _check_two_components(phi)
     u, v = phi.components
     return [u.partial(j) + v.partial(j).scale(I) for j in range(phi.domain_dim)]
 
+
+def _check_two_components(phi: RealPolyMap) -> None:
+    if phi.codomain_dim != 2:
+        raise ShapeError(
+            f"complex gradient needs a two-component map, got {phi.codomain_dim}")

@@ -43,6 +43,10 @@ from .poly import render, render_fibered
 
 SCHEMA_VERSION = 1
 
+# numeric-check samples all its points in one block and evaluates the tape
+# on columns that wide: about 3 KB a point on the stereographic lift
+MAX_SAMPLE_POINTS = 10_000
+
 # the analysis rows lead the check table; each is a flag of `check`
 CHECK_FLAGS = list(catalog_module.CHECKS)[:6]
 
@@ -384,6 +388,9 @@ def _cmd_kaehler(args) -> Report:
 def _cmd_numeric(args) -> Report:
     if args.points < 1:
         raise CliError(f"--points must be at least 1, got {args.points}")
+    if args.points > MAX_SAMPLE_POINTS:
+        raise CliError(f"--points must be at most {MAX_SAMPLE_POINTS}, "
+                       f"got {args.points}")
     if not (math.isfinite(args.tol) and args.tol >= 0):
         raise CliError(f"--tol must be a finite number >= 0, got {args.tol}")
     parsed = _load_map(args.file)

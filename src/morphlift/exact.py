@@ -129,13 +129,7 @@ class GaussianRational:
         parts = self._parts(other)
         if parts is None:
             return NotImplemented
-        a, b = parts
-        c, d = self.re, self.im
-        norm = c * c + d * d
-        if norm == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return make_scalar(Fraction(a * c + b * d, 1) / norm,
-                           Fraction(b * c - a * d, 1) / norm)
+        return GaussianRational(*parts) / self
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
@@ -276,7 +270,7 @@ class ExactMatrix:
     def rank(self) -> int:
         """Rank over Q(i): the rank mod p when that is min(rows, cols),
         else what a fresh :class:`Echelon` makes of the rows."""
-        rows = [_gaussian_integer_row(*_parts(row)) for row in self.entries]
+        rows = [integer_parts(*_parts(row))[:2] for row in self.entries]
         full = min(self.rows, self.cols)
         if _rank_mod_p(rows) == full:
             return full
@@ -337,7 +331,7 @@ class Echelon:
         """Reduce a row, given as its real parts and its imaginary parts
         (ints or Fractions), through the pivot rows and keep a nonzero
         remainder as the next one; whether it was kept."""
-        re, im = _gaussian_integer_row(re, im)
+        re, im, _ = integer_parts(re, im)
         r, s = 1, 0             # the previous pivot r + s*i
         for j, p, q, a, b, divisor, top_re, top_im in self.pivots:
             # Each new cell is ((p + q*i) * cell - (h + k*i) * top cell)
@@ -371,15 +365,15 @@ def _parts(row) -> tuple[list, list]:
             [x.im if type(x) is GaussianRational else 0 for x in row])
 
 
-def _gaussian_integer_row(re, im) -> tuple[list, list]:
-    """A row's real parts and imaginary parts, times the lcm of their
-    denominators, as two new lists of ints."""
+def integer_parts(re, im) -> tuple[list, list, int]:
+    """Real parts and imaginary parts (ints or Fractions) times the lcm D of
+    their denominators, as two new lists of ints; and D."""
     re, im = list(re), list(im)
-    if not {int}.issuperset(map(type, re + im)):
-        scale = lcm(*(v.denominator for v in re + im))
-        re = [(v * scale).numerator for v in re]
-        im = [(v * scale).numerator for v in im]
-    return re, im
+    if {int}.issuperset(map(type, re + im)):
+        return re, im, 1
+    scale = lcm(*(v.denominator for v in re + im))
+    return ([(v * scale).numerator for v in re],
+            [(v * scale).numerator for v in im], scale)
 
 
 def make_scalar_like(value) -> Scalar:

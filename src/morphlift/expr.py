@@ -23,7 +23,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import gcd
 from typing import Iterator, Sequence, Union
 
 from .exact import (
@@ -32,6 +31,7 @@ from .exact import (
     Scalar,
     conjugate as conj_scalar,
     imag_part,
+    integer_parts,
     make_scalar,
     real_part,
     render_scalar,
@@ -227,10 +227,8 @@ def _power_bits(value: Scalar, exponent: int) -> int:
     """About the bits of the numerator or the denominator of value ** exponent,
     whichever is larger, rounded down: exponent * log2 of the larger of
     |a + b*i| and d, where value = (a + b*i) / d.  Units cost none."""
-    re, im = Fraction(real_part(value)), Fraction(imag_part(value))
-    d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
-    norm = (re * d) ** 2 + (im * d) ** 2
-    return exponent * max(norm.numerator.bit_length() - 1,
+    [a], [b], d = integer_parts([real_part(value)], [imag_part(value)])
+    return exponent * max((a * a + b * b).bit_length() - 1,
                           2 * d.bit_length() - 2) // 2
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import tee
 from operator import mul
 
-from .calculus import jacobian_at
+from .calculus import _check_two_components, jacobian_at
 from .exact import (
     Echelon,
     ExactMatrix,
@@ -27,7 +27,7 @@ from .exact import (
     make_scalar,
     real_part,
 )
-from .maps import RealPolyMap, ShapeError
+from .maps import RealPolyMap
 
 NOT_KAEHLER = "not_kaehler_certified"
 INCONCLUSIVE = "inconclusive"
@@ -102,12 +102,6 @@ def _gram_rank(uu, uv, vv) -> int:
     if uu == vv == 0:
         return 0
     return 2 if uu * vv != uv * uv else 1
-
-
-def _check_two_components(Phi: RealPolyMap) -> None:
-    if Phi.codomain_dim != 2:
-        raise ShapeError(
-            f"complex gradient needs a two-component map, got {Phi.codomain_dim}")
 
 
 def _dot(x, y):

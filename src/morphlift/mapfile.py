@@ -454,8 +454,6 @@ def _read_canonical_poly(text: str, index: dict, num_vars: int,
                 if not divisor:
                     return None
                 coeff = Fraction(coeff, divisor)
-                if coeff.denominator == 1:
-                    coeff = coeff.numerator
             pairs.append((tuple(exponents), coeff if sign == "+" else -coeff))
     except ValueError:      # a literal longer than int() reads from a string
         return None

@@ -40,14 +40,15 @@ from __future__ import annotations
 from collections.abc import ItemsView, Mapping
 from fractions import Fraction
 from itertools import chain, compress, repeat, takewhile
-from math import lcm
 
 from .exact import (
     DimensionMismatch,
     GaussianRational,
     IntegerTooLong,
     Scalar,
+    _parts,
     conjugate,
+    integer_parts,
     make_scalar,
     make_scalar_like,
     render_scalar,
@@ -667,9 +668,9 @@ class _PairRows(dict):
         return row
 
 
-def _pair_terms(keys, num_vars: int, width: int, slots, parts
+def _pair_terms(keys, num_vars: int, width: int, slots, re: list, im: list
                 ) -> tuple[list, int]:
-    """For each packed key in turn, with (re, im) from ``parts``, the
+    """For each packed key in turn, with its parts from ``re`` and ``im``, the
     term's pairs as (k, a, b) by increasing k and its parts, decoded once;
     and the largest degree a + b of a pair.  Variable j is the first (side
     0) or the second (side 1) member of pair k, where ``slots[j] = 2k +
@@ -677,27 +678,15 @@ def _pair_terms(keys, num_vars: int, width: int, slots, parts
     terms = []
     bound = 0
     decoded = _nonzero_fields(keys, num_vars, width)
-    for (exponents, variables), (re, im) in zip(decoded, parts):
+    for (exponents, variables), x, y in zip(decoded, re, im):
         fields = {slots[j]: exponents[j] for j in variables}
         pairs = [(k, fields.get(2 * k, 0), fields.get(2 * k + 1, 0))
                  for k in sorted({slot >> 1 for slot in fields})]
         for _, a, b in pairs:
             if a + b > bound:
                 bound = a + b
-        terms.append((pairs, re, im))
+        terms.append((pairs, x, y))
     return terms, bound
-
-
-def _integral_parts(parts: list) -> tuple[list, int]:
-    """``parts``, a list of (re, im) of rationals, times the lcm D of their
-    denominators, as ints; and D."""
-    values = list(chain.from_iterable(parts))
-    if set(map(type, values)) <= {int}:
-        return parts, 1
-    scale = lcm(*(value.denominator for value in values))
-    return [((re * scale).numerator if type(re) is Fraction else re * scale,
-             (im * scale).numerator if type(im) is Fraction else im * scale)
-            for re, im in parts], scale
 
 
 def _expand_pairs(terms: list, rows: _PairRows) -> dict:
@@ -755,17 +744,16 @@ def real_parts(p: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     Each pair's factor z^a zb^b is (x + iy)^a (x - iy)^b, which is
     sum_j c_j i^j x^(a+b-j) y^j with c_j the coefficients of (1 + t)^a
     (1 - t)^b.  Coefficients are carried as integer (re, im) parts over
-    the lcm of their denominators, and one scalar is made per output term.
+    one denominator (:func:`~morphlift.exact.integer_parts`), and one
+    scalar is made per output term.
     The terms come in the order of :func:`_expand_pairs`: p's terms in
     order, then pairs by increasing k, then ascending power of y."""
     m = p.num_complex
     if p.num_vars != 2 * m:
         raise DimensionMismatch("real_parts needs a complex ring")
     slots = [2 * j for j in range(m)] + [2 * j + 1 for j in range(m)]
-    parts, scale = _integral_parts(
-        [(c.re, c.im) if type(c) is GaussianRational else (c, 0)
-         for c in p._terms.values()])
-    terms, bound = _pair_terms(p._terms, p.num_vars, p._width, slots, parts)
+    re, im, scale = integer_parts(*_parts(p._terms.values()))
+    terms, bound = _pair_terms(p._terms, p.num_vars, p._width, slots, re, im)
     width = _field_width(bound)
     rows = _PairRows(lambda k: (2 * k, 2 * k + 1), lambda j, b: j, 8 * width)
     store = _expand_pairs(terms, rows)
@@ -795,13 +783,12 @@ def from_real_parts(u: MultiPoly, v: MultiPoly) -> MultiPoly:
         raise DimensionMismatch("from_real_parts needs a real ring on an "
                                 "even number of variables")
     width = max(u._width, v._width)
-    merged = {key: (c, 0) for key, c in u._at(width).items()}
-    for key, c in v._at(width).items():
-        re, _ = merged.get(key, (0, 0))
-        merged[key] = (re, c)
-    parts, scale = _integral_parts(list(merged.values()))
-    terms, bound = _pair_terms(merged, u.num_vars, width, range(u.num_vars),
-                               parts)
+    u_terms, v_terms = u._at(width), v._at(width)
+    keys = [*u_terms, *(key for key in v_terms if key not in u_terms)]
+    re, im, scale = integer_parts([u_terms.get(key, 0) for key in keys],
+                                  [v_terms.get(key, 0) for key in keys])
+    terms, bound = _pair_terms(keys, u.num_vars, width, range(u.num_vars),
+                               re, im)
     degrees = [sum(a + b for _, a, b in pairs) for pairs, _, _ in terms]
     top = max(degrees, default=0)
     terms = [(pairs, re << top - n, im << top - n)

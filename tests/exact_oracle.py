@@ -15,6 +15,11 @@ matrix a column at a time, taking the first row nonzero in the column as
 the pivot row.
 ``bilinear_dot`` is the complex-bilinear product that ``kaehler`` took on
 gradients before it tested isotropy on the real Jacobian rows.
+``split_row_to_integers`` is ``exact._gaussian_integer_row`` as it was
+before ``exact.integer_parts`` scaled parts to integers for the whole
+package: it takes a row's real parts and imaginary parts.  ``rtruediv`` is
+``GaussianRational.__rtruediv__`` as it was when it wrote the division
+formula out itself.
 
 The bodies are the old functions' bodies, so the differential tests in
 ``test_exact.py`` compare the integer kernel with the elimination it
@@ -27,7 +32,12 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from morphlift.exact import DimensionMismatch, GaussianRational, Scalar
+from morphlift.exact import (
+    DimensionMismatch,
+    GaussianRational,
+    Scalar,
+    make_scalar,
+)
 
 
 def bilinear_dot(u: Sequence[Scalar], v: Sequence[Scalar]) -> Scalar:
@@ -50,6 +60,28 @@ def gaussian_integer_row(row) -> tuple[list, list]:
         re = [(v * scale).numerator for v in re]
         im = [(v * scale).numerator for v in im]
     return re, im
+
+
+def split_row_to_integers(re, im) -> tuple[list, list]:
+    """A row's real parts and imaginary parts, times the lcm of their
+    denominators, as two new lists of ints."""
+    re, im = list(re), list(im)
+    if not {int}.issuperset(map(type, re + im)):
+        scale = lcm(*(v.denominator for v in re + im))
+        re = [(v * scale).numerator for v in re]
+        im = [(v * scale).numerator for v in im]
+    return re, im
+
+
+def rtruediv(value: GaussianRational, other):
+    """``other / value``, for an int or Fraction ``other``."""
+    a, b = GaussianRational._parts(other)
+    c, d = value.re, value.im
+    norm = c * c + d * d
+    if norm == 0:
+        raise ZeroDivisionError("division by zero Gaussian rational")
+    return make_scalar(Fraction(a * c + b * d, 1) / norm,
+                       Fraction(b * c - a * d, 1) / norm)
 
 
 def rank(matrix) -> int:

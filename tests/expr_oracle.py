@@ -13,7 +13,9 @@ writes a polynomial as a tree.
 when it summed each summand's terms into one dict by hand, one term at a
 time with its sign, before ``poly.accumulate_terms`` applied the sum rule
 for every store.  The differential tests in ``test_sum_rule.py`` compare the
-lowering and the reader of canonical text with them.  These functions are
+lowering and the reader of canonical text with them.  ``power_bits`` is
+``expr._power_bits`` as it was when it took the lcm of the two
+denominators itself, before ``exact.integer_parts``.  These functions are
 not part of the package.
 """
 
@@ -351,3 +353,14 @@ def accumulate_term(terms: dict, exponents: tuple, coeff, sign: int) -> None:
         terms[exponents] = value
     else:
         terms.pop(exponents, None)
+
+
+def power_bits(value, exponent: int) -> int:
+    """About the bits of the numerator or the denominator of value ** exponent,
+    whichever is larger, rounded down."""
+    re, im = Fraction(real_part(value)), Fraction(imag_part(value))
+    d = re.denominator * im.denominator // math.gcd(re.denominator,
+                                                    im.denominator)
+    norm = (re * d) ** 2 + (im * d) ** 2
+    return exponent * max(norm.numerator.bit_length() - 1,
+                          2 * d.bit_length() - 2) // 2

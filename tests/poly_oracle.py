@@ -46,14 +46,18 @@ squared a pair of one object in a triangular pass: every pair goes through
 the full product loop of ``accumulate_product``.  ``triangular_products``
 writes the square pass out as a stream of (key, coefficient) summands for
 ``accumulate_terms``, so its dict order is the sum rule's by definition.
-Both also tell whether some running sum reached 0.  These functions are not
-part of the package.
+Both also tell whether some running sum reached 0.  ``integral_parts`` is
+``poly._integral_parts`` as it was before ``exact.integer_parts`` scaled
+parts to integers for the whole package: it takes (re, im) pairs and hands
+back an all-int list as it is.  These functions are not part of the
+package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import takewhile
+from itertools import chain, takewhile
+from math import lcm
 from operator import add
 
 from morphlift.exact import (
@@ -538,3 +542,15 @@ def field_scan_complete_lift(p: MultiPoly) -> MultiPoly:
         width, bound = 1, 0
     return MultiPoly._make(2 * p.num_vars, 2 * p.num_complex, terms,
                            width, bound)
+
+
+def integral_parts(parts: list) -> tuple[list, int]:
+    """``parts``, a list of (re, im) of rationals, times the lcm D of their
+    denominators, as ints; and D."""
+    values = list(chain.from_iterable(parts))
+    if set(map(type, values)) <= {int}:
+        return parts, 1
+    scale = lcm(*(value.denominator for value in values))
+    return [((re * scale).numerator if type(re) is Fraction else re * scale,
+             (im * scale).numerator if type(im) is Fraction else im * scale)
+            for re, im in parts], scale

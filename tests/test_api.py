@@ -91,3 +91,20 @@ def test_every_public_function_and_class_is_used_by_the_package():
                     and f"{path.stem}.{node.name}" not in traced):
                 unused.add(f"{path.stem}.{node.name}")
     assert unused == set()
+
+
+def test_only_exact_takes_lcm_or_gcd_from_math():
+    # scaling exact scalars to integers over the lcm of their denominators
+    # has one home, exact.integer_parts; a second copy elsewhere would
+    # import lcm or gcd, or read them from math
+    takers = set()
+    for path in Path(morphlift.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.ImportFrom) and node.module == "math"
+                    and {alias.name for alias in node.names} & {"lcm", "gcd"}
+                    or isinstance(node, ast.Attribute)
+                    and node.attr in ("lcm", "gcd")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "math"):
+                takers.add(path.name)
+    assert takers == {"exact.py"}

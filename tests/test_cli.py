@@ -14,7 +14,7 @@ import pytest
 import morphlift
 from morphlift import poly
 from morphlift.catalog import entry_ids, lookup, registry
-from morphlift.cli import cli_main
+from morphlift.cli import MAX_SAMPLE_POINTS, cli_main
 from morphlift.expr import MAX_POWER_BITS, MAX_POWER_TERMS, SmoothMap
 from morphlift.lift import complete_lift_real
 from morphlift.mapfile import (
@@ -217,10 +217,11 @@ def test_check_holomorphic_on_real_map_is_usage_error(tmp_path):
     assert code == 2
 
 
-def test_check_orthogonal_multiplication_blocks(quaternion_file):
+# with no --blocks, the first block is half the (even) domain
+@pytest.mark.parametrize("blocks", [["--blocks", "4"], []], ids=["4", "default"])
+def test_check_orthogonal_multiplication_blocks(quaternion_file, blocks):
     code, payload = run_cli_json(["check", quaternion_file,
-                                  "--orthogonal-multiplication",
-                                  "--blocks", "4"])
+                                  "--orthogonal-multiplication", *blocks])
     assert code == 0
     assert payload["checks"][0]["verdict"] is True
 
@@ -483,6 +484,11 @@ def test_unknown_subcommand_exits_2():
      "error: --points must be at least 1, got 0\n"),
     (["numeric-check", "--points", "-3", "--seed", "1", "--tol", "1e-8"],
      "error: --points must be at least 1, got -3\n"),
+    # all the points are sampled at once, so their number is bounded
+    (["numeric-check", "--points", str(MAX_SAMPLE_POINTS + 1), "--seed", "1",
+      "--tol", "1e-8"],
+     f"error: --points must be at most {MAX_SAMPLE_POINTS}, "
+     f"got {MAX_SAMPLE_POINTS + 1}\n"),
     (["numeric-check", "--points", "5", "--seed", "1", "--tol", "nan"],
      "error: --tol must be a finite number >= 0, got nan\n"),
     (["numeric-check", "--points", "5", "--seed", "1", "--tol", "inf"],
@@ -499,7 +505,8 @@ def test_unknown_subcommand_exits_2():
      "error: --blocks needs --orthogonal-multiplication\n"),
 ], ids=["lift-without-kind", "non-positive-block", "block-covering-the-domain",
         "two-blocks", "zero-points",
-        "negative-points", "nan-tolerance", "infinite-tolerance",
+        "negative-points", "points-over-the-limit",
+        "nan-tolerance", "infinite-tolerance",
         "negative-tolerance", "zero-budget", "negative-budget",
         "blocks-without-orthogonal-multiplication"])
 def test_usage_error_exits_2(quaternion_file, capsys, argv, message):
@@ -507,6 +514,42 @@ def test_usage_error_exits_2(quaternion_file, capsys, argv, message):
     assert code == 2
     assert text == ""
     assert message in capsys.readouterr().err
+
+
+INPUT_FILES = {
+    "odd.map": "map f: R^3 -> R^2 { f1 = x1*x2; f2 = x3; }",
+    "c2.map": "map f: C^2 -> C^2 { f1 = z1; f2 = z2; }",
+    "c1.map": "map f: C^1 -> C^1 { f1 = z1^2; }",
+    "stereo.map": lookup("ex1.4.iv-hyperbolic-stereographic").definition,
+    "q2.map": "map f: Q^2 -> R^1 { f1 = x1; }",
+    "sqrt.pts": "sqrt(2)\n",
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "odd.map", "--orthogonal-multiplication"],
+     "--orthogonal-multiplication needs --blocks for odd-dimensional domains"),
+    (["kaehler", "c2.map", "--search"],
+     "kaehler needs a map to C (one complex component)"),
+    (["kaehler", "stereo.map", "--search"], "kaehler needs a polynomial map"),
+    (["kaehler", "c1.map", "--points", "missing.pts"],
+     "cannot read missing.pts: [Errno 2] No such file or directory: "
+     "'missing.pts'"),
+    (["kaehler", "c1.map", "--points", "sqrt.pts"],
+     "1:1: bad coordinate: 1:1: not an exact literal: not a polynomial: "
+     "sqrt node"),
+    (["check", "q2.map"], "1:8: expected a space like R^4 or C^2"),
+    (["reproduce"], "reproduce needs an entry id or --all"),
+    (["catalog", "dump"], "catalog dump needs an entry id"),
+], ids=["orthogonal-multiplication-odd-domain", "kaehler-two-components",
+        "kaehler-smooth-map", "kaehler-missing-points", "kaehler-sqrt-point",
+        "q-header", "reproduce-nothing", "catalog-dump-nothing"])
+def test_input_error_exits_2(tmp_path, monkeypatch, capsys, argv, message):
+    for name, text in INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("body", [

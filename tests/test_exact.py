@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import exact_oracle
+import poly_oracle
 from morphlift import exact
 from exact_oracle import bilinear_dot
 from morphlift.calculus import complex_gradient
@@ -553,7 +554,7 @@ P, IOTA = exact._PRIME, exact._IOTA
 
 
 def _modular_rank(rows) -> int:
-    return exact._rank_mod_p([exact._gaussian_integer_row(*_parts(row))
+    return exact._rank_mod_p([exact.integer_parts(*_parts(row))[:2]
                               for row in rows])
 
 
@@ -604,3 +605,54 @@ def test_rows_given_as_iterators_rank_as_rows_given_as_tuples(rows):
                                                             (x for x in im))
     assert ExactMatrix(iter(row) for row in rows).rank() == ExactMatrix(rows).rank()
     assert Echelon().add((x for x in (1, 2, 3)), iter((0, 0, 0)))
+
+
+# ---------------------------------------------------------------------------
+# Scaling parts to integers: one helper for rank, Echelon and poly
+# ---------------------------------------------------------------------------
+
+@given(st.one_of(st.lists(st.integers(-20, 20), max_size=6),
+                 st.lists(st.one_of(st.integers(-20, 20), rationals),
+                          max_size=6),
+                 st.lists(scalars, max_size=6)))
+@example([])
+@example([3, 0, -1])
+@example([Fraction(4, 2), Fraction(1, 6), GaussianRational(0, Fraction(1, 4))])
+def test_integer_parts_match_both_scalings_they_replace(row):
+    re, im = _parts(row)
+    ints_re, ints_im, scale = exact.integer_parts(re, im)
+    assert (ints_re, ints_im) == exact_oracle.split_row_to_integers(re, im)
+    pairs, old_scale = poly_oracle.integral_parts(list(zip(re, im)))
+    assert (list(zip(ints_re, ints_im)), scale) == (pairs, old_scale)
+    assert {int} >= set(map(type, ints_re + ints_im + [scale]))
+    assert ints_re is not re and ints_im is not im
+
+
+@pytest.mark.parametrize("re, im", [
+    ([2, 5, 1], [0, 1, 0]),                                    # all ints
+    ([Fraction(1, 2), 5, 1], [0, Fraction(1, 3), 0]),
+])
+def test_echelon_add_leaves_the_callers_lists_unchanged(re, im):
+    echelon = Echelon()
+    assert echelon.add([1, 0, 0], [0, 0, 0])
+    kept = (list(re), list(im))
+    assert echelon.add(re, im)                  # pops column 0, keeps a pivot
+    assert (re, im) == kept
+    assert echelon.add([0, 0, 1], [0, 0, 0])    # reduces through that pivot
+    assert (re, im) == kept
+
+
+@given(st.one_of(st.integers(-20, 20), rationals),
+       st.one_of(gaussians, st.just(GaussianRational(0, 0))))
+@example(1, GaussianRational(0, 0))
+@example(Fraction(1, 2), GaussianRational(Fraction(1, 2), Fraction(-1, 2)))
+def test_right_division_matches_the_formula_it_replaces(other, value):
+    def outcome(divide):
+        try:
+            result = divide()
+        except ZeroDivisionError as error:
+            return ZeroDivisionError, str(error)
+        return result, type(result)
+
+    assert outcome(lambda: other / value) == outcome(
+        lambda: exact_oracle.rtruediv(value, other))

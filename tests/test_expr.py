@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import expr_oracle
 from expr_oracle import poly_to_expr, same_tree
 from genmaps import random_real_poly
 from morphlift.exact import GaussianRational
@@ -19,6 +20,7 @@ from morphlift.expr import (
     SmoothMap,
     Sqrt,
     Var,
+    _power_bits,
     derivative,
     eval_float,
     lower_to_poly,
@@ -268,3 +270,13 @@ def test_render_expr_round_trip():
         rendered = render_map_source(first, "f")
         second = parse_map(rendered)
         assert render_map_source(second, "f") == rendered
+
+
+_ratios = st.fractions(-10 ** 9, 10 ** 9, max_denominator=10 ** 6)
+
+
+@given(st.one_of(st.integers(-10 ** 9, 10 ** 9), _ratios,
+                 st.builds(GaussianRational, _ratios, _ratios)),
+       st.integers(0, 200))
+def test_power_bits_match_the_bound_they_replace(value, exponent):
+    assert _power_bits(value, exponent) == expr_oracle.power_bits(value, exponent)
