@@ -159,8 +159,6 @@ class GaussianRational:
     def __eq__(self, other):
         parts = self._parts(other)
         if parts is None:
-            if isinstance(other, complex):
-                return complex(self) == other
             return NotImplemented
         return self.re == parts[0] and self.im == parts[1]
 
@@ -171,9 +169,6 @@ class GaussianRational:
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
-
-    def __complex__(self):
-        return complex(float(self.re), float(self.im))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -210,12 +205,6 @@ def imag_part(value: Scalar) -> Union[int, Fraction]:
     if isinstance(value, GaussianRational):
         return value.im
     return 0
-
-
-def to_complex(value: Scalar) -> complex:
-    if isinstance(value, GaussianRational):
-        return complex(value)
-    return complex(float(value), 0.0)
 
 
 def render_scalar(value: Scalar) -> str:

@@ -4,38 +4,36 @@ Carries the maps the polynomial representation cannot (division, sqrt), with
 symbolic differentiation and IEEE-double evaluation.  Polynomial trees lower
 exactly to :class:`~morphlift.poly.MultiPoly`.
 
-Floats come from one evaluator.  :func:`compile_tape` interns the nodes of
-the trees a caller needs, so structurally equal subtrees share one slot, and
-lists the slots in the order a recursive evaluator would visit them;
-:meth:`Tape.run` evaluates a sequence of points at once: each slot holds a
-column of values, one per point, filled by one ``map`` per instruction, and
-each output's column is yielded as soon as it is done.  A column that is
-no output's is dropped after its last read.  :func:`eval_float` is a tape
-of one output run at one point.  Differentiation, evaluation and rendering
-walk the trees with explicit stacks, so a sum thousands of terms deep needs
-no recursion.
+Floats come from one real evaluator, as smooth maps are real.
+:func:`compile_tape` interns the nodes of the trees a caller needs, so
+structurally equal subtrees share one slot, and lists the slots in the order
+a recursive evaluator would visit them; :meth:`Tape.run` evaluates a
+sequence of points at once: each slot holds a column of floats, one per
+point, filled by one ``map`` per instruction, and each output's column is
+yielded as soon as it is done.  A column that is no output's is dropped
+after its last read.  :func:`eval_float` is a tape of one output run at one
+point.  Differentiation, evaluation and rendering walk the trees with
+explicit stacks, so a sum thousands of terms deep needs no recursion.
 """
 
 from __future__ import annotations
 
-import cmath
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .exact import (
     DimensionMismatch,
+    GaussianRational,
     IntegerTooLong,
     Scalar,
-    conjugate as conj_scalar,
     imag_part,
     integer_parts,
     make_scalar,
     real_part,
     render_scalar,
-    to_complex,
 )
 from .poly import MultiPoly, _check_ring_shape, accumulate_terms, default_names
 
@@ -256,13 +254,6 @@ def _check_power(node: Pow, base: MultiPoly) -> None:
                           default=0) + e * (t.bit_length() - 1), node)
 
 
-def conj_node(arg: Expr) -> Expr:
-    value = _const_value(arg)
-    if value is not None:
-        return Const(conj_scalar(value))
-    return Conj(arg)
-
-
 # ---------------------------------------------------------------------------
 # Symbolic differentiation
 # ---------------------------------------------------------------------------
@@ -289,7 +280,7 @@ def derivative(node: Expr, index: int, memo: dict | None = None) -> Expr:
     to its derivative.  A caller may pass one dict to several calls in the
     same variable, so that a node they share is differentiated once, as long
     as it keeps every tree it differentiates alive while it holds the dict:
-    the keys are ids.
+    the keys are ids.  A ``Conj`` node raises ``TypeError``.
     """
     done: dict = {} if memo is None else memo   # id(inner node) -> derivative
     results: list = []  # derivatives of the finished operands, the left one first
@@ -337,7 +328,7 @@ def _derive(node: Expr, d: list, index: int) -> Expr:
                    d[0])
     if kind is Sqrt:
         return div(d[0], mul(Const(2), Sqrt(node.arg)))
-    return conj_node(d[0])      # Conj
+    raise TypeError(f"cannot differentiate a {describe(node)} node")
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +338,10 @@ def _derive(node: Expr, d: list, index: int) -> Expr:
 # Tape instructions are (op, a, b, dead) tuples; slot i holds instruction i's
 # column, and ``dead`` lists the slots whose last read is instruction i.  The
 # binary operations come first, so one comparison tells them apart.
-(_ADD, _SUB, _MUL, _DIV, _POW, _SQRT, _CONJ, _NEG, _NONZERO, _VAR, _CONST,
- _CONVERT) = range(12)
+(_ADD, _SUB, _MUL, _DIV, _POW, _SQRT, _NEG, _NONZERO, _VAR, _CONST,
+ _CONVERT) = range(11)
 _BINARY_OPS = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}
-_UNARY_OPS = {Sqrt: _SQRT, Conj: _CONJ, Neg: _NEG}
+_UNARY_OPS = {Sqrt: _SQRT, Neg: _NEG}
 _BINARY_MAPS = (operator.add, operator.sub, operator.mul, operator.truediv)
 _EXPAND, _EMIT, _CHECK = range(3)
 
@@ -367,8 +358,7 @@ class Tape:
     def __init__(self, segments: list):
         self.segments = segments
 
-    def run(self, points: Sequence[Sequence[Union[float, complex]]]
-            ) -> Iterator[list]:
+    def run(self, points: Sequence[Sequence[float]]) -> Iterator[list]:
         """Yield each output's column, its values at ``points`` in order, as
         soon as its slots are done; a caller that stops early evaluates
         nothing of the later outputs.  Each instruction fills its slot's
@@ -376,10 +366,10 @@ class Tape:
         that is no output's is dropped after its last read.
 
         Raises :class:`EvalDomainError` at the first instruction that fails
-        at some point, or at a root that is not finite at some point.  At
-        one point that is where the recursive reading of the trees would
-        raise; at several, a caller that needs the first error in point
-        order runs the points one at a time."""
+        at some point (a power that overflows fails), or at a root that is
+        not finite at some point.  At one point that is where the recursive
+        reading of the trees would raise; at several, a caller that needs
+        the first error in point order runs the points one at a time."""
         count = len(points)
         columns: list = []
         push = columns.append
@@ -388,14 +378,11 @@ class Tape:
                 if op <= _DIV:
                     push(list(map(_BINARY_MAPS[op], columns[a], columns[b])))
                 elif op == _VAR:
-                    push(list(map(complex, map(operator.itemgetter(a), points))))
+                    push(list(map(float, map(operator.itemgetter(a), points))))
                 elif op == _CONST:
                     push([a] * count)
                 elif op == _POW:
-                    column = columns[a]
-                    if b < 0 and 0 in column:
-                        raise EvalDomainError("zero raised to a negative power")
-                    push(list(map(pow, column, repeat(b))))
+                    push(_power(columns[a], b))
                 elif op == _NONZERO:
                     if 0 in columns[a]:
                         raise EvalDomainError("division by zero")
@@ -405,19 +392,38 @@ class Tape:
                 elif op == _SQRT:
                     column = columns[a]
                     for value in column:
-                        if value.imag == 0 and value.real < 0:
+                        if value < 0:
                             raise EvalDomainError("square root of a negative real")
-                    push(list(map(cmath.sqrt, column)))
-                elif op == _CONJ:
-                    push(list(map(complex.conjugate, columns[a])))
+                    push(list(map(math.sqrt, column)))
                 else:   # _CONVERT: a constant no float can hold raises here
-                    push([to_complex(a)] * count)
+                    push([float(a)] * count)
                 for slot in dead:
                     columns[slot] = None
             column = columns[root]
-            if not all(map(cmath.isfinite, column)):
+            if not all(map(math.isfinite, column)):
                 raise EvalDomainError("evaluation produced a non-finite value")
             yield column
+
+
+def _power(column: list, exponent: int) -> list:
+    """``column`` to the power ``exponent``: the product, lowest first, of
+    the squares x, x^2, x^4, ... that the bits of |exponent| select (so x^2
+    rounds as x*x does), or 1 over it if ``exponent`` < 0.  A 0 base under a
+    negative exponent, or a power that overflows, raises EvalDomainError."""
+    if exponent < 0 and 0 in column:
+        raise EvalDomainError("zero raised to a negative power")
+    result, square, n = [1.0] * len(column), column, abs(exponent)
+    while n:
+        if n & 1:
+            result = list(map(operator.mul, result, square))
+        n >>= 1
+        if n:
+            square = list(map(operator.mul, square, square))
+    if exponent < 0:    # the base is not 0, so a 0 here has underflowed
+        result = [1 / value if value else math.inf for value in result]
+    if any(map(math.isinf, result)):
+        raise EvalDomainError("evaluation produced a non-finite value")
+    return result
 
 
 def compile_tape(outputs: Sequence[Expr]) -> Tape:
@@ -433,7 +439,8 @@ def compile_tape(outputs: Sequence[Expr]) -> Tape:
     costs one step per point (the tape of Griewank & Walther, *Evaluating
     Derivatives*, 2008) and the walk needs no recursion.  Each slot's last
     read, by an instruction or as an output, is recorded, so that a run
-    drops every column but the outputs' once nothing reads it again.
+    drops every column but the outputs' once nothing reads it again.  A
+    ``Conj`` node or a non-real constant has no real value: ``TypeError``.
     """
     slots: dict = {}        # (op, a, b) with exact payloads -> slot
     slot_of: dict = {}      # id(node) -> slot; the outputs keep ids alive
@@ -470,7 +477,7 @@ def compile_tape(outputs: Sequence[Expr]) -> Tape:
                     last[a] = dead
                 elif op == _CONST:
                     try:
-                        a = to_complex(a)
+                        a = float(a)
                     except OverflowError:
                         op = _CONVERT
                 code.append((op, a, b, dead))
@@ -488,7 +495,7 @@ def _instruction(node: Expr, slot_of: dict) -> tuple:
     """The interning key of a node whose children have slots: (op, a, b)
     with exact payloads."""
     kind = type(node)
-    if kind is Const:
+    if kind is Const and not isinstance(node.value, GaussianRational):
         return (_CONST, node.value, None)
     if kind is Var:
         return (_VAR, node.index, None)
@@ -496,10 +503,12 @@ def _instruction(node: Expr, slot_of: dict) -> tuple:
         return (_POW, slot_of[id(node.base)], node.exponent)
     if kind in _BINARY_OPS:
         return (_BINARY_OPS[kind], slot_of[id(node.left)], slot_of[id(node.right)])
-    return (_UNARY_OPS[kind], slot_of[id(node.arg)], None)
+    if kind in _UNARY_OPS:
+        return (_UNARY_OPS[kind], slot_of[id(node.arg)], None)
+    raise TypeError(f"{describe(node)} node has no real value")
 
 
-def eval_float(node: Expr, point: Sequence[Union[float, complex]]) -> complex:
+def eval_float(node: Expr, point: Sequence[float]) -> float:
     (column,) = compile_tape((node,)).run((point,))
     return column[0]
 
@@ -748,10 +757,10 @@ class SmoothMap:
             return self.var_names
         return default_names(self.domain_dim)
 
-    def check_guard_values(self, values: Iterator[complex]) -> None:
+    def check_guard_values(self, values: Iterator[float]) -> None:
         """Take one value per guard from ``values``, in order, and raise at
         the first that is not positive, before taking the next."""
         for g, value in zip(self.guards, values):
-            if value.real <= 0:
+            if value <= 0:
                 raise EvalDomainError(
                     f"guard {render_expr(g, self.names())} violated at sample point")

@@ -2,9 +2,9 @@
 exact pipeline cannot carry (sqrt, division).
 
 Derivatives are always symbolic (two applications for the Laplacian, never
-nested finite differences), so only evaluation roundoff remains; a central
-finite difference cross-checks every first derivative once per run.  Results
-are falsification/confirmation evidence, not proofs, and reports say so.
+nested finite differences), so only the roundoff of real floats remains; a
+central finite difference cross-checks every first derivative once per run.
+Results are falsification/confirmation evidence, not proofs; reports say so.
 
 A check compiles the guards and the derivatives it needs into one
 :class:`~morphlift.expr.Tape` and runs it once over all its points, so each
@@ -36,6 +36,8 @@ from .expr import (
 
 # Every guard value at a sampled point is at least this large.
 GUARD_MARGIN = 1e-6
+# The step of the central differences that cross-check first derivatives.
+DIFFERENCE_STEP = 1e-6
 # Sampled coordinates are drawn uniformly from this interval.
 SAMPLE_BOX = (-2.0, 2.0)
 
@@ -77,24 +79,22 @@ def numeric_complete_lift(phi: SmoothMap) -> SmoothMap:
     return SmoothMap(2 * m, tuple(components), phi.guards, names)
 
 
-def _values_at(tape: Tape, point) -> Iterator[complex]:
+def _values_at(tape: Tape, point) -> Iterator[float]:
     """The tape's output values at one point, in order, each evaluated when
     it is taken."""
     return (column[0] for column in tape.run((point,)))
 
 
-def _finite_differences(tape: Tape, point, m: int, step=1e-6
-                        ) -> Iterator[complex]:
+def _finite_differences(tape: Tape, point, m: int) -> Iterator[float]:
     """Central differences of the one-output ``tape`` at ``point`` along
     x_1 .. x_m, in order.  The 2m shifted points run in one call; if that
     raises, they run one at a time, each difference when it is taken, so
     the error is the one that taking them one at a time meets."""
     shifted = []
     for j in range(m):
-        forward = list(point)
-        backward = list(point)
-        forward[j] += step
-        backward[j] -= step
+        forward, backward = list(point), list(point)
+        forward[j] += DIFFERENCE_STEP
+        backward[j] -= DIFFERENCE_STEP
         shifted += (forward, backward)
     try:
         (column,) = tape.run(shifted)
@@ -106,7 +106,7 @@ def _finite_differences(tape: Tape, point, m: int, step=1e-6
             (down,) = _values_at(tape, shifted[2 * j + 1])
         else:
             up, down = column[2 * j], column[2 * j + 1]
-        yield (up - down) / (2 * step)
+        yield (up - down) / (2 * DIFFERENCE_STEP)
 
 
 def _cross_check(phi: SmoothMap, point, symbolic_values: Iterator) -> None:
@@ -183,7 +183,7 @@ def numeric_check(phi: SmoothMap, points, tolerance: float) -> ResidualReport:
     try:
         columns = tape.run(points)
         for _ in phi.guards:
-            if any(value.real <= 0 for value in next(columns)):
+            if any(value <= 0 for value in next(columns)):
                 # the replay raises the error that comes first in point order
                 raise EvalDomainError("guard violated at sample point")
         columns = list(columns)
@@ -200,12 +200,12 @@ def numeric_check(phi: SmoothMap, points, tolerance: float) -> ResidualReport:
     witness = None
     for index, point in enumerate(points):
         for k, block in enumerate(laplacian_blocks):
-            residual = abs(sum(column[index].real for column in block))
+            residual = abs(sum(column[index] for column in block))
             if residual > laplacian_max[k]:
                 laplacian_max[k] = residual
             if residual > tolerance and witness is None:
                 witness = point
-        jac = [[column[index].real for column in block]
+        jac = [[column[index] for column in block]
                for block in jacobian_blocks]
         g = [[sum(jac[k][i] * jac[l][i] for i in range(m)) for l in range(n)]
              for k in range(n)]
@@ -261,4 +261,4 @@ def _kept(guard_tape: Tape, draws: list) -> list:
     """The draws at which every guard value reaches ``GUARD_MARGIN``."""
     columns = list(guard_tape.run(draws))
     return [draw for i, draw in enumerate(draws)
-            if all(column[i].real >= GUARD_MARGIN for column in columns)]
+            if all(column[i] >= GUARD_MARGIN for column in columns)]

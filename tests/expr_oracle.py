@@ -17,6 +17,14 @@ lowering and the reader of canonical text with them.  ``power_bits`` is
 ``expr._power_bits`` as it was when it took the lcm of the two
 denominators itself, before ``exact.integer_parts``.  These functions are
 not part of the package.
+
+The oracle evaluates in Python ``complex``, as the package's tape did
+before it became real, and differentiates ``conj`` nodes; ``to_complex``
+and ``conj_node`` are the helpers of the package that this needs, kept
+here since the package dropped them.  On a real tree whose powers have
+|exponent| <= 100, every value it computes is real (CPython raises such
+powers by repeated squaring), until an infinity meets a 0 imaginary part
+and makes it nan.
 """
 
 from __future__ import annotations
@@ -26,7 +34,12 @@ import math
 from dataclasses import fields
 from fractions import Fraction
 
-from morphlift.exact import imag_part, real_part, render_scalar, to_complex
+from morphlift.exact import (
+    conjugate as conj_scalar,
+    imag_part,
+    real_part,
+    render_scalar,
+)
 from morphlift.expr import (
     Add,
     Conj,
@@ -46,7 +59,6 @@ from morphlift.expr import (
     _lower_summand,
     _monomial,
     add,
-    conj_node,
     div,
     mul,
     neg,
@@ -92,6 +104,16 @@ def poly_to_expr(p):
                 term = mul(term, power(Var(j), e))
         total = add(total, term)
     return total
+
+
+def to_complex(value) -> complex:
+    return complex(float(real_part(value)), float(imag_part(value)))
+
+
+def conj_node(arg):
+    if isinstance(arg, Const):
+        return Const(conj_scalar(arg.value))
+    return Conj(arg)
 
 
 # ---------------------------------------------------------------------------

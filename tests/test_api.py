@@ -108,3 +108,17 @@ def test_only_exact_takes_lcm_or_gcd_from_math():
                     and node.value.id == "math"):
                 takers.add(path.name)
     assert takers == {"exact.py"}
+
+
+def test_no_module_imports_cmath():
+    # smooth maps are real, so the float pipeline evaluates in real floats;
+    # complex arithmetic would give a real value a spurious imaginary part
+    importers = set()
+    for path in Path(morphlift.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Import)
+                    and any(alias.name == "cmath" for alias in node.names)
+                    or isinstance(node, ast.ImportFrom)
+                    and node.module == "cmath"):
+                importers.add(path.name)
+    assert importers == set()

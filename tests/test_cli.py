@@ -636,6 +636,21 @@ def test_constant_too_large_for_a_float_exits_2(tmp_path, capsys, body):
     assert capsys.readouterr().err == "error: int too large to convert to float\n"
 
 
+@pytest.mark.parametrize("body, code, message", [
+    # x1^101 is negative where x1 is, as at the first sampled point
+    ("f1 = sqrt(x1^101) + x2;", 2, "square root of a negative real"),
+    ("f1 = x1^2000/(x2^2 + 1);", 2, "evaluation produced a non-finite value"),
+    # the draws where the guard overflows are rejected
+    ("f1 = x1/(x2^2 + 1); guard x1^2000 + 1;", 0, None),
+], ids=["odd-power-under-sqrt", "component-overflows", "guard-overflows"])
+def test_powers_are_real_and_overflow_is_not_finite(tmp_path, capsys, body,
+                                                    code, message):
+    path = tmp_path / "power.map"
+    path.write_text(f"map f: R^2 -> R^1 {{ {body} }}")
+    assert run_cli([*NUMERIC_CHECK, str(path)])[0] == code
+    assert capsys.readouterr().err == (f"error: {message}\n" if message else "")
+
+
 LONG = "7" * 5000       # more digits than int() reads from a string
 
 

@@ -51,6 +51,19 @@ def test_sampling_unsatisfiable_guard_fails():
         sample_points(phi, 10, seed=0)
 
 
+def test_sampling_rejects_a_guard_power_that_overflows():
+    # x1^2000 overflows where |x1| > 1.4262..., the 2000th root of the
+    # largest float, and x1^1000*x1^1000 is infinite there: both guards
+    # reject those draws, and keep the same points
+    overflows, infinite = (
+        parse_map(f"map f: R^2 -> R^1 {{ f1 = x2/x1; guard {guard} + 1; }}")
+        for guard in ("x1^2000", "x1^1000*x1^1000"))
+    points = sample_points(overflows, 50, seed=2)
+    assert points == sample_points(infinite, 50, seed=2)
+    assert all(abs(x1) < 1.4263 for x1, _ in points)
+    assert any(abs(x1) > 1 for x1, _ in points)
+
+
 def test_sampling_deterministic(stereographic):
     first = sample_points(stereographic, 25, seed=3)
     second = sample_points(stereographic, 25, seed=3)
@@ -137,7 +150,7 @@ def test_numeric_lift_agrees_with_exact_lift():
                 float(coeff) * math.prod(point[j] ** e
                                          for j, e in enumerate(exponents))
                 for exponents, coeff in comp.terms.items())
-            numeric_value = eval_float(numeric_lift.components[k], point).real
+            numeric_value = eval_float(numeric_lift.components[k], point)
             assert abs(numeric_value - exact_value) <= 1e-12 * max(1.0, abs(exact_value))
 
 

@@ -1,16 +1,27 @@
 """Differential tests of the float pipeline against ``expr_oracle``: the
 compiled tape against recursive evaluation (one output and several), the
 iterative derivative and renderer against the recursive ones, and
-``numeric_check`` reports against the one-tree-at-a-time check."""
+``numeric_check`` reports against the one-tree-at-a-time check.
+
+The tape is real and the oracle complex, so evaluation is compared on real
+trees (no ``conj``, no Gaussian constants, |exponent| <= 100) at real
+points, wherever every value the oracle computes has imaginary part 0.
+There the oracle's values are the tape's, up to the sign of a zero, and so
+are its errors, except that it reports a power that overflows as
+``OverflowError`` or ``ZeroDivisionError`` where the tape raises
+:class:`EvalDomainError`.  An infinity times a 0 imaginary part gives nan,
+so an oracle run that meets an infinity may leave the real line; such
+examples are rejected."""
 
 import gc
 import io
 import random
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, reject, settings, strategies as st
 
 import expr_oracle as oracle
 from test_cli_fuzz import expressions
@@ -53,20 +64,19 @@ NUM_VARS = 3
 NAMES = ("x1", "x2", "x3")
 MAX_TREE_SIZE = 200     # nodes of the tree a DAG unfolds to; the oracle recurses
 
-constants = st.one_of(
+real_constants = st.one_of(
     st.integers(-6, 6),
     st.sampled_from([2 ** 53, 2 ** 53 + 1, 10 ** 400, -(3 ** 700)]),
     st.fractions(min_value=-10, max_value=10, max_denominator=12),
     st.sampled_from([Fraction(10 ** 400, 3), Fraction(1, 10 ** 400)]),
-    st.builds(GaussianRational,
-              st.fractions(min_value=-3, max_value=3, max_denominator=4),
-              st.fractions(min_value=-3, max_value=3, max_denominator=4)),
 )
-leaves = st.one_of(st.builds(Const, constants),
-                   st.builds(Var, st.integers(0, NUM_VARS - 1)))
+gaussians = st.builds(GaussianRational,
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+variables = st.builds(Var, st.integers(0, NUM_VARS - 1))
 coordinates = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0,
-                     1e200, -1e200, 1e-200, 1e155, complex(0.0, 1.0)]),
+                     1e200, -1e200, 1e-200, 1e155]),
     st.floats(-4.0, 4.0))
 points = st.lists(coordinates, min_size=NUM_VARS, max_size=NUM_VARS)
 batches = st.lists(points, min_size=1, max_size=40)
@@ -97,18 +107,21 @@ def _rebuilt(node):
 
 
 @st.composite
-def dags(draw):
+def dags(draw, real=True):
     """A pool of nodes built bottom up from earlier ones: every node kind,
     shared subtrees (one object used twice) and structurally equal distinct
-    objects (rebuilt copies)."""
+    objects (rebuilt copies).  A real pool has no ``Conj`` node and no
+    Gaussian constant."""
+    constants = real_constants if real else st.one_of(real_constants, gaussians)
+    leaves = st.one_of(st.builds(Const, constants), variables)
+    kinds = [Add, Sub, Mul, Div, Pow, Sqrt, Neg, "copy", "leaf"]
     pool = [draw(leaves) for _ in range(draw(st.integers(1, 4)))]
     for _ in range(draw(st.integers(0, 24))):
         small = [node for node in pool if _size(node) <= MAX_TREE_SIZE // 2]
 
         def pick():
             return draw(st.sampled_from(small))
-        kind = draw(st.sampled_from(
-            [Add, Sub, Mul, Div, Pow, Sqrt, Conj, Neg, "copy", "leaf"]))
+        kind = draw(st.sampled_from(kinds if real else [*kinds, Conj]))
         if kind in (Add, Sub, Mul, Div):
             node = kind(pick(), pick())
         elif kind is Pow:
@@ -124,11 +137,64 @@ def dags(draw):
 
 
 def _outcome(evaluate):
-    """repr of the values, or the type and message of the first exception."""
+    """The values, or the type and message of the first exception.  Values
+    compare with ==, so a zero's sign does not count."""
     try:
-        return "value", repr(evaluate())
+        return "value", evaluate()
     except (ArithmeticError, IndexError) as error:
         return "raises", type(error), str(error)
+
+
+class _OffTheRealLine(Exception):
+    """The oracle computed a value whose imaginary part is not 0."""
+
+
+@contextmanager
+def _on_the_real_line():
+    """Run the oracle with every value it computes checked to be real."""
+    evaluate = oracle._eval
+
+    def checked(node, point):
+        value = evaluate(node, point)
+        if value.imag != 0:     # nan != 0 too
+            raise _OffTheRealLine
+        return value
+    oracle._eval = checked
+    try:
+        yield
+    finally:
+        oracle._eval = evaluate
+
+
+# The oracle's errors for a power that overflows, and the tape's
+_POWER_OVERFLOWS = {
+    (OverflowError, "complex exponentiation"),
+    (ZeroDivisionError, "0.0 to a negative or complex power"),
+}
+_NON_FINITE = (EvalDomainError, "evaluation produced a non-finite value")
+
+
+def _oracle_outcome(evaluate):
+    """:func:`_outcome` of an oracle evaluation, read on the real line: its
+    values' real parts, and a power that overflows as the tape reports it.
+    Rejects the example where the oracle leaves the real line."""
+    with _on_the_real_line():
+        try:
+            outcome = _outcome(evaluate)
+        except _OffTheRealLine:
+            reject()
+    if outcome[0] == "raises":
+        return ("raises", *_NON_FINITE) if outcome[1:] in _POWER_OVERFLOWS \
+            else outcome
+    return "value", _real(outcome[1])
+
+
+def _real(values):
+    """Complex values, in nested lists, as floats."""
+    if isinstance(values, list):
+        return [_real(value) for value in values]
+    assert values.imag == 0
+    return values.real
 
 
 def _oracle_values(outputs, point):
@@ -149,7 +215,7 @@ def _at(tape, point):
 def test_single_output_matches_recursive_evaluation(pool, point):
     root = pool[-1]
     assert _outcome(lambda: eval_float(root, point)) \
-        == _outcome(lambda: oracle.eval_float(root, point))
+        == _oracle_outcome(lambda: oracle.eval_float(root, point))
 
 
 @settings(max_examples=300, deadline=None)
@@ -158,7 +224,7 @@ def test_several_outputs_match_recursive_evaluation_in_order(pool, data, point):
     outputs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
     tape = compile_tape(outputs)
     assert _outcome(lambda: list(_at(tape, point))) \
-        == _outcome(lambda: _oracle_values(outputs, point))
+        == _oracle_outcome(lambda: _oracle_values(outputs, point))
 
 
 @settings(max_examples=100, deadline=None)
@@ -168,7 +234,7 @@ def test_a_tape_stops_where_its_caller_stops(pool, data, point):
     outputs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
     tail = Div(Const(1), Sub(Var(0), Var(0)))       # always divides by zero
     values = _at(compile_tape([*outputs, tail]), point)
-    expected = _outcome(lambda: _oracle_values(outputs, point))
+    expected = _oracle_outcome(lambda: _oracle_values(outputs, point))
     assert _outcome(lambda: [next(values) for _ in outputs]) == expected
 
 
@@ -177,22 +243,23 @@ def test_a_tape_stops_where_its_caller_stops(pool, data, point):
 def test_columns_match_recursive_evaluation_point_by_point(pool, data, batch):
     outputs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
     tape = compile_tape(outputs)
-    in_point_order = _outcome(lambda: [_oracle_values(outputs, point)
-                                       for point in batch])
+    in_point_order = _oracle_outcome(lambda: [_oracle_values(outputs, point)
+                                              for point in batch])
     try:
         columns = list(tape.run(batch))
     except (ArithmeticError, IndexError):
         # the run over all points raises one point's own first error ...
-        assert _outcome(lambda: list(tape.run(batch))) in {
-            _outcome(lambda: _oracle_values(outputs, point)) for point in batch}
+        assert _outcome(lambda: list(tape.run(batch))) in [
+            _oracle_outcome(lambda: _oracle_values(outputs, point))
+            for point in batch]
         # ... and a replay one point at a time the first in point order
         assert in_point_order[0] == "raises"
         assert _outcome(lambda: [list(_at(tape, point)) for point in batch]) \
             == in_point_order
     else:
         assert in_point_order[0] == "value"
-        assert repr(columns) == repr([[oracle.eval_float(node, point)
-                                       for point in batch] for node in outputs])
+        assert columns == [[values[k] for values in in_point_order[1]]
+                           for k in range(len(outputs))]
 
 
 def test_a_column_run_fails_at_its_first_failing_instruction():
@@ -236,7 +303,7 @@ def test_errors_come_in_evaluation_order(outputs, point, message):
 def test_an_infinite_intermediate_with_a_finite_root_is_not_an_error():
     x = Var(0)
     (value,) = _at(compile_tape([Div(Const(1), Mul(x, x))]), [1e200])
-    assert value == 0j == oracle.eval_float(Div(Const(1), Mul(x, x)), [1e200])
+    assert value == 0.0 == oracle.eval_float(Div(Const(1), Mul(x, x)), [1e200])
 
 
 def test_constants_are_interned_by_exact_value():
@@ -262,7 +329,55 @@ def test_stereographic_values_match_at_sampled_points(stereographic, catalog_map
                  for j in range(phi.domain_dim))]
     tape = compile_tape(outputs)
     for point in sample_points(phi, 100, seed=7):
-        assert repr(list(_at(tape, point))) == repr(_oracle_values(outputs, point))
+        assert repr(list(_at(tape, point))) \
+            == repr(_real(_oracle_values(outputs, point)))
+
+
+@pytest.mark.parametrize("exponent", [101, 103, 255, 1023])
+def test_powers_above_100_of_negative_values_raise_under_sqrt(exponent):
+    # the oracle's complex power above 100 goes through polar form, which
+    # gives a negative real value a nonzero imaginary part
+    x = Var(0)
+    for value in (-1.0, -1.0000001, -1.4625, -2.0):
+        exact = float(Fraction(value) ** exponent)
+        assert eval_float(Pow(x, exponent), [value]) \
+            == pytest.approx(exact, rel=exponent * 1e-15)
+        with pytest.raises(EvalDomainError,
+                           match="^square root of a negative real$"):
+            eval_float(Sqrt(Pow(x, exponent)), [value])
+    assert oracle.eval_float(Sqrt(Pow(x, exponent)), [-1.4625]) != 0
+
+
+@pytest.mark.parametrize("tree, point, value", [
+    (Pow(Var(0), 2000), [2.0], None),
+    (Pow(Var(0), -2), [1e-200], None),       # x^2 is 0, its reciprocal inf
+    (Pow(Mul(Var(0), Var(0)), 1), [1e200], None),
+    (Div(Const(1), Pow(Var(0), 3)), [1e200], None),
+    (Pow(Var(0), -2000), [2.0], 0.0),        # underflow is no error
+    (Pow(Var(0), 2000), [0.5], 0.0),
+    (Pow(Var(0), 0), [0.0], 1.0),
+])
+def test_a_power_that_overflows_is_not_finite(tree, point, value):
+    if value is None:
+        with pytest.raises(EvalDomainError,
+                           match="^evaluation produced a non-finite value$"):
+            eval_float(tree, point)
+    else:
+        assert eval_float(tree, point) == value
+
+
+@pytest.mark.parametrize("tree", [
+    Conj(Var(0)),
+    Add(Var(0), Const(GaussianRational(0, 1))),
+], ids=["conj", "gaussian"])
+def test_trees_with_no_real_value_do_not_compile(tree):
+    with pytest.raises(TypeError, match="has no real value$"):
+        compile_tape([tree])
+
+
+def test_conj_is_not_differentiated():
+    with pytest.raises(TypeError, match="^cannot differentiate a conj node$"):
+        derivative(Mul(Var(0), Conj(Var(1))), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +395,7 @@ def test_derivative_matches_recursive_derivative(pool, index):
 
 
 @settings(max_examples=200, deadline=None)
-@given(dags())
+@given(dags(real=False))
 def test_render_matches_recursive_render(pool):
     for node in pool:
         assert render_expr(node, NAMES) == oracle.render_expr(node, NAMES)
@@ -363,9 +478,12 @@ def test_a_cross_check_mismatch_comes_before_a_later_difference_fails():
     # at (1e-7, 1e-6) the difference along x1 steps over the pole of x2/x1
     # and disagrees with -x2/x1^2; the one along x2 would divide by zero
     phi = parse_map("map f: R^2 -> R^1 { f1 = x2/x1 + 1/x2; guard x1; }")
-    message = r"^d\(component 1\)/dx1: symbolic -1e\+08\+0j vs finite difference"
-    for check in (numeric_check, oracle.numeric_check):
-        with pytest.raises(InternalConsistencyError, match=message):
+    # the package prints reals, the oracle complex values
+    message = r"^d\(component 1\)/dx1: symbolic -1e\+08{} vs finite difference"
+    for check, imaginary in ((numeric_check, ""),
+                             (oracle.numeric_check, r"\+0j")):
+        with pytest.raises(InternalConsistencyError,
+                           match=message.format(imaginary)):
             check(phi, [(1e-7, 1e-6)], 1e-8)
 
 
