@@ -12,7 +12,6 @@ from .analysis import (
     is_orthogonal_multiplication,
 )
 from .calculus import (
-    PolyMatrix,
     hessian,
     jacobian,
     jacobian_at,
@@ -66,8 +65,7 @@ __all__ = [
     "CheckReport", "Violation", "hessian_conditions", "hwc_certificate",
     "is_harmonic", "is_harmonic_morphism", "is_holomorphic",
     "is_orthogonal_multiplication",
-    "PolyMatrix", "hessian", "jacobian",
-    "jacobian_at", "laplacian",
+    "hessian", "jacobian", "jacobian_at", "laplacian",
     "DimensionMismatch", "ExactMatrix", "GaussianRational", "IntegerTooLong",
     "EvalDomainError", "Expr", "NotPolynomial", "SmoothMap",
     "INCONCLUSIVE", "NOT_KAEHLER", "KaehlerReport", "search_points",

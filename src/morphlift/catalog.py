@@ -46,7 +46,8 @@ from .poly import render, render_leading
 
 
 class UnknownEntry(KeyError):
-    pass
+    # KeyError's str quotes its argument; this message reads as written
+    __str__ = Exception.__str__
 
 
 @dataclass(frozen=True)

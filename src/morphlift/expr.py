@@ -602,8 +602,24 @@ def _lower_summand(node: Expr, num_vars: int, num_complex: int) -> MultiPoly:
     if isinstance(node, (Add, Sub)):
         return lower_to_poly(node, num_vars, num_complex)
     if isinstance(node, Mul):
-        return (lower_to_poly(node.left, num_vars, num_complex)
-                * lower_to_poly(node.right, num_vars, num_complex))
+        # The parser builds a product of n factors as a left-leaning spine
+        # of Mul nodes; prefixes[i] is the product of the first i + 1
+        # factors, listed by a walk down the spine, not by recursion.
+        prefixes = [node]
+        while type(node) is Mul:
+            node = node.left
+            prefixes.append(node)
+        prefixes.reverse()
+        factors = [prefixes[0]] + [prefix.right for prefix in prefixes[1:]]
+        # The factors before the first that is not a monomial lower as one
+        # term, and the rest multiply in from left to right.
+        first = next(i for i, factor in enumerate(factors)
+                     if _monomial(factor, num_vars) is None)
+        start = max(first - 1, 0)
+        product = lower_to_poly(prefixes[start], num_vars, num_complex)
+        for factor in factors[start + 1:]:
+            product = product * lower_to_poly(factor, num_vars, num_complex)
+        return product
     if isinstance(node, Pow):
         if node.exponent < 0:
             raise NotPolynomial(node)

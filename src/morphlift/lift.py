@@ -18,7 +18,7 @@ from itertools import combinations
 
 from .exact import DimensionMismatch
 from .maps import ComplexPolyMap, PolyMap, RealPolyMap, ShapeError
-from .poly import MultiPoly, render
+from .poly import MultiPoly, lift_names, render
 
 
 @dataclass(frozen=True)
@@ -59,10 +59,8 @@ def _complete_lift(phi: PolyMap, fiber: str) -> PolyMap:
     domain dimension, with the fiber variables named ``fiber``1..m."""
     m = phi.domain_dim
     components = [comp.complete_lift() for comp in phi.components]
-    names = phi.names()[:m] + tuple(f"{fiber}{j + 1}" for j in range(m))
-    if len(set(names)) != len(names):
-        names = None  # repeated lifting: fall back to canonical names
-    return type(phi)(2 * m, phi.codomain_dim, components, names)
+    return type(phi)(2 * m, phi.codomain_dim, components,
+                     lift_names(phi.names()[:m], fiber))
 
 
 def complete_lift_real(phi: RealPolyMap) -> RealPolyMap:

@@ -32,6 +32,7 @@ from .expr import (
     derivative,
     mul,
 )
+from .poly import lift_names
 
 
 # Every guard value at a sampled point is at least this large.
@@ -75,8 +76,8 @@ def numeric_complete_lift(phi: SmoothMap) -> SmoothMap:
             term = mul(derivative(comp, j, memos[j]), Var(m + j))
             total = term if total is None else add(total, term)
         components.append(total)
-    names = phi.names() + tuple(f"y{j + 1}" for j in range(m))
-    return SmoothMap(2 * m, tuple(components), phi.guards, names)
+    return SmoothMap(2 * m, tuple(components), phi.guards,
+                     lift_names(phi.names(), "y"))
 
 
 def _values_at(tape: Tape, point) -> Iterator[float]:

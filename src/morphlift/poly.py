@@ -815,6 +815,14 @@ def default_names(num_vars: int, num_complex: int = 0) -> tuple[str, ...]:
     return tuple(f"x{j + 1}" for j in range(num_vars))
 
 
+def lift_names(names: tuple, fiber: str) -> tuple | None:
+    """The variable names of a complete lift: the base's m ``names``, then
+    ``fiber``1..m; None, for canonical names, when two of them would clash,
+    as on lifting a lift."""
+    lifted = names + tuple(f"{fiber}{j + 1}" for j in range(len(names)))
+    return lifted if len(set(lifted)) == len(lifted) else None
+
+
 def _graded(p: MultiPoly) -> list:
     """(total degree, exponents, coefficient) for each term of ``p``, in
     graded-lex order, highest first.  With one-byte fields the exponents are

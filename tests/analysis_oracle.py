@@ -22,28 +22,27 @@ from itertools import combinations
 
 import calculus_oracle
 from morphlift.analysis import CheckReport, Violation, _decide
-from morphlift.calculus import PolyMatrix, jacobian
+from morphlift.calculus import jacobian
 from morphlift.maps import RealPolyMap
 from morphlift.poly import MultiPoly, poly_dot
 
 
-def hessian(p: MultiPoly) -> PolyMatrix:
-    """Every second partial; entry (j, i) with j > i is entry (i, j) itself,
-    equal term for term, so that cell (i, i) of H_a^2 multiplies each entry
-    by itself, as ``calculus.hessian``'s rows do, and squares it in the
-    kernel's triangular pass."""
+def hessian(p: MultiPoly) -> tuple:
+    """The rows of every second partial; entry (j, i) with j > i is entry
+    (i, j) itself, equal term for term, so that cell (i, i) of H_a^2
+    multiplies each entry by itself, as ``calculus.hessian``'s rows do, and
+    squares it in the kernel's triangular pass."""
     firsts = [p.partial(i) for i in range(p.num_vars)]
     entries = [[firsts[i].partial(j) for j in range(p.num_vars)]
                for i in range(p.num_vars)]
     for i, row in enumerate(entries):
         for j in range(i + 1, p.num_vars):
             entries[j][i] = row[j]
-    return PolyMatrix(entries)
+    return tuple(map(tuple, entries))
 
 
 def hwc_certificate(phi: RealPolyMap) -> CheckReport:
-    j = jacobian(phi)
-    rows = [list(r) for r in j.entries]
+    rows = [list(r) for r in jacobian(phi)]
     n = phi.codomain_dim
     dilation = poly_dot(rows[0], rows[0])
     for k in range(n):
@@ -72,8 +71,8 @@ def hessian_conditions(phi: RealPolyMap) -> CheckReport:
     notes = ("the lift equivalence is stated under the hypothesis that the "
              "input map is HWC; check it with --hwc",)
     hessians = [hessian(c) for c in phi.components]
-    rows = [[list(row) for row in h.entries] for h in hessians]
-    cols = [[list(col) for col in zip(*h.entries)] for h in hessians]
+    rows = [[list(row) for row in h] for h in hessians]
+    cols = [[list(col) for col in zip(*h)] for h in hessians]
     negated_rows = [[-p for p in row] for row in rows[0]]
     cells = [(i, j) for i in range(phi.domain_dim) for j in range(phi.domain_dim)]
     n = phi.codomain_dim

@@ -1,4 +1,4 @@
-"""Test oracle for exact Jacobians at points: ``PolyMatrix.evaluate``,
+"""Test oracle for exact Jacobians at points: ``matrix_evaluate``,
 ``span_report`` and ``search_points`` as they were when the Kaehler checks
 built the Jacobian (or the complex gradient) as polynomials and evaluated
 each entry at each point.  Also ``antiholomorphic_jacobian``, the whole
@@ -36,7 +36,7 @@ import random
 from itertools import combinations
 
 from exact_oracle import bilinear_dot
-from morphlift.calculus import PolyMatrix, complex_gradient, jacobian
+from morphlift.calculus import complex_gradient, jacobian
 from morphlift.exact import (
     DimensionMismatch,
     ExactMatrix,
@@ -54,10 +54,11 @@ from morphlift.maps import ComplexPolyMap, RealPolyMap, ShapeError
 from morphlift.poly import MultiPoly, _nonzero_fields
 
 
-def jacobian_by_partials(phi: RealPolyMap) -> PolyMatrix:
-    """Entry (i, j) is the partial of component i by variable j."""
-    return PolyMatrix([[c.partial(j) for j in range(phi.domain_dim)]
-                       for c in phi.components])
+def jacobian_by_partials(phi: RealPolyMap) -> tuple:
+    """The rows of the Jacobian: entry j of row i is the partial of
+    component i by variable j."""
+    return tuple(tuple(c.partial(j) for j in range(phi.domain_dim))
+                 for c in phi.components)
 
 
 def gradient(p: MultiPoly) -> list[MultiPoly]:
@@ -114,16 +115,23 @@ def laplacian_by_partials(p: MultiPoly) -> MultiPoly:
     return total
 
 
-def antiholomorphic_jacobian(phi: ComplexPolyMap) -> PolyMatrix:
-    """Entry (i, j) = formal partial of component i by zb_j."""
+def antiholomorphic_jacobian(phi: ComplexPolyMap) -> tuple:
+    """The rows of the matrix whose entry j of row i is the formal partial
+    of component i by zb_j."""
     m = phi.domain_dim
-    return PolyMatrix([[c.partial(m + j) for j in range(m)]
-                       for c in phi.components])
+    return tuple(tuple(c.partial(m + j) for j in range(m))
+                 for c in phi.components)
 
 
-def matrix_evaluate(matrix: PolyMatrix, point) -> list:
-    """Evaluate every entry; returns a list of lists of scalars."""
-    return [[p.evaluate(point) for p in row] for row in matrix.entries]
+def is_zero_matrix(rows) -> bool:
+    """Whether every entry of a matrix given by its rows is zero."""
+    return all(p.is_zero for row in rows for p in row)
+
+
+def matrix_evaluate(rows, point) -> list:
+    """Evaluate every entry of a matrix given by its rows; returns a list
+    of lists of scalars."""
+    return [[p.evaluate(point) for p in row] for row in rows]
 
 
 def sparse_terms(p: MultiPoly):

@@ -158,11 +158,11 @@ def packed_block_jacobian_check(phi: RealPolyMap) -> bool:
     to_x = {j: j for j in range(m)}
     for i in range(phi.codomain_dim):
         for j in range(m):
-            jac_at_y = packed_remap(base_jac[i, j], 2 * m, to_y)
-            jac_at_x = packed_remap(base_jac[i, j], 2 * m, to_x)
-            if left[i, j] != jac_at_y:
+            jac_at_y = packed_remap(base_jac[i][j], 2 * m, to_y)
+            jac_at_x = packed_remap(base_jac[i][j], 2 * m, to_x)
+            if left[i][j] != jac_at_y:
                 return False
-            if left[i, m + j] != jac_at_x:
+            if left[i][m + j] != jac_at_x:
                 return False
     return True
 

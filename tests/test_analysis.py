@@ -112,7 +112,7 @@ def test_complex_lift_fails_hwc_with_residual(quaternion):
 
     def gram(k, l):
         total = MultiPoly(lift.domain_dim, {})
-        for a, b in zip(j.entries[k], j.entries[l]):
+        for a, b in zip(j[k], j[l]):
             total = total + a * b
         return total
     k, l = report.violation.component_k - 1, report.violation.component_l - 1
@@ -199,12 +199,12 @@ def test_quaternion_not_holomorphic(quaternion):
 
 def test_holomorphic_certificate_is_the_first_nonzero_partial(quaternion):
     anti = antiholomorphic_jacobian(quaternion)
-    first = next((i + 1, j + 1) for i in range(anti.rows)
-                 for j in range(anti.cols) if not anti[i, j].is_zero)
+    first = next((i + 1, j + 1) for i, row in enumerate(anti)
+                 for j, q in enumerate(row) if not q.is_zero)
     v = is_holomorphic(quaternion).violation
     assert (v.kind, v.component_k, v.component_l) == ("antiholomorphic", *first)
     assert v.entry == first
-    assert v.residual == anti[first[0] - 1, first[1] - 1]
+    assert v.residual == anti[first[0] - 1][first[1] - 1]
 
 
 @pytest.mark.parametrize("entry_id, partials, total", [

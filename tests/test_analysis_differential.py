@@ -196,7 +196,7 @@ def _cells_with_a_nonzero_pair(phi):
                    for a in range(len(h)) for b in range(a + 1, len(h))]
     return [(i, j) for left, right, top, bottom in identities
             for i in range(m) for j in range(i, m)
-            if any(left[i, t] and top[t, j] or right[i, t] and bottom[t, j]
+            if any(left[i][t] and top[t][j] or right[i][t] and bottom[t][j]
                    for t in range(m))]
 
 

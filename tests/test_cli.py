@@ -552,6 +552,15 @@ def test_input_error_exits_2(tmp_path, monkeypatch, capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv", [["reproduce", "nope"], ["catalog", "dump", "nope"]],
+                         ids=["reproduce", "catalog-dump"])
+def test_unknown_catalog_entry_exits_2_with_an_unquoted_message(capsys, argv,
+                                                                json_flag):
+    assert run_cli([*json_flag, *argv]) == (2, "")
+    assert capsys.readouterr().err == "error: unknown catalog entry 'nope'\n"
+
+
 @pytest.mark.parametrize("body", [
     "(" * 3000 + "x1" + ")" * 3000,
 ], ids=["nested-parentheses"])
@@ -575,6 +584,17 @@ def test_flat_sum_of_20000_terms_lifts(tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr().err == ""
     assert text.splitlines()[1] == "  F1 = 20000*y1"
+
+
+def test_written_out_product_of_5000_factors_checks(tmp_path, capsys):
+    # The parser builds this product as a left-leaning tree 5000 deep;
+    # lowering walks its factors with a list, not one frame per factor.
+    path = tmp_path / "product.map"
+    path.write_text(f"map f: R^2 -> R^1 {{ f1 = x2{'*(x1 - x1 + 1)' * 5000}; }}")
+    code, text = run_cli(["check", str(path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert text.splitlines()[0] == "harmonic: true"
 
 
 @pytest.mark.parametrize("argv", [

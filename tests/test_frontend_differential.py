@@ -261,3 +261,31 @@ def test_lowering_is_iterative_over_deep_sums():
     minus_x = len([k for k in range(depth) if k % 3 and k % 2 == 0])
     minus_y = len([k for k in range(depth) if k % 3 and k % 2 == 1])
     assert poly.terms == {(1, 0): 1 - minus_x, (0, 1): 2 * plus - minus_y}
+
+
+def _left_product(factors):
+    node = factors[0]
+    for factor in factors[1:]:
+        node = Mul(node, factor)
+    return node
+
+
+def test_long_products_lower_as_the_oracle_does():
+    # the parser's left-leaning Mul spine, 150 factors deep: a prefix of
+    # monomial factors, sums, negations and powers after it, and the first
+    # error where the recursion meets it
+    x, y = Var(0), Var(1)
+    half = Const(Fraction(1, 2))
+    shifted = Add(x, Const(1))
+    cases = [
+        [y] + [Sub(Add(x, Const(1)), x)] * 149,
+        [shifted] * 150,
+        [x, half, y] * 22 + [shifted, Neg(y), Pow(Sub(x, y), 2), half] * 21,
+        [Neg(x)] + [x, shifted] * 74 + [Mul(x, Add(y, half))],
+        [x] * 100 + [shifted] * 49 + [Div(x, y)],
+        [x] * 100 + [Mul(Var(2), shifted)] + [Div(x, y)] * 49,
+        [shifted] * 60 + [Var(5)] + [Sqrt(x)] * 89,
+    ]
+    for factors in cases:
+        assert len(factors) == 150
+        _assert_same_lowering(_left_product(factors), 2, 0)

@@ -53,7 +53,7 @@ def test_quaternion_real_identification_jacobian_rows(quaternion_real):
         ["x7", "-x8", "x5", "x6", "x3", "x4", "x1", "-x2"],
         ["x8", "x7", "-x6", "x5", "x4", "-x3", "x2", "x1"],
     ]
-    actual = [[render(j[i, k]) for k in range(8)] for i in range(4)]
+    actual = [[render(j[i][k]) for k in range(8)] for i in range(4)]
     assert actual == expected
 
 
@@ -191,7 +191,7 @@ def test_euler_identity_for_quadratic_maps(seed):
     point = random_rational_point(rng, 3)
     j = jacobian(phi)
     for i in range(phi.codomain_dim):
-        contraction = sum(j[i, k].evaluate(point) * point[k] for k in range(3))
+        contraction = sum(j[i][k].evaluate(point) * point[k] for k in range(3))
         assert contraction == 2 * phi.components[i].evaluate(point)
 
 

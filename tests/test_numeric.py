@@ -160,6 +160,22 @@ def test_guards_are_inherited_by_the_lift(stereographic):
     assert lift.domain_dim == 2 * stereographic.domain_dim
 
 
+def test_lifting_a_lift_names_its_variables_as_the_polynomial_lift_does(
+        stereographic):
+    # the fiber names of a second lift would repeat y1..y3, so both lifts
+    # fall back to canonical names
+    lift = numeric_complete_lift(stereographic)
+    assert lift.names() == ("x1", "x2", "x3", "y1", "y2", "y3")
+    twice = numeric_complete_lift(lift)
+    assert twice.var_names is None
+    assert twice.names() == tuple(f"x{j}" for j in range(1, 13))
+    base = parse_map("map f: R^2 -> R^1 { f1 = x1*x2; }")
+    polynomial = complete_lift_real(complete_lift_real(base))
+    assert polynomial.names() == tuple(f"x{j}" for j in range(1, 9))
+    smooth = numeric_complete_lift(numeric_complete_lift(_as_smooth(base)))
+    assert smooth.names() == polynomial.names()
+
+
 # ---------------------------------------------------------------------------
 # Exact/float pipeline agreement
 # ---------------------------------------------------------------------------

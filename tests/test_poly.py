@@ -509,7 +509,7 @@ def test_r32_gram_entry_peak_memory_stays_within_the_live_terms():
     # the Gram entry (1, 2) of the ladder's R^32 rung: 4896 terms survive
     rung = complete_lift_real(real_identification(
         parse_map(lookup("ex3.7-R16-to-C").definition)))
-    rows = [list(row) for row in jacobian(rung).entries]
+    rows = jacobian(rung)
     tracemalloc.start()
     try:
         entry = poly_dot(rows[0], rows[1])

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 import poly_oracle as oracle
 from morphlift import analysis
 from morphlift.analysis import hwc_certificate
-from morphlift.calculus import PolyMatrix, jacobian
+from morphlift.calculus import jacobian
 from morphlift.exact import GaussianRational
 from morphlift.mapfile import parse_poly
 from morphlift.poly import MultiPoly, _accumulate_square, poly_dot
@@ -178,8 +178,8 @@ class Counted(int):
 def test_the_certificate_forms_n_n_plus_1_over_2_products_per_square(
         phi_r16_real, monkeypatch):
     expected = hwc_certificate(phi_r16_real).dilation
-    counted = PolyMatrix([[q._with({k: Counted(c) for k, c in q._terms.items()})
-                           for q in row] for row in jacobian(phi_r16_real).entries])
+    counted = tuple(tuple(q._with({k: Counted(c) for k, c in q._terms.items()})
+                          for q in row) for row in jacobian(phi_r16_real))
     calls = []
 
     def counting_dot(left, right):
